@@ -43,7 +43,7 @@ def main():
         print(f"  +{added}: {entry.lattice_size} elements, "
               f"totals {entry.totals} (delta {delta:+d})")
     if out:
-        print(f"found: added {out.result.added}, route {out.result.route}")
+        print(f"found: added {out.result.added}, route {out.result.certificate.route}")
     else:
         print("no rigid deformation within budget")
 

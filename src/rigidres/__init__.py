@@ -59,6 +59,7 @@ from .frames import (  # noqa: F401
     homogenize,
     interval_pieces,
     relabel,
+    resolve,
     scarf_complex,
     support_length,
     taylor_betti,
@@ -67,7 +68,6 @@ from .frames import (  # noqa: F401
 )
 from .deform import (  # noqa: F401
     Certificate,
-    CertificationReport,
     DeformationResult,
     ScanEntry,
     SearchOutcome,
@@ -76,4 +76,3 @@ from .deform import (  # noqa: F401
     search_rigid_deformation,
     simplicial_rigid_deformation,
 )
-from .workers import worker_count  # noqa: F401

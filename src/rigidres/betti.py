@@ -22,7 +22,6 @@ import itertools
 from dataclasses import dataclass, field
 
 from .homology import FieldSpec, SimplicialComplex, reduced_homology
-from .monomials import Monomial
 from .posets import (
     FiniteAtomicLattice,
     Poset,
@@ -30,7 +29,6 @@ from .posets import (
     lcm_lattice,
     order_complex,
 )
-from .workers import parallel_map
 
 
 def crosscut_complex(L, q):
@@ -76,9 +74,8 @@ def is_contributor(P, q, F=FieldSpec(0)):
 def betti_poset(P, F=FieldSpec(0)):
     """The induced subposet on 0̂ and all contributing elements."""
     bot = P.bottom
-    others = [e for e in P.elements if e != bot]
-    flags = parallel_map(lambda e: is_contributor(P, e, F), others)
-    return Poset([bot] + [e for e, hit in zip(others, flags) if hit])
+    return Poset([bot] + [e for e in P.elements
+                          if e != bot and is_contributor(P, e, F)])
 
 
 @dataclass
@@ -113,15 +110,18 @@ class BettiTable:
 
 def betti_numbers(I, F=FieldSpec(0)):
     """Betti table of the quotient by I: the unit degree in index 0,
-    then β_{i,b} = h_{i−2} of the interval below b in the lcm-lattice."""
-    lat = lcm_lattice(I)
+    then β_{i,b} = h_{i−2} of the interval below b in the lcm-lattice.
+
+    I is a monomial ideal or a degree-labelled atomic lattice, which is
+    read as the lcm-lattice of an ideal (its bottom carries the unit).
+    """
+    L = I if isinstance(I, FiniteAtomicLattice) else lcm_lattice(I)
     table = BettiTable()
-    table.entries[(0, Monomial([0] * I.ambient_dim))] = 1
-    others = [e for e in lat.elements if e]
-    all_ranks = parallel_map(lambda e: interval_ranks(lat, e, F), others)
-    for e, ranks in zip(others, all_ranks):
-        for i, h in ranks.items():
-            table.entries[(i + 2, lat.degree(e))] = h
+    table.entries[(0, L.degree(frozenset()))] = 1
+    for e in L.elements:
+        if e:
+            for i, h in interval_ranks(L, e, F).items():
+                table.entries[(i + 2, L.degree(e))] = h
     return table
 
 
@@ -152,10 +152,12 @@ def rigidity_report(L, F=FieldSpec(0)):
     are pairwise incomparable.  The first violation in the canonical
     element order is reported.
     """
-    others = [e for e in L.elements if e != L.bottom]
-    all_ranks = parallel_map(lambda e: interval_ranks(L, e, F), others)
+    bot = L.bottom
     contributing = {}
-    for e, ranks in zip(others, all_ranks):
+    for e in L.elements:
+        if e == bot:
+            continue
+        ranks = interval_ranks(L, e, F)
         if sum(ranks.values()) > 1:
             what = ", ".join(f"h_{i}={h}" for i, h in sorted(ranks.items()))
             return RigidityReport(

@@ -19,12 +19,11 @@ shipped in ``rigidres/schemas/``.
 Exit codes: 0 success, 1 input error (bad arguments, malformed or
 unreadable files), 2 computed-but-negative (a verification failed, the
 input is not rigid, no isomorphism / join-preserving map / deformation
-was found).  Worker parallelism follows the RIGIDRES_WORKERS variable.
+was found).
 """
 
 import argparse
 import json
-import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,16 +32,15 @@ from pathlib import Path
 
 import jsonschema
 
-from .betti import (BettiTable, betti_numbers, betti_poset, interval_ranks,
-                    rigidity_report)
+from .betti import betti_numbers, betti_poset, rigidity_report
 from .deform import (lattice_betti_totals, search_rigid_deformation,
                      simplicial_rigid_deformation)
-from .frames import (GradedFreeResolution, build_frame, homogenize, relabel,
-                     scarf_complex, taylor_betti, verify_resolution)
+from .frames import (GradedFreeResolution, relabel, resolve, scarf_complex,
+                     taylor_betti, verify_resolution)
 from .homology import FieldSpec, SimplicialComplex
 from .monomials import Monomial, parse_ideal
 from .posets import (FiniteAtomicLattice, Poset, element_key, is_isomorphic,
-                     join_preserving_map, lcm_lattice)
+                     join_preserving_map, lcm_lattice, support_text)
 
 
 class InputError(ValueError):
@@ -177,21 +175,18 @@ def export_dot(P, highlight, labels=None):
     element order, so the output is byte-identical across runs.
     """
     marked = {frozenset(e) for e in highlight}
-
-    def name(e):
-        return "{" + ",".join(str(i + 1) for i in sorted(e)) + "}"
-
     lines = ["digraph hasse {",
              "  rankdir=BT;",
              "  node [shape=ellipse, fontsize=10];"]
     for e in P.elements:
-        label = labels[e] if labels else name(e)
+        label = labels[e] if labels else support_text(e)
         style = "filled" if e in marked else "solid"
-        lines.append(f'  "{name(e)}" [label="{label}", style={style}];')
+        lines.append(f'  "{support_text(e)}" [label="{label}", '
+                     f'style={style}];')
     pairs = sorted(P.cover_pairs(),
                    key=lambda pq: (element_key(pq[0]), element_key(pq[1])))
     for p, q in pairs:
-        lines.append(f'  "{name(p)}" -> "{name(q)}";')
+        lines.append(f'  "{support_text(p)}" -> "{support_text(q)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -279,14 +274,13 @@ COMMAND_NAMES = (
 class RunConfig:
     """Everything one invocation needs: the command, its input paths, the
     coefficient field, the output format and destination, and the knobs
-    (seed, search budget, explicit facets, comparison mode)."""
+    (search budget, explicit facets, comparison mode)."""
 
     command: str
     inputs: tuple = ()
     characteristic: int = 0
     fmt: str = "text"
     output: str = None
-    seed: int = 0
     budget: int = 1
     facets: str = None
     join_preserving: bool = False
@@ -317,37 +311,29 @@ def _emit_json(payload, cfg):
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg)
 
 
-def _totals_line(table):
-    return "totals: " + ",".join(str(b) for b in table.totals())
+def _totals_line(totals):
+    return "totals: " + ",".join(str(b) for b in totals) + "\n"
 
 
 def _yesno(flag):
     return "yes" if flag else "no"
 
 
-def _support_text(e):
-    return "{" + ",".join(str(i + 1) for i in sorted(e)) + "}"
+def _emit_lattice(L, cfg):
+    _emit_json(family_to_json(L, L.n_atoms, L.degrees), cfg)
 
 
-def _table_from_lattice(L, F):
-    """Betti table of a degree-labeled lattice (quotient convention:
-    rank one in the unit degree at position 0)."""
-    table = BettiTable()
-    table.entries[(0, L.degree(frozenset()))] = 1
-    for e in L.elements:
-        if e:
-            for i, h in interval_ranks(L, e, F).items():
-                table.entries[(i + 2, L.degree(e))] = h
-    return table
+def _write_target_lattice(result, cfg):
+    """With -o, save the lcm-lattice of a deformation's target ideal."""
+    if cfg.output:
+        _emit_lattice(lcm_lattice(result.target_ideal), cfg)
 
 
 # --------------------------------------------------------------------------
 # commands
 
 def cmd_lcm_lattice(cfg):
-    I = _load_ideal(cfg.inputs[0])
-    L = lcm_lattice(I)
-    _emit_json(family_to_json(L, L.n_atoms, L.degrees), cfg)
+    _emit_lattice(lcm_lattice(_load_ideal(cfg.inputs[0])), cfg)
     return 0
 
 
@@ -363,22 +349,17 @@ def cmd_betti_poset(cfg):
 
 def cmd_betti_numbers(cfg):
     path = cfg.inputs[0]
-    if str(path).endswith(".ideal"):
-        table = betti_numbers(_load_ideal(path), cfg.field)
-    else:
-        L, _ = _load_lattice(path)
-        if L.degrees is not None:
-            table = _table_from_lattice(L, cfg.field)
-        elif cfg.fmt == "json":
+    L, _ = _load_lattice(path)
+    if L.degrees is None:
+        if cfg.fmt == "json":
             raise InputError(f"{path}: the graded table needs degree labels")
-        else:
-            totals = lattice_betti_totals(L, cfg.field)
-            _emit("totals: " + ",".join(str(b) for b in totals) + "\n", cfg)
-            return 0
+        _emit(_totals_line(lattice_betti_totals(L, cfg.field)), cfg)
+        return 0
+    table = betti_numbers(L, cfg.field)
     if cfg.fmt == "json":
         _emit_json(validate_payload(table.to_json_dict(), "betti"), cfg)
     else:
-        _emit(_totals_line(table) + "\n", cfg)
+        _emit(_totals_line(table.totals()), cfg)
     return 0
 
 
@@ -392,17 +373,9 @@ def cmd_is_rigid(cfg):
     return 2
 
 
-def _resolve(I, F):
-    L = lcm_lattice(I)
-    B = betti_poset(L, F)
-    frame = build_frame(B, F)
-    res = homogenize(frame, {e: L.degree(e) for e in B.elements})
-    return L, B, res
-
-
 def cmd_resolve(cfg):
     I = _load_ideal(cfg.inputs[0])
-    _, _, res = _resolve(I, cfg.field)
+    _, _, res = resolve(I, cfg.field)
     report = verify_resolution(res)
     _emit_json(resolution_to_json(res), cfg)
     ranks = ",".join(str(r) for r in res.ranks())
@@ -415,7 +388,7 @@ def cmd_relabel(cfg):
     source = _load_ideal(cfg.inputs[0])
     target = _load_ideal(cfg.inputs[1])
     F = cfg.field
-    LS, BS, res = _resolve(source, F)
+    _, BS, res = resolve(source, F)
     LT = lcm_lattice(target)
     BT = betti_poset(LT, F)
     iso = is_isomorphic(BS, BT)
@@ -446,7 +419,7 @@ def cmd_taylor(cfg):
     if cfg.fmt == "json":
         _emit_json(validate_payload(table.to_json_dict(), "betti"), cfg)
     else:
-        _emit(_totals_line(table) + "\n", cfg)
+        _emit(_totals_line(table.totals()), cfg)
     return 0
 
 
@@ -459,7 +432,7 @@ def cmd_scarf(cfg):
                    "supports": [[i + 1 for i in sorted(f)] for f in faces]}
         _emit_json(validate_payload(payload, "lattice"), cfg)
     else:
-        _emit("".join(_support_text(f) + "\n" for f in faces), cfg)
+        _emit("".join(support_text(f) + "\n" for f in faces), cfg)
     return 0
 
 
@@ -468,23 +441,18 @@ def cmd_deform_simplicial(cfg):
     X = _parse_facets(cfg.facets) if cfg.facets else scarf_complex(I)
     result = simplicial_rigid_deformation(I, X, cfg.field)
     cert = result.certificate
-    added = " ".join(_support_text(e) for e in result.added) or "none"
+    added = " ".join(support_text(e) for e in result.added) or "none"
     lines = [
         f"target lattice: {len(result.target_lattice.elements)} elements",
         f"added supports: {added}",
         f"certificate: rigid={_yesno(cert.rigid)} "
         f"betti-preserved={_yesno(cert.betti_preserved)} "
         f"relabel-verified={_yesno(cert.relabel_verified)}",
-        f"route: {result.route or 'none'}",
+        f"route: {cert.route or 'none'}",
         f"comparable to source: {_yesno(result.comparable_to_source)}",
     ]
     print("\n".join(lines))
-    if cfg.output:
-        J = result.target_ideal
-        LT = lcm_lattice(J)
-        Path(cfg.output).write_text(
-            json.dumps(family_to_json(LT, LT.n_atoms, LT.degrees),
-                       indent=2, sort_keys=True) + "\n")
+    _write_target_lattice(result, cfg)
     return 0 if cert.all_true else 2
 
 
@@ -501,7 +469,7 @@ def cmd_deform_search(cfg):
     if outcome.augmentation_log:
         print(f"scanned {len(outcome.augmentation_log)} augmentations:")
         for entry in outcome.augmentation_log:
-            added = " ".join(_support_text(e) for e in entry.added)
+            added = " ".join(support_text(e) for e in entry.added)
             totals = ",".join(str(b) for b in entry.totals)
             print(f"  +{added}: {entry.lattice_size} elements, "
                   f"totals {totals}")
@@ -509,16 +477,11 @@ def cmd_deform_search(cfg):
         print("no rigid deformation found within budget")
         return 2
     result = outcome.result
-    added = " ".join(_support_text(e) for e in result.added) or "none"
+    added = " ".join(support_text(e) for e in result.added) or "none"
     print(f"rigid deformation found: added {added}; "
           f"{len(result.target_lattice.elements)} elements; "
-          f"route {result.route}")
-    if cfg.output:
-        J = result.target_ideal
-        LT = lcm_lattice(J)
-        Path(cfg.output).write_text(
-            json.dumps(family_to_json(LT, LT.n_atoms, LT.degrees),
-                       indent=2, sort_keys=True) + "\n")
+          f"route {result.certificate.route}")
+    _write_target_lattice(result, cfg)
     return 0
 
 
@@ -578,7 +541,6 @@ COMMANDS = {
 
 def run(cfg):
     """Execute one configured command; returns the exit status."""
-    random.seed(cfg.seed)
     return COMMANDS[cfg.command](cfg)
 
 
@@ -597,15 +559,12 @@ def build_parser():
                              " (default 0)")
     common.add_argument("-o", "--output", metavar="PATH",
                         help="write the artifact to PATH instead of stdout")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized helpers (default 0)")
 
     parser = _Parser(
         prog="rigidres",
         description="lcm-lattices, Betti posets, rigidity, minimal free "
                     "resolutions, and rigid deformations of monomial ideals",
-        epilog="exit codes: 0 success, 1 input error, 2 negative verdict; "
-               "set RIGIDRES_WORKERS to bound worker parallelism")
+        epilog="exit codes: 0 success, 1 input error, 2 negative verdict")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
@@ -705,7 +664,6 @@ def config_from_args(ns):
         characteristic=ns.char,
         fmt=fmt,
         output=ns.output,
-        seed=ns.seed,
         budget=getattr(ns, "budget", 1),
         facets=getattr(ns, "facets", None),
         join_preserving=getattr(ns, "join_preserving", False),

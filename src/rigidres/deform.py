@@ -26,8 +26,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .betti import betti_numbers, betti_poset, interval_ranks, rigidity_report
-from .frames import build_frame, homogenize, relabel, verify_resolution
+from .betti import betti_poset, interval_ranks, rigidity_report
+from .frames import relabel, resolve, verify_resolution
 from .homology import FieldSpec, SimplicialComplex, reduced_homology
 from .monomials import lcm_of
 from .posets import (
@@ -62,11 +62,15 @@ def lattice_betti_totals(P, F=FieldSpec(0)):
 
 @dataclass
 class Certificate:
-    """The three facts a successful deformation must exhibit."""
+    """Outcome of checking one candidate ideal J against the source I:
+    the three facts a successful deformation must exhibit, the route
+    its resolution was relabeled along, and why a check failed."""
 
     rigid: bool = False
     betti_preserved: bool = False
     relabel_verified: bool = False
+    route: str = ""  # "betti-poset-isomorphism" | "join-preserving" | ""
+    detail: str = ""
 
     @property
     def all_true(self):
@@ -77,39 +81,12 @@ class Certificate:
 
 
 @dataclass
-class CertificationReport:
-    """Outcome of checking one candidate ideal J against the source I."""
-
-    rigid: bool = False
-    betti_equal: bool = False
-    route: str = ""  # "betti-poset-isomorphism" | "join-preserving" | ""
-    relabel_verified: bool = False
-    detail: str = ""
-
-    @property
-    def ok(self):
-        return self.rigid and bool(self.route) and self.relabel_verified
-
-    def __bool__(self):
-        return self.ok
-
-
-@dataclass
 class DeformationResult:
     target_lattice: FiniteAtomicLattice
     target_ideal: object  # MonomialIdeal
     certificate: Certificate
     comparable_to_source: bool = False
     added: tuple = ()
-    route: str = ""
-
-
-def _betti_poset_resolution(J, F):
-    LJ = lcm_lattice(J)
-    BJ = betti_poset(LJ, F)
-    frame = build_frame(BJ, F)
-    res = homogenize(frame, {q: LJ.degree(q) for q in BJ.elements})
-    return LJ, BJ, res
 
 
 def _resolves(res, I):
@@ -124,40 +101,40 @@ def certify_rigid_deformation(J, I, F=FieldSpec(0)):
     available), and J's minimal resolution relabels to a verified
     minimal resolution of I."""
     LI, LJ = lcm_lattice(I), lcm_lattice(J)
-    report = CertificationReport()
-    report.rigid = rigidity_report(LJ, F).rigid
-    report.betti_equal = (
+    cert = Certificate()
+    cert.rigid = rigidity_report(LJ, F).rigid
+    cert.betti_preserved = (
         lattice_betti_totals(LJ, F) == lattice_betti_totals(LI, F))
 
     BI, BJ = betti_poset(LI, F), betti_poset(LJ, F)
     iso = is_isomorphic(BJ, BI)
     if iso is not None:
-        report.route = "betti-poset-isomorphism"
+        cert.route = "betti-poset-isomorphism"
         assignment = dict(iso.assignment)
     else:
         g = (join_preserving_map(LJ, LI)
              if LJ.n_atoms == LI.n_atoms else None)
         if g is None:
-            report.detail = ("Betti posets not isomorphic and no "
-                             "join-preserving map onto the source lattice")
-            return report
-        report.route = "join-preserving"
+            cert.detail = ("Betti posets not isomorphic and no "
+                           "join-preserving map onto the source lattice")
+            return cert
+        cert.route = "join-preserving"
         assignment = {q: g(q) for q in BJ.elements}
 
-    _, _, res = _betti_poset_resolution(J, F)
+    _, _, res = resolve(J, F)
     degrees_i = {q: LI.degree(q) for q in LI.elements}
     try:
         moved = relabel(res, assignment, degrees_i)
     except ValueError as err:
-        report.detail = f"relabel failed: {err}"
-        return report
+        cert.detail = f"relabel failed: {err}"
+        return cert
     verdict = verify_resolution(moved)
-    report.relabel_verified = verdict.ok and _resolves(moved, I)
+    cert.relabel_verified = verdict.ok and _resolves(moved, I)
     if not verdict.ok:
-        report.detail = verdict.summary()
-    elif not report.relabel_verified:
-        report.detail = "relabeled first module misses the source generators"
-    return report
+        cert.detail = verdict.summary()
+    elif not cert.relabel_verified:
+        cert.detail = "relabeled first module misses the source generators"
+    return cert
 
 
 # --------------------------------------------------------------------------
@@ -202,23 +179,13 @@ def simplicial_rigid_deformation(I, X, F=FieldSpec(0)):
     assert set(LJ.elements) == set(T.elements), \
         "coordinatization changed the support family"
 
-    totals_t = lattice_betti_totals(T, F)
-    betti_preserved = (totals_t == betti_numbers(I, F).totals()
-                       and totals_t == lattice_betti_totals(P, F))
-    certification = certify_rigid_deformation(J, I, F)
-    certificate = Certificate(
-        rigid=certification.rigid,
-        betti_preserved=betti_preserved,
-        relabel_verified=certification.relabel_verified,
-    )
     return DeformationResult(
         target_lattice=T,
         target_ideal=J,
-        certificate=certificate,
+        certificate=certify_rigid_deformation(J, I, F),
         comparable_to_source=exists_join_preserving(T, L),
         added=tuple(sorted(set(T.elements) - set(L.elements),
                            key=element_key)),
-        route=certification.route,
     )
 
 
@@ -246,21 +213,15 @@ class SearchOutcome:
 
 def _certified_result(T, I, L, F, added):
     J = coordinatize(T)
-    certification = certify_rigid_deformation(J, I, F)
-    if not certification.ok:
+    certificate = certify_rigid_deformation(J, I, F)
+    if not certificate:
         return None
-    certificate = Certificate(
-        rigid=certification.rigid,
-        betti_preserved=certification.betti_equal,
-        relabel_verified=certification.relabel_verified,
-    )
     return DeformationResult(
         target_lattice=T,
         target_ideal=J,
         certificate=certificate,
         comparable_to_source=exists_join_preserving(T, L),
         added=added,
-        route=certification.route,
     )
 
 
@@ -280,7 +241,7 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
     L = lcm_lattice(I)
     n = len(I.generators)
     family = set(L.elements)
-    base = betti_numbers(I, F).totals()
+    base = lattice_betti_totals(L, F)
     outcome = SearchOutcome(base_totals=base)
 
     if rigidity_report(L, F).rigid:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .betti import BettiTable, betti_poset
 from .homology import (
     Chain,
     FieldSpec,
@@ -44,8 +45,8 @@ from .homology import (
     reduced_homology,
 )
 from .monomials import Monomial, lcm_of
-from .posets import Poset, element_key, order_complex
-from .workers import parallel_map
+from .posets import (Poset, element_key, lcm_lattice, order_complex,
+                     support_text)
 
 
 def _key_order(key):
@@ -88,9 +89,6 @@ class Frame:
         return [(q, j) for q, mult in self.components.get(position, ())
                 for j in range(mult)]
 
-    def elements_at(self, position):
-        return [q for q, _ in self.components.get(position, ())]
-
     def block(self, position, q, p):
         """The block of φ_position between component q (columns) and
         component p (rows) as a dense row-major matrix."""
@@ -107,9 +105,14 @@ class Frame:
         ]
 
 
-def _split_off_half_interval(z, p):
-    """Terms of z (chains of (0̂,q)) entirely inside (0̂, p]."""
-    return {ch: c for ch, c in z.terms.items() if all(e <= p for e in ch)}
+def _connecting_column(z, p, K_p, basis_p, F):
+    """One column of the connecting map along a cover p ⋖ q: split the
+    cycle z of (0̂, q) as a + b with a the terms inside (0̂, p], and
+    return the coordinates of ∂a in p's fixed homology basis (K_p is
+    the order complex of (0̂, p))."""
+    a = Chain(z.dimension,
+              {ch: c for ch, c in z.terms.items() if all(e <= p for e in ch)})
+    return reduce_cycle(chain_boundary(a, F), K_p, basis_p, F)
 
 
 def interval_pieces(P, q, p):
@@ -155,11 +158,7 @@ def connecting_block(P, q, p, basis_q, basis_p, level, F=FieldSpec(0)):
     if p == P.bottom:
         return [[z.terms.get(frozenset(), F.coerce(0)) for z in reps]]
     K_p = order_complex(P.open_interval(p))
-    cols = []
-    for z in reps:
-        a = Chain(level - 2, _split_off_half_interval(z, p))
-        da = chain_boundary(a, F)
-        cols.append(reduce_cycle(da, K_p, basis_p, F))
+    cols = [_connecting_column(z, p, K_p, basis_p, F) for z in reps]
     return [[col[k] for col in cols] for k in range(basis_p.rank(level - 3))]
 
 
@@ -172,8 +171,7 @@ def build_frame(B, F=FieldSpec(0)):
     """
     bot = B.bottom
     others = [q for q in B.elements if q != bot]
-    built = parallel_map(lambda q: order_complex(B.open_interval(q)), others)
-    complexes = dict(zip(others, built))
+    complexes = {q: order_complex(B.open_interval(q)) for q in others}
     bases = {q: reduced_homology(complexes[q], F) for q in others}
 
     components = {0: ((bot, 1),)}
@@ -201,9 +199,8 @@ def build_frame(B, F=FieldSpec(0)):
                         continue
                     if bases[p].rank(level - 3) == 0:
                         continue
-                    a = Chain(level - 2, _split_off_half_interval(z, p))
-                    da = chain_boundary(a, F)
-                    coords = reduce_cycle(da, complexes[p], bases[p], F)
+                    coords = _connecting_column(z, p, complexes[p],
+                                                bases[p], F)
                     for k, c in enumerate(coords):
                         if c:
                             col[(p, k)] = c
@@ -270,7 +267,7 @@ def _strand_rank(frame, level, allowed):
     return basis.rank
 
 
-def verify_frame(frame, ambient=None, check_lengths=True):
+def verify_frame(frame, ambient=None):
     """Check that the frame is a complex, that every strand is exact,
     and that strand lengths match their ranked-fragment predictions.
 
@@ -311,20 +308,19 @@ def verify_frame(frame, ambient=None, check_lengths=True):
                 report.strand_failures.append((m, level))
         report.strands_checked += 1
 
-    if check_lengths:
-        B = frame.poset
-        for q in B.elements:
-            if q == bot:
-                continue
-            in_strand = max(
-                (level for level, comps in frame.components.items()
-                 if any(e <= q for e, _ in comps)),
-                default=0)
-            ranked = B.max_ranked(q)
-            ranked_with_bottom = Poset(list(ranked.elements) + [bot])
-            predicted = support_length(ranked_with_bottom, F)
-            if in_strand != predicted:
-                report.length_mismatches.append((q, in_strand, predicted))
+    B = frame.poset
+    for q in B.elements:
+        if q == bot:
+            continue
+        in_strand = max(
+            (level for level, comps in frame.components.items()
+             if any(e <= q for e, _ in comps)),
+            default=0)
+        ranked = B.max_ranked(q)
+        ranked_with_bottom = Poset(list(ranked.elements) + [bot])
+        predicted = support_length(ranked_with_bottom, F)
+        if in_strand != predicted:
+            report.length_mismatches.append((q, in_strand, predicted))
     return report
 
 
@@ -347,9 +343,6 @@ class GradedFreeResolution:
     def ranks(self):
         top = max(self.modules, default=-1)
         return tuple(len(self.modules.get(i, ())) for i in range(top + 1))
-
-    def degrees(self, position):
-        return {key: deg for key, deg in self.modules.get(position, ())}
 
     @property
     def length(self):
@@ -391,6 +384,16 @@ def homogenize(frame, degrees):
             out[colkey] = entry
         differentials[level] = out
     return GradedFreeResolution(frame.field, modules, differentials)
+
+
+def resolve(I, F=FieldSpec(0)):
+    """The lcm-lattice L of I, its Betti poset B, and the frame over B
+    homogenized by the degrees of L: the minimal free resolution when I
+    is rigid (verify_resolution decides)."""
+    L = lcm_lattice(I)
+    B = betti_poset(L, F)
+    res = homogenize(build_frame(B, F), {e: L.degree(e) for e in B.elements})
+    return L, B, res
 
 
 def relabel(resolution, mapping, new_degrees):
@@ -468,19 +471,32 @@ class ResolutionReport:
         return self.is_homogeneous and self.is_minimal and self.is_exact
 
     def summary(self):
+        """One line; a failure count names its first witness."""
         if self.ok:
             return (f"minimal multigraded resolution, "
                     f"{self.strands_checked} degree strands exact")
         parts = []
-        if self.homogeneity_failures:
-            parts.append(f"{len(self.homogeneity_failures)} inhomogeneous entries")
-        if self.unit_entries:
-            parts.append(f"{len(self.unit_entries)} unit entries (not minimal)")
-        if self.bad_compositions:
-            parts.append(f"{len(self.bad_compositions)} nonzero compositions")
-        if self.strand_failures:
-            parts.append(f"{len(self.strand_failures)} inexact strand positions")
+        for failures, what, witness in (
+                (self.homogeneity_failures, "inhomogeneous entries",
+                 _entry_text),
+                (self.unit_entries, "unit entries (not minimal)", _entry_text),
+                (self.bad_compositions, "nonzero compositions", _entry_text),
+                (self.strand_failures, "inexact strand positions",
+                 _strand_text)):
+            if failures:
+                parts.append(f"{len(failures)} {what} "
+                             f"(first: {witness(*failures[0])})")
         return "; ".join(parts)
+
+
+def _entry_text(position, colkey, rowkey):
+    (q, j), (p, k) = colkey, rowkey
+    return (f"position {position}, column {support_text(q)}#{j}, "
+            f"row {support_text(p)}#{k}")
+
+
+def _strand_text(degree, position):
+    return f"degree [{','.join(map(str, degree))}], position {position}"
 
 
 def verify_resolution(resolution):
@@ -553,7 +569,18 @@ def verify_resolution(resolution):
 # --------------------------------------------------------------------------
 # independent oracles: Taylor strands and the Scarf complex
 
-def taylor_betti(I, F=FieldSpec(0), max_generators=12):
+# Both oracles enumerate all 2^n generator subsets; beyond this many
+# generators they refuse instead of running for minutes or longer.
+MAX_SUBSET_GENERATORS = 12
+
+
+def _check_subset_bound(gens):
+    if len(gens) > MAX_SUBSET_GENERATORS:
+        raise ValueError(f"{len(gens)} generators exceed the bound "
+                         f"{MAX_SUBSET_GENERATORS}")
+
+
+def taylor_betti(I, F=FieldSpec(0)):
     """Betti table via the Taylor complex, bypassing lattice homology.
 
     Basis in position i: the i-element subsets S of the generators,
@@ -561,12 +588,9 @@ def taylor_betti(I, F=FieldSpec(0), max_generators=12):
     differential keeps the terms S → S∖{j} with unchanged lcm, with
     alternating signs; β_{i,b} is the homology rank of the strand at b.
     """
-    from .betti import BettiTable  # local import to avoid a cycle
-
     gens = I.generators
+    _check_subset_bound(gens)
     n = len(gens)
-    if n > max_generators:
-        raise ValueError(f"{n} generators exceed the bound {max_generators}")
     unit = Monomial([0] * I.ambient_dim)
 
     def subset_lcm(S):
@@ -608,6 +632,7 @@ def taylor_betti(I, F=FieldSpec(0), max_generators=12):
 def scarf_complex(I):
     """Generator subsets whose lcm no other subset attains."""
     gens = I.generators
+    _check_subset_bound(gens)
     n = len(gens)
     unit = Monomial([0] * I.ambient_dim)
     counts = {}

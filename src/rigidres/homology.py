@@ -170,12 +170,6 @@ class Chain:
             if len(f) - 1 != self.dimension:
                 raise ValueError(f"face {set(f)} not of dimension {self.dimension}")
 
-    def support(self):
-        return set(self.terms)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: face_key(kv[0]))
-
     def __eq__(self, other):
         return (isinstance(other, Chain) and self.dimension == other.dimension
                 and self.terms == other.terms)
@@ -277,9 +271,6 @@ class HomologyBasis:
 
     def rank(self, i):
         return self.ranks.get(i, 0)
-
-    def total_rank(self):
-        return sum(self.ranks.values())
 
     def nonzero_degrees(self):
         return sorted(self.ranks)

@@ -3,7 +3,7 @@
 Monomials are exponent vectors over a fixed, ordered list of variables.
 A MonomialIdeal stores a *minimal* generating set: no generator divides
 another.  Everything here is immutable and hashable so values can be
-shared freely (including across worker threads).
+shared freely.
 """
 
 from __future__ import annotations

@@ -21,13 +21,18 @@ from dataclasses import dataclass
 import networkx as nx
 
 from .homology import SimplicialComplex
-from .monomials import Monomial, MonomialIdeal, lcm_of
+from .monomials import Monomial, MonomialIdeal
 
 
 def element_key(e):
     """Canonical total order on elements; sorting by it is a linear
     extension of inclusion (smaller sets sort first)."""
     return (len(e), tuple(sorted(e)))
+
+
+def support_text(e):
+    """An element as its 1-based atom indices, e.g. {1,3}, as in files."""
+    return "{" + ",".join(str(i + 1) for i in sorted(e)) + "}"
 
 
 class Poset:
@@ -129,9 +134,6 @@ class Poset:
         return g
 
     # -- fragments ----------------------------------------------------
-
-    def induced(self, members):
-        return Poset(members)
 
     def open_interval(self, q):
         """The fragment (0̂, q): everything strictly between bottom and q."""
@@ -350,16 +352,6 @@ class PosetMap:
         return (len(set(self.assignment.values())) == len(self.source.elements)
                 == len(self.target.elements))
 
-    def is_join_preserving(self):
-        if not isinstance(self.source, FiniteAtomicLattice) or \
-           not isinstance(self.target, FiniteAtomicLattice):
-            raise ValueError("join preservation needs lattices on both sides")
-        els = self.source.elements
-        for a, b in itertools.combinations_with_replacement(els, 2):
-            if self(self.source.join([a, b])) != self.target.join([self(a), self(b)]):
-                return False
-        return True
-
 
 def _heights(poset):
     """Longest cover-path from a minimal element; an isomorphism
@@ -391,10 +383,9 @@ def is_isomorphic(P, Q):
     return None
 
 
-def join_preserving_map(P, Q, atom_mode="any-bijection"):
+def join_preserving_map(P, Q):
     """A join-preserving map P → Q restricting to a bijection on atoms,
-    or None.  With atom_mode="identity" only the identity atom
-    assignment is tried; "any-bijection" tries all n! of them.
+    or None.  All n! atom assignments are tried, the identity first.
 
     Such a map is determined by the atom assignment σ: it must send p to
     the join in Q of σ(atoms below p), so the search just checks that
@@ -404,26 +395,18 @@ def join_preserving_map(P, Q, atom_mode="any-bijection"):
         raise ValueError("join-preserving comparison needs atomic lattices")
     if P.n_atoms != Q.n_atoms:
         raise ValueError(f"atom counts differ: {P.n_atoms} vs {Q.n_atoms}")
-    n = P.n_atoms
-    if atom_mode == "identity":
-        sigmas = [tuple(range(n))]
-    elif atom_mode == "any-bijection":
-        sigmas = itertools.permutations(range(n))
-    else:
-        raise ValueError(f"unknown atom_mode {atom_mode!r}")
-
     pair_joins = [(a, b, P.join([a, b]))
                   for a, b in itertools.combinations(P.elements, 2)]
-    for sigma in sigmas:
+    for sigma in itertools.permutations(range(P.n_atoms)):
         f = {p: Q.join_of_atoms(sigma[i] for i in p) for p in P.elements}
         if all(f[j] == Q.join([f[a], f[b]]) for a, b, j in pair_joins):
             return PosetMap(P, Q, f)
     return None
 
 
-def exists_join_preserving(P, Q, atom_mode="any-bijection"):
+def exists_join_preserving(P, Q):
     """Whether some join-preserving atom-bijective map P → Q exists."""
-    return join_preserving_map(P, Q, atom_mode) is not None
+    return join_preserving_map(P, Q) is not None
 
 
 def coordinatize(L):

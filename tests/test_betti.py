@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rigidres.betti import (
-    BettiTable,
     betti_numbers,
     betti_poset,
     contributing_index,

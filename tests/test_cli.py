@@ -2,6 +2,7 @@
 and the DOT export."""
 
 import json
+import time
 
 import jsonschema
 import pytest
@@ -201,7 +202,10 @@ def test_verify_detects_a_corrupted_scalar(tmp_path, capsys):
     payload["differentials"][1][0]["scalar"] = "7"
     out.write_text(json.dumps(payload))
     assert main(["verify", str(out)]) == 2
-    assert "nonzero compositions" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "2 nonzero compositions (first: position 2, column {1,2}#0, "
+        "row {}#0); 2 inexact strand positions (first: degree [1,1,1], "
+        "position 1)\n")
 
 
 def test_verify_rejects_malformed_resolution_files(tmp_path, capsys):
@@ -265,6 +269,18 @@ def test_scarf_text_and_json(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     jsonschema.validate(payload, load_schema("lattice"))
     assert payload["supports"] == [[], [1], [2], [3], [1, 2], [2, 3]]
+
+
+def test_subset_oracles_refuse_more_than_twelve_generators(tmp_path, capsys):
+    # both enumerate all 2^n generator subsets
+    cycle = "; ".join(f"x{i}*x{(i + 1) % 13}" for i in range(13))
+    ideal = ideal_file(tmp_path, "c13.ideal", cycle)
+    for command in ("scarf", "taylor"):
+        start = time.monotonic()
+        assert main([command, ideal]) == 1
+        assert time.monotonic() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: 13 generators exceed the bound 12\n")
 
 
 def test_deform_simplicial_with_explicit_facets(tmp_path, capsys):

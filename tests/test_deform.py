@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidres.betti import betti_numbers, betti_poset, interval_ranks
+from rigidres.betti import betti_numbers, interval_ranks
 from rigidres.deform import (
     Certificate,
     certify_rigid_deformation,
@@ -71,7 +71,7 @@ def test_scarf_deformation_of_plane_triple():
     assert r.certificate.all_true
     assert r.comparable_to_source
     assert lattice_betti_totals(r.target_lattice, Q) == (1, 3, 2)
-    assert r.route == "betti-poset-isomorphism"
+    assert r.certificate.route == "betti-poset-isomorphism"
 
 
 def test_oversized_complex_is_not_certified():
@@ -149,9 +149,9 @@ def test_generic_ideals_deform_along_their_scarf_complex(seed):
 def test_self_certification_of_rigid_ideal():
     I = parse_ideal("x; y; z")
     report = certify_rigid_deformation(I, I, Q)
-    assert report.ok
+    assert report.all_true
     assert report.route == "betti-poset-isomorphism"
-    assert report.rigid and report.betti_equal and report.relabel_verified
+    assert report.rigid and report.betti_preserved and report.relabel_verified
 
 
 def test_certify_twins_is_honest_about_rigidity(twin_a, twin_b):
@@ -159,16 +159,16 @@ def test_certify_twins_is_honest_about_rigidity(twin_a, twin_b):
     # ideal is rigid; the relabel leg still verifies across the pair
     report = certify_rigid_deformation(twin_a, twin_b, Q)
     assert not report.rigid
-    assert report.betti_equal
+    assert report.betti_preserved
     assert report.route == "betti-poset-isomorphism"
     assert report.relabel_verified
-    assert not report.ok
+    assert not report.all_true
 
 
 def test_certify_mismatched_generator_counts():
     report = certify_rigid_deformation(
         parse_ideal("x; y"), parse_ideal("x; y; z"), Q)
-    assert not report.ok
+    assert not report.all_true
     assert report.route == ""
     assert "not isomorphic" in report.detail
 

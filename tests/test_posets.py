@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -12,7 +11,6 @@ from rigidres.posets import (
     FiniteAtomicLattice,
     Poset,
     coordinatize,
-    element_key,
     exists_join_preserving,
     face_lattice,
     is_isomorphic,
@@ -326,7 +324,7 @@ def test_is_isomorphic_across_relabelings():
 
 def test_exists_join_preserving_identity_reflexive():
     b3 = boolean_lattice(3)
-    assert exists_join_preserving(b3, b3, atom_mode="identity")
+    assert exists_join_preserving(b3, b3)
 
 
 def test_exists_join_preserving_collapse():
@@ -347,7 +345,7 @@ def test_exists_join_preserving_counts_atoms():
 @settings(max_examples=15, deadline=None)
 def test_join_preserving_reflexive(data):
     lat = data.draw(random_lattices())
-    assert exists_join_preserving(lat, lat, atom_mode="identity")
+    assert exists_join_preserving(lat, lat)
 
 
 # -- coordinatization -------------------------------------------------------
