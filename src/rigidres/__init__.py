@@ -21,6 +21,7 @@ from .homology import (  # noqa: F401
     SimplicialComplex,
     SpanBasis,
     chain_boundary,
+    homology_ranks,
     reduce_cycle,
     reduced_homology,
 )

@@ -12,8 +12,10 @@ Rank-only queries on atomic lattices take a shortcut: the interval
 of atom subsets whose join stays below q ("crosscut" complex).  That
 complex lives on ≤ n vertices instead of the whole interval, and the
 equality of ranks is itself property-tested against the order-complex
-route.  Anything needing actual cycle representatives (the resolution
-builder) uses the order complex directly.
+route.  Ranks come from the rank-only path `homology_ranks` and are
+memoized on the poset per (element, characteristic).  Anything needing
+actual cycle representatives (the resolution builder) uses the order
+complex directly.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .homology import FieldSpec, SimplicialComplex, reduced_homology
+from .homology import FieldSpec, SimplicialComplex, homology_ranks
 from .posets import (
     FiniteAtomicLattice,
     Poset,
@@ -55,15 +57,14 @@ def interval_ranks(P, q, F=FieldSpec(0)):
     q = frozenset(q)
     if q == P.bottom:
         raise ValueError("the interval below the bottom element is undefined")
-    cache = P.__dict__.setdefault("_interval_rank_cache", {})
     key = (q, F.characteristic)
-    if key not in cache:
+    if key not in P.interval_rank_memo:
         if isinstance(P, FiniteAtomicLattice):
             K = crosscut_complex(P, q)
         else:
             K = order_complex(P.open_interval(q))
-        cache[key] = dict(reduced_homology(K, F).ranks)
-    return dict(cache[key])
+        P.interval_rank_memo[key] = homology_ranks(K, F)
+    return dict(P.interval_rank_memo[key])
 
 
 def is_contributor(P, q, F=FieldSpec(0)):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .betti import betti_poset, interval_ranks, rigidity_report
 from .frames import relabel, resolve, verify_resolution
-from .homology import FieldSpec, SimplicialComplex, reduced_homology
+from .homology import FieldSpec, SimplicialComplex, homology_ranks
 from .monomials import lcm_of
 from .posets import (
     FiniteAtomicLattice,
@@ -121,7 +121,7 @@ def certify_rigid_deformation(J, I, F=FieldSpec(0)):
         cert.route = "join-preserving"
         assignment = {q: g(q) for q in BJ.elements}
 
-    _, _, res = resolve(J, F)
+    _, _, res = resolve(LJ, F)
     degrees_i = {q: LI.degree(q) for q in LI.elements}
     try:
         moved = relabel(res, assignment, degrees_i)
@@ -164,7 +164,7 @@ def simplicial_rigid_deformation(I, X, F=FieldSpec(0)):
         if q == L.bottom:
             continue
         sub = _restriction(X, gens, L.degree(q))
-        ranks = reduced_homology(sub, F).ranks
+        ranks = homology_ranks(sub, F)
         if ranks:
             raise ValueError(
                 f"restriction to degree of {sorted(q)} is not acyclic "

@@ -24,8 +24,13 @@ c · degree(q)/degree(p)); relabeling transports a resolution across a
 poset isomorphism by keeping all scalars and recomputing the monomial
 parts from the new degrees.  Verification is independent of how the
 object was produced.  The Taylor-complex Betti oracle at the bottom of
-this module shares nothing with the interval-homology path, which is
-what makes the cross-checks in the test suite meaningful.
+this module shares nothing with the interval-homology path: interval
+homology runs on the elimination kernel of `homology`, while the
+oracle, `verify_resolution` and the strand ranks of `verify_frame`
+eliminate with the separate `SpanBasis`.  That is what makes the
+cross-checks in the test suite meaningful.  (The length check of
+`verify_frame` predicts lengths by interval homology, so it does use
+the kernel.)
 """
 
 from __future__ import annotations
@@ -41,12 +46,13 @@ from .homology import (
     SpanBasis,
     axpy,
     chain_boundary,
+    homology_ranks,
     reduce_cycle,
     reduced_homology,
 )
 from .monomials import Monomial, lcm_of
-from .posets import (Poset, element_key, lcm_lattice, order_complex,
-                     support_text)
+from .posets import (FiniteAtomicLattice, Poset, element_key, lcm_lattice,
+                     order_complex, support_text)
 
 
 def _key_order(key):
@@ -216,7 +222,7 @@ def support_length(P, F=FieldSpec(0)):
     for q in P.elements:
         if q == bot:
             continue
-        ranks = reduced_homology(order_complex(P.open_interval(q)), F).ranks
+        ranks = homology_ranks(order_complex(P.open_interval(q)), F)
         if ranks:
             best = max(best, max(ranks) + 2)
     return best
@@ -389,8 +395,12 @@ def homogenize(frame, degrees):
 def resolve(I, F=FieldSpec(0)):
     """The lcm-lattice L of I, its Betti poset B, and the frame over B
     homogenized by the degrees of L: the minimal free resolution when I
-    is rigid (verify_resolution decides)."""
-    L = lcm_lattice(I)
+    is rigid (verify_resolution decides).
+
+    I is a monomial ideal or a degree-labelled atomic lattice, which is
+    read as the lcm-lattice of an ideal and returned as L.
+    """
+    L = I if isinstance(I, FiniteAtomicLattice) else lcm_lattice(I)
     B = betti_poset(L, F)
     res = homogenize(build_frame(B, F), {e: L.degree(e) for e in B.elements})
     return L, B, res

@@ -7,6 +7,27 @@ lexicographically and elimination always pivots on the first nonzero
 row — so that anything built on top of the representatives (connecting
 maps, resolutions) is byte-for-byte reproducible.
 
+All of it runs on one sparse elimination kernel (`Elimination`):
+
+  - faces get integer ids once per complex, their positions in the
+    fixed face order, so a column's pivot is the smallest id in it;
+  - over GF(p) entries are plain ints mod p; over Q updates are
+    fraction-free (x ← a·x − c·b, then the content is divided out), and
+    a `Fraction` is made only when a representative or a coordinate is
+    handed back;
+  - `reduced_homology` makes one tagged pass per boundary ∂_i: its
+    pivots are the reducer for H̃_{i−1}, and the columns that reduce to
+    zero give the cycles that become representatives of H̃_i;
+  - `homology_ranks` is the rank-only path: h_i = n_i − rank ∂_i −
+    rank ∂_{i+1}, with no combinations tracked.
+
+A representative is the cycle f − (its unique expression over the
+earlier independent faces), scaled to coefficient 1 on its face f; the
+arithmetic is exact, so these do not depend on how pivots are reduced.
+`SpanBasis` is a separate, plain field elimination kept for the
+checkers (`frames.taylor_betti`, `verify_resolution`, the strand ranks
+of `verify_frame`), which therefore share no code with the kernel.
+
 The empty complex {∅} is a first-class citizen: its reduced homology is
 one-dimensional in degree −1, and that class (the empty face with
 coefficient 1) seeds the bottom of every frame downstream.
@@ -14,8 +35,10 @@ coefficient 1) seeds the bottom of every frame downstream.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 
 # --------------------------------------------------------------------------
@@ -203,10 +226,12 @@ def boundary_matrix(K, i, F):
 
 
 # --------------------------------------------------------------------------
-# elimination with provenance
+# the reference elimination of the checkers
 
 class SpanBasis:
-    """Incremental row-reduced span of sparse columns.
+    """Incremental row-reduced span of sparse columns over F.
+
+    The checkers' elimination, kept apart from the kernel below.
 
     Columns may carry a tag; the basis remembers, for each reduced
     column, its expansion over the *tagged* originals.  This turns
@@ -258,6 +283,122 @@ class SpanBasis:
 
 
 # --------------------------------------------------------------------------
+# the elimination kernel
+
+def _integer_boundaries(K, p):
+    """K with integer row ids: for each i from −1 to dim K, the i-faces
+    in the fixed face order (a face's id is its position), the id of
+    each face, and the columns of ∂_i as {(i−1)-face id: ±1}, with −1
+    written as p − 1 over GF(p)."""
+    rank = {v: r for r, v in enumerate(K.vertices)}
+    minus = p - 1 if p else -1
+    below = None
+    for i in range(-1, K.dim + 1):
+        faces = K.faces_of_dim(i)
+        index = {f: k for k, f in enumerate(faces)}
+        columns = []
+        for f in faces:
+            col = {}
+            sign = 1
+            for v in sorted(f, key=rank.__getitem__):
+                col[below[f - {v}]] = sign
+                sign = minus if sign == 1 else 1
+            columns.append(col)
+        yield i, faces, index, columns
+        below = index
+
+
+def _axpy(target, m, source, p):
+    """target += m·source over the integers (p = 0) or mod p, dropping
+    zeros; m is nonzero (mod p)."""
+    get = target.get
+    for k, v in source.items():
+        s = get(k, 0) + m * v
+        if p:
+            s %= p
+        if s:
+            target[k] = s
+        else:
+            del target[k]
+
+
+def _scale(vec, a, p):
+    for k, v in vec.items():
+        vec[k] = v * a % p if p else v * a
+
+
+class Elimination:
+    """Pivot columns of a sparse matrix over Q or GF(p), in exact ints.
+
+    A column is a dict {row id: nonzero int}; its pivot is its smallest
+    row id.  A column may carry a combination {tag: int} recording it
+    as a combination of tagged original columns, updated alongside.
+    Over GF(p) entries are ints mod p and a stored column is scaled to
+    pivot entry 1.  Over Q the update x ← a·x − c·b is fraction-free,
+    and a column that had to be scaled (|a| > 1 after dividing a and c
+    by their gcd) is divided by the gcd of all its entries and its
+    combination's, its content.
+    """
+
+    def __init__(self, characteristic, pivots=None):
+        self.p = characteristic
+        # pivot row -> (column, combination or None)
+        self.pivots = {} if pivots is None else pivots
+
+    def reduce(self, col, combo=None):
+        """Eliminate col's pivots against the stored ones, smallest row
+        first, updating col and combo in place.  Returns the pivot row
+        col is left with, or None when col reduced to zero."""
+        pivots, p = self.pivots, self.p
+        while col:
+            r = min(col)
+            hit = pivots.get(r)
+            if hit is None:
+                return r
+            b, bc = hit
+            c, a = col[r], 1
+            if p:
+                m = p - c  # a stored pivot has b[r] == 1
+            else:
+                g = gcd(b[r], c)
+                a, c = b[r] // g, c // g
+                if a == -1:  # −x − c·b and x + c·b differ only in sign
+                    a, c = 1, -c
+                m = -c
+                if a != 1:  # x ← a·x − c·b
+                    _scale(col, a, 0)
+                    if combo is not None:
+                        _scale(combo, a, 0)
+            _axpy(col, m, b, p)
+            if combo is not None and bc:
+                _axpy(combo, m, bc, p)
+            if a != 1:
+                _divide_content(col, combo)
+        return None
+
+    def insert(self, col, combo=None):
+        """Reduce col and store it under its pivot row, which is
+        returned; None (nothing stored) when col reduced to zero."""
+        r = self.reduce(col, combo)
+        if r is not None:
+            if self.p and col[r] != 1:
+                inv = pow(col[r], self.p - 2, self.p)
+                _scale(col, inv, self.p)
+                if combo:
+                    _scale(combo, inv, self.p)
+            self.pivots[r] = (col, combo)
+        return r
+
+
+def _divide_content(col, combo):
+    g = gcd(*col.values(), *(combo.values() if combo else ()))
+    if g > 1:
+        for vec in (col, combo or {}):
+            for k, v in vec.items():
+                vec[k] = v // g
+
+
+# --------------------------------------------------------------------------
 # reduced homology
 
 @dataclass
@@ -267,6 +408,8 @@ class HomologyBasis:
 
     ranks: dict = field(default_factory=dict)  # i -> h_i (only nonzero kept)
     representatives: dict = field(default_factory=dict)  # i -> [Chain]
+    # i -> (face -> row id, Elimination over the boundaries B_i and the
+    # representatives, tagged by their index)
     _reducers: dict = field(default_factory=dict, repr=False)
 
     def rank(self, i):
@@ -276,13 +419,44 @@ class HomologyBasis:
         return sorted(self.ranks)
 
 
+def homology_ranks(K, F=FieldSpec(0)):
+    """Ranks {i: h_i} of the nonzero reduced homology of K over F,
+    h_i = #i-faces − rank ∂_i − rank ∂_{i+1}, without representatives.
+
+    >>> homology_ranks(SimplicialComplex([{1, 2}, {2, 3}, {1, 3}]))
+    {1: 1}
+    """
+    p = F.characteristic
+    sizes, rank = {}, {}
+    for i, faces, _, columns in _integer_boundaries(K, p):
+        elimination = Elimination(p)
+        sizes[i] = len(faces)
+        rank[i] = sum(elimination.insert(col) is not None for col in columns)
+    ranks = {}
+    for i, n in sizes.items():
+        h = n - rank[i] - rank.get(i + 1, 0)
+        if h:
+            ranks[i] = h
+    return ranks
+
+
+def _field_chain(i, vec, d, faces, p):
+    """The integer vector vec / d on i-face ids as a chain over F."""
+    if p:
+        inv = pow(d, p - 2, p)
+        return Chain(i, {faces[k]: v * inv % p for k, v in sorted(vec.items())})
+    return Chain(i, {faces[k]: Fraction(v, d) for k, v in sorted(vec.items())})
+
+
 def reduced_homology(K, F=FieldSpec(0)):
     """Reduced homology of K over F with deterministic representatives.
 
-    For each dimension i the eliminator first absorbs all boundaries of
-    (i+1)-faces, then feeds it the kernel of ∂_i (computed by the same
-    deterministic reduction); kernel elements that survive become the
-    representatives of H̃_i.
+    One tagged pass over the columns of each boundary ∂_i, in face
+    order, yields its pivots and, from the columns that reduce to zero,
+    the cycles z_f = f + (a combination of earlier independent faces).
+    The pivots of ∂_{i+1} are the reducer of H̃_i; the cycles of ∂_i
+    that stay independent of it and of the earlier ones become the
+    representatives of H̃_i, with coefficient 1 on their own face f.
 
     >>> K = SimplicialComplex([{1}, {2}])
     >>> reduced_homology(K).ranks
@@ -290,28 +464,31 @@ def reduced_homology(K, F=FieldSpec(0)):
     >>> reduced_homology(SimplicialComplex()).ranks
     {-1: 1}
     """
+    p = F.characteristic
     basis = HomologyBasis()
-    for i in range(-1, K.dim + 1):
-        reducer = SpanBasis(F)
-        for col in boundary_matrix(K, i + 1, F).values():
-            reducer.insert(col)
-        # kernel of the i-th boundary, deterministically
-        ker_finder = SpanBasis(F)
-        kernel = []
-        for f, col in boundary_matrix(K, i, F).items():
-            if not ker_finder.insert(col, tag=f):
-                _, combo = ker_finder.express(col)
-                vec = {t: F.neg(c) for t, c in combo.items()}
-                vec[f] = F.one
-                kernel.append(vec)
-        reps = []
-        for vec in kernel:
-            if reducer.insert(dict(vec), tag=len(reps)):
-                reps.append(Chain(i, vec))
-        if reps:
-            basis.ranks[i] = len(reps)
-            basis.representatives[i] = reps
-        basis._reducers[i] = reducer
+    below = None  # (i − 1, its faces and ids, the cycles of ∂_{i−1})
+    passes = itertools.chain(_integer_boundaries(K, p),
+                             [(K.dim + 1, [], {}, [])])
+    for i, faces, index, columns in passes:
+        tagged = Elimination(p)
+        cycles = []
+        for k, col in enumerate(columns):
+            combo = {k: 1}
+            if tagged.insert(col, combo) is None:
+                cycles.append((k, combo))
+        if below is not None:
+            j, faces_j, index_j, cycles_j = below
+            reducer = Elimination(
+                p, {r: (col, None) for r, (col, _) in tagged.pivots.items()})
+            reps = []
+            for k, z in cycles_j:
+                if reducer.insert(dict(z), {len(reps): z[k]}) is not None:
+                    reps.append(_field_chain(j, z, z[k], faces_j, p))
+            if reps:
+                basis.ranks[j] = len(reps)
+                basis.representatives[j] = reps
+            basis._reducers[j] = (index_j, reducer)
+        below = (i, faces, index, cycles)
     return basis
 
 
@@ -326,11 +503,21 @@ def reduce_cycle(z, K, basis, F=FieldSpec(0)):
             raise ValueError(f"face {set(f)} not in the complex")
     if z.dimension >= 0 and any(chain_boundary(z, F).terms.values()):
         raise ValueError("not a cycle")
-    reducer = basis._reducers.get(z.dimension)
-    reps = basis.representatives.get(z.dimension, [])
-    if reducer is None:
-        reducer = SpanBasis(F)
-    residue, combo = reducer.express(dict(z.terms))
-    if residue:
+    p = F.characteristic
+    rows, reducer = basis._reducers.get(z.dimension, ({}, Elimination(p)))
+    n_reps = len(basis.representatives.get(z.dimension, []))
+    if p:
+        scale = 1
+        col = {rows[f]: int(c) % p for f, c in z.terms.items() if int(c) % p}
+    else:
+        scale = lcm(*(Fraction(c).denominator for c in z.terms.values()))
+        col = {rows[f]: (Fraction(c) * scale).numerator
+               for f, c in z.terms.items() if c}
+    combo = {-1: 1}  # tag −1 tracks the multiple of z that col holds
+    if reducer.reduce(col, combo) is not None:
         raise ValueError("cycle not in the span of boundaries and representatives")
-    return [combo.get(j, F.coerce(0)) for j in range(len(reps))]
+    s = combo.pop(-1) * scale
+    if p:
+        inv = pow(s, p - 2, p)
+        return [-combo.get(j, 0) * inv % p for j in range(n_reps)]
+    return [Fraction(-combo.get(j, 0), s) for j in range(n_reps)]

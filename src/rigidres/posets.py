@@ -44,6 +44,9 @@ class Poset:
         self._lower = None
         self._upper = None
         self._levels = None
+        # (element, characteristic) -> reduced homology ranks of the
+        # open interval below it; filled by betti.interval_ranks
+        self.interval_rank_memo = {}
 
     # -- basic queries ------------------------------------------------
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigidres import betti
 from rigidres.betti import betti_numbers, interval_ranks
 from rigidres.deform import (
     Certificate,
@@ -152,6 +153,24 @@ def test_self_certification_of_rigid_ideal():
     assert report.all_true
     assert report.route == "betti-poset-isomorphism"
     assert report.rigid and report.betti_preserved and report.relabel_verified
+
+
+def test_certification_computes_each_target_interval_once(monkeypatch):
+    I = parse_ideal(SILENT_EXAMPLE)
+    J = simplicial_rigid_deformation(I, scarf_complex(I), Q).target_ideal
+    computed = []
+    crosscut = betti.crosscut_complex
+
+    def recorded(L, q):
+        computed.append((tuple(L.degree(q)), q))
+        return crosscut(L, q)
+
+    monkeypatch.setattr(betti, "crosscut_complex", recorded)
+    assert certify_rigid_deformation(J, I, Q).all_true
+    LJ = lcm_lattice(J)
+    target = [(d, q) for d, q in computed
+              if q in LJ and d == tuple(LJ.degree(q))]
+    assert sorted(q for _, q in target) == sorted(e for e in LJ.elements if e)
 
 
 def test_certify_twins_is_honest_about_rigidity(twin_a, twin_b):

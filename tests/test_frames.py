@@ -26,14 +26,16 @@ from rigidres.frames import (
     homogenize,
     interval_pieces,
     relabel,
+    resolve,
     scarf_complex,
     support_length,
     taylor_betti,
     verify_frame,
     verify_resolution,
 )
-from rigidres.homology import FieldSpec
-from rigidres.monomials import Monomial, parse_ideal
+from rigidres import frames, homology
+from rigidres.homology import FieldSpec, homology_ranks, reduced_homology
+from rigidres.monomials import Monomial, MonomialIdeal, minimalize, parse_ideal
 from rigidres.posets import is_isomorphic, lcm_lattice
 
 from conftest import random_generic_ideal
@@ -347,6 +349,13 @@ def test_missing_strand_rank_is_detected():
     assert report.strand_failures
 
 
+def test_resolve_accepts_the_lcm_lattice(twin_a):
+    for I in (twin_a, parse_ideal("x^2; x*y; y^2")):
+        for F in (Q, GF2):
+            L, B, res = resolve(lcm_lattice(I), F)
+            assert resolve(I, F) == (L, B, res)
+
+
 # --------------------------------------------------------------------------
 # relabeling across a poset isomorphism
 
@@ -431,6 +440,62 @@ def test_taylor_matches_interval_homology_on_corpus(
         twin_a, twin_b, squarefree17, hexagon_ideal):
     for I in (twin_a, twin_b, squarefree17, hexagon_ideal):
         assert taylor_betti(I, Q).entries == betti_numbers(I, Q).entries
+
+
+def cycle_edge_ideal(n):
+    return parse_ideal("; ".join(f"x{i}*x{i % n + 1}" for i in range(1, n + 1)))
+
+
+def strongly_generic_ideal(seed, n, variables=4):
+    """n generators whose exponents in each variable are a seeded
+    permutation of 1..n (redrawn until no generator divides another)."""
+    rng = random.Random(seed)
+    while True:
+        cols = [rng.sample(range(1, n + 1), n) for _ in range(variables)]
+        gens = minimalize(Monomial(col[i] for col in cols) for i in range(n))
+        if len(gens) == n:
+            return MonomialIdeal(
+                tuple(f"x{j + 1}" for j in range(variables)), gens)
+
+
+@pytest.mark.parametrize("F", [Q, GF2], ids=["char0", "char2"])
+def test_interval_route_matches_taylor_on_ladder(F):
+    ladder = ([cycle_edge_ideal(n) for n in range(6, 11)]
+              + [strongly_generic_ideal(n, n) for n in range(6, 10)])
+    for I in ladder:
+        assert betti_numbers(I, F) == taylor_betti(I, F), I.generators
+
+
+def test_checkers_run_no_kernel_code(monkeypatch):
+    I = strongly_generic_ideal(7, 7)
+    L, B, res = resolve(I, Q)
+    frame = build_frame(B, Q)
+    table = taylor_betti(I, Q)
+    lengths = {}
+
+    def recorded(P, F):
+        lengths[P.elements] = support_length(P, F)
+        return lengths[P.elements]
+
+    monkeypatch.setattr(frames, "support_length", recorded)
+    assert verify_frame(frame, ambient=L).ok
+
+    def kernel_called(*args, **kwargs):
+        raise AssertionError("elimination kernel called")
+
+    monkeypatch.setattr(homology.Elimination, "__init__", kernel_called)
+    K = frame.complexes[B.elements[-1]]
+    with pytest.raises(AssertionError, match="kernel called"):
+        homology_ranks(K, Q)
+    with pytest.raises(AssertionError, match="kernel called"):
+        reduced_homology(K, Q)
+    assert taylor_betti(I, Q) == table
+    assert verify_resolution(res).ok
+    # the length check predicts lengths by interval homology, as the
+    # frame does; only its predictions are replayed here
+    monkeypatch.setattr(frames, "support_length",
+                        lambda P, F: lengths[P.elements])
+    assert verify_frame(frame, ambient=L).ok
 
 
 def projective_plane_ideal():

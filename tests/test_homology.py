@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,9 +10,11 @@ from rigidres.homology import (
     FieldSpec,
     SimplicialComplex,
     SpanBasis,
+    axpy,
     boundary_matrix,
     chain_boundary,
     cone,
+    homology_ranks,
     reduce_cycle,
     reduced_homology,
 )
@@ -21,10 +25,9 @@ HEXAGON = SimplicialComplex([{1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {1, 6}])
 
 # the classical 6-vertex triangulation of the real projective plane:
 # 10 triangles, every one of the 15 edges in exactly two of them
-RP2 = SimplicialComplex(
-    [{1, 2, 5}, {1, 2, 6}, {1, 3, 4}, {1, 3, 6}, {1, 4, 5},
-     {2, 3, 4}, {2, 3, 5}, {2, 4, 6}, {3, 5, 6}, {4, 5, 6}]
-)
+RP2_TRIANGLES = [{1, 2, 5}, {1, 2, 6}, {1, 3, 4}, {1, 3, 6}, {1, 4, 5},
+                 {2, 3, 4}, {2, 3, 5}, {2, 4, 6}, {3, 5, 6}, {4, 5, 6}]
+RP2 = SimplicialComplex(RP2_TRIANGLES)
 
 
 def small_complexes():
@@ -187,6 +190,143 @@ def test_reduce_cycle_rejects_non_cycles():
         reduce_cycle(Chain(1, {frozenset({1, 2}): Fraction(1)}), HEXAGON, basis, Q)
     with pytest.raises(ValueError):
         reduce_cycle(Chain(1, {frozenset({2, 5}): Fraction(1)}), HEXAGON, basis, Q)
+
+
+# --------------------------------------------------------------------------
+# the elimination kernel against the reference SpanBasis elimination
+
+def reference_homology(K, F):
+    """Ranks and representatives by two SpanBasis passes per degree: the
+    boundaries of (i+1)-faces first, then the kernel of ∂_i found by a
+    tagged pass, whose vectors enter when independent of what came
+    before."""
+    ranks, representatives = {}, {}
+    for i in range(-1, K.dim + 1):
+        reducer = SpanBasis(F)
+        for col in boundary_matrix(K, i + 1, F).values():
+            reducer.insert(col)
+        ker_finder = SpanBasis(F)
+        reps = []
+        for f, col in boundary_matrix(K, i, F).items():
+            if not ker_finder.insert(col, tag=f):
+                _, combo = ker_finder.express(col)
+                vec = {t: F.neg(c) for t, c in combo.items()}
+                vec[f] = F.one
+                if reducer.insert(dict(vec)):
+                    reps.append(vec)
+        if reps:
+            ranks[i] = len(reps)
+            representatives[i] = reps
+    return ranks, representatives
+
+
+def span_ranks(K, F):
+    """h_i = #i-faces − rank ∂_i − rank ∂_{i+1}, ranks by fresh SpanBases."""
+    rank = {}
+    for i in range(-1, K.dim + 2):
+        basis = SpanBasis(F)
+        for col in boundary_matrix(K, i, F).values():
+            basis.insert(col)
+        rank[i] = basis.rank
+    ranks = {}
+    for i in range(-1, K.dim + 1):
+        h = len(K.faces_of_dim(i)) - rank[i] - rank[i + 1]
+        if h:
+            ranks[i] = h
+    return ranks
+
+
+FIELDS = st.sampled_from([FieldSpec(0), FieldSpec(2), FieldSpec(3)])
+
+
+def torsion_complexes():
+    """RP2 with up to three triangles dropped and triangles through two
+    new vertices glued on.  Over Q their elimination meets pivot
+    entries ±2, so the fraction-free update has to scale columns."""
+    extra = [set(t) for t in itertools.combinations(range(1, 9), 3)
+             if max(t) > 6]
+    kept = st.sets(st.integers(0, 9), min_size=7)
+    glued = st.lists(st.sampled_from(extra), min_size=2, max_size=12)
+    return st.builds(
+        lambda k, g: SimplicialComplex([RP2_TRIANGLES[j] for j in k] + g),
+        kept, glued)
+
+
+# complexes of that kind on which dropping the scaling of a column's
+# combination, the coefficient of a representative's own face, or the
+# combination's part of the content changes some output over Q
+SCALED_EXAMPLES = [
+    [{1, 2, 5}, {1, 2, 6}, {1, 2, 7}, {1, 3, 4}, {1, 3, 6}, {1, 4, 5},
+     {1, 5, 7}, {1, 6, 7}, {2, 3, 4}, {2, 3, 5}, {2, 4, 6}, {2, 5, 8},
+     {2, 6, 7}, {3, 5, 6}, {3, 6, 7}, {4, 5, 6}, {5, 6, 7}, {5, 6, 8},
+     {6, 7, 8}],
+    [{1, 2, 5}, {1, 2, 6}, {1, 2, 8}, {1, 3, 4}, {1, 3, 6}, {1, 3, 7},
+     {1, 4, 5}, {1, 4, 8}, {1, 6, 8}, {1, 7, 8}, {2, 3, 4}, {2, 3, 5},
+     {2, 4, 6}, {2, 5, 8}, {2, 6, 7}, {3, 5, 6}, {3, 6, 8}, {4, 5, 6},
+     {5, 6, 8}],
+    [{1, 2, 5}, {1, 2, 6}, {1, 3, 4}, {1, 3, 6}, {1, 3, 8}, {1, 4, 5},
+     {1, 6, 7}, {1, 7, 8}, {2, 3, 4}, {2, 3, 5}, {2, 4, 6}, {2, 4, 7},
+     {2, 5, 7}, {2, 7, 8}, {3, 4, 7}, {3, 5, 6}, {4, 5, 6}, {4, 6, 7},
+     {5, 6, 8}, {6, 7, 8}],
+]
+
+
+def check_against_reference(K, F):
+    basis = reduced_homology(K, F)
+    ranks, representatives = reference_homology(K, F)
+    assert homology_ranks(K, F) == basis.ranks == span_ranks(K, F) == ranks
+    assert list(homology_ranks(K, F)) == sorted(ranks)
+    assert {i: [r.terms for r in reps]
+            for i, reps in basis.representatives.items()} == representatives
+    for reps in basis.representatives.values():
+        for r in reps:
+            for c in r.terms.values():
+                assert type(c) is (Fraction if F.characteristic == 0 else int)
+
+
+def check_reduce_cycle(K, F, scalar):
+    """z = Σ c_j·rep_j + ∂w for drawn c and w; reduce_cycle must give c."""
+    basis = reduced_homology(K, F)
+    for i in range(-1, K.dim + 1):
+        reps = basis.representatives.get(i, [])
+        coords = [F.coerce(scalar()) for _ in reps]
+        z = {}
+        for c, rep in zip(coords, reps):
+            axpy(z, c, rep.terms, F)
+        w = {f: F.coerce(scalar()) for f in K.faces_of_dim(i + 1)}
+        w = Chain(i + 1, {f: c for f, c in w.items() if c})
+        axpy(z, F.one, chain_boundary(w, F).terms, F)
+        assert reduce_cycle(Chain(i, z), K, basis, F) == coords
+
+
+def field_scalar(F):
+    if F.characteristic:
+        return st.integers(0, F.characteristic - 1)
+    return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@given(st.one_of(small_complexes(), torsion_complexes()), FIELDS)
+@settings(max_examples=80)
+def test_kernel_matches_reference_elimination(K, F):
+    check_against_reference(K, F)
+
+
+@given(st.one_of(small_complexes(), torsion_complexes()), FIELDS, st.data())
+@settings(max_examples=80)
+def test_reduce_cycle_recovers_coordinates(K, F, data):
+    check_reduce_cycle(K, F, lambda: data.draw(field_scalar(F)))
+
+
+@pytest.mark.parametrize("facets", SCALED_EXAMPLES)
+@pytest.mark.parametrize("F", [FieldSpec(0), FieldSpec(2), FieldSpec(3)],
+                         ids=["char0", "char2", "char3"])
+def test_kernel_on_complexes_with_scaled_pivots(facets, F):
+    K = SimplicialComplex(facets)
+    check_against_reference(K, F)
+    rng = random.Random(len(facets))
+    for _ in range(5):
+        check_reduce_cycle(K, F, lambda: Fraction(rng.randint(-3, 3),
+                                                  rng.randint(1, 2)))
 
 
 def test_cone_rejects_existing_vertex():
