@@ -48,6 +48,7 @@ from .betti import (  # noqa: F401
     interval_ranks,
     is_contributor,
     is_rigid,
+    lattice_betti_totals,
     rigidity_report,
 )
 from .frames import (  # noqa: F401
@@ -62,7 +63,6 @@ from .frames import (  # noqa: F401
     relabel,
     resolve,
     scarf_complex,
-    support_length,
     taylor_betti,
     verify_frame,
     verify_resolution,
@@ -73,7 +73,6 @@ from .deform import (  # noqa: F401
     ScanEntry,
     SearchOutcome,
     certify_rigid_deformation,
-    lattice_betti_totals,
     search_rigid_deformation,
     simplicial_rigid_deformation,
 )

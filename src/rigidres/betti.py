@@ -97,9 +97,6 @@ class BettiTable:
         return sorted(((i, d, b) for (i, d), b in self.entries.items()),
                       key=lambda t: (t[0], t[1]))
 
-    def __eq__(self, other):
-        return isinstance(other, BettiTable) and self.entries == other.entries
-
     def to_json_dict(self):
         return {
             "totals": list(self.totals()),
@@ -124,6 +121,20 @@ def betti_numbers(I, F=FieldSpec(0)):
             for i, h in interval_ranks(L, e, F).items():
                 table.entries[(i + 2, L.degree(e))] = h
     return table
+
+
+def lattice_betti_totals(P, F=FieldSpec(0)):
+    """Total Betti numbers read off a poset with 0̂: one generator at the
+    bottom, and position i ≥ 1 collects h_{i−2} over all open intervals.
+    For an lcm-lattice this equals the ideal's total Betti numbers."""
+    bot = P.bottom
+    totals = {0: 1}
+    for q in P.elements:
+        if q == bot:
+            continue
+        for i, h in interval_ranks(P, q, F).items():
+            totals[i + 2] = totals.get(i + 2, 0) + h
+    return tuple(totals.get(i, 0) for i in range(max(totals) + 1))
 
 
 @dataclass

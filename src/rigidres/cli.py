@@ -1,5 +1,11 @@
 """Command-line surface: file I/O, JSON schemas, and DOT diagram export.
 
+Dispatch: each subparser in :func:`build_parser` names its handler with
+``set_defaults(run=cmd_…)``.  :func:`main` parses the command line, sets
+``ns.field`` from ``--char`` once, and calls ``ns.run(ns)``; handlers
+read their arguments (``ns.input``, ``ns.source``, ``ns.json``, …)
+straight from the namespace.
+
 File formats
 ------------
 ``.ideal``    text; generators separated by ``;`` or newlines, ``#`` starts
@@ -25,16 +31,15 @@ was found).
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 
-from .betti import betti_numbers, betti_poset, rigidity_report
-from .deform import (lattice_betti_totals, search_rigid_deformation,
-                     simplicial_rigid_deformation)
+from .betti import (betti_numbers, betti_poset, lattice_betti_totals,
+                    rigidity_report)
+from .deform import search_rigid_deformation, simplicial_rigid_deformation
 from .frames import (GradedFreeResolution, relabel, resolve, scarf_complex,
                      taylor_betti, verify_resolution)
 from .homology import FieldSpec, SimplicialComplex
@@ -261,54 +266,17 @@ def _parse_facets(text):
 
 
 # --------------------------------------------------------------------------
-# run configuration
+# output
 
-COMMAND_NAMES = (
-    "lcm-lattice", "betti-poset", "betti-numbers", "is-rigid", "resolve",
-    "relabel", "verify", "taylor", "scarf", "deform-simplicial",
-    "deform-search", "compare", "export-dot",
-)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs: the command, its input paths, the
-    coefficient field, the output format and destination, and the knobs
-    (search budget, explicit facets, comparison mode)."""
-
-    command: str
-    inputs: tuple = ()
-    characteristic: int = 0
-    fmt: str = "text"
-    output: str = None
-    budget: int = 1
-    facets: str = None
-    join_preserving: bool = False
-
-    def __post_init__(self):
-        if self.command not in COMMAND_NAMES:
-            raise InputError(f"unknown command {self.command!r}")
-        try:
-            FieldSpec(self.characteristic)
-        except ValueError as err:
-            raise InputError(str(err)) from None
-        if self.fmt not in ("text", "json", "dot"):
-            raise InputError(f"unknown output format {self.fmt!r}")
-
-    @property
-    def field(self):
-        return FieldSpec(self.characteristic)
-
-
-def _emit(text, cfg):
-    if cfg.output:
-        Path(cfg.output).write_text(text)
+def _emit(text, ns):
+    if ns.output:
+        Path(ns.output).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(payload, cfg):
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg)
+def _emit_json(payload, ns):
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", ns)
 
 
 def _totals_line(totals):
@@ -319,75 +287,75 @@ def _yesno(flag):
     return "yes" if flag else "no"
 
 
-def _emit_lattice(L, cfg):
-    _emit_json(family_to_json(L, L.n_atoms, L.degrees), cfg)
+def _emit_lattice(L, ns):
+    _emit_json(family_to_json(L, L.n_atoms, L.degrees), ns)
 
 
-def _write_target_lattice(result, cfg):
+def _write_target_lattice(result, ns):
     """With -o, save the lcm-lattice of a deformation's target ideal."""
-    if cfg.output:
-        _emit_lattice(lcm_lattice(result.target_ideal), cfg)
+    if ns.output:
+        _emit_lattice(lcm_lattice(result.target_ideal), ns)
 
 
 # --------------------------------------------------------------------------
 # commands
 
-def cmd_lcm_lattice(cfg):
-    _emit_lattice(lcm_lattice(_load_ideal(cfg.inputs[0])), cfg)
+def cmd_lcm_lattice(ns):
+    _emit_lattice(lcm_lattice(_load_ideal(ns.input)), ns)
     return 0
 
 
-def cmd_betti_poset(cfg):
-    L, _ = _load_lattice(cfg.inputs[0])
-    B = betti_poset(L, cfg.field)
+def cmd_betti_poset(ns):
+    L, _ = _load_lattice(ns.input)
+    B = betti_poset(L, ns.field)
     degrees = None
     if L.degrees is not None:
         degrees = {e: L.degree(e) for e in B.elements}
-    _emit_json(family_to_json(B, L.n_atoms, degrees), cfg)
+    _emit_json(family_to_json(B, L.n_atoms, degrees), ns)
     return 0
 
 
-def cmd_betti_numbers(cfg):
-    path = cfg.inputs[0]
+def cmd_betti_numbers(ns):
+    path = ns.input
     L, _ = _load_lattice(path)
     if L.degrees is None:
-        if cfg.fmt == "json":
+        if ns.json:
             raise InputError(f"{path}: the graded table needs degree labels")
-        _emit(_totals_line(lattice_betti_totals(L, cfg.field)), cfg)
+        _emit(_totals_line(lattice_betti_totals(L, ns.field)), ns)
         return 0
-    table = betti_numbers(L, cfg.field)
-    if cfg.fmt == "json":
-        _emit_json(validate_payload(table.to_json_dict(), "betti"), cfg)
+    table = betti_numbers(L, ns.field)
+    if ns.json:
+        _emit_json(validate_payload(table.to_json_dict(), "betti"), ns)
     else:
-        _emit(_totals_line(table.totals()), cfg)
+        _emit(_totals_line(table.totals()), ns)
     return 0
 
 
-def cmd_is_rigid(cfg):
-    L, _ = _load_lattice(cfg.inputs[0])
-    report = rigidity_report(L, cfg.field)
+def cmd_is_rigid(ns):
+    L, _ = _load_lattice(ns.input)
+    report = rigidity_report(L, ns.field)
     if report.rigid:
-        _emit("rigid\n", cfg)
+        _emit("rigid\n", ns)
         return 0
-    _emit(f"not rigid [{report.rule}]: {report.detail}\n", cfg)
+    _emit(f"not rigid [{report.rule}]: {report.detail}\n", ns)
     return 2
 
 
-def cmd_resolve(cfg):
-    I = _load_ideal(cfg.inputs[0])
-    _, _, res = resolve(I, cfg.field)
+def cmd_resolve(ns):
+    I = _load_ideal(ns.input)
+    _, _, res = resolve(I, ns.field)
     report = verify_resolution(res)
-    _emit_json(resolution_to_json(res), cfg)
+    _emit_json(resolution_to_json(res), ns)
     ranks = ",".join(str(r) for r in res.ranks())
     print(f"ranks: {ranks}", file=sys.stderr)
     print(report.summary(), file=sys.stderr)
     return 0 if report.ok else 2
 
 
-def cmd_relabel(cfg):
-    source = _load_ideal(cfg.inputs[0])
-    target = _load_ideal(cfg.inputs[1])
-    F = cfg.field
+def cmd_relabel(ns):
+    source = _load_ideal(ns.source)
+    target = _load_ideal(ns.target)
+    F = ns.field
     _, BS, res = resolve(source, F)
     LT = lcm_lattice(target)
     BT = betti_poset(LT, F)
@@ -398,48 +366,48 @@ def cmd_relabel(cfg):
         return 2
     moved = relabel(res, iso, {e: LT.degree(e) for e in LT.elements})
     report = verify_resolution(moved)
-    _emit_json(resolution_to_json(moved), cfg)
+    _emit_json(resolution_to_json(moved), ns)
     print(report.summary(), file=sys.stderr)
     return 0 if report.ok else 2
 
 
-def cmd_verify(cfg):
-    path = cfg.inputs[0]
+def cmd_verify(ns):
+    path = ns.input
     if not str(path).endswith(".res"):
         raise InputError(f"{path}: expected a .res file")
-    res = resolution_from_json(_read_json(path), cfg.field)
+    res = resolution_from_json(_read_json(path), ns.field)
     report = verify_resolution(res)
-    _emit(report.summary() + "\n", cfg)
+    _emit(report.summary() + "\n", ns)
     return 0 if report.ok else 2
 
 
-def cmd_taylor(cfg):
-    I = _load_ideal(cfg.inputs[0])
-    table = taylor_betti(I, cfg.field)
-    if cfg.fmt == "json":
-        _emit_json(validate_payload(table.to_json_dict(), "betti"), cfg)
+def cmd_taylor(ns):
+    I = _load_ideal(ns.input)
+    table = taylor_betti(I, ns.field)
+    if ns.json:
+        _emit_json(validate_payload(table.to_json_dict(), "betti"), ns)
     else:
-        _emit(_totals_line(table.totals()), cfg)
+        _emit(_totals_line(table.totals()), ns)
     return 0
 
 
-def cmd_scarf(cfg):
-    I = _load_ideal(cfg.inputs[0])
+def cmd_scarf(ns):
+    I = _load_ideal(ns.input)
     X = scarf_complex(I)
     faces = sorted(X.faces, key=element_key)
-    if cfg.fmt == "json":
+    if ns.json:
         payload = {"n_atoms": len(I.generators),
                    "supports": [[i + 1 for i in sorted(f)] for f in faces]}
-        _emit_json(validate_payload(payload, "lattice"), cfg)
+        _emit_json(validate_payload(payload, "lattice"), ns)
     else:
-        _emit("".join(support_text(f) + "\n" for f in faces), cfg)
+        _emit("".join(support_text(f) + "\n" for f in faces), ns)
     return 0
 
 
-def cmd_deform_simplicial(cfg):
-    I = _load_ideal(cfg.inputs[0])
-    X = _parse_facets(cfg.facets) if cfg.facets else scarf_complex(I)
-    result = simplicial_rigid_deformation(I, X, cfg.field)
+def cmd_deform_simplicial(ns):
+    I = _load_ideal(ns.input)
+    X = _parse_facets(ns.facets) if ns.facets else scarf_complex(I)
+    result = simplicial_rigid_deformation(I, X, ns.field)
     cert = result.certificate
     added = " ".join(support_text(e) for e in result.added) or "none"
     lines = [
@@ -452,15 +420,15 @@ def cmd_deform_simplicial(cfg):
         f"comparable to source: {_yesno(result.comparable_to_source)}",
     ]
     print("\n".join(lines))
-    _write_target_lattice(result, cfg)
+    _write_target_lattice(result, ns)
     return 0 if cert.all_true else 2
 
 
-def cmd_deform_search(cfg):
-    I = _load_ideal(cfg.inputs[0])
-    outcome = search_rigid_deformation(I, budget=cfg.budget, F=cfg.field)
+def cmd_deform_search(ns):
+    I = _load_ideal(ns.input)
+    outcome = search_rigid_deformation(I, budget=ns.budget, F=ns.field)
     print("base totals: " + ",".join(str(b) for b in outcome.base_totals))
-    print(f"budget: {cfg.budget}")
+    print(f"budget: {ns.budget}")
     candidate = outcome.betti_poset_candidate
     if candidate is not None:
         totals = ",".join(str(b) for b in candidate.totals)
@@ -481,14 +449,14 @@ def cmd_deform_search(cfg):
     print(f"rigid deformation found: added {added}; "
           f"{len(result.target_lattice.elements)} elements; "
           f"route {result.certificate.route}")
-    _write_target_lattice(result, cfg)
+    _write_target_lattice(result, ns)
     return 0
 
 
-def cmd_compare(cfg):
-    first = _load_family(cfg.inputs[0])
-    second = _load_family(cfg.inputs[1])
-    if cfg.join_preserving:
+def cmd_compare(ns):
+    first = _load_family(ns.first)
+    second = _load_family(ns.second)
+    if ns.join_preserving:
         for which, P in (("first", first), ("second", second)):
             if not isinstance(P, FiniteAtomicLattice):
                 raise InputError(f"{which} input is not an atomic lattice; "
@@ -509,39 +477,17 @@ def cmd_compare(cfg):
     return 0 if iso else 2
 
 
-def cmd_export_dot(cfg):
-    L, variables = _load_lattice(cfg.inputs[0])
-    B = betti_poset(L, cfg.field)
+def cmd_export_dot(ns):
+    L, variables = _load_lattice(ns.input)
+    B = betti_poset(L, ns.field)
     labels = None
     if L.degrees is not None:
         if variables is None:
             width = len(L.degree(frozenset()))
             variables = tuple(f"x{i + 1}" for i in range(width))
         labels = {e: L.degree(e).format(variables) for e in L.elements}
-    _emit(export_dot(L, B.elements, labels), cfg)
+    _emit(export_dot(L, B.elements, labels), ns)
     return 0
-
-
-COMMANDS = {
-    "lcm-lattice": cmd_lcm_lattice,
-    "betti-poset": cmd_betti_poset,
-    "betti-numbers": cmd_betti_numbers,
-    "is-rigid": cmd_is_rigid,
-    "resolve": cmd_resolve,
-    "relabel": cmd_relabel,
-    "verify": cmd_verify,
-    "taylor": cmd_taylor,
-    "scarf": cmd_scarf,
-    "deform-simplicial": cmd_deform_simplicial,
-    "deform-search": cmd_deform_search,
-    "compare": cmd_compare,
-    "export-dot": cmd_export_dot,
-}
-
-
-def run(cfg):
-    """Execute one configured command; returns the exit status."""
-    return COMMANDS[cfg.command](cfg)
 
 
 # --------------------------------------------------------------------------
@@ -571,36 +517,43 @@ def build_parser():
     p = sub.add_parser("lcm-lattice", parents=[common],
                        help="lattice of lcms of generator subsets (JSON)")
     p.add_argument("input", help=".ideal file")
+    p.set_defaults(run=cmd_lcm_lattice)
 
     p = sub.add_parser("betti-poset", parents=[common],
                        help="subposet of homologically contributing degrees")
     p.add_argument("input", help=".ideal or .lattice file")
+    p.set_defaults(run=cmd_betti_poset)
 
     p = sub.add_parser("betti-numbers", parents=[common],
                        help="multigraded Betti numbers via interval homology")
     p.add_argument("input", help=".ideal or degree-labeled .lattice file")
     p.add_argument("--json", action="store_true",
                    help="full graded table as JSON instead of the totals")
+    p.set_defaults(run=cmd_betti_numbers)
 
     p = sub.add_parser("is-rigid", parents=[common],
                        help="check the two rigidity conditions")
     p.add_argument("input", help=".ideal or .lattice file")
+    p.set_defaults(run=cmd_is_rigid)
 
     p = sub.add_parser("resolve", parents=[common],
                        help="minimal free resolution from the Betti poset, "
                             "verified (JSON)")
     p.add_argument("input", help=".ideal file")
+    p.set_defaults(run=cmd_resolve)
 
     p = sub.add_parser("relabel", parents=[common],
                        help="transport the source resolution onto the target "
                             "across a Betti-poset isomorphism")
     p.add_argument("source", help=".ideal file")
     p.add_argument("target", help=".ideal file")
+    p.set_defaults(run=cmd_relabel)
 
     p = sub.add_parser("verify", parents=[common],
                        help="check a stored resolution: homogeneous, "
                             "minimal, exact on every degree strand")
     p.add_argument("input", help=".res file")
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("taylor", parents=[common],
                        help="Betti numbers by brute force over all "
@@ -608,12 +561,14 @@ def build_parser():
     p.add_argument("input", help=".ideal file")
     p.add_argument("--json", action="store_true",
                    help="full graded table as JSON instead of the totals")
+    p.set_defaults(run=cmd_taylor)
 
     p = sub.add_parser("scarf", parents=[common],
                        help="generator subsets with a unique lcm")
     p.add_argument("input", help=".ideal file")
     p.add_argument("--json", action="store_true",
                    help="faces as a JSON support family")
+    p.set_defaults(run=cmd_scarf)
 
     p = sub.add_parser("deform-simplicial", parents=[common],
                        help="meet-closure deformation along a simplicial "
@@ -622,12 +577,14 @@ def build_parser():
     p.add_argument("--facets", metavar="FACETS",
                    help="facets as 1-based vertex lists, e.g. '1,2; 2,3' "
                         "(default: the scarf complex)")
+    p.set_defaults(run=cmd_deform_simplicial)
 
     p = sub.add_parser("deform-search", parents=[common],
                        help="bounded scan for a rigid deformation")
     p.add_argument("input", help=".ideal file")
     p.add_argument("--budget", type=int, default=1,
                    help="max number of supports to adjoin (default 1)")
+    p.set_defaults(run=cmd_deform_search)
 
     p = sub.add_parser("compare", parents=[common],
                        help="compare two posets: isomorphism, or "
@@ -637,43 +594,22 @@ def build_parser():
     p.add_argument("--join-preserving", action="store_true",
                    help="look for atom-bijective join-preserving maps "
                         "in both directions")
+    p.set_defaults(run=cmd_compare)
 
     p = sub.add_parser("export-dot", parents=[common],
                        help="Hasse diagram as Graphviz DOT, contributors "
                             "filled")
     p.add_argument("input", help=".ideal or .lattice file")
+    p.set_defaults(run=cmd_export_dot)
 
     return parser
-
-
-def config_from_args(ns):
-    inputs = tuple(getattr(ns, name) for name
-                   in ("input", "source", "target", "first", "second")
-                   if hasattr(ns, name))
-    if ns.command == "export-dot":
-        fmt = "dot"
-    elif ns.command in ("lcm-lattice", "betti-poset", "resolve", "relabel"):
-        fmt = "json"
-    elif getattr(ns, "json", False):
-        fmt = "json"
-    else:
-        fmt = "text"
-    return RunConfig(
-        command=ns.command,
-        inputs=inputs,
-        characteristic=ns.char,
-        fmt=fmt,
-        output=ns.output,
-        budget=getattr(ns, "budget", 1),
-        facets=getattr(ns, "facets", None),
-        join_preserving=getattr(ns, "join_preserving", False),
-    )
 
 
 def main(argv=None):
     try:
         ns = build_parser().parse_args(argv)
-        return run(config_from_args(ns))
+        ns.field = FieldSpec(ns.char)
+        return ns.run(ns)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

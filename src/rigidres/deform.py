@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .betti import betti_poset, interval_ranks, rigidity_report
+from .betti import betti_poset, lattice_betti_totals, rigidity_report
 from .frames import relabel, resolve, verify_resolution
 from .homology import FieldSpec, SimplicialComplex, homology_ranks
 from .monomials import lcm_of
@@ -41,20 +41,6 @@ from .posets import (
     lcm_lattice,
     meet_closure,
 )
-
-
-def lattice_betti_totals(P, F=FieldSpec(0)):
-    """Total Betti numbers read off a poset with 0̂: one generator at the
-    bottom, and position i ≥ 1 collects h_{i−2} over all open intervals.
-    For an lcm-lattice this equals the ideal's total Betti numbers."""
-    bot = P.bottom
-    totals = {0: 1}
-    for q in P.elements:
-        if q == bot:
-            continue
-        for i, h in interval_ranks(P, q, F).items():
-            totals[i + 2] = totals.get(i + 2, 0) + h
-    return tuple(totals.get(i, 0) for i in range(max(totals) + 1))
 
 
 # --------------------------------------------------------------------------

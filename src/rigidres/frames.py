@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .betti import BettiTable, betti_poset
+from .betti import BettiTable, betti_poset, lattice_betti_totals
 from .homology import (
     Chain,
     FieldSpec,
@@ -46,7 +46,6 @@ from .homology import (
     SpanBasis,
     axpy,
     chain_boundary,
-    homology_ranks,
     reduce_cycle,
     reduced_homology,
 )
@@ -214,18 +213,39 @@ def build_frame(B, F=FieldSpec(0)):
     return Frame(B, F, components, maps, complexes, bases)
 
 
-def support_length(P, F=FieldSpec(0)):
-    """Length of the frame over P without building its maps: the top
-    position that would carry a component."""
-    bot = P.bottom
-    best = 0
-    for q in P.elements:
-        if q == bot:
+# --------------------------------------------------------------------------
+# checker helpers, shared by verify_frame and verify_resolution
+
+def _failure_summary(kinds):
+    """One line: for each nonempty failure list in `kinds` (triples of
+    failures, description, witness formatter), its count and its first
+    witness."""
+    return "; ".join(f"{len(failures)} {what} (first: {witness(*failures[0])})"
+                     for failures, what, witness in kinds if failures)
+
+
+def _entry_text(position, colkey, rowkey):
+    (q, j), (p, k) = colkey, rowkey
+    return (f"position {position}, column {support_text(q)}#{j}, "
+            f"row {support_text(p)}#{k}")
+
+
+def _nonzero_compositions(maps, F):
+    """(level, column key, row key) of every nonzero entry of the
+    composite φ_{level−1} ∘ φ_level, for scalar maps given as
+    level → {column key → {row key → scalar}}."""
+    found = []
+    for level in sorted(maps):
+        below = maps.get(level - 1)
+        if below is None:
             continue
-        ranks = homology_ranks(order_complex(P.open_interval(q)), F)
-        if ranks:
-            best = max(best, max(ranks) + 2)
-    return best
+        for colkey, col in maps[level].items():
+            acc = {}
+            for rowkey, c in col.items():
+                axpy(acc, c, below.get(rowkey, {}), F)
+            found.extend((level, colkey, rowkey)
+                         for rowkey in sorted(acc, key=_key_order))
+    return found
 
 
 # --------------------------------------------------------------------------
@@ -250,17 +270,24 @@ class FrameReport:
                 and not self.length_mismatches)
 
     def summary(self):
+        """One line; a failure count names its first witness."""
         if self.ok:
             return (f"complex, {self.strands_checked} strands exact, "
                     "lengths agree")
-        parts = []
-        if self.bad_compositions:
-            parts.append(f"{len(self.bad_compositions)} nonzero compositions")
-        if self.strand_failures:
-            parts.append(f"{len(self.strand_failures)} inexact strand positions")
-        if self.length_mismatches:
-            parts.append(f"{len(self.length_mismatches)} length mismatches")
-        return "; ".join(parts)
+        return _failure_summary((
+            (self.bad_compositions, "nonzero compositions", _entry_text),
+            (self.strand_failures, "inexact strand positions",
+             _element_strand_text),
+            (self.length_mismatches, "length mismatches", _length_text)))
+
+
+def _element_strand_text(m, position):
+    return f"strand {support_text(m)}, position {position}"
+
+
+def _length_text(q, in_strand, predicted):
+    return (f"strand {support_text(q)} has length {in_strand}, "
+            f"predicted {predicted}")
 
 
 def _strand_rank(frame, level, allowed):
@@ -284,18 +311,8 @@ def verify_frame(frame, ambient=None):
     whose nonvanishing is exactly what the frame resolves.
     """
     F = frame.field
-    report = FrameReport()
-
-    for level in sorted(frame.maps):
-        if level - 1 not in frame.maps:
-            continue
-        below = frame.maps[level - 1]
-        for colkey, col in frame.maps[level].items():
-            acc = {}
-            for rowkey, c in col.items():
-                axpy(acc, c, below.get(rowkey, {}), F)
-            for rowkey in sorted(acc, key=_key_order):
-                report.bad_compositions.append((level, colkey, rowkey))
+    report = FrameReport(
+        bad_compositions=_nonzero_compositions(frame.maps, F))
 
     scope = ambient if ambient is not None else frame.poset
     bot = scope.bottom
@@ -324,7 +341,7 @@ def verify_frame(frame, ambient=None):
             default=0)
         ranked = B.max_ranked(q)
         ranked_with_bottom = Poset(list(ranked.elements) + [bot])
-        predicted = support_length(ranked_with_bottom, F)
+        predicted = len(lattice_betti_totals(ranked_with_bottom, F)) - 1
         if in_strand != predicted:
             report.length_mismatches.append((q, in_strand, predicted))
     return report
@@ -485,24 +502,11 @@ class ResolutionReport:
         if self.ok:
             return (f"minimal multigraded resolution, "
                     f"{self.strands_checked} degree strands exact")
-        parts = []
-        for failures, what, witness in (
-                (self.homogeneity_failures, "inhomogeneous entries",
-                 _entry_text),
-                (self.unit_entries, "unit entries (not minimal)", _entry_text),
-                (self.bad_compositions, "nonzero compositions", _entry_text),
-                (self.strand_failures, "inexact strand positions",
-                 _strand_text)):
-            if failures:
-                parts.append(f"{len(failures)} {what} "
-                             f"(first: {witness(*failures[0])})")
-        return "; ".join(parts)
-
-
-def _entry_text(position, colkey, rowkey):
-    (q, j), (p, k) = colkey, rowkey
-    return (f"position {position}, column {support_text(q)}#{j}, "
-            f"row {support_text(p)}#{k}")
+        return _failure_summary((
+            (self.homogeneity_failures, "inhomogeneous entries", _entry_text),
+            (self.unit_entries, "unit entries (not minimal)", _entry_text),
+            (self.bad_compositions, "nonzero compositions", _entry_text),
+            (self.strand_failures, "inexact strand positions", _strand_text)))
 
 
 def _strand_text(degree, position):
@@ -538,17 +542,10 @@ def verify_resolution(resolution):
                 if mono.is_unit:
                     report.unit_entries.append((level, colkey, rowkey))
 
-    for level, cols in resolution.differentials.items():
-        below = resolution.differentials.get(level - 1)
-        if below is None:
-            continue
-        for colkey, col in cols.items():
-            acc = {}
-            for rowkey, (c, _) in col.items():
-                scalars = {r: s for r, (s, _) in below.get(rowkey, {}).items()}
-                axpy(acc, c, scalars, F)
-            for rowkey in sorted(acc, key=_key_order):
-                report.bad_compositions.append((level, colkey, rowkey))
+    scalars = {level: {colkey: {r: c for r, (c, _) in col.items()}
+                       for colkey, col in cols.items()}
+               for level, cols in resolution.differentials.items()}
+    report.bad_compositions = _nonzero_compositions(scalars, F)
 
     gen_degrees = [deg for _, deg in resolution.modules.get(1, ())]
     values = set(gen_degrees)
@@ -562,11 +559,11 @@ def verify_resolution(resolution):
         for level, mods in resolution.modules.items():
             dims[level] = sum(1 for _, deg in mods if deg.divides(b))
         ranks = {}
-        for level, cols in resolution.differentials.items():
+        for level, cols in scalars.items():
             basis = SpanBasis(F, key=_key_order)
             for colkey, col in cols.items():
                 if all_degrees[(level, colkey)].divides(b):
-                    basis.insert({r: c for r, (c, _) in col.items()})
+                    basis.insert(col)
             ranks[level] = basis.rank
         top = max((level for level, d in dims.items() if d), default=0)
         for level in range(top + 1):

@@ -193,10 +193,6 @@ class Chain:
             if len(f) - 1 != self.dimension:
                 raise ValueError(f"face {set(f)} not of dimension {self.dimension}")
 
-    def __eq__(self, other):
-        return (isinstance(other, Chain) and self.dimension == other.dimension
-                and self.terms == other.terms)
-
 
 def face_boundary(face, F):
     """∂(face) with alternating signs; removing the j-th vertex (in the

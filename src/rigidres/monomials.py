@@ -166,9 +166,6 @@ class MonomialIdeal:
         return "; ".join(g.format(self.variables) for g in self.generators)
 
 
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\^|\*|;|\n|[0-9]+|[^\s]")
-
-
 def parse_ideal(text):
     """Parse the ideal grammar into a MonomialIdeal.
 

@@ -44,6 +44,8 @@ class Poset:
         self._lower = None
         self._upper = None
         self._levels = None
+        self._bottom = None
+        self._top = None
         # (element, characteristic) -> reduced homology ranks of the
         # open interval below it; filled by betti.interval_ranks
         self.interval_rank_memo = {}
@@ -84,17 +86,23 @@ class Poset:
 
     @property
     def bottom(self):
-        mins = self.minimal_elements()
-        if len(mins) != 1:
-            raise ValueError(f"no unique minimal element ({len(mins)} minima)")
-        return mins[0]
+        if self._bottom is None:
+            mins = self.minimal_elements()
+            if len(mins) != 1:
+                raise ValueError(
+                    f"no unique minimal element ({len(mins)} minima)")
+            self._bottom = mins[0]
+        return self._bottom
 
     @property
     def top(self):
-        maxs = self.maximal_elements()
-        if len(maxs) != 1:
-            raise ValueError(f"no unique maximal element ({len(maxs)} maxima)")
-        return maxs[0]
+        if self._top is None:
+            maxs = self.maximal_elements()
+            if len(maxs) != 1:
+                raise ValueError(
+                    f"no unique maximal element ({len(maxs)} maxima)")
+            self._top = maxs[0]
+        return self._top
 
     def atoms(self):
         """Upper covers of the bottom element, in canonical order."""

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, file formats, schema validation,
 and the DOT export."""
 
+import argparse
 import json
 import time
 
@@ -9,7 +10,7 @@ import pytest
 
 from rigidres.cli import (
     InputError,
-    RunConfig,
+    build_parser,
     export_dot,
     family_from_json,
     family_to_json,
@@ -368,14 +369,33 @@ def test_export_dot_function_orders_nodes_canonically():
 # --------------------------------------------------------------------------
 # configuration and exit codes
 
-def test_run_config_validates_itself():
-    with pytest.raises(InputError):
-        RunConfig(command="not-a-command")
-    with pytest.raises(InputError):
-        RunConfig(command="resolve", characteristic=6)
-    with pytest.raises(InputError):
-        RunConfig(command="resolve", fmt="yaml")
-    assert RunConfig(command="resolve", characteristic=5).field == FieldSpec(5)
+def test_characteristic_is_checked_before_the_command_runs(tmp_path, capsys):
+    path = ideal_file(tmp_path, "xy.ideal", "x; y")
+    assert main(["betti-numbers", path, "--char", "6"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: characteristic must be 0 or a prime, got 6\n"
+    assert main(["betti-numbers", path, "--char", "5"]) == 0
+    assert capsys.readouterr().out == "totals: 1,2,1\n"
+
+
+def _subcommands():
+    (action,) = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_every_subcommand_names_its_handler():
+    commands = _subcommands()
+    assert len(commands) == 13
+    for name, p in commands.items():
+        assert callable(p.get_default("run")), name
+
+
+def test_json_flag_exists_on_exactly_the_table_commands():
+    with_json = {name for name, p in _subcommands().items()
+                 if any("--json" in a.option_strings for a in p._actions)}
+    assert with_json == {"betti-numbers", "taylor", "scarf"}
 
 
 def test_usage_errors_exit_one(capsys):

@@ -18,6 +18,7 @@ from rigidres.betti import (
     contributing_index,
     is_contributor,
     is_rigid,
+    lattice_betti_totals,
 )
 from rigidres.frames import (
     Frame,
@@ -28,7 +29,6 @@ from rigidres.frames import (
     relabel,
     resolve,
     scarf_complex,
-    support_length,
     taylor_betti,
     verify_frame,
     verify_resolution,
@@ -283,10 +283,34 @@ def test_dropped_entry_is_detected():
     assert report.bad_compositions or report.strand_failures
 
 
-def test_support_length_of_boolean_poset():
+def test_frame_summary_names_the_first_bad_composition():
+    _, L, B, fr = pipeline("x; y; z")
+    broken_maps = {lv: {k: dict(col) for k, col in cols.items()}
+                   for lv, cols in fr.maps.items()}
+    top = frozenset({0, 1, 2})
+    broken_maps[3][(top, 0)][(frozenset({0, 1}), 0)] *= 2
+    broken = Frame(fr.poset, Q, fr.components, broken_maps,
+                   fr.complexes, fr.bases)
+    assert verify_frame(broken, ambient=L).summary() == (
+        "2 nonzero compositions (first: position 3, column {1,2,3}#0, "
+        "row {1}#0)")
+
+
+def test_frame_summary_names_the_first_strand_and_length_failures():
+    _, L, B, fr = pipeline("x; y")
+    components = {lv: c for lv, c in fr.components.items() if lv != 2}
+    maps = {lv: m for lv, m in fr.maps.items() if lv != 2}
+    truncated = Frame(fr.poset, Q, components, maps, fr.complexes, fr.bases)
+    assert verify_frame(truncated, ambient=L).summary() == (
+        "1 inexact strand positions (first: strand {1,2}, position 1); "
+        "1 length mismatches (first: strand {1,2} has length 1, "
+        "predicted 2)")
+
+
+def test_frame_length_of_boolean_poset():
     _, L, B, _ = pipeline("x; y; z")
-    assert support_length(B, Q) == 3
-    assert support_length(L, Q) == 3
+    assert len(lattice_betti_totals(B, Q)) - 1 == 3
+    assert len(lattice_betti_totals(L, Q)) - 1 == 3
 
 
 # --------------------------------------------------------------------------
@@ -471,13 +495,13 @@ def test_checkers_run_no_kernel_code(monkeypatch):
     L, B, res = resolve(I, Q)
     frame = build_frame(B, Q)
     table = taylor_betti(I, Q)
-    lengths = {}
+    totals = {}
 
     def recorded(P, F):
-        lengths[P.elements] = support_length(P, F)
-        return lengths[P.elements]
+        totals[P.elements] = lattice_betti_totals(P, F)
+        return totals[P.elements]
 
-    monkeypatch.setattr(frames, "support_length", recorded)
+    monkeypatch.setattr(frames, "lattice_betti_totals", recorded)
     assert verify_frame(frame, ambient=L).ok
 
     def kernel_called(*args, **kwargs):
@@ -493,8 +517,8 @@ def test_checkers_run_no_kernel_code(monkeypatch):
     assert verify_resolution(res).ok
     # the length check predicts lengths by interval homology, as the
     # frame does; only its predictions are replayed here
-    monkeypatch.setattr(frames, "support_length",
-                        lambda P, F: lengths[P.elements])
+    monkeypatch.setattr(frames, "lattice_betti_totals",
+                        lambda P, F: totals[P.elements])
     assert verify_frame(frame, ambient=L).ok
 
 
