@@ -57,9 +57,7 @@ from .frames import (  # noqa: F401
     GradedFreeResolution,
     ResolutionReport,
     build_frame,
-    connecting_block,
     homogenize,
-    interval_pieces,
     relabel,
     resolve,
     scarf_complex,

@@ -44,7 +44,7 @@ def crosscut_complex(L, q):
     for r in range(1, len(atoms) + 1):
         hits = []
         for s in itertools.combinations(atoms, r):
-            if L.join_of_atoms(s) != frozenset(q):
+            if L.join([s]) != frozenset(q):
                 hits.append(s)
         if not hits:
             break  # larger subsets join to q as well once all r-subsets do

@@ -75,18 +75,25 @@ class DeformationResult:
     added: tuple = ()
 
 
-def _resolves(res, I):
-    """Whether the resolution's first module matches I's generators."""
+def _resolves(res, L):
+    """Whether the resolution's first module matches the atom degrees of
+    L, i.e. the generators of the ideal whose lcm-lattice L is."""
     degrees = sorted(deg for _, deg in res.modules.get(1, ()))
-    return degrees == sorted(I.generators)
+    return degrees == sorted(L.degree({i}) for i in range(L.n_atoms))
 
 
 def certify_rigid_deformation(J, I, F=FieldSpec(0)):
     """Check independently that J is a rigid deformation of I: J rigid,
     Betti posets isomorphic (or a join-preserving comparability map
     available), and J's minimal resolution relabels to a verified
-    minimal resolution of I."""
-    LI, LJ = lcm_lattice(I), lcm_lattice(J)
+    minimal resolution of I.
+
+    I is a monomial ideal or its degree-labelled lcm-lattice, so a
+    caller that certifies many candidates builds L_I, and computes its
+    intervals, once.
+    """
+    LI = I if isinstance(I, FiniteAtomicLattice) else lcm_lattice(I)
+    LJ = lcm_lattice(J)
     cert = Certificate()
     cert.rigid = rigidity_report(LJ, F).rigid
     cert.betti_preserved = (
@@ -115,7 +122,7 @@ def certify_rigid_deformation(J, I, F=FieldSpec(0)):
         cert.detail = f"relabel failed: {err}"
         return cert
     verdict = verify_resolution(moved)
-    cert.relabel_verified = verdict.ok and _resolves(moved, I)
+    cert.relabel_verified = verdict.ok and _resolves(moved, LI)
     if not verdict.ok:
         cert.detail = verdict.summary()
     elif not cert.relabel_verified:
@@ -168,7 +175,7 @@ def simplicial_rigid_deformation(I, X, F=FieldSpec(0)):
     return DeformationResult(
         target_lattice=T,
         target_ideal=J,
-        certificate=certify_rigid_deformation(J, I, F),
+        certificate=certify_rigid_deformation(J, L, F),
         comparable_to_source=exists_join_preserving(T, L),
         added=tuple(sorted(set(T.elements) - set(L.elements),
                            key=element_key)),
@@ -197,9 +204,9 @@ class SearchOutcome:
         return self.result is not None
 
 
-def _certified_result(T, I, L, F, added):
+def _certified_result(T, L, F, added):
     J = coordinatize(T)
-    certificate = certify_rigid_deformation(J, I, F)
+    certificate = certify_rigid_deformation(J, L, F)
     if not certificate:
         return None
     return DeformationResult(
@@ -232,7 +239,7 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
 
     if rigidity_report(L, F).rigid:
         T = meet_closure(family, n)
-        outcome.result = _certified_result(T, I, L, F, added=())
+        outcome.result = _certified_result(T, L, F, added=())
         return outcome
 
     B = betti_poset(L, F)
@@ -244,7 +251,7 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
         entry = ScanEntry(added=(), lattice_size=len(TB.elements),
                           totals=lattice_betti_totals(TB, F))
         outcome.betti_poset_candidate = entry
-        result = _certified_result(TB, I, L, F, added=())
+        result = _certified_result(TB, L, F, added=())
         if result is not None:
             entry.certified = True
             outcome.result = result
@@ -270,7 +277,7 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
         pair[0].lattice_size,
         tuple(element_key(s) for s in pair[0].added)))
     for entry, T in candidates:
-        result = _certified_result(T, I, L, F, added=entry.added)
+        result = _certified_result(T, L, F, added=entry.added)
         if result is not None:
             entry.certified = True
             outcome.result = result

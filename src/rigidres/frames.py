@@ -36,6 +36,7 @@ the kernel.)
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .betti import BettiTable, betti_poset, lattice_betti_totals
@@ -68,16 +69,14 @@ class Frame:
 
     components: ℓ → tuple of (element, multiplicity), canonical order.
     maps: ℓ → {column key → {row key → scalar}} with key = (element, j);
-    columns at ℓ map into rows at ℓ−1.  complexes/bases retain each
-    interval's order complex and fixed homology basis.
+    columns at ℓ map into rows at ℓ−1; `block` reads one connecting-map
+    block back out.
     """
 
     poset: Poset
     field: FieldSpec
     components: dict
     maps: dict
-    complexes: dict = field(repr=False, default_factory=dict)
-    bases: dict = field(repr=False, default_factory=dict)
 
     def rank(self, position):
         return sum(m for _, m in self.components.get(position, ()))
@@ -118,53 +117,6 @@ def _connecting_column(z, p, K_p, basis_p, F):
     a = Chain(z.dimension,
               {ch: c for ch, c in z.terms.items() if all(e <= p for e in ch)})
     return reduce_cycle(chain_boundary(a, F), K_p, basis_p, F)
-
-
-def interval_pieces(P, q, p):
-    """Split the order complex of (0̂, q) along the cover p ⋖ q.
-
-    Returns three subcomplexes: the chains lying inside (0̂, p], the
-    chains lying inside (0̂, p'] for some other lower cover p', and
-    their intersection (which always sits inside the open interval
-    below p).
-    """
-    q, p = frozenset(q), frozenset(p)
-    covers = P.lower_covers(q)
-    if p not in covers:
-        raise ValueError("second element is not a lower cover of the first")
-    K = order_complex(P.open_interval(q))
-    others = [r for r in covers if r != p]
-    own, rest, overlap = [], [], []
-    for face in K.faces:
-        in_own = all(e <= p for e in face)
-        in_rest = any(all(e <= r for e in face) for r in others)
-        if in_own:
-            own.append(face)
-        if in_rest:
-            rest.append(face)
-        if in_own and in_rest:
-            overlap.append(face)
-    return (SimplicialComplex(own), SimplicialComplex(rest),
-            SimplicialComplex(overlap))
-
-
-def connecting_block(P, q, p, basis_q, basis_p, level, F=FieldSpec(0)):
-    """The block of φ_level between the components at q and p ⋖ q, as a
-    dense matrix: columns indexed by the fixed representatives of
-    H̃_{level−2} of (0̂,q), rows by the basis of H̃_{level−3} of (0̂,p).
-
-    When p is the bottom (q an atom), the single row is the empty-face
-    class in position 0 and the entry reads off the coefficient of ∅.
-    """
-    q, p = frozenset(q), frozenset(p)
-    if p not in P.lower_covers(q):
-        raise ValueError("second element is not a lower cover of the first")
-    reps = basis_q.representatives.get(level - 2, [])
-    if p == P.bottom:
-        return [[z.terms.get(frozenset(), F.coerce(0)) for z in reps]]
-    K_p = order_complex(P.open_interval(p))
-    cols = [_connecting_column(z, p, K_p, basis_p, F) for z in reps]
-    return [[col[k] for col in cols] for k in range(basis_p.rank(level - 3))]
 
 
 def build_frame(B, F=FieldSpec(0)):
@@ -210,7 +162,7 @@ def build_frame(B, F=FieldSpec(0)):
                         if c:
                             col[(p, k)] = c
                 maps[level][(q, j)] = col
-    return Frame(B, F, components, maps, complexes, bases)
+    return Frame(B, F, components, maps)
 
 
 # --------------------------------------------------------------------------
@@ -379,24 +331,21 @@ def _check_strict_ratio(deg_q, deg_p, where):
     return deg_q.ratio(deg_p)
 
 
-def homogenize(frame, degrees):
-    """Attach monomial degrees to a frame, yielding a graded resolution.
-
-    degrees maps every component element to a Monomial; each scalar c
-    on a pair (q column, p row) becomes (c, degree(q)/degree(p)), which
-    must be a non-unit monomial.
-    """
+def _attach_degrees(F, components, maps, degrees):
+    """The graded resolution of scalar maps laid out as in a `Frame`,
+    with degrees attached as `homogenize` describes and each module's
+    keys in canonical order; `relabel` uses it too."""
     degs = {frozenset(e): Monomial(m) for e, m in degrees.items()}
     modules = {}
-    for level, comps in sorted(frame.components.items()):
+    for level, comps in sorted(components.items()):
         mods = []
         for q, mult in comps:
             if q not in degs:
                 raise ValueError(f"no degree for element {sorted(q)}")
             mods.extend(((q, j), degs[q]) for j in range(mult))
-        modules[level] = tuple(mods)
+        modules[level] = tuple(sorted(mods, key=lambda kv: _key_order(kv[0])))
     differentials = {}
-    for level, cols in sorted(frame.maps.items()):
+    for level, cols in sorted(maps.items()):
         out = {}
         for colkey, col in cols.items():
             entry = {}
@@ -406,7 +355,17 @@ def homogenize(frame, degrees):
                 entry[rowkey] = (c, mono)
             out[colkey] = entry
         differentials[level] = out
-    return GradedFreeResolution(frame.field, modules, differentials)
+    return GradedFreeResolution(F, modules, differentials)
+
+
+def homogenize(frame, degrees):
+    """Attach monomial degrees to a frame, yielding a graded resolution.
+
+    degrees maps every component element to a Monomial; each scalar c
+    on a pair (q column, p row) becomes (c, degree(q)/degree(p)), which
+    must be a non-unit monomial.
+    """
+    return _attach_degrees(frame.field, frame.components, frame.maps, degrees)
 
 
 def resolve(I, F=FieldSpec(0)):
@@ -431,7 +390,6 @@ def relabel(resolution, mapping, new_degrees):
     recomputed as the ratio of the mapped endpoints' new degrees.
     """
     assignment = getattr(mapping, "assignment", mapping)
-    degs = {frozenset(e): Monomial(m) for e, m in new_degrees.items()}
 
     used = {key[0] for mods in resolution.modules.values() for key, _ in mods}
     missing = [e for e in used if e not in assignment]
@@ -445,30 +403,14 @@ def relabel(resolution, mapping, new_degrees):
         q, j = key
         return (frozenset(assignment[frozenset(q)]), j)
 
-    modules = {}
-    for level, mods in resolution.modules.items():
-        moved = []
-        for key, _ in mods:
-            new_key = move(key)
-            if new_key[0] not in degs:
-                raise ValueError(f"no degree for element {sorted(new_key[0])}")
-            moved.append((new_key, degs[new_key[0]]))
-        modules[level] = tuple(sorted(moved, key=lambda kv: _key_order(kv[0])))
-
-    differentials = {}
-    for level, cols in resolution.differentials.items():
-        out = {}
-        for colkey, col in cols.items():
-            new_col = move(colkey)
-            entry = {}
-            for rowkey, (c, _) in col.items():
-                new_row = move(rowkey)
-                mono = _check_strict_ratio(
-                    degs[new_col[0]], degs[new_row[0]], f"{new_col}->{new_row}")
-                entry[new_row] = (c, mono)
-            out[new_col] = entry
-        differentials[level] = out
-    return GradedFreeResolution(resolution.field, modules, differentials)
+    components = {
+        level: tuple(Counter(move(key)[0] for key, _ in mods).items())
+        for level, mods in resolution.modules.items()}
+    maps = {level: {move(colkey): {move(rowkey): c
+                                   for rowkey, (c, _) in col.items()}
+                    for colkey, col in cols.items()}
+            for level, cols in resolution.differentials.items()}
+    return _attach_degrees(resolution.field, components, maps, new_degrees)
 
 
 @dataclass

@@ -174,7 +174,7 @@ def parse_ideal(text):
     Variables are collected and ordered lexicographically by name.
 
     >>> parse_ideal("x*y; y*z").generators
-    (Monomial((0, 1, 1)), Monomial((1, 1, 0)))
+    (Monomial((1, 1, 0)), Monomial((0, 1, 1)))
     >>> parse_ideal("x; x*y").to_text()
     'x'
     """

@@ -264,16 +264,11 @@ class FiniteAtomicLattice(Poset):
                 raise ValueError("degree labels must cover exactly the elements")
 
     def join(self, members):
-        """Smallest element containing every given member."""
-        u = frozenset().union(*[frozenset(m) for m in members]) if members else frozenset()
-        above = [e for e in self.elements if u <= e]
-        out = frozenset(range(self.n_atoms))
-        for e in above:
-            out &= e
-        return out
-
-    def join_of_atoms(self, atom_indices):
-        return self.join([frozenset({i}) for i in atom_indices])
+        """Smallest element containing every given member: the family is
+        intersection-closed and its elements sort by size first, so the
+        first superset of the union is the least one."""
+        u = frozenset().union(*members)
+        return next(e for e in self.elements if u <= e)
 
     def meet(self, a, b):
         self._check(a)
@@ -409,7 +404,7 @@ def join_preserving_map(P, Q):
     pair_joins = [(a, b, P.join([a, b]))
                   for a, b in itertools.combinations(P.elements, 2)]
     for sigma in itertools.permutations(range(P.n_atoms)):
-        f = {p: Q.join_of_atoms(sigma[i] for i in p) for p in P.elements}
+        f = {p: Q.join([{sigma[i] for i in p}]) for p in P.elements}
         if all(f[j] == Q.join([f[a], f[b]]) for a, b, j in pair_joins):
             return PosetMap(P, Q, f)
     return None

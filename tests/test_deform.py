@@ -19,7 +19,7 @@ from rigidres.deform import (
 from rigidres.frames import scarf_complex
 from rigidres.homology import FieldSpec, SimplicialComplex
 from rigidres.monomials import parse_ideal
-from rigidres.posets import face_lattice, lcm_lattice
+from rigidres.posets import element_key, face_lattice, lcm_lattice
 
 from conftest import random_generic_ideal
 
@@ -171,6 +171,23 @@ def test_certification_computes_each_target_interval_once(monkeypatch):
     target = [(d, q) for d, q in computed
               if q in LJ and d == tuple(LJ.degree(q))]
     assert sorted(q for _, q in target) == sorted(e for e in LJ.elements if e)
+
+
+def test_search_computes_each_source_interval_once(monkeypatch, twin_a):
+    # the search hands its L_I to every certification instead of each
+    # certification rebuilding L_I and all of its intervals
+    LI = lcm_lattice(twin_a)
+    computed = []
+    crosscut = betti.crosscut_complex
+
+    def recorded(L, q):
+        if L.degrees == LI.degrees:
+            computed.append(q)
+        return crosscut(L, q)
+
+    monkeypatch.setattr(betti, "crosscut_complex", recorded)
+    search_rigid_deformation(twin_a, budget=1, F=Q)
+    assert sorted(computed, key=element_key) == [e for e in LI.elements if e]
 
 
 def test_certify_twins_is_honest_about_rigidity(twin_a, twin_b):

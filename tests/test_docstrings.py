@@ -1,0 +1,15 @@
+"""The examples in the docstrings run and print what they claim."""
+
+import doctest
+
+import pytest
+
+from rigidres import homology, monomials
+
+
+@pytest.mark.parametrize("module", [homology, monomials],
+                         ids=lambda m: m.__name__)
+def test_docstring_examples(module):
+    result = doctest.testmod(module)
+    assert result.attempted > 0
+    assert result.failed == 0

@@ -23,9 +23,7 @@ from rigidres.betti import (
 from rigidres.frames import (
     Frame,
     build_frame,
-    connecting_block,
     homogenize,
-    interval_pieces,
     relabel,
     resolve,
     scarf_complex,
@@ -36,7 +34,7 @@ from rigidres.frames import (
 from rigidres import frames, homology
 from rigidres.homology import FieldSpec, homology_ranks, reduced_homology
 from rigidres.monomials import Monomial, MonomialIdeal, minimalize, parse_ideal
-from rigidres.posets import is_isomorphic, lcm_lattice
+from rigidres.posets import is_isomorphic, lcm_lattice, order_complex
 
 from conftest import random_generic_ideal
 
@@ -123,104 +121,32 @@ def test_empty_levels_are_absent():
 
 
 # --------------------------------------------------------------------------
-# interval decomposition along a cover
+# connecting-map blocks
 
-def test_interval_pieces_two_variables():
-    _, L, _, _ = pipeline("x; y")
-    x, y = frozenset({0}), frozenset({1})
-    own, rest, overlap = interval_pieces(L, {0, 1}, x)
-    assert own.faces == {frozenset(), frozenset({x})}
-    assert rest.faces == {frozenset(), frozenset({y})}
-    assert overlap.faces == {frozenset()}
-
-
-def test_interval_pieces_three_variables():
-    _, L, _, _ = pipeline("x; y; z")
-    x, y, xy = frozenset({0}), frozenset({1}), frozenset({0, 1})
-    own, rest, overlap = interval_pieces(L, {0, 1, 2}, xy)
-    assert own.faces == {
-        frozenset(),
-        frozenset({x}), frozenset({y}), frozenset({xy}),
-        frozenset({x, xy}), frozenset({y, xy}),
-    }
-    assert overlap.faces == {frozenset(), frozenset({x}), frozenset({y})}
-    # the other two cover intervals hold five vertices and four edges
-    assert len(rest.faces) == 1 + 5 + 4
-
-
-def test_interval_pieces_cover_laws(twin_a):
-    from rigidres.posets import order_complex
-
-    L = lcm_lattice(twin_a)
-    for p, q in L.cover_pairs():
-        if q == L.bottom:
-            continue
-        own, rest, overlap = interval_pieces(L, q, p)
-        whole = order_complex(L.open_interval(q))
-        assert own.faces | rest.faces == whole.faces
-        assert overlap.faces <= own.faces
-        if p != L.bottom:
-            below_p = order_complex(L.open_interval(p))
-            assert overlap.faces <= below_p.faces
-
-
-def test_interval_pieces_rejects_non_cover():
-    _, L, _, _ = pipeline("x; y; z")
-    with pytest.raises(ValueError):
-        interval_pieces(L, frozenset({0, 1, 2}), frozenset({0}))
-
-
-# --------------------------------------------------------------------------
-# connecting blocks
-
-def test_connecting_block_two_variable_values():
-    _, L, B, fr = pipeline("x; y")
-    top = frozenset({0, 1})
-    for p, want in [({0}, -1), ({1}, 1)]:
-        block = connecting_block(
-            L, top, frozenset(p), fr.bases[top], fr.bases[frozenset(p)], 2, Q)
-        assert block == [[Q.coerce(want)]]
-
-
-def test_connecting_block_at_bottom_reads_empty_face():
-    _, L, B, fr = pipeline("x; y")
-    x = frozenset({0})
-    block = connecting_block(L, x, BOT, fr.bases[x], None, 1, Q)
-    assert block == [[Q.coerce(1)]]
-
-
-def test_connecting_block_three_variable_unit_entries():
+def test_three_variable_blocks_are_unit_entries():
     _, L, B, fr = pipeline("x; y; z")
     top = frozenset({0, 1, 2})
     for pair in ({0, 1}, {0, 2}, {1, 2}):
-        p = frozenset(pair)
-        block = connecting_block(L, top, p, fr.bases[top], fr.bases[p], 3, Q)
+        block = fr.block(3, top, pair)
         assert len(block) == 1 and len(block[0]) == 1
         assert block[0][0] in (Q.coerce(1), Q.coerce(-1))
 
 
-def test_connecting_block_agrees_with_frame(hexagon_ideal):
-    L = lcm_lattice(hexagon_ideal)
-    B = betti_poset(L, Q)
+def test_blocks_agree_with_maps_on_every_cover(hexagon_ideal):
+    B = betti_poset(lcm_lattice(hexagon_ideal), Q)
     fr = build_frame(B, Q)
+    rows_at = {level: dict(comps) for level, comps in fr.components.items()}
     for level in fr.maps:
         for q, mult in fr.components[level]:
             for p in B.lower_covers(q):
-                block = connecting_block(
-                    B, q, p, fr.bases[q], fr.bases.get(p), level, Q)
+                block = fr.block(level, q, p)
+                assert len(block) == rows_at[level - 1][p]
                 for k, row in enumerate(block):
+                    assert len(row) == mult
                     for j, value in enumerate(row):
                         stored = fr.maps[level].get((q, j), {}).get(
                             (p, k), Q.coerce(0))
                         assert value == stored
-
-
-def test_connecting_block_rejects_non_cover():
-    _, L, B, fr = pipeline("x; y; z")
-    top = frozenset({0, 1, 2})
-    x = frozenset({0})
-    with pytest.raises(ValueError):
-        connecting_block(L, top, x, fr.bases[top], fr.bases[x], 2, Q)
 
 
 # --------------------------------------------------------------------------
@@ -265,8 +191,7 @@ def test_tampered_scalar_is_detected():
                    for lv, cols in fr.maps.items()}
     rowkey, value = next(iter(broken_maps[level][key].items()))
     broken_maps[level][key][rowkey] = Q.neg(value)
-    broken = Frame(fr.poset, Q, fr.components, broken_maps,
-                   fr.complexes, fr.bases)
+    broken = Frame(fr.poset, Q, fr.components, broken_maps)
     assert not verify_frame(broken, ambient=L).ok
 
 
@@ -276,8 +201,7 @@ def test_dropped_entry_is_detected():
                    for lv, cols in fr.maps.items()}
     top = frozenset({0, 1})
     del broken_maps[2][(top, 0)][(frozenset({0}), 0)]
-    broken = Frame(fr.poset, Q, fr.components, broken_maps,
-                   fr.complexes, fr.bases)
+    broken = Frame(fr.poset, Q, fr.components, broken_maps)
     report = verify_frame(broken, ambient=L)
     assert not report.ok
     assert report.bad_compositions or report.strand_failures
@@ -289,8 +213,7 @@ def test_frame_summary_names_the_first_bad_composition():
                    for lv, cols in fr.maps.items()}
     top = frozenset({0, 1, 2})
     broken_maps[3][(top, 0)][(frozenset({0, 1}), 0)] *= 2
-    broken = Frame(fr.poset, Q, fr.components, broken_maps,
-                   fr.complexes, fr.bases)
+    broken = Frame(fr.poset, Q, fr.components, broken_maps)
     assert verify_frame(broken, ambient=L).summary() == (
         "2 nonzero compositions (first: position 3, column {1,2,3}#0, "
         "row {1}#0)")
@@ -300,7 +223,7 @@ def test_frame_summary_names_the_first_strand_and_length_failures():
     _, L, B, fr = pipeline("x; y")
     components = {lv: c for lv, c in fr.components.items() if lv != 2}
     maps = {lv: m for lv, m in fr.maps.items() if lv != 2}
-    truncated = Frame(fr.poset, Q, components, maps, fr.complexes, fr.bases)
+    truncated = Frame(fr.poset, Q, components, maps)
     assert verify_frame(truncated, ambient=L).summary() == (
         "1 inexact strand positions (first: strand {1,2}, position 1); "
         "1 length mismatches (first: strand {1,2} has length 1, "
@@ -494,6 +417,7 @@ def test_checkers_run_no_kernel_code(monkeypatch):
     I = strongly_generic_ideal(7, 7)
     L, B, res = resolve(I, Q)
     frame = build_frame(B, Q)
+    K = order_complex(B.open_interval(B.elements[-1]))
     table = taylor_betti(I, Q)
     totals = {}
 
@@ -508,7 +432,6 @@ def test_checkers_run_no_kernel_code(monkeypatch):
         raise AssertionError("elimination kernel called")
 
     monkeypatch.setattr(homology.Elimination, "__init__", kernel_called)
-    K = frame.complexes[B.elements[-1]]
     with pytest.raises(AssertionError, match="kernel called"):
         homology_ranks(K, Q)
     with pytest.raises(AssertionError, match="kernel called"):

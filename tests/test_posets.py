@@ -125,6 +125,8 @@ def test_lcm_lattice_degrees_join_compatible(data):
     for a, b in itertools.combinations(rebuilt.elements, 2):
         j = rebuilt.join([a, b])
         assert rebuilt.degree(j) == rebuilt.degree(a).lcm(rebuilt.degree(b))
+        above = [e for e in rebuilt.elements if a | b <= e]
+        assert j == frozenset.intersection(*above)
 
 
 # -- intervals, order complexes, levels -------------------------------------
@@ -294,7 +296,7 @@ def test_join_and_meet():
     assert lat.join([frozenset({0}), frozenset({2})]) == frozenset({0, 1, 2})
     assert lat.join([]) == frozenset()
     assert lat.meet(frozenset({0, 1}), frozenset({1, 2})) == frozenset({1})
-    assert lat.join_of_atoms([0, 1]) == frozenset({0, 1})
+    assert lat.join([{0, 1}]) == frozenset({0, 1})
 
 
 # -- isomorphism and join-preserving comparisons ----------------------------
