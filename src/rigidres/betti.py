@@ -9,7 +9,7 @@ rank-one degree-unit term in homological index 0.
 
 Rank-only queries on atomic lattices take a shortcut: the interval
 (0̂, q) deformation-retracts onto the nerve of its atoms, the complex
-of atom subsets whose join stays below q ("crosscut" complex).  That
+generated by the elements strictly below q ("crosscut" complex).  That
 complex lives on ≤ n vertices instead of the whole interval, and the
 equality of ranks is itself property-tested against the order-complex
 route.  Ranks come from the rank-only path `homology_ranks` and are
@@ -34,22 +34,23 @@ from .posets import (
 
 
 def crosscut_complex(L, q):
-    """Atom subsets of (0̂, q] whose join is strictly below q.
+    """The crosscut complex of (0̂, q): the atom sets whose join is
+    strictly below q, homotopy-equivalent to the order complex of the
+    open interval.
 
-    Homotopy-equivalent to the order complex of (0̂, q); for an atom the
-    result is the empty complex {∅}.
+    L is intersection-closed with bottom ∅, so an atom set has its join
+    below q exactly when it lies inside some element strictly between
+    ∅ and q: the complex is the one generated by those elements.
+
+    >>> from rigidres.monomials import parse_ideal
+    >>> from rigidres.posets import lcm_lattice
+    >>> L = lcm_lattice(parse_ideal("x; y; z"))
+    >>> crosscut_complex(L, frozenset({0, 1, 2}))
+    SimplicialComplex[{0, 1}, {0, 2}, {1, 2}]
+    >>> crosscut_complex(L, frozenset({0}))
+    SimplicialComplex[{}]
     """
-    atoms = sorted(i for i in q)
-    faces = [()]
-    for r in range(1, len(atoms) + 1):
-        hits = []
-        for s in itertools.combinations(atoms, r):
-            if L.join([s]) != frozenset(q):
-                hits.append(s)
-        if not hits:
-            break  # larger subsets join to q as well once all r-subsets do
-        faces.extend(hits)
-    return SimplicialComplex(map(frozenset, faces))
+    return SimplicialComplex(p for p in L.elements if p and p < q)
 
 
 def interval_ranks(P, q, F=FieldSpec(0)):

@@ -159,12 +159,19 @@ def resolution_from_json(payload, F=FieldSpec(0)):
             except IndexError:
                 raise InputError(f"row/col index out of range in "
                                  f"differential {pos}") from None
-            scalar = Fraction(ent["scalar"])
+            try:
+                scalar = Fraction(ent["scalar"])
+            except ZeroDivisionError:
+                raise InputError(f"zero denominator in scalar "
+                                 f"{ent['scalar']}") from None
             if F.characteristic and scalar.denominator != 1:
                 raise InputError(f"non-integer scalar {ent['scalar']} in "
                                  f"characteristic {F.characteristic}")
-            cols.setdefault(colkey, {})[rowkey] = (
-                F.coerce(scalar), Monomial(ent["monomial"]))
+            col = cols.setdefault(colkey, {})
+            if rowkey in col:
+                raise InputError(f"differential {pos} lists row {ent['row']}, "
+                                 f"col {ent['col']} twice")
+            col[rowkey] = (F.coerce(scalar), Monomial(ent["monomial"]))
         differentials[pos] = cols
     return GradedFreeResolution(F, modules, differentials)
 
@@ -502,7 +509,7 @@ def build_parser():
     common = _Parser(add_help=False)
     common.add_argument("--char", type=int, default=0, metavar="P",
                         help="coefficient field characteristic, 0 or a prime"
-                             " (default 0)")
+                             " up to 2^31-1 (default 0)")
     common.add_argument("-o", "--output", metavar="PATH",
                         help="write the artifact to PATH instead of stdout")
 

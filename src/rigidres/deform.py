@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from .betti import betti_poset, lattice_betti_totals, rigidity_report
 from .frames import relabel, resolve, verify_resolution
 from .homology import FieldSpec, SimplicialComplex, homology_ranks
-from .monomials import lcm_of
 from .posets import (
     FiniteAtomicLattice,
     coordinatize,
@@ -133,12 +132,6 @@ def certify_rigid_deformation(J, I, F=FieldSpec(0)):
 # --------------------------------------------------------------------------
 # the simplicial construction
 
-def _restriction(X, gens, bound):
-    faces = [f for f in X.faces
-             if f and lcm_of([gens[i] for i in f]).divides(bound)]
-    return SimplicialComplex(faces)
-
-
 def simplicial_rigid_deformation(I, X, F=FieldSpec(0)):
     """Deform I along a simplicial complex X that supports its minimal
     resolution (vertices = generator indices; every restriction X_{≤b},
@@ -147,8 +140,7 @@ def simplicial_rigid_deformation(I, X, F=FieldSpec(0)):
     The target lattice is the meet closure of the lcm supports together
     with X's face lattice; the target ideal is its coordinatization.
     """
-    gens = I.generators
-    n = len(gens)
+    n = len(I.generators)
     if set(X.vertices) != set(range(n)):
         raise ValueError("complex vertices must be the generator indices "
                          f"0..{n - 1}")
@@ -156,8 +148,9 @@ def simplicial_rigid_deformation(I, X, F=FieldSpec(0)):
     for q in L.elements:
         if q == L.bottom:
             continue
-        sub = _restriction(X, gens, L.degree(q))
-        ranks = homology_ranks(sub, F)
+        # lcm(m_i : i ∈ f) divides degree(q) exactly when f ⊆ q
+        ranks = homology_ranks(
+            SimplicialComplex(f for f in X.faces if f <= q), F)
         if ranks:
             raise ValueError(
                 f"restriction to degree of {sorted(q)} is not acyclic "

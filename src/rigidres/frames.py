@@ -166,7 +166,8 @@ def build_frame(B, F=FieldSpec(0)):
 
 
 # --------------------------------------------------------------------------
-# checker helpers, shared by verify_frame and verify_resolution
+# checker helpers, shared by verify_frame, verify_resolution and the
+# Taylor oracle
 
 def _failure_summary(kinds):
     """One line: for each nonempty failure list in `kinds` (triples of
@@ -180,6 +181,22 @@ def _entry_text(position, colkey, rowkey):
     (q, j), (p, k) = colkey, rowkey
     return (f"position {position}, column {support_text(q)}#{j}, "
             f"row {support_text(p)}#{k}")
+
+
+def _strand_homology(F, strand, key):
+    """{position: h ≠ 0} of a strand given as position → the columns of
+    its basis vectors (sparse over the basis one position down, rows
+    ordered by `key`): h = #vectors − rank out − rank in."""
+    ranks = {}
+    for pos, cols in strand.items():
+        basis = SpanBasis(F, key=key)
+        for col in cols:
+            basis.insert(col)
+        ranks[pos] = basis.rank
+    top = max((pos for pos, cols in strand.items() if cols), default=0)
+    h = {pos: len(strand.get(pos, ())) - ranks.get(pos, 0)
+         - ranks.get(pos + 1, 0) for pos in range(top + 1)}
+    return {pos: x for pos, x in h.items() if x}
 
 
 def _nonzero_compositions(maps, F):
@@ -242,16 +259,6 @@ def _length_text(q, in_strand, predicted):
             f"predicted {predicted}")
 
 
-def _strand_rank(frame, level, allowed):
-    """Rank of φ_level restricted to columns at elements inside `allowed`."""
-    basis = SpanBasis(frame.field, key=_key_order)
-    for key in frame.basis_keys(level):
-        if key[0] in allowed:
-            col = frame.maps.get(level, {}).get(key, {})
-            basis.insert(col)
-    return basis.rank
-
-
 def verify_frame(frame, ambient=None):
     """Check that the frame is a complex, that every strand is exact,
     and that strand lengths match their ranked-fragment predictions.
@@ -271,16 +278,11 @@ def verify_frame(frame, ambient=None):
     for m in scope.elements:
         if m == bot:
             continue
-        allowed = {q for q in frame.poset.elements if q <= m}
-        dims = {level: sum(mult for q, mult in comps if q in allowed)
-                for level, comps in frame.components.items()}
-        ranks = {level: _strand_rank(frame, level, allowed)
-                 for level in frame.maps}
-        top = max((level for level, d in dims.items() if d), default=0)
-        for level in range(top + 1):
-            expected = ranks.get(level, 0) + ranks.get(level + 1, 0)
-            if dims.get(level, 0) != expected:
-                report.strand_failures.append((m, level))
+        strand = {level: [frame.maps.get(level, {}).get(key, {})
+                          for key in frame.basis_keys(level) if key[0] <= m]
+                  for level in frame.components}
+        report.strand_failures.extend(
+            (m, level) for level in _strand_homology(F, strand, _key_order))
         report.strands_checked += 1
 
     B = frame.poset
@@ -484,7 +486,8 @@ def verify_resolution(resolution):
                 if mono.is_unit:
                     report.unit_entries.append((level, colkey, rowkey))
 
-    scalars = {level: {colkey: {r: c for r, (c, _) in col.items()}
+    # zero scalars, reported above, must not become elimination pivots
+    scalars = {level: {colkey: {r: c for r, (c, _) in col.items() if c}
                        for colkey, col in cols.items()}
                for level, cols in resolution.differentials.items()}
     report.bad_compositions = _nonzero_compositions(scalars, F)
@@ -497,20 +500,11 @@ def verify_resolution(resolution):
         values |= new
         frontier = new
     for b in sorted(values):
-        dims = {}
-        for level, mods in resolution.modules.items():
-            dims[level] = sum(1 for _, deg in mods if deg.divides(b))
-        ranks = {}
-        for level, cols in scalars.items():
-            basis = SpanBasis(F, key=_key_order)
-            for colkey, col in cols.items():
-                if all_degrees[(level, colkey)].divides(b):
-                    basis.insert(col)
-            ranks[level] = basis.rank
-        top = max((level for level, d in dims.items() if d), default=0)
-        for level in range(top + 1):
-            if dims.get(level, 0) != ranks.get(level, 0) + ranks.get(level + 1, 0):
-                report.strand_failures.append((b, level))
+        strand = {level: [scalars.get(level, {}).get(key, {})
+                          for key, deg in mods if deg.divides(b)]
+                  for level, mods in resolution.modules.items()}
+        report.strand_failures.extend(
+            (b, level) for level in _strand_homology(F, strand, _key_order))
         report.strands_checked += 1
     return report
 
@@ -523,10 +517,20 @@ def verify_resolution(resolution):
 MAX_SUBSET_GENERATORS = 12
 
 
-def _check_subset_bound(gens):
+def _subsets_by_lcm(I):
+    """Every generator subset (a sorted index tuple) grouped by its
+    lcm, the empty one under the unit monomial, in order of size."""
+    gens = I.generators
     if len(gens) > MAX_SUBSET_GENERATORS:
         raise ValueError(f"{len(gens)} generators exceed the bound "
                          f"{MAX_SUBSET_GENERATORS}")
+    unit = Monomial([0] * I.ambient_dim)
+    by_lcm = {}
+    for r in range(len(gens) + 1):
+        for S in itertools.combinations(range(len(gens)), r):
+            b = lcm_of([gens[i] for i in S]) if S else unit
+            by_lcm.setdefault(b, []).append(S)
+    return by_lcm
 
 
 def taylor_betti(I, F=FieldSpec(0)):
@@ -537,61 +541,26 @@ def taylor_betti(I, F=FieldSpec(0)):
     differential keeps the terms S → S∖{j} with unchanged lcm, with
     alternating signs; β_{i,b} is the homology rank of the strand at b.
     """
-    gens = I.generators
-    _check_subset_bound(gens)
-    n = len(gens)
-    unit = Monomial([0] * I.ambient_dim)
-
-    def subset_lcm(S):
-        return lcm_of([gens[i] for i in S]) if S else unit
-
-    by_degree = {}
-    for r in range(n + 1):
-        for S in itertools.combinations(range(n), r):
-            by_degree.setdefault(subset_lcm(S), []).append(S)
-
     table = BettiTable()
-    for b, subsets in sorted(by_degree.items()):
+    for b, subsets in sorted(_subsets_by_lcm(I).items()):
         members = set(subsets)
-        cols = {}
+        strand = {}
         for S in subsets:
             col = {}
             for pos, j in enumerate(sorted(S)):
                 T = tuple(x for x in S if x != j)
                 if T in members:
                     col[T] = F.coerce(1 if pos % 2 == 0 else -1)
-            cols[S] = col
-        dims = {}
-        for S in subsets:
-            dims[len(S)] = dims.get(len(S), 0) + 1
-        ranks = {}
-        for S, col in sorted(cols.items()):
-            if col:
-                basis = ranks.setdefault(len(S), SpanBasis(F, key=lambda t: t))
-                basis.insert(col)
-        for i, d in dims.items():
-            out_rank = ranks[i].rank if i in ranks else 0
-            in_rank = ranks[i + 1].rank if i + 1 in ranks else 0
-            h = d - out_rank - in_rank
-            if h:
-                table.entries[(i, b)] = h
+            strand.setdefault(len(S), []).append(col)
+        for i, h in _strand_homology(F, strand, lambda t: t).items():
+            table.entries[(i, b)] = h
     return table
 
 
 def scarf_complex(I):
     """Generator subsets whose lcm no other subset attains."""
-    gens = I.generators
-    _check_subset_bound(gens)
-    n = len(gens)
-    unit = Monomial([0] * I.ambient_dim)
-    counts = {}
-    owner = {}
-    for r in range(n + 1):
-        for S in itertools.combinations(range(n), r):
-            b = lcm_of([gens[i] for i in S]) if S else unit
-            counts[b] = counts.get(b, 0) + 1
-            owner[b] = S
-    unique = [frozenset(S) for b, S in owner.items() if counts[b] == 1]
+    unique = [frozenset(subsets[0])
+              for subsets in _subsets_by_lcm(I).values() if len(subsets) == 1]
     K = SimplicialComplex(unique)
     if K.faces != set(unique):
         raise AssertionError("unique-lcm subsets failed to be subset-closed")

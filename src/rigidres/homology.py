@@ -44,6 +44,11 @@ from math import gcd, lcm
 # --------------------------------------------------------------------------
 # exact scalars
 
+# Primality is tested by trial division, so larger characteristics are
+# refused before any division instead of running for minutes.
+MAX_CHARACTERISTIC = 2**31 - 1
+
+
 def _is_prime(p):
     if p < 2:
         return False
@@ -63,6 +68,9 @@ class FieldSpec:
 
     def __post_init__(self):
         c = self.characteristic
+        if c > MAX_CHARACTERISTIC:
+            raise ValueError(f"characteristic must be at most "
+                             f"{MAX_CHARACTERISTIC}, got {c}")
         if c != 0 and not _is_prime(c):
             raise ValueError(f"characteristic must be 0 or a prime, got {c}")
 

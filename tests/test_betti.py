@@ -13,9 +13,11 @@ from rigidres.betti import (
     is_rigid,
     rigidity_report,
 )
-from rigidres.homology import FieldSpec, reduced_homology
+from rigidres.homology import FieldSpec, SimplicialComplex, reduced_homology
 from rigidres.monomials import Monomial, parse_ideal
 from rigidres.posets import lcm_lattice, meet_closure, order_complex
+
+from test_frames import cycle_edge_ideal
 
 Q = FieldSpec(0)
 
@@ -50,6 +52,47 @@ def test_crosscut_of_boolean_top_is_sphere():
     lat = lcm_lattice(parse_ideal("x; y; z"))
     K = crosscut_complex(lat, frozenset({0, 1, 2}))
     assert reduced_homology(K, Q).ranks == {1: 1}
+
+
+def enumerated_crosscut(L, q):
+    """The crosscut complex by its definition: the atom subsets of q
+    whose join is not q."""
+    return SimplicialComplex(
+        frozenset(s) for r in range(len(q) + 1)
+        for s in itertools.combinations(sorted(q), r) if L.join([s]) != q)
+
+
+def assert_crosscut_is_enumerated(L):
+    for q in L.elements:
+        if q:
+            assert crosscut_complex(L, q) == enumerated_crosscut(L, q), \
+                sorted(q)
+
+
+@given(random_lattices())
+@settings(max_examples=50, deadline=None)
+def test_crosscut_is_the_complex_generated_below_q(lat):
+    assert_crosscut_is_enumerated(lat)
+
+
+def test_crosscut_is_the_complex_generated_below_q_on_fixtures(
+        twin_a, twin_b, squarefree17):
+    for I in (cycle_edge_ideal(6), cycle_edge_ideal(7), cycle_edge_ideal(8),
+              twin_a, twin_b, squarefree17):
+        assert_crosscut_is_enumerated(lcm_lattice(I))
+
+
+def test_crosscut_is_the_complex_generated_below_q_on_closures(
+        hexagon_ideal):
+    # the hexagon's budget-1 augmentations, as deform-search scans them
+    L = lcm_lattice(hexagon_ideal)
+    family = set(L.elements)
+    missing = [frozenset(s) for r in range(2, 6)
+               for s in itertools.combinations(range(6), r)
+               if frozenset(s) not in family]
+    assert len(missing) == 35
+    for s in missing:
+        assert_crosscut_is_enumerated(meet_closure(family | {s}, 6))
 
 
 @given(st.data())

@@ -209,6 +209,48 @@ def test_verify_detects_a_corrupted_scalar(tmp_path, capsys):
         "position 1)\n")
 
 
+def path_resolution(tmp_path):
+    ideal = ideal_file(tmp_path, "path.ideal", "x*y; y*z; z*w")
+    out = tmp_path / "path.res"
+    assert main(["resolve", ideal, "-o", str(out)]) == 0
+    return out, json.loads(out.read_text())
+
+
+def test_verify_rejects_an_entry_listed_twice(tmp_path, capsys):
+    out, payload = path_resolution(tmp_path)
+    first = payload["differentials"][1][0]
+    assert (first["row"], first["col"], first["scalar"]) == (0, 0, "-1")
+    payload["differentials"][1].insert(0, dict(first, scalar="7"))
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: differential 2 lists row 0, col 0 twice\n")
+
+
+def test_verify_rejects_a_zero_denominator(tmp_path, capsys):
+    out, payload = path_resolution(tmp_path)
+    payload["differentials"][1][0]["scalar"] = "1/0"
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: zero denominator in scalar 1/0\n")
+
+
+def test_verify_reports_a_zero_scalar(tmp_path, capsys):
+    out, payload = path_resolution(tmp_path)
+    payload["differentials"][0][0]["scalar"] = "0"
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 2
+    assert capsys.readouterr().out == (
+        "1 inhomogeneous entries (first: position 1, column {1}#0, "
+        "row {}#0); 1 nonzero compositions (first: position 2, column "
+        "{1,2}#0, row {}#0); 2 inexact strand positions (first: degree "
+        "[0,1,1,0], position 0)\n")
+
+
 def test_verify_rejects_malformed_resolution_files(tmp_path, capsys):
     bad = tmp_path / "bad.res"
     bad.write_text(json.dumps({"modules": [], "differentials": [[]]}))
@@ -376,6 +418,18 @@ def test_characteristic_is_checked_before_the_command_runs(tmp_path, capsys):
     assert out == ""
     assert err == "error: characteristic must be 0 or a prime, got 6\n"
     assert main(["betti-numbers", path, "--char", "5"]) == 0
+    assert capsys.readouterr().out == "totals: 1,2,1\n"
+
+
+def test_huge_characteristic_is_refused_at_once(tmp_path, capsys):
+    path = ideal_file(tmp_path, "xy.ideal", "x; y")
+    start = time.perf_counter()
+    assert main(["betti-numbers", path, "--char", str(2**61 - 1)]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == (
+        "", "error: characteristic must be at most 2147483647, "
+            "got 2305843009213693951\n")
+    assert main(["betti-numbers", path, "--char", str(2**31 - 1)]) == 0
     assert capsys.readouterr().out == "totals: 1,2,1\n"
 
 

@@ -4,10 +4,10 @@ import doctest
 
 import pytest
 
-from rigidres import homology, monomials
+from rigidres import betti, homology, monomials
 
 
-@pytest.mark.parametrize("module", [homology, monomials],
+@pytest.mark.parametrize("module", [betti, homology, monomials],
                          ids=lambda m: m.__name__)
 def test_docstring_examples(module):
     result = doctest.testmod(module)
