@@ -257,7 +257,7 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
          if frozenset(s) not in family),
         key=element_key)
     candidates = []
-    for r in range(1, budget + 1):
+    for r in range(1, min(budget, len(missing)) + 1):
         for combo in itertools.combinations(missing, r):
             T = meet_closure(family | set(combo), n)
             entry = ScanEntry(added=combo, lattice_size=len(T.elements),

@@ -259,7 +259,7 @@ def _length_text(q, in_strand, predicted):
             f"predicted {predicted}")
 
 
-def verify_frame(frame, ambient=None):
+def verify_frame(frame, ambient):
     """Check that the frame is a complex, that every strand is exact,
     and that strand lengths match their ranked-fragment predictions.
 
@@ -273,9 +273,8 @@ def verify_frame(frame, ambient=None):
     report = FrameReport(
         bad_compositions=_nonzero_compositions(frame.maps, F))
 
-    scope = ambient if ambient is not None else frame.poset
-    bot = scope.bottom
-    for m in scope.elements:
+    bot = ambient.bottom
+    for m in ambient.elements:
         if m == bot:
             continue
         strand = {level: [frame.maps.get(level, {}).get(key, {})

@@ -178,17 +178,15 @@ class Poset:
     # -- levels and ranked subposets -----------------------------------
 
     def level(self, q):
-        """Most elements on a saturated chain of non-bottom elements
-        ending at q.  The bottom has level 0 and atoms level 1."""
+        """Most cover steps on a chain from a minimal element up to q:
+        minimal elements have level 0, so with a bottom the atoms have
+        level 1.  An isomorphism invariant that needs no bottom."""
         self._check(q)
         if self._levels is None:
-            bot = self.bottom
-            levels = {bot: 0}
+            levels = {}
             for e in self.elements:  # canonical order is a linear extension
-                if e == bot:
-                    continue
-                below = [levels[p] for p in self.lower_covers(e) if p != bot]
-                levels[e] = 1 + max(below, default=0)
+                below = [levels[p] for p in self.lower_covers(e)]
+                levels[e] = 1 + max(below, default=-1)
             self._levels = levels
         return self._levels[frozenset(q)]
 
@@ -245,11 +243,12 @@ class FiniteAtomicLattice(Poset):
         if n_atoms <= 0:
             raise ValueError("need a positive number of atoms")
         self.n_atoms = n_atoms
-        full = frozenset(range(n_atoms))
         family = set(self.elements)
         if frozenset() not in family:
             raise ValueError("missing bottom ∅")
-        if full not in family:
+        # the largest member bounds n_atoms before the full set is built
+        if (n_atoms > len(self.elements[-1])
+                or frozenset(range(n_atoms)) not in family):
             raise ValueError("missing top (full atom set)")
         for i in range(n_atoms):
             if frozenset({i}) not in family:
@@ -359,28 +358,17 @@ class PosetMap:
                 == len(self.target.elements))
 
 
-def _heights(poset):
-    """Longest cover-path from a minimal element; an isomorphism
-    invariant that needs no global bottom."""
-    h = {}
-    for e in poset.elements:  # linear extension
-        below = [h[p] for p in poset.lower_covers(e)]
-        h[e] = 1 + max(below, default=-1)
-    return h
-
-
 def is_isomorphic(P, Q):
     """An order-isomorphism P → Q as a PosetMap, or None.
 
     Works on the cover digraphs; candidate assignments are pruned by
-    cover degrees and height, which is plenty at desk scale.
+    cover degrees and level, which is plenty at desk scale.
     """
     if len(P) != len(Q):
         return None
     gp, gq = P.cover_digraph(), Q.cover_digraph()
-    hp, hq = _heights(P), _heights(Q)
-    nx.set_node_attributes(gp, hp, "h")
-    nx.set_node_attributes(gq, hq, "h")
+    nx.set_node_attributes(gp, {e: P.level(e) for e in P.elements}, "h")
+    nx.set_node_attributes(gq, {e: Q.level(e) for e in Q.elements}, "h")
     matcher = nx.algorithms.isomorphism.DiGraphMatcher(
         gp, gq, node_match=nx.algorithms.isomorphism.categorical_node_match("h", -1)
     )
@@ -391,22 +379,24 @@ def is_isomorphic(P, Q):
 
 def join_preserving_map(P, Q):
     """A join-preserving map P → Q restricting to a bijection on atoms,
-    or None.  All n! atom assignments are tried, the identity first.
+    or None.  All n! atom assignments σ are tried, the identity first.
 
-    Such a map is determined by the atom assignment σ: it must send p to
-    the join in Q of σ(atoms below p), so the search just checks that
-    this canonical candidate respects all pairwise joins.
+    Such a map is determined by σ: it must send p to f(p) = join_Q(σ(p)).
+    Joins in both lattices are least members containing a union, so f
+    preserves joins exactly when σ⁻¹ carries every member q of Q into P.
+    If it does, take q = join_Q(σ(a ∪ b)) = f(a) ∨ f(b): σ⁻¹(q) is a
+    member of P containing a ∪ b, hence a ∨ b, so f(a ∨ b) = q.
+    Conversely f preserves the join of the atoms s = σ⁻¹(q), so
+    join_Q(σ(join_P(s))) = q, which puts join_P(s) inside s: s is in P.
     """
     if not isinstance(P, FiniteAtomicLattice) or not isinstance(Q, FiniteAtomicLattice):
         raise ValueError("join-preserving comparison needs atomic lattices")
     if P.n_atoms != Q.n_atoms:
         raise ValueError(f"atom counts differ: {P.n_atoms} vs {Q.n_atoms}")
-    pair_joins = [(a, b, P.join([a, b]))
-                  for a, b in itertools.combinations(P.elements, 2)]
     for sigma in itertools.permutations(range(P.n_atoms)):
-        f = {p: Q.join([{sigma[i] for i in p}]) for p in P.elements}
-        if all(f[j] == Q.join([f[a], f[b]]) for a, b, j in pair_joins):
-            return PosetMap(P, Q, f)
+        if all(frozenset(map(sigma.index, q)) in P for q in Q.elements):
+            return PosetMap(P, Q, {p: Q.join([{sigma[i] for i in p}])
+                                   for p in P.elements})
     return None
 
 

@@ -3,7 +3,12 @@ and the DOT export."""
 
 import argparse
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -102,6 +107,23 @@ def test_unlabeled_lattice_needs_no_degrees_for_totals(tmp_path, capsys):
     assert capsys.readouterr().out == "totals: 1,2,1\n"
 
 
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_huge_atom_count_is_refused_without_building_the_full_set(tmp_path):
+    path = tmp_path / "huge.lattice"
+    path.write_text(json.dumps({"n_atoms": 10**12, "supports": [[], [1]]}))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "rigidres.cli", "betti-numbers", str(path)],
+        env=env, capture_output=True, text=True, timeout=5,
+        preexec_fn=_limit_address_space)
+    assert done.returncode == 1
+    assert done.stderr == f"error: {path}: missing top (full atom set)\n"
+
+
 def test_lattice_file_errors_are_input_errors(tmp_path, capsys):
     bad = tmp_path / "bad.lattice"
     bad.write_text(json.dumps({"n_atoms": 2, "supports": [[], [1], [2]]}))
@@ -179,6 +201,18 @@ def test_compare_finds_the_deformation_direction(tmp_path, capsys):
     assert main(["deform-simplicial", triple, "-o", deformed]) == 0
     assert main(["compare", "--join-preserving", deformed, lat]) == 0
     assert "first -> second: found" in capsys.readouterr().out
+
+
+def test_compare_cycle_c8_and_path_p9_edge_ideals(tmp_path, capsys):
+    c8 = ideal_file(tmp_path, "c8.ideal", "; ".join(
+        f"x{i}*x{i % 8 + 1}" for i in range(1, 9)))
+    p9 = ideal_file(tmp_path, "p9.ideal", "; ".join(
+        f"x{i}*x{i + 1}" for i in range(1, 9)))
+    start = time.perf_counter()
+    assert main(["compare", "--join-preserving", c8, p9]) == 0
+    assert time.perf_counter() - start < 10
+    assert capsys.readouterr().out == (
+        "first -> second: none\nsecond -> first: found\n")
 
 
 # --------------------------------------------------------------------------
@@ -358,6 +392,19 @@ def test_deform_search_hexagon_reports_every_augmentation(tmp_path, capsys):
     assert "scanned 35 augmentations:" in out
     assert "no rigid deformation found" in out
     assert out.count("  +{") == 35
+
+
+def test_deform_search_budget_beyond_the_missing_supports(tmp_path, capsys):
+    ideal = ideal_file(tmp_path, "triangle.ideal", "x*y; y*z; x*z")
+    assert main(["deform-search", ideal, "--budget", "3"]) == 2
+    small = capsys.readouterr().out
+    start = time.perf_counter()
+    assert main(["deform-search", ideal, "--budget", "200000"]) == 2
+    assert time.perf_counter() - start < 1
+    large = capsys.readouterr().out
+    assert "budget: 3\n" in small and "budget: 200000\n" in large
+    assert (large.replace("budget: 200000\n", "")
+            == small.replace("budget: 3\n", ""))
 
 
 def test_deform_search_rigid_input_is_immediate(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import HASSE_17, HASSE_TWIN_A, HASSE_TWIN_B
+from test_frames import cycle_edge_ideal
 from rigidres.homology import SimplicialComplex, reduced_homology
 from rigidres.monomials import Monomial, parse_ideal
 from rigidres.posets import (
@@ -14,6 +15,7 @@ from rigidres.posets import (
     exists_join_preserving,
     face_lattice,
     is_isomorphic,
+    join_preserving_map,
     lcm_lattice,
     meet_closure,
     order_complex,
@@ -348,6 +350,59 @@ def test_exists_join_preserving_counts_atoms():
 def test_join_preserving_reflexive(data):
     lat = data.draw(random_lattices())
     assert exists_join_preserving(lat, lat)
+
+
+def pairwise_join_map(P, Q):
+    """Reference search: build every candidate map p ↦ join_Q(σ(p)) and
+    check it against a table of all pairwise joins of P.  Returns the
+    assignment of the first σ that passes, or None."""
+    pair_joins = [(a, b, P.join([a, b]))
+                  for a, b in itertools.combinations(P.elements, 2)]
+    for sigma in itertools.permutations(range(P.n_atoms)):
+        f = {p: Q.join([{sigma[i] for i in p}]) for p in P.elements}
+        if all(f[j] == Q.join([f[a], f[b]]) for a, b, j in pair_joins):
+            return f
+    return None
+
+
+def matches_pairwise_reference(P, Q):
+    found = join_preserving_map(P, Q)
+    expected = pairwise_join_map(P, Q)
+    assert (None if found is None else found.assignment) == expected
+    return found
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_join_preserving_map_matches_pairwise_reference(data):
+    P = data.draw(random_lattices())
+    Q = data.draw(random_lattices())
+    assert P.n_atoms == Q.n_atoms
+    refine = data.draw(st.booleans())
+    if refine:
+        # P made finer than a relabelled Q: σ⁻¹ carries Q into P
+        sigma = data.draw(st.permutations(range(Q.n_atoms)))
+        P = meet_closure(list(P.elements)
+                         + [{sigma[i] for i in q} for q in Q.elements],
+                         Q.n_atoms)
+    found = matches_pairwise_reference(P, Q)
+    assert found is not None or not refine
+    matches_pairwise_reference(Q, P)
+
+
+def test_join_preserving_map_matches_pairwise_reference_on_twins(
+        twin_a, twin_b):
+    A, B = lcm_lattice(twin_a), lcm_lattice(twin_b)
+    assert matches_pairwise_reference(A, B) is None
+    assert matches_pairwise_reference(B, A) is None
+
+
+def test_join_preserving_map_matches_pairwise_reference_c6_p7():
+    C6 = lcm_lattice(cycle_edge_ideal(6))
+    P7 = lcm_lattice(parse_ideal(
+        "; ".join(f"x{i}*x{i + 1}" for i in range(1, 7))))
+    assert matches_pairwise_reference(C6, P7) is None
+    assert matches_pairwise_reference(P7, C6) is not None
 
 
 # -- coordinatization -------------------------------------------------------
