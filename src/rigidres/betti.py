@@ -12,10 +12,13 @@ Rank-only queries on atomic lattices take a shortcut: the interval
 generated by the elements strictly below q ("crosscut" complex).  That
 complex lives on ≤ n vertices instead of the whole interval, and the
 equality of ranks is itself property-tested against the order-complex
-route.  Ranks come from the rank-only path `homology_ranks` and are
-memoized on the poset per (element, characteristic).  Anything needing
-actual cycle representatives (the resolution builder) uses the order
-complex directly.
+route.  Ranks come from the rank-only path `homology_ranks`.  They
+depend only on the set of elements inside the interval, so a caller
+that reads many intervals — across candidate lattices, Betti posets
+and ranked fragments alike — passes one plain dict `memo` keyed by
+(that set, characteristic); with no memo nothing is kept.  Anything
+needing actual cycle representatives (the resolution builder) uses the
+order complex directly.
 """
 
 from __future__ import annotations
@@ -53,31 +56,48 @@ def crosscut_complex(L, q):
     return SimplicialComplex(p for p in L.elements if p and p < q)
 
 
-def interval_ranks(P, q, F=FieldSpec(0)):
-    """Reduced homology ranks {i: h_i} of the open interval (0̂, q)."""
+def interval_ranks(P, q, F=FieldSpec(0), memo=None):
+    """Reduced homology ranks {i: h_i} of the open interval (0̂, q).
+
+    The ranks are looked up in, and stored into, `memo` (a dict owned
+    by the caller, or None) under (the frozenset of elements strictly
+    between 0̂ and q, characteristic).  On an atomic lattice they come
+    from the complex generated by that set (`crosscut_complex`), on any
+    other poset from its order complex.  The key is sound across both
+    routes: both order the same set by inclusion, and a set that comes
+    from an intersection-closed family is closed under nonempty
+    intersections.  Sending a face of the generated complex to the
+    least member containing it then has contractible fibres, so by
+    Quillen's fibre lemma the generated complex has the homology of the
+    order complex.
+    """
     q = frozenset(q)
-    if q == P.bottom:
+    bot = P.bottom
+    if q == bot:
         raise ValueError("the interval below the bottom element is undefined")
-    key = (q, F.characteristic)
-    if key not in P.interval_rank_memo:
+    if memo is None:
+        memo = {}
+    inside = frozenset(p for p in P.elements if p < q and p != bot)
+    key = (inside, F.characteristic)
+    if key not in memo:
         if isinstance(P, FiniteAtomicLattice):
             K = crosscut_complex(P, q)
         else:
-            K = order_complex(P.open_interval(q))
-        P.interval_rank_memo[key] = homology_ranks(K, F)
-    return dict(P.interval_rank_memo[key])
+            K = order_complex(Poset(inside))
+        memo[key] = homology_ranks(K, F)
+    return dict(memo[key])
 
 
-def is_contributor(P, q, F=FieldSpec(0)):
+def is_contributor(P, q, F=FieldSpec(0), memo=None):
     """Whether the open interval below q has any nonzero reduced homology."""
-    return bool(interval_ranks(P, q, F))
+    return bool(interval_ranks(P, q, F, memo))
 
 
-def betti_poset(P, F=FieldSpec(0)):
+def betti_poset(P, F=FieldSpec(0), memo=None):
     """The induced subposet on 0̂ and all contributing elements."""
     bot = P.bottom
     return Poset([bot] + [e for e in P.elements
-                          if e != bot and is_contributor(P, e, F)])
+                          if e != bot and is_contributor(P, e, F, memo)])
 
 
 @dataclass
@@ -124,7 +144,7 @@ def betti_numbers(I, F=FieldSpec(0)):
     return table
 
 
-def lattice_betti_totals(P, F=FieldSpec(0)):
+def lattice_betti_totals(P, F=FieldSpec(0), memo=None):
     """Total Betti numbers read off a poset with 0̂: one generator at the
     bottom, and position i ≥ 1 collects h_{i−2} over all open intervals.
     For an lcm-lattice this equals the ideal's total Betti numbers."""
@@ -133,7 +153,7 @@ def lattice_betti_totals(P, F=FieldSpec(0)):
     for q in P.elements:
         if q == bot:
             continue
-        for i, h in interval_ranks(P, q, F).items():
+        for i, h in interval_ranks(P, q, F, memo).items():
             totals[i + 2] = totals.get(i + 2, 0) + h
     return tuple(totals.get(i, 0) for i in range(max(totals) + 1))
 
@@ -157,7 +177,7 @@ class RigidityReport:
         return self.rigid
 
 
-def rigidity_report(L, F=FieldSpec(0)):
+def rigidity_report(L, F=FieldSpec(0), memo=None):
     """Check rigidity of an atomic lattice (of an lcm-lattice, usually).
 
     Rigid means: every interval (0̂, q) has homology of total rank at
@@ -170,7 +190,7 @@ def rigidity_report(L, F=FieldSpec(0)):
     for e in L.elements:
         if e == bot:
             continue
-        ranks = interval_ranks(L, e, F)
+        ranks = interval_ranks(L, e, F, memo)
         if sum(ranks.values()) > 1:
             what = ", ".join(f"h_{i}={h}" for i, h in sorted(ranks.items()))
             return RigidityReport(

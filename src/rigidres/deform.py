@@ -81,24 +81,27 @@ def _resolves(res, L):
     return degrees == sorted(L.degree({i}) for i in range(L.n_atoms))
 
 
-def certify_rigid_deformation(J, I, F=FieldSpec(0)):
+def certify_rigid_deformation(J, I, F=FieldSpec(0), memo=None):
     """Check independently that J is a rigid deformation of I: J rigid,
     Betti posets isomorphic (or a join-preserving comparability map
     available), and J's minimal resolution relabels to a verified
     minimal resolution of I.
 
-    I is a monomial ideal or its degree-labelled lcm-lattice, so a
-    caller that certifies many candidates builds L_I, and computes its
-    intervals, once.
+    I is a monomial ideal or its degree-labelled lcm-lattice, and memo
+    is an interval-rank memo (see `betti.interval_ranks`), made here
+    when none is given: a caller that certifies many candidates builds
+    L_I once and computes each interval once.
     """
+    if memo is None:
+        memo = {}
     LI = I if isinstance(I, FiniteAtomicLattice) else lcm_lattice(I)
     LJ = lcm_lattice(J)
     cert = Certificate()
-    cert.rigid = rigidity_report(LJ, F).rigid
+    cert.rigid = rigidity_report(LJ, F, memo).rigid
     cert.betti_preserved = (
-        lattice_betti_totals(LJ, F) == lattice_betti_totals(LI, F))
+        lattice_betti_totals(LJ, F, memo) == lattice_betti_totals(LI, F, memo))
 
-    BI, BJ = betti_poset(LI, F), betti_poset(LJ, F)
+    BI, BJ = betti_poset(LI, F, memo), betti_poset(LJ, F, memo)
     iso = is_isomorphic(BJ, BI)
     if iso is not None:
         cert.route = "betti-poset-isomorphism"
@@ -113,7 +116,7 @@ def certify_rigid_deformation(J, I, F=FieldSpec(0)):
         cert.route = "join-preserving"
         assignment = {q: g(q) for q in BJ.elements}
 
-    _, _, res = resolve(LJ, F)
+    _, _, res = resolve(LJ, F, memo)
     degrees_i = {q: LI.degree(q) for q in LI.elements}
     try:
         moved = relabel(res, assignment, degrees_i)
@@ -197,9 +200,9 @@ class SearchOutcome:
         return self.result is not None
 
 
-def _certified_result(T, L, F, added):
+def _certified_result(T, L, F, memo, added):
     J = coordinatize(T)
-    certificate = certify_rigid_deformation(J, L, F)
+    certificate = certify_rigid_deformation(J, L, F, memo)
     if not certificate:
         return None
     return DeformationResult(
@@ -220,31 +223,33 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
     missing support sets, certifying only candidates whose total Betti
     numbers match the source — a relabeled *minimal* resolution cannot
     exist otherwise.  Absent result means none within budget, not a
-    proof that no deformation exists.
+    proof that no deformation exists.  One interval-rank memo serves L,
+    every candidate and every certification.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
     L = lcm_lattice(I)
     n = len(I.generators)
     family = set(L.elements)
-    base = lattice_betti_totals(L, F)
+    memo = {}
+    base = lattice_betti_totals(L, F, memo)
     outcome = SearchOutcome(base_totals=base)
 
-    if rigidity_report(L, F).rigid:
+    if rigidity_report(L, F, memo).rigid:
         T = meet_closure(family, n)
-        outcome.result = _certified_result(T, L, F, added=())
+        outcome.result = _certified_result(T, L, F, memo, added=())
         return outcome
 
-    B = betti_poset(L, F)
+    B = betti_poset(L, F, memo)
     try:
         TB = FiniteAtomicLattice(B.elements, n)
     except ValueError:
         TB = None
     if TB is not None and set(TB.elements) != family:
         entry = ScanEntry(added=(), lattice_size=len(TB.elements),
-                          totals=lattice_betti_totals(TB, F))
+                          totals=lattice_betti_totals(TB, F, memo))
         outcome.betti_poset_candidate = entry
-        result = _certified_result(TB, L, F, added=())
+        result = _certified_result(TB, L, F, memo, added=())
         if result is not None:
             entry.certified = True
             outcome.result = result
@@ -261,7 +266,7 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
         for combo in itertools.combinations(missing, r):
             T = meet_closure(family | set(combo), n)
             entry = ScanEntry(added=combo, lattice_size=len(T.elements),
-                              totals=lattice_betti_totals(T, F))
+                              totals=lattice_betti_totals(T, F, memo))
             outcome.augmentation_log.append(entry)
             if entry.totals == base:
                 candidates.append((entry, T))
@@ -270,7 +275,7 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
         pair[0].lattice_size,
         tuple(element_key(s) for s in pair[0].added)))
     for entry, T in candidates:
-        result = _certified_result(T, L, F, added=entry.added)
+        result = _certified_result(T, L, F, memo, added=entry.added)
         if result is not None:
             entry.certified = True
             outcome.result = result

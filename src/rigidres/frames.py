@@ -285,6 +285,7 @@ def verify_frame(frame, ambient):
         report.strands_checked += 1
 
     B = frame.poset
+    memo = {}  # each ranked fragment is a fresh Poset; intervals recur
     for q in B.elements:
         if q == bot:
             continue
@@ -294,7 +295,7 @@ def verify_frame(frame, ambient):
             default=0)
         ranked = B.max_ranked(q)
         ranked_with_bottom = Poset(list(ranked.elements) + [bot])
-        predicted = len(lattice_betti_totals(ranked_with_bottom, F)) - 1
+        predicted = len(lattice_betti_totals(ranked_with_bottom, F, memo)) - 1
         if in_strand != predicted:
             report.length_mismatches.append((q, in_strand, predicted))
     return report
@@ -369,16 +370,17 @@ def homogenize(frame, degrees):
     return _attach_degrees(frame.field, frame.components, frame.maps, degrees)
 
 
-def resolve(I, F=FieldSpec(0)):
+def resolve(I, F=FieldSpec(0), memo=None):
     """The lcm-lattice L of I, its Betti poset B, and the frame over B
     homogenized by the degrees of L: the minimal free resolution when I
     is rigid (verify_resolution decides).
 
     I is a monomial ideal or a degree-labelled atomic lattice, which is
-    read as the lcm-lattice of an ideal and returned as L.
+    read as the lcm-lattice of an ideal and returned as L.  memo is
+    passed to `betti_poset` (see `betti.interval_ranks`).
     """
     L = I if isinstance(I, FiniteAtomicLattice) else lcm_lattice(I)
-    B = betti_poset(L, F)
+    B = betti_poset(L, F, memo)
     res = homogenize(build_frame(B, F), {e: L.degree(e) for e in B.elements})
     return L, B, res
 

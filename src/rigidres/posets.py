@@ -46,9 +46,6 @@ class Poset:
         self._levels = None
         self._bottom = None
         self._top = None
-        # (element, characteristic) -> reduced homology ranks of the
-        # open interval below it; filled by betti.interval_ranks
-        self.interval_rank_memo = {}
 
     # -- basic queries ------------------------------------------------
 
@@ -315,11 +312,12 @@ def meet_closure(family, n_atoms):
     members.add(frozenset())
     members.add(frozenset(range(n_atoms)))
     members.update(frozenset({i}) for i in range(n_atoms))
-    while True:
-        new = {a & b for a, b in itertools.combinations(members, 2)} - members
-        if not new:
-            break
+    # after the first round only pairs with a newly added member can
+    # give a new intersection
+    new = {a & b for a, b in itertools.combinations(members, 2)} - members
+    while new:
         members |= new
+        new = {a & b for a in new for b in members} - members
     return FiniteAtomicLattice(members, n_atoms)
 
 
@@ -388,11 +386,15 @@ def join_preserving_map(P, Q):
     member of P containing a ∪ b, hence a ∨ b, so f(a ∨ b) = q.
     Conversely f preserves the join of the atoms s = σ⁻¹(q), so
     join_Q(σ(join_P(s))) = q, which puts join_P(s) inside s: s is in P.
+    σ⁻¹ sends distinct members of Q to distinct members of P, so no map
+    exists when Q has more elements than P, and none is tried.
     """
     if not isinstance(P, FiniteAtomicLattice) or not isinstance(Q, FiniteAtomicLattice):
         raise ValueError("join-preserving comparison needs atomic lattices")
     if P.n_atoms != Q.n_atoms:
         raise ValueError(f"atom counts differ: {P.n_atoms} vs {Q.n_atoms}")
+    if len(Q) > len(P):
+        return None
     for sigma in itertools.permutations(range(P.n_atoms)):
         if all(frozenset(map(sigma.index, q)) in P for q in Q.elements):
             return PosetMap(P, Q, {p: Q.join([{sigma[i] for i in p}])

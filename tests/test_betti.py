@@ -13,9 +13,11 @@ from rigidres.betti import (
     is_rigid,
     rigidity_report,
 )
-from rigidres.homology import FieldSpec, SimplicialComplex, reduced_homology
+from rigidres.homology import (FieldSpec, SimplicialComplex, homology_ranks,
+                               reduced_homology)
 from rigidres.monomials import Monomial, parse_ideal
-from rigidres.posets import lcm_lattice, meet_closure, order_complex
+from rigidres.posets import (FiniteAtomicLattice, Poset, lcm_lattice,
+                             meet_closure, order_complex)
 
 from test_frames import cycle_edge_ideal
 
@@ -112,6 +114,38 @@ def test_crosscut_matches_order_complex_on_twin(twin_a):
             continue
         assert reduced_homology(crosscut_complex(lat, q), Q).ranks == \
             reduced_homology(order_complex(lat.open_interval(q)), Q).ranks
+
+
+# -- one memo across posets --------------------------------------------------
+
+def ranked_fragments(P):
+    """Every max_ranked fragment of P with P's bottom put back, as the
+    length check of verify_frame reads them."""
+    bot = P.bottom
+    return [Poset(list(P.max_ranked(q).elements) + [bot])
+            for q in P.elements if q != bot]
+
+
+@given(st.lists(random_lattices(), min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_one_memo_serves_lattices_betti_posets_and_fragments(lattices):
+    # interval ranks are keyed by the interval's elements, so lattices
+    # (crosscut route) and fragments (order-complex route) share keys
+    memo = {}
+    for F in (Q, FieldSpec(2)):
+        posets = []
+        for L in lattices:
+            B = betti_poset(L, F, memo)
+            posets += [L, B] + ranked_fragments(L) + ranked_fragments(B)
+        for P in posets:
+            for q in P.elements:
+                if q == P.bottom:
+                    continue
+                fresh = homology_ranks(order_complex(P.open_interval(q)), F)
+                if isinstance(P, FiniteAtomicLattice):
+                    assert homology_ranks(crosscut_complex(P, q), F) == fresh
+                assert interval_ranks(P, q, F, memo) == fresh, sorted(q)
+    assert {char for _, char in memo} == {0, 2}
 
 
 # -- contribution ------------------------------------------------------------

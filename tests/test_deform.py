@@ -19,7 +19,7 @@ from rigidres.deform import (
 from rigidres.frames import scarf_complex
 from rigidres.homology import FieldSpec, SimplicialComplex
 from rigidres.monomials import parse_ideal
-from rigidres.posets import element_key, face_lattice, lcm_lattice
+from rigidres.posets import face_lattice, lcm_lattice
 
 from conftest import random_generic_ideal
 
@@ -155,39 +155,68 @@ def test_self_certification_of_rigid_ideal():
     assert report.rigid and report.betti_preserved and report.relabel_verified
 
 
-def test_certification_computes_each_target_interval_once(monkeypatch):
-    I = parse_ideal(SILENT_EXAMPLE)
-    J = simplicial_rigid_deformation(I, scarf_complex(I), Q).target_ideal
+def record_interval_contents(monkeypatch):
+    """Patch both interval-complex routes of `betti.interval_ranks` and
+    return the list of interval contents (the elements strictly between
+    0̂ and q) that they are asked to build."""
     computed = []
-    crosscut = betti.crosscut_complex
+    crosscut, order = betti.crosscut_complex, betti.order_complex
 
-    def recorded(L, q):
-        computed.append((tuple(L.degree(q)), q))
+    def recorded_crosscut(L, q):
+        computed.append(interval_content(L, q))
         return crosscut(L, q)
 
-    monkeypatch.setattr(betti, "crosscut_complex", recorded)
+    def recorded_order(fragment):
+        computed.append(frozenset(fragment.elements))
+        return order(fragment)
+
+    monkeypatch.setattr(betti, "crosscut_complex", recorded_crosscut)
+    monkeypatch.setattr(betti, "order_complex", recorded_order)
+    return computed
+
+
+def interval_content(L, q):
+    return frozenset(p for p in L.elements if L.bottom < p < q)
+
+
+def test_certification_computes_each_target_interval_once(monkeypatch):
+    # intervals are keyed by their elements, so all atoms share one key:
+    # no content is computed twice, and every content of L_J is computed
+    I = parse_ideal(SILENT_EXAMPLE)
+    J = simplicial_rigid_deformation(I, scarf_complex(I), Q).target_ideal
+    computed = record_interval_contents(monkeypatch)
     assert certify_rigid_deformation(J, I, Q).all_true
     LJ = lcm_lattice(J)
-    target = [(d, q) for d, q in computed
-              if q in LJ and d == tuple(LJ.degree(q))]
-    assert sorted(q for _, q in target) == sorted(e for e in LJ.elements if e)
+    assert len(computed) == len(set(computed))
+    assert {interval_content(LJ, q) for q in LJ.elements if q} <= set(computed)
 
 
 def test_search_computes_each_source_interval_once(monkeypatch, twin_a):
-    # the search hands its L_I to every certification instead of each
-    # certification rebuilding L_I and all of its intervals
+    # one memo serves L_I, every candidate and every certification
     LI = lcm_lattice(twin_a)
-    computed = []
-    crosscut = betti.crosscut_complex
-
-    def recorded(L, q):
-        if L.degrees == LI.degrees:
-            computed.append(q)
-        return crosscut(L, q)
-
-    monkeypatch.setattr(betti, "crosscut_complex", recorded)
+    computed = record_interval_contents(monkeypatch)
     search_rigid_deformation(twin_a, budget=1, F=Q)
-    assert sorted(computed, key=element_key) == [e for e in LI.elements if e]
+    assert len(computed) == len(set(computed))
+    assert {interval_content(LI, q) for q in LI.elements if q} <= set(computed)
+
+
+@pytest.mark.parametrize("budget,F,expected", [
+    (2, FieldSpec(2), 742),  # 21,404 when each lattice kept its own memo
+    (1, Q, 123),             # 1,121 then
+], ids=["budget2-char2", "budget1-char0"])
+def test_hexagon_scan_computes_each_interval_content_once(
+        monkeypatch, hexagon_ideal, budget, F, expected):
+    calls = []
+    ranks = betti.homology_ranks
+
+    def counted(K, F):
+        calls.append(K)
+        return ranks(K, F)
+
+    monkeypatch.setattr(betti, "homology_ranks", counted)
+    out = search_rigid_deformation(hexagon_ideal, budget=budget, F=F)
+    assert not out
+    assert len(calls) == expected
 
 
 def test_certify_twins_is_honest_about_rigidity(twin_a, twin_b):

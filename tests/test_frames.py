@@ -421,8 +421,8 @@ def test_checkers_run_no_kernel_code(monkeypatch):
     table = taylor_betti(I, Q)
     totals = {}
 
-    def recorded(P, F):
-        totals[P.elements] = lattice_betti_totals(P, F)
+    def recorded(P, F, memo=None):
+        totals[P.elements] = lattice_betti_totals(P, F, memo)
         return totals[P.elements]
 
     monkeypatch.setattr(frames, "lattice_betti_totals", recorded)
@@ -441,7 +441,7 @@ def test_checkers_run_no_kernel_code(monkeypatch):
     # the length check predicts lengths by interval homology, as the
     # frame does; only its predictions are replayed here
     monkeypatch.setattr(frames, "lattice_betti_totals",
-                        lambda P, F: totals[P.elements])
+                        lambda P, F, memo=None: totals[P.elements])
     assert verify_frame(frame, ambient=L).ok
 
 

@@ -259,6 +259,39 @@ def test_meet_closure_of_path_union_lcm_lattice():
     assert merged.elements == lat.elements
 
 
+def all_pairs_meet_closure(family, n_atoms):
+    """Reference: intersect every pair again until a round adds nothing."""
+    members = {frozenset(m) for m in family}
+    members |= {frozenset(), frozenset(range(n_atoms))}
+    members |= {frozenset({i}) for i in range(n_atoms)}
+    while True:
+        new = {a & b for a, b in itertools.combinations(members, 2)} - members
+        if not new:
+            return members
+        members |= new
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_meet_closure_matches_all_pairs_reference(data):
+    n = data.draw(st.integers(min_value=1, max_value=7))
+    atoms = st.integers(0, n - 1)
+    family = data.draw(st.lists(st.sets(atoms), max_size=4))
+    # sets missing one or two atoms take several rounds to close
+    holes = data.draw(st.lists(st.sets(atoms, min_size=1, max_size=2),
+                               max_size=6))
+    family += [set(range(n)) - h for h in holes]
+    assert set(meet_closure(family, n).elements) == \
+        all_pairs_meet_closure(family, n)
+
+
+def test_meet_closure_adds_threefold_intersections():
+    # {0, 1} is no pairwise intersection of the input: a second round
+    lat = meet_closure([{0, 1, 2, 3}, {0, 1, 2, 4}, {0, 1, 3, 4}], 5)
+    assert frozenset({0, 1}) in lat
+    assert set(lat.elements) == all_pairs_meet_closure(lat.elements, 5)
+
+
 def test_face_lattice_full_simplex():
     lat = face_lattice(SimplicialComplex([{1, 2, 3}]))
     assert len(lat) == 8
@@ -403,6 +436,21 @@ def test_join_preserving_map_matches_pairwise_reference_c6_p7():
         "; ".join(f"x{i}*x{i + 1}" for i in range(1, 7))))
     assert matches_pairwise_reference(C6, P7) is None
     assert matches_pairwise_reference(P7, C6) is not None
+
+
+def test_join_preserving_map_refuses_a_larger_target_without_search(
+        monkeypatch):
+    # σ⁻¹ sends distinct members of Q to distinct members of P
+    C8 = lcm_lattice(cycle_edge_ideal(8))
+    P9 = lcm_lattice(parse_ideal(
+        "; ".join(f"x{i}*x{i + 1}" for i in range(1, 9))))
+    assert len(P9) > len(C8)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("atom bijections enumerated")
+
+    monkeypatch.setattr(itertools, "permutations", no_search)
+    assert join_preserving_map(C8, P9) is None
 
 
 # -- coordinatization -------------------------------------------------------

@@ -1,6 +1,8 @@
 """The runnable experiments in scripts/ still run end to end."""
 
+import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,10 +18,23 @@ ROOT = Path(__file__).resolve().parent.parent
     (["random_rigid_survey.py", "--samples", "5"], "0 failures"),
 ])
 def test_script_runs(argv, expected):
+    assert expected in run_script(argv)
+
+
+def run_script(argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]),
                            *argv[1:]],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    assert expected in done.stdout
+    return done.stdout
+
+
+def test_hexagon_budget_two_scan_is_frozen():
+    # the full augmentation table (630 rows), timing field stripped;
+    # characteristic 0 prints the same table
+    out = run_script(["hexagon_scan.py", "--budget", "2", "--char", "2"])
+    out = re.sub(r"; [0-9.]+s\n", "\n", out, count=1)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "94f6bdec8ee75807427d85fcde74869571d944da41a2f2053d22c9cb0b7f834f")
