@@ -20,8 +20,8 @@ from rigidres import (  # noqa: E402
     betti_poset,
     build_frame,
     homogenize,
-    is_rigid,
     lcm_lattice,
+    rigidity_report,
     taylor_betti,
     verify_frame,
     verify_resolution,
@@ -51,7 +51,7 @@ def main():
         frame = build_frame(B, F)
         lengths[frame.length] += 1
         res = homogenize(frame, {e: L.degree(e) for e in B.elements})
-        ok = (bool(is_rigid(I, F))
+        ok = (rigidity_report(L, F).rigid
               and frame.ranks() == taylor_betti(I, F).totals()
               and verify_frame(frame, ambient=L).ok
               and verify_resolution(res).ok)

@@ -44,11 +44,7 @@ from .betti import (  # noqa: F401
     RigidityReport,
     betti_numbers,
     betti_poset,
-    contributing_index,
     interval_ranks,
-    is_contributor,
-    is_rigid,
-    lattice_betti_totals,
     rigidity_report,
 )
 from .frames import (  # noqa: F401

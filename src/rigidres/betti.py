@@ -2,10 +2,11 @@
 
 An element q of a poset with minimum 0̂ "contributes" when the order
 complex of the open interval (0̂, q) has some nonzero reduced homology.
-The Betti poset keeps 0̂ and the contributors; for an lcm-lattice its
-elements index the multigraded Betti numbers of the quotient by the
-ideal: β_{i, degree(q)} = h_{i−2} of the interval below q, plus the
-rank-one degree-unit term in homological index 0.
+The Betti poset keeps 0̂ and the contributors.  `betti_numbers` reads
+the Betti table off any such poset: one generator at 0̂, and
+β_{i, q} = h_{i−2} of the interval below q.  On an lcm-lattice, with q
+keyed by its degree, these are the multigraded Betti numbers of the
+quotient by the ideal.
 
 Rank-only queries on atomic lattices take a shortcut: the interval
 (0̂, q) deformation-retracts onto the nerve of its atoms, the complex
@@ -88,21 +89,18 @@ def interval_ranks(P, q, F=FieldSpec(0), memo=None):
     return dict(memo[key])
 
 
-def is_contributor(P, q, F=FieldSpec(0), memo=None):
-    """Whether the open interval below q has any nonzero reduced homology."""
-    return bool(interval_ranks(P, q, F, memo))
-
-
 def betti_poset(P, F=FieldSpec(0), memo=None):
     """The induced subposet on 0̂ and all contributing elements."""
     bot = P.bottom
     return Poset([bot] + [e for e in P.elements
-                          if e != bot and is_contributor(P, e, F, memo)])
+                          if e != bot and interval_ranks(P, e, F, memo)])
 
 
 @dataclass
 class BettiTable:
-    """Multigraded Betti numbers: (homological index, multidegree) → rank."""
+    """Betti numbers: (homological index, key) → rank, the key being a
+    multidegree when read off a degree-labelled lattice and a poset
+    element otherwise (`graded` and `to_json_dict` read multidegrees)."""
 
     entries: dict = field(default_factory=dict)
 
@@ -127,35 +125,33 @@ class BettiTable:
         }
 
 
-def betti_numbers(I, F=FieldSpec(0)):
-    """Betti table of the quotient by I: the unit degree in index 0,
-    then β_{i,b} = h_{i−2} of the interval below b in the lcm-lattice.
+def betti_numbers(P, F=FieldSpec(0), memo=None):
+    """Betti table of a poset with 0̂: one generator at 0̂ in index 0,
+    then β_{i, q} = h_{i−2} of the open interval (0̂, q).
 
-    I is a monomial ideal or a degree-labelled atomic lattice, which is
-    read as the lcm-lattice of an ideal (its bottom carries the unit).
+    P is any poset with a unique minimum, or a monomial ideal, read as
+    its lcm-lattice.  Keys are degrees when P is a degree-labelled
+    atomic lattice, so an ideal's table is its multigraded one, and
+    elements otherwise; the totals agree either way, because degree
+    labels are distinct.  memo is passed to `interval_ranks`.
+
+    >>> L = FiniteAtomicLattice([set(), {0}, {1}, {0, 1}], 2)
+    >>> table = betti_numbers(L)
+    >>> table.totals()
+    (1, 2, 1)
+    >>> table.entries[(2, frozenset({0, 1}))]
+    1
     """
-    L = I if isinstance(I, FiniteAtomicLattice) else lcm_lattice(I)
-    table = BettiTable()
-    table.entries[(0, L.degree(frozenset()))] = 1
-    for e in L.elements:
-        if e:
-            for i, h in interval_ranks(L, e, F).items():
-                table.entries[(i + 2, L.degree(e))] = h
-    return table
-
-
-def lattice_betti_totals(P, F=FieldSpec(0), memo=None):
-    """Total Betti numbers read off a poset with 0̂: one generator at the
-    bottom, and position i ≥ 1 collects h_{i−2} over all open intervals.
-    For an lcm-lattice this equals the ideal's total Betti numbers."""
+    P = P if isinstance(P, Poset) else lcm_lattice(P)
+    labelled = isinstance(P, FiniteAtomicLattice) and P.degrees is not None
+    key = P.degree if labelled else frozenset
     bot = P.bottom
-    totals = {0: 1}
+    table = BettiTable({(0, key(bot)): 1})
     for q in P.elements:
-        if q == bot:
-            continue
-        for i, h in interval_ranks(P, q, F, memo).items():
-            totals[i + 2] = totals.get(i + 2, 0) + h
-    return tuple(totals.get(i, 0) for i in range(max(totals) + 1))
+        if q != bot:
+            for i, h in interval_ranks(P, q, F, memo).items():
+                table.entries[(i + 2, key(q))] = h
+    return table
 
 
 @dataclass
@@ -178,13 +174,15 @@ class RigidityReport:
 
 
 def rigidity_report(L, F=FieldSpec(0), memo=None):
-    """Check rigidity of an atomic lattice (of an lcm-lattice, usually).
+    """Check rigidity of an atomic lattice, or of a monomial ideal's
+    lcm-lattice.
 
     Rigid means: every interval (0̂, q) has homology of total rank at
     most one, and elements contributing in the same homological index
     are pairwise incomparable.  The first violation in the canonical
     element order is reported.
     """
+    L = L if isinstance(L, Poset) else lcm_lattice(L)
     bot = L.bottom
     contributing = {}
     for e in L.elements:
@@ -207,18 +205,3 @@ def rigidity_report(L, F=FieldSpec(0), memo=None):
                 f"{sorted(lo)} < {sorted(hi)} both contribute in "
                 f"homology degree {contributing[p]}")
     return RigidityReport(True)
-
-
-def is_rigid(I, F=FieldSpec(0)):
-    """RigidityReport for a monomial ideal (via its lcm-lattice)."""
-    return rigidity_report(lcm_lattice(I), F)
-
-
-def contributing_index(P, q, F=FieldSpec(0)):
-    """The homological resolution index of q: i+2 for the unique i with
-    h_i ≠ 0.  Raises unless exactly one such i exists with rank one."""
-    ranks = interval_ranks(P, q, F)
-    if sum(ranks.values()) != 1:
-        raise ValueError(f"{sorted(q)} does not contribute with rank one: {ranks}")
-    ((i, _),) = ranks.items()
-    return i + 2

@@ -37,8 +37,7 @@ from pathlib import Path
 
 import jsonschema
 
-from .betti import (betti_numbers, betti_poset, lattice_betti_totals,
-                    rigidity_report)
+from .betti import betti_numbers, betti_poset, rigidity_report
 from .deform import search_rigid_deformation, simplicial_rigid_deformation
 from .frames import (GradedFreeResolution, relabel, resolve, scarf_complex,
                      taylor_betti, verify_resolution)
@@ -286,8 +285,12 @@ def _emit_json(payload, ns):
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", ns)
 
 
-def _totals_line(totals):
-    return "totals: " + ",".join(str(b) for b in totals) + "\n"
+def _emit_table(table, ns):
+    """The Betti table as JSON with --json, else its totals line."""
+    if ns.json:
+        _emit_json(validate_payload(table.to_json_dict(), "betti"), ns)
+    else:
+        _emit("totals: " + ",".join(map(str, table.totals())) + "\n", ns)
 
 
 def _yesno(flag):
@@ -323,22 +326,14 @@ def cmd_betti_poset(ns):
 
 
 def cmd_betti_numbers(ns):
-    path = ns.input
-    L, _ = _load_lattice(path)
-    if L.degrees is None:
-        if ns.json:
-            raise InputError(f"{path}: the graded table needs degree labels")
-        _emit(_totals_line(lattice_betti_totals(L, ns.field)), ns)
-        return 0
-    table = betti_numbers(L, ns.field)
-    if ns.json:
-        _emit_json(validate_payload(table.to_json_dict(), "betti"), ns)
-    else:
-        _emit(_totals_line(table.totals()), ns)
+    L, _ = _load_lattice(ns.input)
+    if ns.json and L.degrees is None:
+        raise InputError(f"{ns.input}: the graded table needs degree labels")
+    _emit_table(betti_numbers(L, ns.field), ns)
     return 0
 
 
-def cmd_is_rigid(ns):
+def cmd_rigidity(ns):
     L, _ = _load_lattice(ns.input)
     report = rigidity_report(L, ns.field)
     if report.rigid:
@@ -390,11 +385,7 @@ def cmd_verify(ns):
 
 def cmd_taylor(ns):
     I = _load_ideal(ns.input)
-    table = taylor_betti(I, ns.field)
-    if ns.json:
-        _emit_json(validate_payload(table.to_json_dict(), "betti"), ns)
-    else:
-        _emit(_totals_line(table.totals()), ns)
+    _emit_table(taylor_betti(I, ns.field), ns)
     return 0
 
 
@@ -473,14 +464,13 @@ def cmd_compare(ns):
         else:
             fwd = join_preserving_map(first, second)
             bwd = join_preserving_map(second, first)
-        print(f"first -> second: {'found' if fwd else 'none'}")
-        print(f"second -> first: {'found' if bwd else 'none'}")
-        if fwd is None and bwd is None:
-            print("none in either direction")
-            return 2
-        return 0
+        found = fwd is not None or bwd is not None
+        _emit(f"first -> second: {'found' if fwd else 'none'}\n"
+              f"second -> first: {'found' if bwd else 'none'}\n"
+              + ("" if found else "none in either direction\n"), ns)
+        return 0 if found else 2
     iso = is_isomorphic(first, second)
-    print("isomorphic" if iso else "not isomorphic")
+    _emit("isomorphic\n" if iso else "not isomorphic\n", ns)
     return 0 if iso else 2
 
 
@@ -541,7 +531,7 @@ def build_parser():
     p = sub.add_parser("is-rigid", parents=[common],
                        help="check the two rigidity conditions")
     p.add_argument("input", help=".ideal or .lattice file")
-    p.set_defaults(run=cmd_is_rigid)
+    p.set_defaults(run=cmd_rigidity)
 
     p = sub.add_parser("resolve", parents=[common],
                        help="minimal free resolution from the Betti poset, "

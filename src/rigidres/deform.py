@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .betti import betti_poset, lattice_betti_totals, rigidity_report
+from .betti import betti_numbers, betti_poset, rigidity_report
 from .frames import relabel, resolve, verify_resolution
 from .homology import FieldSpec, SimplicialComplex, homology_ranks
 from .posets import (
@@ -98,8 +98,8 @@ def certify_rigid_deformation(J, I, F=FieldSpec(0), memo=None):
     LJ = lcm_lattice(J)
     cert = Certificate()
     cert.rigid = rigidity_report(LJ, F, memo).rigid
-    cert.betti_preserved = (
-        lattice_betti_totals(LJ, F, memo) == lattice_betti_totals(LI, F, memo))
+    cert.betti_preserved = (betti_numbers(LJ, F, memo).totals()
+                            == betti_numbers(LI, F, memo).totals())
 
     BI, BJ = betti_poset(LI, F, memo), betti_poset(LJ, F, memo)
     iso = is_isomorphic(BJ, BI)
@@ -232,7 +232,7 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
     n = len(I.generators)
     family = set(L.elements)
     memo = {}
-    base = lattice_betti_totals(L, F, memo)
+    base = betti_numbers(L, F, memo).totals()
     outcome = SearchOutcome(base_totals=base)
 
     if rigidity_report(L, F, memo).rigid:
@@ -247,7 +247,7 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
         TB = None
     if TB is not None and set(TB.elements) != family:
         entry = ScanEntry(added=(), lattice_size=len(TB.elements),
-                          totals=lattice_betti_totals(TB, F, memo))
+                          totals=betti_numbers(TB, F, memo).totals())
         outcome.betti_poset_candidate = entry
         result = _certified_result(TB, L, F, memo, added=())
         if result is not None:
@@ -266,7 +266,7 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
         for combo in itertools.combinations(missing, r):
             T = meet_closure(family | set(combo), n)
             entry = ScanEntry(added=combo, lattice_size=len(T.elements),
-                              totals=lattice_betti_totals(T, F, memo))
+                              totals=betti_numbers(T, F, memo).totals())
             outcome.augmentation_log.append(entry)
             if entry.totals == base:
                 candidates.append((entry, T))

@@ -39,7 +39,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .betti import BettiTable, betti_poset, lattice_betti_totals
+from .betti import BettiTable, betti_numbers, betti_poset
 from .homology import (
     Chain,
     FieldSpec,
@@ -295,7 +295,8 @@ def verify_frame(frame, ambient):
             default=0)
         ranked = B.max_ranked(q)
         ranked_with_bottom = Poset(list(ranked.elements) + [bot])
-        predicted = len(lattice_betti_totals(ranked_with_bottom, F, memo)) - 1
+        predicted = len(
+            betti_numbers(ranked_with_bottom, F, memo).totals()) - 1
         if in_strand != predicted:
             report.length_mismatches.append((q, in_strand, predicted))
     return report

@@ -232,8 +232,8 @@ class FiniteAtomicLattice(Poset):
     """An intersection-closed inclusion family on atoms {0..n−1}
     containing ∅, the full set, and every singleton.  Meets are
     intersections; the join of a family is the smallest member
-    containing its union.  Optional degree labels attach a Monomial to
-    every element (as in lcm-lattices)."""
+    containing its union.  Optional degree labels attach a distinct
+    Monomial, all of one length, to every element (as in lcm-lattices)."""
 
     def __init__(self, members, n_atoms, degrees=None):
         super().__init__(members)
@@ -258,6 +258,10 @@ class FiniteAtomicLattice(Poset):
             self.degrees = {frozenset(e): Monomial(m) for e, m in degrees.items()}
             if set(self.degrees) != family:
                 raise ValueError("degree labels must cover exactly the elements")
+            labels = set(self.degrees.values())
+            if len(labels) != len(family) or len(set(map(len, labels))) > 1:
+                raise ValueError("degree labels must be distinct and of "
+                                 "equal length")
 
     def join(self, members):
         """Smallest element containing every given member: the family is

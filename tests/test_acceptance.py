@@ -18,9 +18,9 @@ import random
 import time
 
 from rigidres.betti import (betti_numbers, betti_poset, interval_ranks,
-                            is_contributor, is_rigid)
+                            rigidity_report)
 from rigidres.cli import main as cli_main
-from rigidres.deform import (lattice_betti_totals, search_rigid_deformation,
+from rigidres.deform import (search_rigid_deformation,
                              simplicial_rigid_deformation)
 from rigidres.frames import (build_frame, homogenize, relabel, scarf_complex,
                              taylor_betti, verify_frame, verify_resolution)
@@ -134,7 +134,7 @@ def test_criterion_03_silent_element_vs_max_ranked():
     dropped = set(L.elements) - kept - {L.bottom}
     assert len(dropped) == 9
     assert dropped <= set(B.elements)
-    assert all(is_contributor(L, q, Q) for q in dropped)
+    assert all(interval_ranks(L, q, Q) for q in dropped)
     # deleting the silent element leaves a ranked poset of length 3
     assert B.level(B.top) == 3
     assert len(B.max_ranked(B.top)) == len(B.elements) - 1 == 15
@@ -146,7 +146,7 @@ def test_criterion_04_rigid_construction_pipeline():
     instances = rigid_instances()
     assert len(instances) == 103
     for I, L, B, frame in instances:
-        assert bool(is_rigid(I, Q))
+        assert rigidity_report(I, Q).rigid
         assert frame.ranks() == taylor_betti(I, Q).totals()
         report = verify_frame(frame, ambient=L)
         assert report.is_complex and report.ok
@@ -176,7 +176,7 @@ def test_criterion_05_deletion_invariance_and_transfer():
             if q:
                 assert interval_ranks(lat, q, Q) == interval_ranks(B, q, Q)
         silent = [e for e in lat.elements
-                  if e and not is_contributor(lat, e, Q)]
+                  if e and not interval_ranks(lat, e, Q)]
         for p in silent:
             smaller = lat.without([p])
             deletions += 1
@@ -220,8 +220,8 @@ def test_criterion_08_simplicial_rigid_deformations():
         result = simplicial_rigid_deformation(I, X, Q)
         assert result.certificate.all_true
         T = result.target_lattice
-        assert (lattice_betti_totals(T, Q)
-                == lattice_betti_totals(face_lattice(X), Q))
+        assert (betti_numbers(T, Q).totals()
+                == betti_numbers(face_lattice(X), Q).totals())
         assert result.comparable_to_source  # join-preserving T -> L
     assert time.monotonic() - start < 10
 
@@ -229,7 +229,7 @@ def test_criterion_08_simplicial_rigid_deformations():
 def test_criterion_09_hexagon_negative_control():
     start = time.monotonic()
     I = parse_ideal(HEXAGON_TEXT)
-    assert not is_rigid(I, Q)
+    assert not rigidity_report(I, Q).rigid
     outcome = search_rigid_deformation(I, budget=1, F=Q)
     assert not outcome
     base = sum(outcome.base_totals)

@@ -6,20 +6,17 @@ from hypothesis import given, settings, strategies as st
 from rigidres.betti import (
     betti_numbers,
     betti_poset,
-    contributing_index,
     crosscut_complex,
     interval_ranks,
-    is_contributor,
-    is_rigid,
     rigidity_report,
 )
 from rigidres.homology import (FieldSpec, SimplicialComplex, homology_ranks,
                                reduced_homology)
-from rigidres.monomials import Monomial, parse_ideal
+from rigidres.monomials import Monomial, MonomialIdeal, minimalize, parse_ideal
 from rigidres.posets import (FiniteAtomicLattice, Poset, lcm_lattice,
                              meet_closure, order_complex)
 
-from test_frames import cycle_edge_ideal
+from test_frames import cycle_edge_ideal, resolution_index
 
 Q = FieldSpec(0)
 
@@ -153,13 +150,12 @@ def test_one_memo_serves_lattices_betti_posets_and_fragments(lattices):
 def test_atoms_always_contribute():
     lat = lcm_lattice(parse_ideal("x*y; y*z; z*w"))
     for a in lat.atoms():
-        assert is_contributor(lat, a)
         assert interval_ranks(lat, a) == {-1: 1}
 
 
 def test_path_ideal_top_does_not_contribute():
     lat = lcm_lattice(parse_ideal("x*y; y*z; z*w"))
-    assert not is_contributor(lat, lat.top)
+    assert interval_ranks(lat, lat.top) == {}
 
 
 def test_interval_ranks_rejects_bottom():
@@ -170,15 +166,15 @@ def test_interval_ranks_rejects_bottom():
 
 def test_twin_noncontributors(twin_a, twin_b):
     lat_a, lat_b = lcm_lattice(twin_a), lcm_lattice(twin_b)
-    silent_a = [e for e in lat_a.elements if e and not is_contributor(lat_a, e)]
-    silent_b = [e for e in lat_b.elements if e and not is_contributor(lat_b, e)]
+    silent_a = [e for e in lat_a.elements if e and not interval_ranks(lat_a, e)]
+    silent_b = [e for e in lat_b.elements if e and not interval_ranks(lat_b, e)]
     assert silent_a == [frozenset({1, 2, 3})]
     assert silent_b == [frozenset({0, 1, 2})]
 
 
 def test_squarefree17_unique_noncontributor(squarefree17):
     lat = lcm_lattice(squarefree17)
-    silent = [e for e in lat.elements if e and not is_contributor(lat, e)]
+    silent = [e for e in lat.elements if e and not interval_ranks(lat, e)]
     assert silent == [frozenset({0, 2, 5})]
 
 
@@ -240,32 +236,75 @@ def test_squarefree17_totals(squarefree17):
     assert len(table.entries) == 16
 
 
+def interval_fold(P, F, memo):
+    """Total Betti numbers folded straight from `interval_ranks`: one
+    generator at 0̂, and index i + 2 sums h_i over every (0̂, q)."""
+    totals = {0: 1}
+    for q in P.elements:
+        if q != P.bottom:
+            for i, h in interval_ranks(P, q, F, memo).items():
+                totals[i + 2] = totals.get(i + 2, 0) + h
+    return tuple(totals.get(i, 0) for i in range(max(totals) + 1))
+
+
+@given(st.lists(random_lattices(), min_size=1, max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_betti_totals_are_the_interval_fold(lattices):
+    memo = {}
+    for F in (Q, FieldSpec(2)):
+        for L in lattices:
+            B = betti_poset(L, F, memo)
+            for P in [L, B] + ranked_fragments(L) + ranked_fragments(B):
+                assert (betti_numbers(P, F, memo).totals()
+                        == interval_fold(P, F, memo)), P.elements
+
+
+def random_ideals():
+    """Small monomial ideals in three variables, generic or not."""
+    vectors = st.tuples(*[st.integers(0, 3)] * 3).filter(any)
+    return (st.lists(vectors, min_size=2, max_size=5)
+            .map(lambda gens: minimalize(Monomial(g) for g in gens))
+            .filter(lambda gens: len(gens) >= 2)
+            .map(lambda gens: MonomialIdeal(("x", "y", "z"), gens)))
+
+
+@given(random_ideals())
+@settings(max_examples=30, deadline=None)
+def test_labelled_and_unlabelled_lcm_lattices_have_equal_totals(I):
+    L = lcm_lattice(I)
+    unlabelled = FiniteAtomicLattice(L.elements, L.n_atoms)
+    for F in (Q, FieldSpec(2)):
+        labelled = betti_numbers(L, F)
+        assert labelled == betti_numbers(I, F)
+        assert labelled.totals() == betti_numbers(unlabelled, F).totals()
+
+
 # -- rigidity ----------------------------------------------------------------
 
 def test_koszul_is_rigid():
-    assert is_rigid(parse_ideal("x; y; z"))
+    assert rigidity_report(parse_ideal("x; y; z"))
 
 
 def test_quadratic_plane_is_rigid():
-    assert is_rigid(parse_ideal("x^2; x*y; y^2"))
+    assert rigidity_report(parse_ideal("x^2; x*y; y^2"))
 
 
 def test_hexagon_is_not_rigid(hexagon_ideal):
-    report = is_rigid(hexagon_ideal)
+    report = rigidity_report(hexagon_ideal)
     assert not report
     assert report.rule == "interval-multiplicity"
     assert report.witnesses == (frozenset(range(6)),)  # the top: h_2 = 2
 
 
 def test_twin_a_is_not_rigid(twin_a):
-    report = is_rigid(twin_a)
+    report = rigidity_report(twin_a)
     assert not report
     assert report.rule == "interval-multiplicity"
     assert report.witnesses == (frozenset({3, 4, 5}),)
 
 
 def test_squarefree17_not_rigid(squarefree17):
-    report = is_rigid(squarefree17)
+    report = rigidity_report(squarefree17)
     assert not report
 
 
@@ -275,22 +314,17 @@ def test_rigidity_report_truthiness():
 
 
 def test_contributing_index():
+    # q contributes in resolution index i + 2 for the h_i of (0̂, q)
     lat = lcm_lattice(parse_ideal("x; y; z"))
-    assert contributing_index(lat, frozenset({0})) == 1
-    assert contributing_index(lat, frozenset({0, 1})) == 2
-    assert contributing_index(lat, frozenset({0, 1, 2})) == 3
-
-
-def test_contributing_index_rejects_silent_elements():
-    lat = lcm_lattice(parse_ideal("x*y; y*z; z*w"))
-    with pytest.raises(ValueError):
-        contributing_index(lat, lat.top)
+    assert interval_ranks(lat, frozenset({0})) == {-1: 1}
+    assert interval_ranks(lat, frozenset({0, 1})) == {0: 1}
+    assert interval_ranks(lat, frozenset({0, 1, 2})) == {1: 1}
 
 
 def test_stratification_on_rigid_example():
     lat = lcm_lattice(parse_ideal("x^2; x*y; y^2"))
     b = betti_poset(lat)
-    idx = {q: contributing_index(lat, q) for q in b.elements if q}
+    idx = {q: resolution_index(lat, q) for q in b.elements if q}
     for p, q in itertools.combinations(idx, 2):
         if p < q:
             assert idx[p] < idx[q]
@@ -304,7 +338,7 @@ def test_stratification_on_rigid_example():
 @settings(max_examples=20, deadline=None)
 def test_deleting_a_silent_element_preserves_homology_above(data):
     lat = data.draw(random_lattices())
-    silent = [e for e in lat.elements if e and not is_contributor(lat, e)]
+    silent = [e for e in lat.elements if e and not interval_ranks(lat, e)]
     if not silent:
         return
     p = data.draw(st.sampled_from(silent))
@@ -318,7 +352,7 @@ def test_deleting_a_silent_element_preserves_homology_above(data):
 @settings(max_examples=20, deadline=None)
 def test_betti_poset_stable_under_silent_deletion(data):
     lat = data.draw(random_lattices())
-    silent = [e for e in lat.elements if e and not is_contributor(lat, e)]
+    silent = [e for e in lat.elements if e and not interval_ranks(lat, e)]
     if not silent:
         return
     p = data.draw(st.sampled_from(silent))

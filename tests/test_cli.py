@@ -107,6 +107,24 @@ def test_unlabeled_lattice_needs_no_degrees_for_totals(tmp_path, capsys):
     assert capsys.readouterr().out == "totals: 1,2,1\n"
 
 
+@pytest.mark.parametrize("degrees", [
+    [[0, 0], [1, 0], [1, 0], [1, 1]],  # two atoms share one label
+    [[0, 0], [1, 0], [0, 1], [1, 1, 0]],  # one label is longer
+], ids=["repeated", "unequal-length"])
+def test_bad_degree_labels_are_input_errors(tmp_path, capsys, degrees):
+    path = tmp_path / "square.lattice"
+    path.write_text(json.dumps({
+        "n_atoms": 2,
+        "supports": [[], [1], [2], [1, 2]],
+        "degrees": degrees,
+    }))
+    for command in ("betti-numbers", "export-dot"):
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: degree labels "
+                                           "must be distinct and of equal "
+                                           "length\n")
+
+
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -201,6 +219,22 @@ def test_compare_finds_the_deformation_direction(tmp_path, capsys):
     assert main(["deform-simplicial", triple, "-o", deformed]) == 0
     assert main(["compare", "--join-preserving", deformed, lat]) == 0
     assert "first -> second: found" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags,verdict", [
+    ([], "isomorphic\n"),
+    (["--join-preserving"], "first -> second: found\n"
+                            "second -> first: found\n"),
+], ids=["isomorphism", "join-preserving"])
+def test_compare_writes_its_verdict_to_the_output_file(tmp_path, capsys,
+                                                       flags, verdict):
+    ideal = ideal_file(tmp_path, "xyz.ideal", "x; y; z")
+    out = tmp_path / "verdict.txt"
+    assert main(["compare", ideal, ideal] + flags) == 0
+    assert capsys.readouterr().out == verdict
+    assert main(["compare", ideal, ideal, "-o", str(out)] + flags) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == verdict
 
 
 def test_compare_cycle_c8_and_path_p9_edge_ideals(tmp_path, capsys):

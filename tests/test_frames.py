@@ -15,10 +15,8 @@ from hypothesis import strategies as st
 from rigidres.betti import (
     betti_numbers,
     betti_poset,
-    contributing_index,
-    is_contributor,
-    is_rigid,
-    lattice_betti_totals,
+    interval_ranks,
+    rigidity_report,
 )
 from rigidres.frames import (
     Frame,
@@ -232,8 +230,8 @@ def test_frame_summary_names_the_first_strand_and_length_failures():
 
 def test_frame_length_of_boolean_poset():
     _, L, B, _ = pipeline("x; y; z")
-    assert len(lattice_betti_totals(B, Q)) - 1 == 3
-    assert len(lattice_betti_totals(L, Q)) - 1 == 3
+    assert len(betti_numbers(B, Q).totals()) - 1 == 3
+    assert len(betti_numbers(L, Q).totals()) - 1 == 3
 
 
 # --------------------------------------------------------------------------
@@ -419,13 +417,13 @@ def test_checkers_run_no_kernel_code(monkeypatch):
     frame = build_frame(B, Q)
     K = order_complex(B.open_interval(B.elements[-1]))
     table = taylor_betti(I, Q)
-    totals = {}
+    tables = {}
 
     def recorded(P, F, memo=None):
-        totals[P.elements] = lattice_betti_totals(P, F, memo)
-        return totals[P.elements]
+        tables[P.elements] = betti_numbers(P, F, memo)
+        return tables[P.elements]
 
-    monkeypatch.setattr(frames, "lattice_betti_totals", recorded)
+    monkeypatch.setattr(frames, "betti_numbers", recorded)
     assert verify_frame(frame, ambient=L).ok
 
     def kernel_called(*args, **kwargs):
@@ -440,8 +438,8 @@ def test_checkers_run_no_kernel_code(monkeypatch):
     assert verify_resolution(res).ok
     # the length check predicts lengths by interval homology, as the
     # frame does; only its predictions are replayed here
-    monkeypatch.setattr(frames, "lattice_betti_totals",
-                        lambda P, F, memo=None: totals[P.elements])
+    monkeypatch.setattr(frames, "betti_numbers",
+                        lambda P, F, memo=None: tables[P.elements])
     assert verify_frame(frame, ambient=L).ok
 
 
@@ -512,7 +510,7 @@ def test_scarf_faces_are_contributing_lattice_elements(squarefree17):
             if not face:
                 continue
             assert frozenset(face) in members
-            assert is_contributor(L, frozenset(face), Q)
+            assert interval_ranks(L, frozenset(face), Q)
 
 
 def test_path_scarf_matches_betti_poset():
@@ -525,8 +523,17 @@ def test_path_scarf_matches_betti_poset():
 # --------------------------------------------------------------------------
 # laws that rigid frames must satisfy
 
+def resolution_index(P, q, F=Q):
+    """i + 2 for the homological index i of (0̂, q), which must carry
+    exactly one rank-one homology group."""
+    ranks = interval_ranks(P, q, F)
+    assert sum(ranks.values()) == 1, (sorted(q), ranks)
+    ((i, _),) = ranks.items()
+    return i + 2
+
+
 def assert_rigid_frame_laws(L, B, fr):
-    index = {q: contributing_index(B, q, Q)
+    index = {q: resolution_index(B, q)
              for q in B.elements if q != B.bottom}
     for p, q in B.cover_pairs():
         if p == B.bottom:
@@ -548,7 +555,7 @@ def assert_rigid_frame_laws(L, B, fr):
 ])
 def test_rigid_laws_on_fixtures(text):
     I, L, B, fr = pipeline(text)
-    assert bool(is_rigid(I, Q))
+    assert rigidity_report(I, Q).rigid
     assert_rigid_frame_laws(L, B, fr)
 
 
@@ -558,7 +565,7 @@ def test_random_generic_ideals_resolve_minimally(seed):
     rng = random.Random(seed)
     I = random_generic_ideal(rng, max_generators=5)
     L = lcm_lattice(I)
-    assert bool(is_rigid(I, Q))
+    assert rigidity_report(I, Q).rigid
     B = betti_poset(L, Q)
     fr = build_frame(B, Q)
     assert fr.ranks() == taylor_betti(I, Q).totals()

@@ -11,9 +11,17 @@ The twin, 17-element and hexagon fixtures run ``deform-simplicial`` on
 their Scarf complexes, which do not support their resolutions (exit 1,
 no file); the path ideal adds a deformation that succeeds and writes
 its target lattice with both deform commands.
+
+A second table, ``READERS``, freezes the commands that read interval
+homology without a degree-labelled input: ``is-rigid`` and
+``betti-poset`` on the ideal, and ``betti-numbers`` with and without
+``--json`` on the lcm-lattice with its ``degrees`` key removed (with
+``--json`` that is the exit-1 refusal, whose message names the file, so
+the temporary directory is cut from the captured text before hashing).
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -47,19 +55,38 @@ def _commands(ideal, target, lattice, out, facets):
     }
 
 
-def command_digests(name, characteristic, directory, capsys):
-    """{command: sha256 hex} for one fixture in one characteristic."""
-    text, target_text, facets = FIXTURES[name]
-    ideal = directory / f"{name}.ideal"
-    target = directory / f"{name}-target.ideal"
-    lattice = directory / f"{name}.lattice"
-    out = directory / "out"
-    ideal.write_text(text + "\n")
-    target.write_text(target_text + "\n")
-    assert main(["lcm-lattice", str(ideal), "-o", str(lattice)]) == 0
+def _reader_commands(ideal, unlabelled):
+    return {
+        "is-rigid": ["is-rigid", ideal],
+        "betti-poset": ["betti-poset", ideal],
+        "betti-numbers-unlabelled": ["betti-numbers", unlabelled],
+        "betti-numbers-unlabelled-json": ["betti-numbers", unlabelled,
+                                          "--json"],
+    }
+
+
+def _write_inputs(name, directory, capsys):
+    """The fixture's ideal, target ideal, lcm-lattice and the lattice
+    with its degrees removed, written into directory."""
+    text, target_text, _ = FIXTURES[name]
+    paths = {kind: directory / f"{name}{suffix}" for kind, suffix in (
+        ("ideal", ".ideal"), ("target", "-target.ideal"),
+        ("lattice", ".lattice"), ("unlabelled", "-unlabelled.lattice"))}
+    paths["ideal"].write_text(text + "\n")
+    paths["target"].write_text(target_text + "\n")
+    assert main(["lcm-lattice", str(paths["ideal"]),
+                 "-o", str(paths["lattice"])]) == 0
     capsys.readouterr()
-    commands = _commands(str(ideal), str(target), str(lattice), str(out),
-                         facets)
+    payload = json.loads(paths["lattice"].read_text())
+    del payload["degrees"]
+    paths["unlabelled"].write_text(json.dumps(payload))
+    return {kind: str(path) for kind, path in paths.items()}
+
+
+def _digests(commands, characteristic, directory, capsys):
+    """{label: sha256 hex} over exit code, stdout, stderr (with the
+    directory's name cut out) and the file written to directory/out."""
+    out = directory / "out"
     digests = {}
     for label, argv in commands.items():
         if out.exists():
@@ -67,10 +94,27 @@ def command_digests(name, characteristic, directory, capsys):
         code = main(argv + ["--char", str(characteristic)])
         captured = capsys.readouterr()
         written = out.read_bytes() if out.exists() else b"<no file>"
-        record = b"\0".join([str(code).encode(), captured.out.encode(),
-                             captured.err.encode(), written])
+        stdout, stderr = (text.replace(str(directory), "<tmp>")
+                          for text in (captured.out, captured.err))
+        record = b"\0".join([str(code).encode(), stdout.encode(),
+                             stderr.encode(), written])
         digests[label] = hashlib.sha256(record).hexdigest()
     return digests
+
+
+def command_digests(name, characteristic, directory, capsys):
+    """{command: sha256 hex} for one fixture in one characteristic."""
+    paths = _write_inputs(name, directory, capsys)
+    commands = _commands(paths["ideal"], paths["target"], paths["lattice"],
+                         str(directory / "out"), FIXTURES[name][2])
+    return _digests(commands, characteristic, directory, capsys)
+
+
+def reader_digests(name, characteristic, directory, capsys):
+    """{command: sha256 hex} of the ``READERS`` commands."""
+    paths = _write_inputs(name, directory, capsys)
+    commands = _reader_commands(paths["ideal"], paths["unlabelled"])
+    return _digests(commands, characteristic, directory, capsys)
 
 
 GOLDEN = {
@@ -209,3 +253,93 @@ GOLDEN = {
 def test_cli_outputs_are_frozen(name, characteristic, tmp_path, capsys):
     got = command_digests(name, characteristic, tmp_path, capsys)
     assert got == GOLDEN[(name, characteristic)]
+
+
+READERS = {
+    ('twin', 0): {
+        'is-rigid':
+            'a553dde4e62c62ab7dc5051c4cd0f4657c890461731a89d07656c1cfb204f344',
+        'betti-poset':
+            '01de07f9105373a6693784942b92c4fe2b6b03328a7f6399a8db6d71d538496c',
+        'betti-numbers-unlabelled':
+            '0f8692b2a0d411b36a5054e0b666352cd49355a5f1e87f189865484bcf352c67',
+        'betti-numbers-unlabelled-json':
+            '82efc10265c70f0075d16a57fcc44c3d0569417d60c5f14074969e4c96388c12',
+    },
+    ('twin', 2): {
+        'is-rigid':
+            'a553dde4e62c62ab7dc5051c4cd0f4657c890461731a89d07656c1cfb204f344',
+        'betti-poset':
+            '01de07f9105373a6693784942b92c4fe2b6b03328a7f6399a8db6d71d538496c',
+        'betti-numbers-unlabelled':
+            '0f8692b2a0d411b36a5054e0b666352cd49355a5f1e87f189865484bcf352c67',
+        'betti-numbers-unlabelled-json':
+            '82efc10265c70f0075d16a57fcc44c3d0569417d60c5f14074969e4c96388c12',
+    },
+    ('squarefree17', 0): {
+        'is-rigid':
+            'd456e71f2d9ebf551f996ec30b0a2e9f30fb74d3b21914c4a95a36cb6f6ace37',
+        'betti-poset':
+            'e18f31fa00e548f804f5ae24cffe8be4460ce79a7cb07891a55af94e3f170fc4',
+        'betti-numbers-unlabelled':
+            '0d37e4b9353258aeeaff4c73ab22ed1c252f41259da8415a0b1471ffe4ebcb97',
+        'betti-numbers-unlabelled-json':
+            'c759dda7be4688068f038ac6a1bb08eef401f7a1a74db7ddae173423fefa9563',
+    },
+    ('squarefree17', 2): {
+        'is-rigid':
+            'd456e71f2d9ebf551f996ec30b0a2e9f30fb74d3b21914c4a95a36cb6f6ace37',
+        'betti-poset':
+            'e18f31fa00e548f804f5ae24cffe8be4460ce79a7cb07891a55af94e3f170fc4',
+        'betti-numbers-unlabelled':
+            '0d37e4b9353258aeeaff4c73ab22ed1c252f41259da8415a0b1471ffe4ebcb97',
+        'betti-numbers-unlabelled-json':
+            'c759dda7be4688068f038ac6a1bb08eef401f7a1a74db7ddae173423fefa9563',
+    },
+    ('hexagon', 0): {
+        'is-rigid':
+            '27211d422b26d513c29548aaa01551807c533afeaa796db00bd6ae775ae30635',
+        'betti-poset':
+            '48e5ce0f81a1b39e31e00b5515e89344cb76a6a4a60148b4971239546d404793',
+        'betti-numbers-unlabelled':
+            '603cf33a6573a1422b6369e785fb9a989cc15aaf6300b8768726d18fdce13290',
+        'betti-numbers-unlabelled-json':
+            '25cee28bfb763d55030c8166117a4229907c9257b644f4266d4b91b016371aee',
+    },
+    ('hexagon', 2): {
+        'is-rigid':
+            '27211d422b26d513c29548aaa01551807c533afeaa796db00bd6ae775ae30635',
+        'betti-poset':
+            '48e5ce0f81a1b39e31e00b5515e89344cb76a6a4a60148b4971239546d404793',
+        'betti-numbers-unlabelled':
+            '603cf33a6573a1422b6369e785fb9a989cc15aaf6300b8768726d18fdce13290',
+        'betti-numbers-unlabelled-json':
+            '25cee28bfb763d55030c8166117a4229907c9257b644f4266d4b91b016371aee',
+    },
+    ('path', 0): {
+        'is-rigid':
+            '047595aa9f44911f122d1bd05b5c97514269d254db2786fef29d91df84a5273b',
+        'betti-poset':
+            '0ea69bdf2d4272a677cc0e20662872f11cbbc73a49070c126f7573463f9fd2f6',
+        'betti-numbers-unlabelled':
+            'ef0ab55144e5bac4fff5f976bdcc860aacf5ace1b8f6fd3f3c4e41a3107119e4',
+        'betti-numbers-unlabelled-json':
+            'acd2da8ea40b554cf4e5ec23f608e67bb8e3bff3701f474ef153c7f20e66ab4c',
+    },
+    ('path', 2): {
+        'is-rigid':
+            '047595aa9f44911f122d1bd05b5c97514269d254db2786fef29d91df84a5273b',
+        'betti-poset':
+            '0ea69bdf2d4272a677cc0e20662872f11cbbc73a49070c126f7573463f9fd2f6',
+        'betti-numbers-unlabelled':
+            'ef0ab55144e5bac4fff5f976bdcc860aacf5ace1b8f6fd3f3c4e41a3107119e4',
+        'betti-numbers-unlabelled-json':
+            'acd2da8ea40b554cf4e5ec23f608e67bb8e3bff3701f474ef153c7f20e66ab4c',
+    },
+}
+
+
+@pytest.mark.parametrize("name,characteristic", sorted(READERS))
+def test_interval_readers_are_frozen(name, characteristic, tmp_path, capsys):
+    got = reader_digests(name, characteristic, tmp_path, capsys)
+    assert got == READERS[(name, characteristic)]
