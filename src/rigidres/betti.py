@@ -9,9 +9,10 @@ keyed by its degree, these are the multigraded Betti numbers of the
 quotient by the ideal.
 
 Rank-only queries on atomic lattices take a shortcut: the interval
-(0̂, q) deformation-retracts onto the nerve of its atoms, the complex
-generated by the elements strictly below q ("crosscut" complex).  That
-complex lives on ≤ n vertices instead of the whole interval, and the
+(0̂, q) has the homology of its coatom crosscut, the nerve of the
+maximal elements strictly below q, whose faces are the sets of them
+with a nonempty intersection (`crosscut_complex`).  That complex lives
+on the coatoms of the interval instead of the whole interval, and the
 equality of ranks is itself property-tested against the order-complex
 route.  Ranks come from the rank-only path `homology_ranks`.  They
 depend only on the set of elements inside the interval, so a caller
@@ -37,40 +38,59 @@ from .posets import (
 )
 
 
-def crosscut_complex(L, q):
-    """The crosscut complex of (0̂, q): the atom sets whose join is
-    strictly below q, homotopy-equivalent to the order complex of the
-    open interval.
+def crosscut_complex(inside):
+    """The coatom crosscut of an interval of an atomic lattice, given
+    the elements strictly between 0̂ and its top (`inside`).
 
-    L is intersection-closed with bottom ∅, so an atom set has its join
-    below q exactly when it lies inside some element strictly between
-    ∅ and q: the complex is the one generated by those elements.
+    Its vertices 0…k−1 are the maximal members of `inside` (the coatoms
+    of the interval) in canonical order, and its faces are the index
+    sets whose coatoms have a nonempty intersection.  Faces are
+    enumerated level by level, each level in lexicographic order: a
+    face extends a face of the level below by a larger index, so the
+    family is closed and already in face order.
 
     >>> from rigidres.monomials import parse_ideal
     >>> from rigidres.posets import lcm_lattice
     >>> L = lcm_lattice(parse_ideal("x; y; z"))
-    >>> crosscut_complex(L, frozenset({0, 1, 2}))
+    >>> crosscut_complex(frozenset(p for p in L.elements if p and p != L.top))
     SimplicialComplex[{0, 1}, {0, 2}, {1, 2}]
-    >>> crosscut_complex(L, frozenset({0}))
+    >>> crosscut_complex(frozenset())
     SimplicialComplex[{}]
     """
-    return SimplicialComplex(p for p in L.elements if p and p < q)
+    coatoms = []
+    for p in sorted(inside, key=len, reverse=True):
+        if not any(p < c for c in coatoms):
+            coatoms.append(p)
+    # atom sets as bit masks, in canonical order
+    masks = [sum(1 << a for a in c) for c in sorted(coatoms, key=element_key)]
+    k = len(masks)
+    levels = [[frozenset()]]
+    level = [((j,), m) for j, m in enumerate(masks)]
+    while level:
+        levels.append([frozenset(t) for t, _ in level])
+        level = [(t + (j,), m & masks[j]) for t, m in level
+                 for j in range(t[-1] + 1, k) if m & masks[j]]
+    return SimplicialComplex._closed(levels)
 
 
 def interval_ranks(P, q, F=FieldSpec(0), memo=None):
     """Reduced homology ranks {i: h_i} of the open interval (0̂, q).
 
     The ranks are looked up in, and stored into, `memo` (a dict owned
-    by the caller, or None) under (the frozenset of elements strictly
-    between 0̂ and q, characteristic).  On an atomic lattice they come
-    from the complex generated by that set (`crosscut_complex`), on any
-    other poset from its order complex.  The key is sound across both
-    routes: both order the same set by inclusion, and a set that comes
-    from an intersection-closed family is closed under nonempty
-    intersections.  Sending a face of the generated complex to the
-    least member containing it then has contractible fibres, so by
-    Quillen's fibre lemma the generated complex has the homology of the
-    order complex.
+    by the caller, or None) under (the frozenset `inside` of elements
+    strictly between 0̂ and q, characteristic).  On an atomic lattice
+    they come from the coatom crosscut of `inside` (`crosscut_complex`),
+    on any other poset from its order complex.  The key is sound across
+    both routes, because both give the homology of the order complex
+    of `inside`.  On a lattice, `inside` is closed under nonempty
+    intersections, since the family is intersection-closed with bottom
+    ∅.  Every chain of `inside` then lies below its top element, and so
+    below some maximal member c.  The chains below c form a cone with
+    apex c.  The chains below c_1, …, c_r are those below c_1 ∩ … ∩ c_r
+    when that intersection is nonempty, a cone again, and there are none
+    otherwise.  By the nerve lemma, the order complex has the homology
+    of the nerve of these cones, which is the coatom crosscut
+    (Björner's crosscut theorem for the coatoms).
     """
     q = frozenset(q)
     bot = P.bottom
@@ -82,7 +102,7 @@ def interval_ranks(P, q, F=FieldSpec(0), memo=None):
     key = (inside, F.characteristic)
     if key not in memo:
         if isinstance(P, FiniteAtomicLattice):
-            K = crosscut_complex(P, q)
+            K = crosscut_complex(inside)
         else:
             K = order_complex(Poset(inside))
         memo[key] = homology_ranks(K, F)

@@ -242,14 +242,19 @@ def _load_lattice(path):
 
 def _load_family(path):
     """Like _load_lattice but tolerates non-lattice families (saved Betti
-    posets, say) by falling back to a plain Poset."""
+    posets, say) by falling back to a plain Poset.  Bad degree labels on
+    an atomic lattice are an input error."""
     text = str(path)
     if text.endswith(".lattice"):
         supports, n, degrees = family_from_json(_read_json(path))
         try:
             return FiniteAtomicLattice(supports, n, degrees)
-        except ValueError:
-            return Poset(supports)
+        except ValueError as err:
+            try:
+                FiniteAtomicLattice(supports, n)
+            except ValueError:
+                return Poset(supports)
+            raise InputError(f"{path}: {err}") from None
     lattice, _ = _load_lattice(path)
     return lattice
 

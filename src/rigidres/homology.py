@@ -19,7 +19,9 @@ All of it runs on one sparse elimination kernel (`Elimination`):
     pivots are the reducer for H̃_{i−1}, and the columns that reduce to
     zero give the cycles that become representatives of H̃_i;
   - `homology_ranks` is the rank-only path: h_i = n_i − rank ∂_i −
-    rank ∂_{i+1}, with no combinations tracked.
+    rank ∂_{i+1}, with no combinations tracked.  It eliminates from the
+    top dimension down with clearing (Chen–Kerber): a column of ∂_i
+    whose face is a pivot row of ∂_{i+1} is never built or reduced.
 
 A representative is the cycle f − (its unique expression over the
 earlier independent faces), scaled to coefficient 1 on its face f; the
@@ -150,14 +152,28 @@ class SimplicialComplex:
             closed.add(f)
             for v in f:
                 stack.append(f - {v})
-        self.faces = frozenset(closed)
-        self.vertices = tuple(sorted({v for f in closed for v in f}, key=vertex_key))
-        self.dim = max((len(f) for f in closed)) - 1
-        self._by_dim = {}
+        levels = [[] for _ in range(max(map(len, closed)) + 1)]
         for f in closed:
-            self._by_dim.setdefault(len(f) - 1, []).append(f)
-        for fs in self._by_dim.values():
+            levels[len(f)].append(f)
+        for fs in levels:
             fs.sort(key=face_key)
+        self._set_levels(levels)
+
+    @classmethod
+    def _closed(cls, levels):
+        """The complex whose i-faces are levels[i + 1], for a family
+        already closed under subsets and with every level already in
+        face order; neither is checked or redone."""
+        K = cls.__new__(cls)
+        K._set_levels(levels)
+        return K
+
+    def _set_levels(self, levels):
+        self.faces = frozenset(itertools.chain.from_iterable(levels))
+        self.dim = len(levels) - 2
+        # the 0-faces in face order are the vertices in vertex order
+        self.vertices = tuple(v for (v,) in levels[1]) if self.dim >= 0 else ()
+        self._by_dim = {i - 1: fs for i, fs in enumerate(levels)}
 
     def faces_of_dim(self, i):
         """Faces with i+1 vertices, in the fixed lexicographic order."""
@@ -176,17 +192,6 @@ class SimplicialComplex:
         facets = [f for f in self.faces if not any(f < g for g in self.faces)]
         inner = ", ".join(str(set(f) or "{}") for f in sorted(facets, key=face_key))
         return f"SimplicialComplex[{inner}]"
-
-    def euler_characteristic_reduced(self):
-        """Σ (−1)^i (#i-faces), counting ∅ in degree −1."""
-        return sum((-1) ** (len(f) - 1) for f in self.faces)
-
-
-def cone(apex, K):
-    """The cone apex ∗ K (apex must be a fresh vertex)."""
-    if apex in K.vertices:
-        raise ValueError("cone apex already a vertex")
-    return SimplicialComplex([f | {apex} for f in K.faces])
 
 
 @dataclass
@@ -292,24 +297,29 @@ class SpanBasis:
 def _integer_boundaries(K, p):
     """K with integer row ids: for each i from −1 to dim K, the i-faces
     in the fixed face order (a face's id is its position), the id of
-    each face, and the columns of ∂_i as {(i−1)-face id: ±1}, with −1
-    written as p − 1 over GF(p)."""
-    rank = {v: r for r, v in enumerate(K.vertices)}
+    each face, and the boundary `column(f)` of an i-face as
+    {(i−1)-face id: ±1}, with −1 written as p − 1 over GF(p).  Columns
+    are built on request, so a pass that skips a face never builds its
+    column."""
+    rank = {v: r for r, v in enumerate(K.vertices)}.__getitem__
     minus = p - 1 if p else -1
+    levels = []
     below = None
     for i in range(-1, K.dim + 1):
         faces = K.faces_of_dim(i)
         index = {f: k for k, f in enumerate(faces)}
-        columns = []
-        for f in faces:
+
+        def column(f, below=below):
             col = {}
             sign = 1
-            for v in sorted(f, key=rank.__getitem__):
+            for v in sorted(f, key=rank):
                 col[below[f - {v}]] = sign
                 sign = minus if sign == 1 else 1
-            columns.append(col)
-        yield i, faces, index, columns
+            return col
+
+        levels.append((i, faces, index, column))
         below = index
+    return levels
 
 
 def _axpy(target, m, source, p):
@@ -425,23 +435,35 @@ class HomologyBasis:
 
 def homology_ranks(K, F=FieldSpec(0)):
     """Ranks {i: h_i} of the nonzero reduced homology of K over F,
-    h_i = #i-faces − rank ∂_i − rank ∂_{i+1}, without representatives.
+    h_i = #i-faces − rank ∂_i − rank ∂_{i+1}, without representatives,
+    in ascending degree.
+
+    The boundaries are eliminated from the top dimension down, with
+    clearing: a column of ∂_i whose face is the pivot row of a column
+    stored for ∂_{i+1} is skipped.  This leaves rank ∂_i unchanged.  The
+    stored columns of ∂_{i+1} have distinct pivots, each its column's
+    smallest row, so on their set P of pivot rows they form a triangular
+    matrix with nonzero diagonal.  For f in P some combination b of
+    them, a boundary, therefore has coefficient 1 at f and 0 at the
+    rest of P.  Since ∂_i b = 0, ∂_i f = ∂_i (f − b), and f − b lies on
+    faces outside P.  So the kept columns span im ∂_i.
 
     >>> homology_ranks(SimplicialComplex([{1, 2}, {2, 3}, {1, 3}]))
     {1: 1}
     """
     p = F.characteristic
-    sizes, rank = {}, {}
-    for i, faces, _, columns in _integer_boundaries(K, p):
-        elimination = Elimination(p)
-        sizes[i] = len(faces)
-        rank[i] = sum(elimination.insert(col) is not None for col in columns)
     ranks = {}
-    for i, n in sizes.items():
-        h = n - rank[i] - rank.get(i + 1, 0)
+    cleared = {}  # pivot rows of the columns stored for ∂_{i+1}
+    for i, faces, _, column in reversed(_integer_boundaries(K, p)):
+        elimination = Elimination(p)
+        for k, f in enumerate(faces):
+            if k not in cleared:
+                elimination.insert(column(f))
+        h = len(faces) - len(elimination.pivots) - len(cleared)
         if h:
             ranks[i] = h
-    return ranks
+        cleared = elimination.pivots
+    return dict(sorted(ranks.items()))
 
 
 def _field_chain(i, vec, d, faces, p):
@@ -472,13 +494,13 @@ def reduced_homology(K, F=FieldSpec(0)):
     basis = HomologyBasis()
     below = None  # (i − 1, its faces and ids, the cycles of ∂_{i−1})
     passes = itertools.chain(_integer_boundaries(K, p),
-                             [(K.dim + 1, [], {}, [])])
-    for i, faces, index, columns in passes:
+                             [(K.dim + 1, [], {}, None)])
+    for i, faces, index, column in passes:
         tagged = Elimination(p)
         cycles = []
-        for k, col in enumerate(columns):
+        for k, f in enumerate(faces):
             combo = {k: 1}
-            if tagged.insert(col, combo) is None:
+            if tagged.insert(column(f), combo) is None:
                 cycles.append((k, combo))
         if below is not None:
             j, faces_j, index_j, cycles_j = below

@@ -41,15 +41,34 @@ def random_lattices():
 
 # -- crosscut shortcut -------------------------------------------------------
 
+def interval_content(L, q):
+    """The elements strictly between 0̂ and q, as `interval_ranks`
+    keys them and hands them to `crosscut_complex`."""
+    return frozenset(p for p in L.elements if p and p < q)
+
+
+def coatom_crosscut(L, q):
+    return crosscut_complex(interval_content(L, q))
+
+
+def atom_crosscut(L, q):
+    """The reference: the atom crosscut complex of (0̂, q), the atom sets
+    whose join is strictly below q.  L is intersection-closed with
+    bottom ∅, so an atom set has its join below q exactly when it lies
+    inside some element strictly between ∅ and q: the complex is the
+    one generated by those elements."""
+    return SimplicialComplex(p for p in L.elements if p and p < q)
+
+
 def test_crosscut_of_atom_is_empty_complex():
     lat = lcm_lattice(parse_ideal("x; y"))
-    K = crosscut_complex(lat, frozenset({0}))
+    K = coatom_crosscut(lat, frozenset({0}))
     assert K.faces == frozenset({frozenset()})
 
 
 def test_crosscut_of_boolean_top_is_sphere():
     lat = lcm_lattice(parse_ideal("x; y; z"))
-    K = crosscut_complex(lat, frozenset({0, 1, 2}))
+    K = coatom_crosscut(lat, frozenset({0, 1, 2}))
     assert reduced_homology(K, Q).ranks == {1: 1}
 
 
@@ -64,7 +83,7 @@ def enumerated_crosscut(L, q):
 def assert_crosscut_is_enumerated(L):
     for q in L.elements:
         if q:
-            assert crosscut_complex(L, q) == enumerated_crosscut(L, q), \
+            assert atom_crosscut(L, q) == enumerated_crosscut(L, q), \
                 sorted(q)
 
 
@@ -99,7 +118,7 @@ def test_crosscut_is_the_complex_generated_below_q_on_closures(
 def test_crosscut_matches_order_complex(data):
     lat = data.draw(random_lattices())
     q = data.draw(st.sampled_from([e for e in lat.elements if e]))
-    via_crosscut = reduced_homology(crosscut_complex(lat, q), Q).ranks
+    via_crosscut = reduced_homology(coatom_crosscut(lat, q), Q).ranks
     via_chains = reduced_homology(order_complex(lat.open_interval(q)), Q).ranks
     assert via_crosscut == via_chains
 
@@ -109,8 +128,55 @@ def test_crosscut_matches_order_complex_on_twin(twin_a):
     for q in lat.elements:
         if not q:
             continue
-        assert reduced_homology(crosscut_complex(lat, q), Q).ranks == \
+        assert reduced_homology(coatom_crosscut(lat, q), Q).ranks == \
             reduced_homology(order_complex(lat.open_interval(q)), Q).ranks
+
+
+@given(random_lattices())
+@settings(max_examples=50, deadline=None)
+def test_coatom_crosscut_ranks_match_the_atom_crosscut_and_chains(lat):
+    for F in (Q, FieldSpec(2)):
+        for q in lat.elements:
+            if q:
+                ranks = homology_ranks(coatom_crosscut(lat, q), F)
+                assert ranks == homology_ranks(atom_crosscut(lat, q), F)
+                assert ranks == homology_ranks(
+                    order_complex(lat.open_interval(q)), F), sorted(q)
+
+
+@pytest.mark.parametrize("n,coatom,atom", [(6, 145, 193), (8, 961, 1377)],
+                         ids=["hexagon", "C8"])
+def test_interval_ranks_build_the_coatom_crosscut(n, coatom, atom):
+    # faces (with ∅) over all intervals: the route is the coatom one
+    L = lcm_lattice(cycle_edge_ideal(n))
+    intervals = [q for q in L.elements if q]
+    assert sum(len(coatom_crosscut(L, q).faces) for q in intervals) == coatom
+    assert sum(len(atom_crosscut(L, q).faces) for q in intervals) == atom
+
+
+def assert_closed_path_matches_constructor(K):
+    built = SimplicialComplex(K.faces)
+    assert K.faces == built.faces
+    assert K.vertices == built.vertices and K.dim == built.dim
+    for i in range(-1, K.dim + 2):
+        assert K.faces_of_dim(i) == built.faces_of_dim(i)
+
+
+def test_closed_path_matches_constructor_on_fixtures(squarefree17,
+                                                     hexagon_ideal):
+    for I in (squarefree17, hexagon_ideal):
+        L = lcm_lattice(I)
+        for q in L.elements:
+            if q:
+                assert_closed_path_matches_constructor(coatom_crosscut(L, q))
+
+
+@given(random_lattices())
+@settings(max_examples=50, deadline=None)
+def test_closed_path_matches_constructor(lat):
+    for q in lat.elements:
+        if q:
+            assert_closed_path_matches_constructor(coatom_crosscut(lat, q))
 
 
 # -- one memo across posets --------------------------------------------------
@@ -140,7 +206,7 @@ def test_one_memo_serves_lattices_betti_posets_and_fragments(lattices):
                     continue
                 fresh = homology_ranks(order_complex(P.open_interval(q)), F)
                 if isinstance(P, FiniteAtomicLattice):
-                    assert homology_ranks(crosscut_complex(P, q), F) == fresh
+                    assert homology_ranks(coatom_crosscut(P, q), F) == fresh
                 assert interval_ranks(P, q, F, memo) == fresh, sorted(q)
     assert {char for _, char in memo} == {0, 2}
 

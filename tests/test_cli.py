@@ -211,6 +211,30 @@ def test_compare_join_preserving_needs_lattices(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_compare_reads_a_betti_poset_that_is_not_a_lattice(tmp_path,
+                                                          capsys):
+    hexagon = ideal_file(tmp_path, "hexagon.ideal", HEXAGON_TEXT)
+    b = str(tmp_path / "b.lattice")
+    assert main(["betti-poset", hexagon, "-o", b]) == 0  # not a lattice
+    capsys.readouterr()
+    assert main(["compare", b, b]) == 0
+    assert capsys.readouterr().out == "isomorphic\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--join-preserving"]],
+                         ids=["isomorphism", "join-preserving"])
+def test_compare_names_repeated_degree_labels(tmp_path, capsys, flags):
+    path = tmp_path / "square.lattice"
+    path.write_text(json.dumps({
+        "n_atoms": 2,
+        "supports": [[], [1], [2], [1, 2]],
+        "degrees": [[0, 0], [1, 0], [1, 0], [1, 1]],
+    }))
+    assert main(["compare", str(path), str(path)] + flags) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: degree labels must "
+                                       "be distinct and of equal length\n")
+
+
 def test_compare_finds_the_deformation_direction(tmp_path, capsys):
     triple = ideal_file(tmp_path, "triple.ideal", "x^2; x*y; y^2")
     lat = str(tmp_path / "t.lattice")

@@ -163,9 +163,9 @@ def record_interval_contents(monkeypatch):
     computed = []
     crosscut, order = betti.crosscut_complex, betti.order_complex
 
-    def recorded_crosscut(L, q):
-        computed.append(interval_content(L, q))
-        return crosscut(L, q)
+    def recorded_crosscut(inside):
+        computed.append(inside)
+        return crosscut(inside)
 
     def recorded_order(fragment):
         computed.append(frozenset(fragment.elements))
