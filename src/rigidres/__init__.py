@@ -31,7 +31,6 @@ from .posets import (  # noqa: F401
     PosetMap,
     coordinatize,
     element_key,
-    exists_join_preserving,
     face_lattice,
     is_isomorphic,
     join_preserving_map,

@@ -52,7 +52,7 @@ def crosscut_complex(inside):
     >>> from rigidres.monomials import parse_ideal
     >>> from rigidres.posets import lcm_lattice
     >>> L = lcm_lattice(parse_ideal("x; y; z"))
-    >>> crosscut_complex(frozenset(p for p in L.elements if p and p != L.top))
+    >>> crosscut_complex(frozenset(L.below(L.top)) - {L.bottom})
     SimplicialComplex[{0, 1}, {0, 2}, {1, 2}]
     >>> crosscut_complex(frozenset())
     SimplicialComplex[{}]
@@ -98,7 +98,7 @@ def interval_ranks(P, q, F=FieldSpec(0), memo=None):
         raise ValueError("the interval below the bottom element is undefined")
     if memo is None:
         memo = {}
-    inside = frozenset(p for p in P.elements if p < q and p != bot)
+    inside = frozenset(P.below(q)) - {bot}
     key = (inside, F.characteristic)
     if key not in memo:
         if isinstance(P, FiniteAtomicLattice):

@@ -29,6 +29,7 @@ was found).
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -59,8 +60,23 @@ def load_schema(name):
     return json.loads(path.read_text())
 
 
+@functools.cache
+def _validator(schema_name):
+    """A validator for a shipped schema, checked against its metaschema
+    once per name."""
+    schema = load_schema(schema_name)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def validate_payload(payload, schema_name):
-    jsonschema.validate(payload, load_schema(schema_name))
+    """Raise the error `jsonschema.validate` would raise, or return the
+    payload."""
+    error = jsonschema.exceptions.best_match(
+        _validator(schema_name).iter_errors(payload))
+    if error is not None:
+        raise error
     return payload
 
 

@@ -33,7 +33,6 @@ from .posets import (
     FiniteAtomicLattice,
     coordinatize,
     element_key,
-    exists_join_preserving,
     face_lattice,
     is_isomorphic,
     join_preserving_map,
@@ -172,7 +171,7 @@ def simplicial_rigid_deformation(I, X, F=FieldSpec(0)):
         target_lattice=T,
         target_ideal=J,
         certificate=certify_rigid_deformation(J, L, F),
-        comparable_to_source=exists_join_preserving(T, L),
+        comparable_to_source=join_preserving_map(T, L) is not None,
         added=tuple(sorted(set(T.elements) - set(L.elements),
                            key=element_key)),
     )
@@ -209,7 +208,7 @@ def _certified_result(T, L, F, memo, added):
         target_lattice=T,
         target_ideal=J,
         certificate=certificate,
-        comparable_to_source=exists_join_preserving(T, L),
+        comparable_to_source=join_preserving_map(T, L) is not None,
         added=added,
     )
 

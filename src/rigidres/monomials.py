@@ -50,8 +50,10 @@ class Monomial(tuple):
         return not any(self)
 
     def lcm(self, other):
+        """The componentwise max with another Monomial.  The max of two
+        valid exponent vectors is valid, so it is not checked again."""
         _check_dim(self, other)
-        return Monomial(max(a, b) for a, b in zip(self, other))
+        return tuple.__new__(Monomial, map(max, self, other))
 
     def divides(self, other):
         _check_dim(self, other)
@@ -80,7 +82,7 @@ class Monomial(tuple):
 
 
 def lcm(a, b):
-    return Monomial(a).lcm(b)
+    return Monomial(a).lcm(Monomial(b))
 
 
 def divides(a, b):
@@ -96,7 +98,7 @@ def lcm_of(monomials):
     it = iter(monomials)
     out = Monomial(next(it))
     for m in it:
-        out = out.lcm(m)
+        out = out.lcm(Monomial(m))
     return out
 
 

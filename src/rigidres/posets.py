@@ -11,12 +11,20 @@ A Poset is any finite inclusion family (fragments like open intervals
 need no minimum); a FiniteAtomicLattice additionally contains ∅, the
 full atom set, and all singletons, and is closed under intersection,
 which forces joins and meets to exist.
+
+Every order query reads one index, built on first use: the strict
+down-set `below(q)` of each element, in canonical order.  Canonical
+order sorts by size first, so the down-set of elements[i] is found
+among elements[:i].  Covers, minimal and maximal elements, bottom and
+top, open intervals, ranked fragments, order complexes and the memo
+keys of `betti.interval_ranks` all come from it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import networkx as nx
 
@@ -41,11 +49,6 @@ class Poset:
     def __init__(self, members):
         self.elements = tuple(sorted({frozenset(m) for m in members}, key=element_key))
         self._index = {e: i for i, e in enumerate(self.elements)}
-        self._lower = None
-        self._upper = None
-        self._levels = None
-        self._bottom = None
-        self._top = None
 
     # -- basic queries ------------------------------------------------
 
@@ -64,42 +67,48 @@ class Poset:
     def __repr__(self):
         return f"{type(self).__name__}({len(self.elements)} elements)"
 
-    def leq(self, a, b):
-        self._check(a)
-        self._check(b)
-        return frozenset(a) <= frozenset(b)
-
     def _check(self, e):
         if frozenset(e) not in self._index:
             raise ValueError(f"{set(e) or '{}'} is not an element")
 
+    @cached_property
+    def _down(self):
+        els = self.elements
+        return {e: tuple(filter(e.__gt__, els[:i])) for i, e in enumerate(els)}
+
+    def below(self, q):
+        """The strict down-set of q: every element p < q, in canonical
+        order.  The first call builds it for every element.
+
+        >>> B3 = face_lattice(SimplicialComplex([{0, 1, 2}]))
+        >>> [sorted(p) for p in B3.below({0, 1})]
+        [[], [0], [1]]
+        >>> B3.below(set())
+        ()
+        """
+        self._check(q)
+        return self._down[frozenset(q)]
+
     def minimal_elements(self):
-        return [e for e in self.elements
-                if not any(f < e for f in self.elements)]
+        return [e for e, below in self._down.items() if not below]
 
     def maximal_elements(self):
-        return [e for e in self.elements
-                if not any(e < f for f in self.elements)]
+        under = set().union(*self._down.values())
+        return [e for e in self.elements if e not in under]
 
-    @property
+    @cached_property
     def bottom(self):
-        if self._bottom is None:
-            mins = self.minimal_elements()
-            if len(mins) != 1:
-                raise ValueError(
-                    f"no unique minimal element ({len(mins)} minima)")
-            self._bottom = mins[0]
-        return self._bottom
+        mins = self.minimal_elements()
+        if len(mins) != 1:
+            raise ValueError(f"no unique minimal element ({len(mins)} minima)")
+        return mins[0]
 
-    @property
+    @cached_property
     def top(self):
-        if self._top is None:
-            maxs = self.maximal_elements()
-            if len(maxs) != 1:
-                raise ValueError(
-                    f"no unique maximal element ({len(maxs)} maxima)")
-            self._top = maxs[0]
-        return self._top
+        maxs = self.maximal_elements()
+        if len(maxs) != 1:
+            raise ValueError(f"no unique maximal element ({len(maxs)} maxima)")
+        return maxs[0]
 
     def atoms(self):
         """Upper covers of the bottom element, in canonical order."""
@@ -107,29 +116,30 @@ class Poset:
 
     # -- covers -------------------------------------------------------
 
-    def _build_covers(self):
-        lower = {e: [] for e in self.elements}
+    @cached_property
+    def _covers(self):
+        """Lower and upper covers of every element.  Each down-set is
+        scanned largest first: p is covered by q unless it lies inside a
+        cover already kept, because anything strictly between p and q is
+        larger than p and so was scanned before it."""
+        lower = {}
         upper = {e: [] for e in self.elements}
         for q in self.elements:
-            below = [p for p in self.elements if p < q]
-            for p in below:
-                if not any(p < r for r in below if r < q):
-                    lower[q].append(p)
+            kept = []
+            for p in reversed(self.below(q)):
+                if not any(p < c for c in kept):
+                    kept.append(p)
                     upper[p].append(q)
-        self._lower = {e: tuple(sorted(v, key=element_key)) for e, v in lower.items()}
-        self._upper = {e: tuple(sorted(v, key=element_key)) for e, v in upper.items()}
+            lower[q] = tuple(sorted(kept, key=element_key))
+        return lower, {e: tuple(v) for e, v in upper.items()}
 
     def lower_covers(self, q):
         self._check(q)
-        if self._lower is None:
-            self._build_covers()
-        return self._lower[frozenset(q)]
+        return self._covers[0][frozenset(q)]
 
     def upper_covers(self, p):
         self._check(p)
-        if self._upper is None:
-            self._build_covers()
-        return self._upper[frozenset(p)]
+        return self._covers[1][frozenset(p)]
 
     def cover_pairs(self):
         """All (p, q) with p covered by q, in canonical order."""
@@ -145,27 +155,11 @@ class Poset:
 
     def open_interval(self, q):
         """The fragment (0̂, q): everything strictly between bottom and q."""
-        self._check(q)
+        below = self.below(q)
         bot = self.bottom
-        q = frozenset(q)
-        if q == bot:
+        if frozenset(q) == bot:
             raise ValueError("open interval below the bottom element is undefined")
-        return Poset([p for p in self.elements if bot < p < q])
-
-    def half_open_interval(self, q):
-        """The fragment (0̂, q]: q and everything strictly between."""
-        self._check(q)
-        bot = self.bottom
-        q = frozenset(q)
-        if q == bot:
-            raise ValueError("half-open interval below the bottom element is undefined")
-        return Poset([p for p in self.elements if bot < p <= q])
-
-    def down_set(self, q):
-        """The fragment [0̂, q] = everything ≤ q (q included)."""
-        self._check(q)
-        q = frozenset(q)
-        return Poset([p for p in self.elements if p <= q])
+        return Poset([p for p in below if p != bot])
 
     def without(self, members):
         """The induced subposet with the given members removed."""
@@ -179,31 +173,32 @@ class Poset:
         minimal elements have level 0, so with a bottom the atoms have
         level 1.  An isomorphism invariant that needs no bottom."""
         self._check(q)
-        if self._levels is None:
-            levels = {}
-            for e in self.elements:  # canonical order is a linear extension
-                below = [levels[p] for p in self.lower_covers(e)]
-                levels[e] = 1 + max(below, default=-1)
-            self._levels = levels
         return self._levels[frozenset(q)]
+
+    @cached_property
+    def _levels(self):
+        levels = {}
+        for e in self.elements:  # canonical order is a linear extension
+            below = [levels[p] for p in self.lower_covers(e)]
+            levels[e] = 1 + max(below, default=-1)
+        return levels
 
     def max_ranked(self, q):
         """The fragment of (0̂, q] of elements lying on some chain of
         level(q) non-bottom elements ending at q; the result is ranked."""
-        self._check(q)
+        below = self.below(q)
         q = frozenset(q)
         bot = self.bottom
         if q == bot:
             raise ValueError("the bottom element has no ranked fragment")
-        inside = [p for p in self.elements if bot < p <= q]
+        inside = [p for p in below if p != bot]
         up = {q: 0}  # longest cover-path (in edges) up to q
-        for p in sorted(inside, key=element_key, reverse=True):
-            if p == q:
-                continue
+        for p in reversed(inside):
             hops = [up[r] for r in self.upper_covers(p) if r <= q]
             up[p] = 1 + max(hops)
         target = self.level(q)
-        return Poset([p for p in inside if self.level(p) + up[p] == target])
+        return Poset([p for p in inside + [q]
+                      if self.level(p) + up[p] == target])
 
 
 def order_complex(fragment):
@@ -212,16 +207,12 @@ def order_complex(fragment):
     The empty fragment gives the empty complex {∅}; two incomparable
     elements give two isolated vertices.
     """
-    elements = list(fragment.elements)
     faces = [()]
-    chains = [[e] for e in elements]
+    chains = [(e,) for e in fragment.elements]
     while chains:
         chain = chains.pop()
-        faces.append(tuple(chain))
-        top = chain[-1]
-        for e in elements:
-            if top < e:
-                chains.append(chain + [e])
+        faces.append(chain)
+        chains.extend(chain + (p,) for p in fragment.below(chain[-1]))
     return SimplicialComplex(frozenset(c) for c in faces)
 
 
@@ -269,11 +260,6 @@ class FiniteAtomicLattice(Poset):
         first superset of the union is the least one."""
         u = frozenset().union(*members)
         return next(e for e in self.elements if u <= e)
-
-    def meet(self, a, b):
-        self._check(a)
-        self._check(b)
-        return frozenset(a) & frozenset(b)
 
     def degree(self, e):
         if self.degrees is None:
@@ -351,14 +337,6 @@ class PosetMap:
     def __call__(self, e):
         return self.assignment[frozenset(e)]
 
-    def is_order_preserving(self):
-        els = self.source.elements
-        return all(self(a) <= self(b) for a in els for b in els if a <= b)
-
-    def is_bijective(self):
-        return (len(set(self.assignment.values())) == len(self.source.elements)
-                == len(self.target.elements))
-
 
 def is_isomorphic(P, Q):
     """An order-isomorphism P → Q as a PosetMap, or None.
@@ -404,11 +382,6 @@ def join_preserving_map(P, Q):
             return PosetMap(P, Q, {p: Q.join([{sigma[i] for i in p}])
                                    for p in P.elements})
     return None
-
-
-def exists_join_preserving(P, Q):
-    """Whether some join-preserving atom-bijective map P → Q exists."""
-    return join_preserving_map(P, Q) is not None
 
 
 def coordinatize(L):

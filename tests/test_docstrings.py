@@ -4,10 +4,10 @@ import doctest
 
 import pytest
 
-from rigidres import betti, homology, monomials
+from rigidres import betti, homology, monomials, posets
 
 
-@pytest.mark.parametrize("module", [betti, homology, monomials],
+@pytest.mark.parametrize("module", [betti, homology, monomials, posets],
                          ids=lambda m: m.__name__)
 def test_docstring_examples(module):
     result = doctest.testmod(module)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import networkx as nx
@@ -12,7 +13,7 @@ from rigidres.posets import (
     FiniteAtomicLattice,
     Poset,
     coordinatize,
-    exists_join_preserving,
+    element_key,
     face_lattice,
     is_isomorphic,
     join_preserving_map,
@@ -75,7 +76,7 @@ def test_cover_relation():
 def test_fragment_membership_errors():
     p = Poset([frozenset(), frozenset({0})])
     with pytest.raises(ValueError):
-        p.leq(frozenset({9}), frozenset())
+        p.below(frozenset({9}))
     with pytest.raises(ValueError):
         p.open_interval(frozenset())
 
@@ -160,8 +161,8 @@ def test_b3_open_interval_is_hexagon():
 def test_half_open_interval_and_down_set():
     b3 = boolean_lattice(3)
     q = frozenset({0, 1})
-    assert len(b3.half_open_interval(q)) == 3
-    assert len(b3.down_set(q)) == 4
+    assert len([p for p in b3.below(q) if p != b3.bottom] + [q]) == 3
+    assert len(b3.below(q) + (q,)) == 4
     assert len(b3.without([q])) == 7
 
 
@@ -236,6 +237,93 @@ def test_max_ranked_is_ranked(data):
     frag = lat.max_ranked(q)
     assert maximal_chain_lengths(frag) == {lat.level(q)}
     assert q in frag
+
+
+def reference_covers(P):
+    """Lower and upper covers found by testing every pair below each
+    element, as `Poset` did before its down-set index."""
+    lower = {e: [] for e in P.elements}
+    upper = {e: [] for e in P.elements}
+    for q in P.elements:
+        below = [p for p in P.elements if p < q]
+        for p in below:
+            if not any(p < r for r in below if r < q):
+                lower[q].append(p)
+                upper[p].append(q)
+    return ({e: tuple(sorted(v, key=element_key)) for e, v in lower.items()},
+            {e: tuple(sorted(v, key=element_key)) for e, v in upper.items()})
+
+
+def all_chains(elements):
+    """Every totally ordered subset, the empty one included."""
+    found, k = [()], 1
+    while True:
+        level = [c for c in itertools.combinations(elements, k)
+                 if all(a < b or b < a for a, b in itertools.combinations(c, 2))]
+        if not level:
+            return found
+        found += level
+        k += 1
+
+
+def assert_order_queries_match_brute_force(P):
+    els = P.elements
+    lower, upper = reference_covers(P)
+    for q in els:
+        assert P.below(q) == tuple(p for p in els if p < q)
+        assert P.lower_covers(q) == lower[q]
+        assert P.upper_covers(q) == upper[q]
+    mins = [e for e in els if not any(f < e for f in els)]
+    maxs = [e for e in els if not any(e < f for f in els)]
+    for name, extremes in (("bottom", mins), ("top", maxs)):
+        if len(extremes) == 1:
+            assert getattr(P, name) == extremes[0]
+        else:
+            with pytest.raises(ValueError):
+                getattr(P, name)
+    assert order_complex(P) == SimplicialComplex(
+        frozenset(c) for c in all_chains(els))
+    if len(mins) != 1:
+        return
+    bot = mins[0]
+
+    @functools.cache
+    def steps(a, b):
+        """Most steps on a chain a = c0 < … < ck = b."""
+        if a == b:
+            return 0
+        return max(1 + steps(m, b) for m in els if a < m <= b)
+
+    for q in els:
+        if q == bot:
+            with pytest.raises(ValueError):
+                P.open_interval(q)
+            with pytest.raises(ValueError):
+                P.max_ranked(q)
+            continue
+        assert P.open_interval(q).elements == tuple(
+            p for p in els if bot < p < q)
+        assert P.max_ranked(q).elements == tuple(
+            p for p in els if bot < p <= q
+            and steps(bot, p) + steps(p, q) == steps(bot, q))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_order_queries_match_brute_force(data):
+    lat = data.draw(random_lattices())
+    P = lat
+    if data.draw(st.booleans()):
+        # subfamilies may have no bottom, no top, or no elements at all
+        P = Poset(data.draw(st.lists(st.sampled_from(lat.elements),
+                                     unique=True)))
+    assert_order_queries_match_brute_force(P)
+
+
+def test_order_queries_match_brute_force_on_fixtures(
+        squarefree17, twin_a, twin_b):
+    for ideal in (squarefree17, twin_a, twin_b):
+        assert_order_queries_match_brute_force(lcm_lattice(ideal))
 
 
 # -- meet closure and face lattices -----------------------------------------
@@ -330,17 +418,29 @@ def test_join_and_meet():
     lat = meet_closure([{0, 1}, {1, 2}], 3)
     assert lat.join([frozenset({0}), frozenset({2})]) == frozenset({0, 1, 2})
     assert lat.join([]) == frozenset()
-    assert lat.meet(frozenset({0, 1}), frozenset({1, 2})) == frozenset({1})
+    a, b = frozenset({0, 1}), frozenset({1, 2})
+    common = set(lat.below(a) + (a,)) & set(lat.below(b) + (b,))
+    assert max(common, key=len) == frozenset({1})
     assert lat.join([{0, 1}]) == frozenset({0, 1})
 
 
 # -- isomorphism and join-preserving comparisons ----------------------------
 
+def is_order_preserving(m):
+    els = m.source.elements
+    return all(m(a) <= m(b) for a in els for b in els if a <= b)
+
+
+def is_bijective(m):
+    return (len(set(m.assignment.values())) == len(m.source.elements)
+            == len(m.target.elements))
+
+
 def test_is_isomorphic_identity():
     b3 = boolean_lattice(3)
     m = is_isomorphic(b3, b3)
     assert m is not None
-    assert m.is_order_preserving() and m.is_bijective()
+    assert is_order_preserving(m) and is_bijective(m)
 
 
 def test_is_isomorphic_rejects_different_shapes():
@@ -356,12 +456,12 @@ def test_is_isomorphic_across_relabelings():
     b = meet_closure([{1, 2}], 3)
     m = is_isomorphic(a, b)
     assert m is not None
-    assert m.is_order_preserving()
+    assert is_order_preserving(m)
 
 
 def test_exists_join_preserving_identity_reflexive():
     b3 = boolean_lattice(3)
-    assert exists_join_preserving(b3, b3)
+    assert join_preserving_map(b3, b3) is not None
 
 
 def test_exists_join_preserving_collapse():
@@ -369,20 +469,20 @@ def test_exists_join_preserving_collapse():
     five = FiniteAtomicLattice(
         [frozenset(), frozenset({0}), frozenset({1}), frozenset({2}),
          frozenset({0, 1, 2})], 3)
-    assert exists_join_preserving(b3, five)
-    assert not exists_join_preserving(five, b3)
+    assert join_preserving_map(b3, five) is not None
+    assert join_preserving_map(five, b3) is None
 
 
 def test_exists_join_preserving_counts_atoms():
     with pytest.raises(ValueError):
-        exists_join_preserving(boolean_lattice(2), boolean_lattice(3))
+        join_preserving_map(boolean_lattice(2), boolean_lattice(3))
 
 
 @given(st.data())
 @settings(max_examples=15, deadline=None)
 def test_join_preserving_reflexive(data):
     lat = data.draw(random_lattices())
-    assert exists_join_preserving(lat, lat)
+    assert join_preserving_map(lat, lat) is not None
 
 
 def pairwise_join_map(P, Q):
