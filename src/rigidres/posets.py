@@ -10,7 +10,9 @@ join-preservation checks pure set manipulation.
 A Poset is any finite inclusion family (fragments like open intervals
 need no minimum); a FiniteAtomicLattice additionally contains ∅, the
 full atom set, and all singletons, and is closed under intersection,
-which forces joins and meets to exist.
+which forces joins and meets to exist.  One closure routine builds the
+lcm-lattice (from coordinate cuts) and meet closures, and the same walk
+checks closure in the constructor, stopping at the first missing meet.
 
 Every order query reads one index, built on first use: the strict
 down-set `below(q)` of each element, in canonical order.  Canonical
@@ -26,10 +28,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-import networkx as nx
-
 from .homology import SimplicialComplex
-from .monomials import Monomial, MonomialIdeal
+from .monomials import Monomial, MonomialIdeal, lcm_of
 
 
 def element_key(e):
@@ -110,10 +110,6 @@ class Poset:
             raise ValueError(f"no unique maximal element ({len(maxs)} maxima)")
         return maxs[0]
 
-    def atoms(self):
-        """Upper covers of the bottom element, in canonical order."""
-        return self.upper_covers(self.bottom)
-
     # -- covers -------------------------------------------------------
 
     @cached_property
@@ -146,8 +142,10 @@ class Poset:
         return [(p, q) for q in self.elements for p in self.lower_covers(q)]
 
     def cover_digraph(self):
+        """The Hasse diagram, each node's "h" its level (loads networkx)."""
+        import networkx as nx
         g = nx.DiGraph()
-        g.add_nodes_from(self.elements)
+        g.add_nodes_from((e, {"h": self.level(e)}) for e in self.elements)
         g.add_edges_from(self.cover_pairs())
         return g
 
@@ -160,11 +158,6 @@ class Poset:
         if frozenset(q) == bot:
             raise ValueError("open interval below the bottom element is undefined")
         return Poset([p for p in below if p != bot])
-
-    def without(self, members):
-        """The induced subposet with the given members removed."""
-        drop = {frozenset(m) for m in members}
-        return Poset([e for e in self.elements if e not in drop])
 
     # -- levels and ranked subposets -----------------------------------
 
@@ -241,9 +234,7 @@ class FiniteAtomicLattice(Poset):
         for i in range(n_atoms):
             if frozenset({i}) not in family:
                 raise ValueError(f"atom {i} not realized as a singleton")
-        for a, b in itertools.combinations(family, 2):
-            if a & b not in family:
-                raise ValueError(f"not intersection-closed: {set(a)} ∩ {set(b)} missing")
+        _closure(reversed(self.elements), inside=family)
         self.degrees = None
         if degrees is not None:
             self.degrees = {frozenset(e): Monomial(m) for e, m in degrees.items()}
@@ -267,48 +258,58 @@ class FiniteAtomicLattice(Poset):
         return self.degrees[frozenset(e)]
 
 
+def _closure(sets, inside=None):
+    """The intersection closure of some frozensets, taken largest first.
+
+    A set already present is skipped; any other set x is added with its
+    intersection with every set kept so far.  That keeps the family
+    closed: if C is, so is C ∪ {x} ∪ {x ∩ c : c ∈ C}, as (x ∩ c) ∩ c'
+    and (x ∩ c) ∩ (x ∩ c') both equal x ∩ (c ∩ c').  An intersection of
+    larger sets is present by its turn, so only the rest cost a pass.
+    With `inside`, a family meant to be closed already, the walk stops
+    at the first intersection outside it and raises, naming the pair:
+    the closure of an unclosed family is never built."""
+    closed = set()
+    for x in sorted(sets, key=len, reverse=True):
+        if x in closed:
+            continue
+        new = {x & c for c in closed}
+        if inside is not None and not new <= inside:
+            c = next(c for c in closed if x & c not in inside)
+            raise ValueError(f"not intersection-closed: {set(x)} ∩ {set(c)} missing")
+        closed.add(x)
+        closed |= new
+    return closed
+
+
 def lcm_lattice(ideal):
     """The lattice of all least common multiples of subsets of the
     minimal generators, ordered by divisibility, with 1 at the bottom.
     Element ids are the supports {i : generator i divides the lcm};
-    degree labels carry the monomials themselves."""
+    degree labels carry the monomials themselves.
+
+    It is the intersection closure of the coordinate cuts {i : deg_k(m_i)
+    ≤ e}, one per variable x_k and e in {0} ∪ {exponents of x_k}: the
+    support of m is ∩_k cut(k, deg_k m), and an intersection T of cuts
+    is the support of lcm(m_T), which stays within each cut's bound.
+    """
     gens = ideal.generators
     n = len(gens)
-    values = set(gens)
-    frontier = set(gens)
-    while frontier:
-        new = set()
-        for m in frontier:
-            for g in gens:
-                j = m.lcm(g)
-                if j not in values:
-                    new.add(j)
-        values |= new
-        frontier = new
-    values.add(Monomial([0] * ideal.ambient_dim))
-    supports = {}
-    for m in values:
-        s = frozenset(i for i, g in enumerate(gens) if g.divides(m))
-        if s in supports:
-            raise AssertionError("distinct lattice values share a support")
-        supports[s] = m
-    return FiniteAtomicLattice(supports.keys(), n, degrees=supports)
+    cuts = {frozenset(i for i, g in enumerate(gens) if g[k] <= e)
+            for k in range(ideal.ambient_dim) for e in {0, *(g[k] for g in gens)}}
+    members = _closure(cuts | {frozenset(), frozenset(range(n))})
+    unit = Monomial([0] * ideal.ambient_dim)
+    return FiniteAtomicLattice(members, n, degrees={
+        T: lcm_of(gens[i] for i in T) if T else unit for T in members})
 
 
 def meet_closure(family, n_atoms):
-    """Smallest intersection-closed family containing the input together
-    with ∅, the full set, and all singletons.  Idempotent."""
-    members = {frozenset(m) for m in family}
-    members.add(frozenset())
-    members.add(frozenset(range(n_atoms)))
-    members.update(frozenset({i}) for i in range(n_atoms))
-    # after the first round only pairs with a newly added member can
-    # give a new intersection
-    new = {a & b for a, b in itertools.combinations(members, 2)} - members
-    while new:
-        members |= new
-        new = {a & b for a in new for b in members} - members
-    return FiniteAtomicLattice(members, n_atoms)
+    """Smallest intersection-closed family containing the input, ∅, the
+    full set and all singletons.  Idempotent.  It keeps the input's own
+    frozensets, so memo keys built from them share their elements."""
+    members = ({frozenset(m) for m in family} | {frozenset(), frozenset(range(n_atoms))}
+               | {frozenset({i}) for i in range(n_atoms)})
+    return FiniteAtomicLattice(members | _closure(members), n_atoms)
 
 
 def face_lattice(X):
@@ -346,15 +347,12 @@ def is_isomorphic(P, Q):
     """
     if len(P) != len(Q):
         return None
-    gp, gq = P.cover_digraph(), Q.cover_digraph()
-    nx.set_node_attributes(gp, {e: P.level(e) for e in P.elements}, "h")
-    nx.set_node_attributes(gq, {e: Q.level(e) for e in Q.elements}, "h")
+    import networkx as nx
     matcher = nx.algorithms.isomorphism.DiGraphMatcher(
-        gp, gq, node_match=nx.algorithms.isomorphism.categorical_node_match("h", -1)
-    )
-    for mapping in matcher.isomorphisms_iter():
-        return PosetMap(P, Q, dict(mapping))
-    return None
+        P.cover_digraph(), Q.cover_digraph(),
+        node_match=nx.algorithms.isomorphism.categorical_node_match("h", -1))
+    mapping = next(matcher.isomorphisms_iter(), None)
+    return None if mapping is None else PosetMap(P, Q, dict(mapping))
 
 
 def join_preserving_map(P, Q):

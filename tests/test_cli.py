@@ -142,6 +142,17 @@ def test_huge_atom_count_is_refused_without_building_the_full_set(tmp_path):
     assert done.stderr == f"error: {path}: missing top (full atom set)\n"
 
 
+def test_importing_the_cli_does_not_load_networkx():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rigidres.cli; print('networkx' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
 def test_lattice_file_errors_are_input_errors(tmp_path, capsys):
     bad = tmp_path / "bad.lattice"
     bad.write_text(json.dumps({"n_atoms": 2, "supports": [[], [1], [2]]}))

@@ -405,8 +405,8 @@ def strongly_generic_ideal(seed, n, variables=4):
 
 @pytest.mark.parametrize("F", [Q, GF2], ids=["char0", "char2"])
 def test_interval_route_matches_taylor_on_ladder(F):
-    ladder = ([cycle_edge_ideal(n) for n in range(6, 11)]
-              + [strongly_generic_ideal(n, n) for n in range(6, 10)])
+    ladder = ([cycle_edge_ideal(n) for n in range(6, 13)]
+              + [strongly_generic_ideal(n, n) for n in range(6, 11)])
     for I in ladder:
         assert betti_numbers(I, F) == taylor_betti(I, F), I.generators
 

@@ -1,5 +1,12 @@
+import ast
 import functools
 import itertools
+import os
+import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -8,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import HASSE_17, HASSE_TWIN_A, HASSE_TWIN_B
 from test_frames import cycle_edge_ideal
 from rigidres.homology import SimplicialComplex, reduced_homology
-from rigidres.monomials import Monomial, parse_ideal
+from rigidres.monomials import Monomial, MonomialIdeal, minimalize, parse_ideal
 from rigidres.posets import (
     FiniteAtomicLattice,
     Poset,
@@ -62,7 +69,7 @@ def test_linear_extension_and_bottom():
     assert p.elements[0] == frozenset()
     assert p.bottom == frozenset()
     assert p.top == frozenset({0, 1})
-    assert [set(a) for a in p.atoms()] == [{0}, {1}]
+    assert [set(a) for a in p.upper_covers(p.bottom)] == [{0}, {1}]
 
 
 def test_cover_relation():
@@ -132,6 +139,52 @@ def test_lcm_lattice_degrees_join_compatible(data):
         assert j == frozenset.intersection(*above)
 
 
+def reference_lcm_lattice(ideal):
+    """Support → lcm for every lcm of generators, found by taking lcms
+    with each generator until no new value appears (the construction
+    `lcm_lattice` used before it closed coordinate cuts)."""
+    gens = ideal.generators
+    values = set(gens)
+    frontier = set(gens)
+    while frontier:
+        new = set()
+        for m in frontier:
+            for g in gens:
+                j = m.lcm(g)
+                if j not in values:
+                    new.add(j)
+        values |= new
+        frontier = new
+    values.add(Monomial([0] * ideal.ambient_dim))
+    supports = {}
+    for m in values:
+        s = frozenset(i for i, g in enumerate(gens) if g.divides(m))
+        if s in supports:
+            raise AssertionError("distinct lattice values share a support")
+        supports[s] = m
+    return supports
+
+
+def small_ideals():
+    """Ideals in 1–5 variables with exponents 0–3."""
+    def ideal(exps):
+        gens = minimalize(m for m in map(Monomial, exps) if any(m))
+        return MonomialIdeal([f"x{j + 1}" for j in range(len(exps[0]))], gens)
+    return st.integers(1, 5).flatmap(
+        lambda d: st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=1,
+                           max_size=7)
+    ).filter(lambda exps: any(map(any, exps))).map(ideal)
+
+
+@given(small_ideals())
+@settings(max_examples=150, deadline=None)
+def test_lcm_lattice_matches_lcm_frontier_reference(ideal):
+    lat = lcm_lattice(ideal)
+    supports = reference_lcm_lattice(ideal)
+    assert set(lat.elements) == set(supports)
+    assert lat.degrees == supports
+
+
 # -- intervals, order complexes, levels -------------------------------------
 
 def test_open_interval_two_atoms():
@@ -163,7 +216,7 @@ def test_half_open_interval_and_down_set():
     q = frozenset({0, 1})
     assert len([p for p in b3.below(q) if p != b3.bottom] + [q]) == 3
     assert len(b3.below(q) + (q,)) == 4
-    assert len(b3.without([q])) == 7
+    assert len(Poset(e for e in b3.elements if e != q)) == 7
 
 
 def test_order_complex_of_chain_is_simplex():
@@ -373,6 +426,14 @@ def test_meet_closure_matches_all_pairs_reference(data):
         all_pairs_meet_closure(family, n)
 
 
+def test_meet_closure_keeps_the_input_objects(hexagon_ideal):
+    lat = lcm_lattice(hexagon_ideal)
+    for extra in ([{0, 2}], [{0, 3}, {1, 4, 5}], [set(range(6))], [{0}]):
+        family = set(lat.elements) | {frozenset(e) for e in extra}
+        kept = {id(e) for e in meet_closure(family, 6).elements}
+        assert all(id(m) in kept for m in family)
+
+
 def test_meet_closure_adds_threefold_intersections():
     # {0, 1} is no pairwise intersection of the input: a second round
     lat = meet_closure([{0, 1, 2, 3}, {0, 1, 2, 4}, {0, 1, 3, 4}], 5)
@@ -412,6 +473,66 @@ def test_lattice_validation():
     with pytest.raises(ValueError):
         FiniteAtomicLattice(
             [frozenset({0}), frozenset({1}), frozenset({0, 1})], 2)  # no bottom
+
+
+NAMED_PAIR = re.compile(r"not intersection-closed: (\{.*\}) ∩ (\{.*\}) missing")
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_closure_check_matches_pairwise_brute_force(data):
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    atoms = st.integers(0, n - 1)
+    family = {frozenset(s) for s in data.draw(st.lists(st.sets(atoms), max_size=4))}
+    # sets missing an atom or two rarely meet inside the family
+    holes = data.draw(st.lists(st.sets(atoms, min_size=1, max_size=2), max_size=4))
+    family |= {frozenset(range(n)) - h for h in holes}
+    family |= {frozenset(), frozenset(range(n))}
+    family |= {frozenset({i}) for i in range(n)}
+    if data.draw(st.booleans()):
+        family = all_pairs_meet_closure(family, n)
+        # dropping one member may or may not break closure
+        others = sorted(e for e in family if len(e) > 1 and len(e) < n)
+        if others:
+            family.discard(data.draw(st.sampled_from(others)))
+    closed = all(a & b in family for a, b in itertools.combinations(family, 2))
+    if closed:
+        assert set(FiniteAtomicLattice(family, n).elements) == family
+        return
+    with pytest.raises(ValueError) as err:
+        FiniteAtomicLattice(family, n)
+    a, b = (frozenset(ast.literal_eval(t))
+            for t in NAMED_PAIR.fullmatch(str(err.value)).groups())
+    assert a in family and b in family and a & b not in family
+
+
+CLOSE_24_COATOMS = """
+import time
+from rigidres.posets import FiniteAtomicLattice
+n = 24
+members = [frozenset(), frozenset(range(n))]
+members += [frozenset({i}) for i in range(n)]
+members += [frozenset(range(n)) - {i} for i in range(n)]
+start = time.perf_counter()
+try:
+    FiniteAtomicLattice(members, n)
+except ValueError as err:
+    print(err)
+print(time.perf_counter() - start)
+"""
+
+
+def test_closure_check_stops_at_the_first_missing_intersection():
+    # closing 24 coatoms of size 23 would build all 2^24 subsets, so the
+    # check runs in a child process with 1 GiB of address space
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", CLOSE_24_COATOMS], env=env, capture_output=True,
+        text=True, timeout=30, preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    message, seconds = done.stdout.splitlines()
+    assert message.startswith("not intersection-closed: ")
+    assert float(seconds) < 1.0
 
 
 def test_join_and_meet():
