@@ -28,7 +28,6 @@ from .homology import (  # noqa: F401
 from .posets import (  # noqa: F401
     FiniteAtomicLattice,
     Poset,
-    PosetMap,
     coordinatize,
     element_key,
     face_lattice,

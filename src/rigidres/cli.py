@@ -19,8 +19,10 @@ File formats
               adjacent module arrays and scalars as decimal strings.
 ``.dot``      Graphviz text: the Hasse diagram, contributor nodes filled.
 
-All JSON read or written here is validated against the schema files
-shipped in ``rigidres/schemas/``.
+All JSON read or written here is checked against the schema files
+shipped in ``rigidres/schemas/`` by :func:`validate_payload`, which
+reads exactly the keywords those files use ("integer" is an ``int``,
+not a ``bool`` and not ``2.0``); a violation is an input error.
 
 Exit codes: 0 success, 1 input error (bad arguments, malformed or
 unreadable files), 2 computed-but-negative (a verification failed, the
@@ -31,12 +33,11 @@ was found).
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-
-import jsonschema
 
 from .betti import betti_numbers, betti_poset, rigidity_report
 from .deform import search_rigid_deformation, simplicial_rigid_deformation
@@ -55,28 +56,57 @@ class InputError(ValueError):
 # --------------------------------------------------------------------------
 # JSON schemas and (de)serialization
 
+@functools.cache
 def load_schema(name):
     path = resources.files("rigidres").joinpath("schemas", f"{name}.schema.json")
     return json.loads(path.read_text())
 
 
-@functools.cache
-def _validator(schema_name):
-    """A validator for a shipped schema, checked against its metaschema
-    once per name."""
-    schema = load_schema(schema_name)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int}
+
+
+def _violation(value, schema):
+    """The first way value breaks schema, worded as the JSON Schema
+    reference validator words it, or None.  Items are checked before
+    uniqueItems, so only valid (hashable) members reach the set."""
+    kind = schema["type"]
+    if not isinstance(value, _TYPES[kind]) or (
+            kind == "integer" and isinstance(value, bool)):
+        return f"{value!r} is not of type {kind!r}"
+    members = ()
+    if kind == "object":
+        for key in schema.get("required", ()):
+            if key not in value:
+                return f"{key!r} is a required property"
+        properties = schema.get("properties", {})
+        extras = sorted(set(value) - set(properties))
+        if extras and schema.get("additionalProperties") is False:
+            verb = "was" if len(extras) == 1 else "were"
+            return (f"Additional properties are not allowed "
+                    f"({', '.join(map(repr, extras))} {verb} unexpected)")
+        members = [(value[key], sub) for key, sub in properties.items()
+                   if key in value]
+    elif "items" in schema:
+        members = [(item, schema["items"]) for item in value]
+    for member, sub in members:
+        error = _violation(member, sub)
+        if error:
+            return error
+    if schema.get("uniqueItems") and len(set(value)) != len(value):
+        return f"{value!r} has non-unique elements"
+    if "minimum" in schema and value < schema["minimum"]:
+        return f"{value!r} is less than the minimum of {schema['minimum']!r}"
+    if "pattern" in schema and not re.search(schema["pattern"], value):
+        return f"{value!r} does not match {schema['pattern']!r}"
+    return None
 
 
 def validate_payload(payload, schema_name):
-    """Raise the error `jsonschema.validate` would raise, or return the
-    payload."""
-    error = jsonschema.exceptions.best_match(
-        _validator(schema_name).iter_errors(payload))
-    if error is not None:
-        raise error
+    """Return the payload, or raise InputError naming its first schema
+    violation."""
+    error = _violation(payload, load_schema(schema_name))
+    if error:
+        raise InputError(f"invalid JSON payload: {error}")
     return payload
 
 
@@ -109,11 +139,6 @@ def family_from_json(payload):
         degrees = {s: Monomial(m)
                    for s, m in zip(supports, payload["degrees"])}
     return supports, n, degrees
-
-
-def lattice_from_json(payload):
-    supports, n, degrees = family_from_json(payload)
-    return FiniteAtomicLattice(supports, n, degrees)
 
 
 def resolution_to_json(res):
@@ -249,8 +274,9 @@ def _load_lattice(path):
         I = _load_ideal(path)
         return lcm_lattice(I), I.variables
     if text.endswith(".lattice"):
+        supports, n, degrees = family_from_json(_read_json(path))
         try:
-            return lattice_from_json(_read_json(path)), None
+            return FiniteAtomicLattice(supports, n, degrees), None
         except ValueError as err:
             raise InputError(f"{path}: {err}") from None
     raise InputError(f"{path}: expected an .ideal or .lattice file")
@@ -412,14 +438,11 @@ def cmd_taylor(ns):
 
 def cmd_scarf(ns):
     I = _load_ideal(ns.input)
-    X = scarf_complex(I)
-    faces = sorted(X.faces, key=element_key)
+    faces = Poset(scarf_complex(I).faces)
     if ns.json:
-        payload = {"n_atoms": len(I.generators),
-                   "supports": [[i + 1 for i in sorted(f)] for f in faces]}
-        _emit_json(validate_payload(payload, "lattice"), ns)
+        _emit_json(family_to_json(faces, len(I.generators)), ns)
     else:
-        _emit("".join(support_text(f) + "\n" for f in faces), ns)
+        _emit("".join(support_text(f) + "\n" for f in faces.elements), ns)
     return 0
 
 
@@ -486,13 +509,13 @@ def cmd_compare(ns):
             fwd = join_preserving_map(first, second)
             bwd = join_preserving_map(second, first)
         found = fwd is not None or bwd is not None
-        _emit(f"first -> second: {'found' if fwd else 'none'}\n"
-              f"second -> first: {'found' if bwd else 'none'}\n"
+        _emit(f"first -> second: {'none' if fwd is None else 'found'}\n"
+              f"second -> first: {'none' if bwd is None else 'found'}\n"
               + ("" if found else "none in either direction\n"), ns)
         return 0 if found else 2
     iso = is_isomorphic(first, second)
-    _emit("isomorphic\n" if iso else "not isomorphic\n", ns)
-    return 0 if iso else 2
+    _emit("not isomorphic\n" if iso is None else "isomorphic\n", ns)
+    return 2 if iso is None else 0
 
 
 def cmd_export_dot(ns):
@@ -628,12 +651,6 @@ def main(argv=None):
         ns = build_parser().parse_args(argv)
         ns.field = FieldSpec(ns.char)
         return ns.run(ns)
-    except InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except jsonschema.ValidationError as err:
-        print(f"error: invalid JSON payload: {err.message}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

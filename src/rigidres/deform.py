@@ -101,19 +101,17 @@ def certify_rigid_deformation(J, I, F=FieldSpec(0), memo=None):
                             == betti_numbers(LI, F, memo).totals())
 
     BI, BJ = betti_poset(LI, F, memo), betti_poset(LJ, F, memo)
-    iso = is_isomorphic(BJ, BI)
-    if iso is not None:
+    assignment = is_isomorphic(BJ, BI)
+    if assignment is not None:
         cert.route = "betti-poset-isomorphism"
-        assignment = dict(iso.assignment)
     else:
-        g = (join_preserving_map(LJ, LI)
-             if LJ.n_atoms == LI.n_atoms else None)
-        if g is None:
+        assignment = (join_preserving_map(LJ, LI)
+                      if LJ.n_atoms == LI.n_atoms else None)
+        if assignment is None:
             cert.detail = ("Betti posets not isomorphic and no "
                            "join-preserving map onto the source lattice")
             return cert
         cert.route = "join-preserving"
-        assignment = {q: g(q) for q in BJ.elements}
 
     _, _, res = resolve(LJ, F, memo)
     degrees_i = {q: LI.degree(q) for q in LI.elements}

@@ -389,23 +389,21 @@ def resolve(I, F=FieldSpec(0), memo=None):
 def relabel(resolution, mapping, new_degrees):
     """Transport a resolution across a poset isomorphism.
 
-    mapping sends source poset elements to target elements (a PosetMap
-    or a plain dict); scalars are kept and every monomial entry is
-    recomputed as the ratio of the mapped endpoints' new degrees.
+    mapping is a dict from source poset elements to target elements;
+    scalars are kept and every monomial entry is recomputed as the ratio
+    of the mapped endpoints' new degrees.
     """
-    assignment = getattr(mapping, "assignment", mapping)
-
     used = {key[0] for mods in resolution.modules.values() for key, _ in mods}
-    missing = [e for e in used if e not in assignment]
+    missing = [e for e in used if e not in mapping]
     if missing:
         raise ValueError(f"mapping does not cover element "
                          f"{sorted(min(missing, key=element_key))}")
-    if len({frozenset(assignment[e]) for e in used}) != len(used):
+    if len({frozenset(mapping[e]) for e in used}) != len(used):
         raise ValueError("mapping is not injective on the resolution's elements")
 
     def move(key):
         q, j = key
-        return (frozenset(assignment[frozenset(q)]), j)
+        return (frozenset(mapping[frozenset(q)]), j)
 
     components = {
         level: tuple(Counter(move(key)[0] for key, _ in mods).items())

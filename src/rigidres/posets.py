@@ -25,7 +25,6 @@ keys of `betti.interval_ranks` all come from it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .homology import SimplicialComplex
@@ -327,20 +326,8 @@ def face_lattice(X):
 # --------------------------------------------------------------------------
 # maps and comparisons
 
-@dataclass
-class PosetMap:
-    """A map between posets, stored elementwise."""
-
-    source: Poset
-    target: Poset
-    assignment: dict
-
-    def __call__(self, e):
-        return self.assignment[frozenset(e)]
-
-
 def is_isomorphic(P, Q):
-    """An order-isomorphism P → Q as a PosetMap, or None.
+    """An order-isomorphism P → Q as a dict of elements, or None.
 
     Works on the cover digraphs; candidate assignments are pruned by
     cover degrees and level, which is plenty at desk scale.
@@ -351,13 +338,13 @@ def is_isomorphic(P, Q):
     matcher = nx.algorithms.isomorphism.DiGraphMatcher(
         P.cover_digraph(), Q.cover_digraph(),
         node_match=nx.algorithms.isomorphism.categorical_node_match("h", -1))
-    mapping = next(matcher.isomorphisms_iter(), None)
-    return None if mapping is None else PosetMap(P, Q, dict(mapping))
+    return next(matcher.isomorphisms_iter(), None)
 
 
 def join_preserving_map(P, Q):
     """A join-preserving map P → Q restricting to a bijection on atoms,
-    or None.  All n! atom assignments σ are tried, the identity first.
+    as a dict of elements, or None.  All n! atom assignments σ are
+    tried, the identity first.
 
     Such a map is determined by σ: it must send p to f(p) = join_Q(σ(p)).
     Joins in both lattices are least members containing a union, so f
@@ -377,8 +364,7 @@ def join_preserving_map(P, Q):
         return None
     for sigma in itertools.permutations(range(P.n_atoms)):
         if all(frozenset(map(sigma.index, q)) in P for q in Q.elements):
-            return PosetMap(P, Q, {p: Q.join([{sigma[i] for i in p}])
-                                   for p in P.elements})
+            return {p: Q.join([{sigma[i] for i in p}]) for p in P.elements}
     return None
 
 

@@ -2,16 +2,19 @@
 and the DOT export."""
 
 import argparse
+import copy
 import json
 import os
 import resource
 import subprocess
 import sys
 import time
+from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rigidres.cli import (
     InputError,
@@ -23,6 +26,7 @@ from rigidres.cli import (
     main,
     resolution_from_json,
     resolution_to_json,
+    validate_payload,
 )
 from rigidres.frames import build_frame, homogenize
 from rigidres.betti import betti_poset
@@ -142,15 +146,25 @@ def test_huge_atom_count_is_refused_without_building_the_full_set(tmp_path):
     assert done.stderr == f"error: {path}: missing top (full atom set)\n"
 
 
-def test_importing_the_cli_does_not_load_networkx():
+def _loaded_by_importing_the_cli(module):
+    """Whether a fresh interpreter holds module after importing the CLI."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(
         [sys.executable, "-c",
-         "import sys, rigidres.cli; print('networkx' in sys.modules)"],
+         f"import sys, rigidres.cli; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=30)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    assert done.stdout in ("True\n", "False\n"), done.stdout
+    return done.stdout == "True\n"
+
+
+def test_importing_the_cli_does_not_load_networkx():
+    assert not _loaded_by_importing_the_cli("networkx")
+
+
+def test_importing_the_cli_does_not_load_jsonschema():
+    assert not _loaded_by_importing_the_cli("jsonschema")
 
 
 def test_lattice_file_errors_are_input_errors(tmp_path, capsys):
@@ -160,8 +174,9 @@ def test_lattice_file_errors_are_input_errors(tmp_path, capsys):
     bad.write_text(json.dumps({"n_atoms": 2, "supports": "nope"}))
     assert main(["betti-poset", str(bad)]) == 1  # schema violation
     bad.write_text("{not json")
-    assert main(["betti-poset", str(bad)]) == 1
     capsys.readouterr()
+    assert main(["betti-poset", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not valid JSON")
 
 
 def test_family_json_helpers_reject_bad_payloads():
@@ -179,6 +194,153 @@ def test_family_json_round_trip_of_a_poset():
     payload = family_to_json(P, 3)
     supports, n, degrees = family_from_json(payload)
     assert Poset(supports) == P and n == 3 and degrees is None
+
+
+# --------------------------------------------------------------------------
+# the schema checker, with jsonschema as its oracle
+
+SCHEMAS = ("betti", "lattice", "resolution")
+CHECKED_KEYWORDS = {"type", "required", "properties", "additionalProperties",
+                    "items", "minimum", "uniqueItems", "pattern"}
+
+
+def _subschemas(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+@pytest.mark.parametrize("name", SCHEMAS)
+def test_shipped_schemas_pass_their_metaschema(name):
+    schema = load_schema(name)
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_shipped_schemas_use_only_the_checked_keywords():
+    """A keyword the checker does not read would be silently ignored."""
+    folder = resources.files("rigidres").joinpath("schemas")
+    assert sorted(f.name for f in folder.iterdir()) == [
+        f"{name}.schema.json" for name in SCHEMAS]
+    for name in SCHEMAS:
+        root = load_schema(name)
+        for sub in _subschemas(root):
+            allowed = CHECKED_KEYWORDS | ({"$schema", "title"}
+                                          if sub is root else set())
+            assert set(sub) <= allowed, (name, set(sub) - allowed)
+            assert sub["type"] in ("object", "array", "string", "integer")
+            assert sub.get("additionalProperties", False) is False
+            assert sub.get("uniqueItems", True) is True
+
+
+def valid_payloads(schema):
+    """Payloads the schema accepts: small, integers only, no floats.
+    Arrays are never empty, so every keyword has members to mutate; the
+    "wrong type" mutation can still put [] anywhere."""
+    kind = schema["type"]
+    if kind == "integer":
+        low = schema.get("minimum", 0)
+        return st.integers(low, low + 3)
+    if kind == "string":
+        return st.from_regex(schema["pattern"], fullmatch=True)
+    if kind == "array":
+        return st.lists(valid_payloads(schema["items"]), min_size=1,
+                        max_size=2, unique=schema.get("uniqueItems", False))
+    properties = schema["properties"]
+    return st.fixed_dictionaries(
+        {key: valid_payloads(properties[key]) for key in schema["required"]},
+        optional={key: valid_payloads(sub) for key, sub in properties.items()
+                  if key not in schema["required"]})
+
+
+def _slots(value):
+    """Every (container, key) that holds a value inside value."""
+    keys = (list(value) if isinstance(value, dict)
+            else range(len(value)) if isinstance(value, list) else ())
+    return [slot for key in keys
+            for slot in [(value, key)] + _slots(value[key])]
+
+
+REPLACEMENTS = {
+    "wrong type": st.sampled_from(["7", 0.5, None, [], {}, 7]),
+    "negative": st.integers(-3, -1),
+    "bool": st.booleans(),
+    "bad scalar": st.sampled_from(["", "1/", "1.5", "x", "--1", "1/2/3",
+                                   " 1", "1\n"]) | st.text(max_size=3),
+}
+# the values each kind of mutation applies to; uniqueItems only ever
+# constrains lists of integers, so members are duplicated in those
+TARGETS = {"negative": int, "bool": int, "bad scalar": str,
+           "extra key": dict, "duplicate member": list}
+
+
+def _mutate(kind, data, holder):
+    """Apply one mutation of this kind to a value in holder, if any fits."""
+    wanted = TARGETS.get(kind, object)
+    slots = [(c, k) for c, k in _slots(holder) if isinstance(c[k], wanted)
+             and (kind != "deleted key" or isinstance(c, dict))
+             and (kind != "duplicate member" or isinstance(c[k][0], int))]
+    if not slots:
+        return
+    container, key = data.draw(st.sampled_from(slots))
+    if kind == "deleted key":
+        del container[key]
+    elif kind == "extra key":
+        container[key]["extra"] = 0
+    elif kind == "duplicate member":
+        member = data.draw(st.sampled_from(container[key]))
+        container[key].append(copy.deepcopy(member))
+    else:
+        container[key] = data.draw(REPLACEMENTS[kind])
+
+
+@pytest.mark.parametrize("kind", sorted(REPLACEMENTS) + [
+    "deleted key", "extra key", "duplicate member"])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_checker_agrees_with_jsonschema_on_mutated_payloads(kind, data):
+    for name in SCHEMAS:
+        schema = load_schema(name)
+        holder = [data.draw(valid_payloads(schema))]
+        _mutate(kind, data, holder)
+        payload = holder[0]
+        errors = list(jsonschema.validators.validator_for(schema)(schema)
+                      .iter_errors(payload))
+        try:
+            validate_payload(payload, name)
+        except InputError as err:
+            assert errors, f"only the checker refuses: {err}"
+            if len(errors) == 1:
+                assert str(err) == ("invalid JSON payload: "
+                                    f"{errors[0].message}")
+        else:
+            assert not errors, f"only jsonschema refuses: {errors[0].message}"
+
+
+@pytest.mark.parametrize("command, where", [
+    ("betti-numbers", ("n_atoms",)),
+    ("betti-numbers", ("supports", 1, 0)),
+    ("verify", ("differentials", 0, 0, "row")),
+], ids=["atom-count", "support", "row"])
+def test_integral_floats_are_not_integers(tmp_path, capsys, command, where):
+    """jsonschema lets 2.0 through as an integer; the CLI then crashed."""
+    if command == "verify":
+        path, payload = path_resolution(tmp_path)
+    else:
+        path = tmp_path / "square.lattice"
+        payload = {"n_atoms": 2, "supports": [[], [1], [2], [1, 2]],
+                   "degrees": [[0, 0], [1, 0], [0, 1], [1, 1]]}
+    *route, last = where
+    container = payload
+    for key in route:
+        container = container[key]
+    bad = container[last] = float(container[last])
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: invalid JSON payload: {bad!r} "
+                                       "is not of type 'integer'\n")
 
 
 # --------------------------------------------------------------------------
@@ -229,6 +391,14 @@ def test_compare_reads_a_betti_poset_that_is_not_a_lattice(tmp_path,
     assert main(["betti-poset", hexagon, "-o", b]) == 0  # not a lattice
     capsys.readouterr()
     assert main(["compare", b, b]) == 0
+    assert capsys.readouterr().out == "isomorphic\n"
+
+
+def test_compare_two_empty_families_is_an_isomorphism(tmp_path, capsys):
+    """The isomorphism between empty families is the empty map."""
+    path = tmp_path / "e.lattice"
+    path.write_text(json.dumps({"n_atoms": 1, "supports": []}))
+    assert main(["compare", str(path), str(path)]) == 0
     assert capsys.readouterr().out == "isomorphic\n"
 
 

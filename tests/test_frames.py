@@ -328,7 +328,7 @@ def test_relabel_twins_and_round_trip(twin_a, twin_b):
     report = verify_resolution(res_n)
     assert report.ok and report.strands_checked == 13
 
-    inverse = {v: k for k, v in iso.assignment.items()}
+    inverse = {v: k for k, v in iso.items()}
     back = relabel(res_n, inverse, deg_m)
     assert back.modules == res_m.modules
     assert back.differentials == res_m.differentials

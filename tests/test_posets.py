@@ -547,21 +547,24 @@ def test_join_and_meet():
 
 # -- isomorphism and join-preserving comparisons ----------------------------
 
-def is_order_preserving(m):
-    els = m.source.elements
-    return all(m(a) <= m(b) for a in els for b in els if a <= b)
+def is_order_preserving(P, Q, mapping):
+    els = P.elements
+    return (set(mapping) == set(els)
+            and set(mapping.values()) <= set(Q.elements)
+            and all(mapping[a] <= mapping[b]
+                    for a in els for b in els if a <= b))
 
 
-def is_bijective(m):
-    return (len(set(m.assignment.values())) == len(m.source.elements)
-            == len(m.target.elements))
+def is_bijective(P, Q, mapping):
+    return (len(set(mapping.values())) == len(P.elements)
+            == len(Q.elements))
 
 
 def test_is_isomorphic_identity():
     b3 = boolean_lattice(3)
     m = is_isomorphic(b3, b3)
     assert m is not None
-    assert is_order_preserving(m) and is_bijective(m)
+    assert is_order_preserving(b3, b3, m) and is_bijective(b3, b3, m)
 
 
 def test_is_isomorphic_rejects_different_shapes():
@@ -577,7 +580,7 @@ def test_is_isomorphic_across_relabelings():
     b = meet_closure([{1, 2}], 3)
     m = is_isomorphic(a, b)
     assert m is not None
-    assert is_order_preserving(m)
+    assert is_order_preserving(a, b, m)
 
 
 def test_exists_join_preserving_identity_reflexive():
@@ -622,7 +625,7 @@ def pairwise_join_map(P, Q):
 def matches_pairwise_reference(P, Q):
     found = join_preserving_map(P, Q)
     expected = pairwise_join_map(P, Q)
-    assert (None if found is None else found.assignment) == expected
+    assert found == expected
     return found
 
 
