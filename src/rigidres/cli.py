@@ -167,6 +167,11 @@ def resolution_to_json(res):
     return validate_payload(payload, "resolution")
 
 
+# The whole scalar must match: the schema's `pattern` is searched, and
+# its `$` also matches before a final newline.
+_SCALAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def resolution_from_json(payload, F=FieldSpec(0)):
     """Rebuild a GradedFreeResolution from its JSON payload.
 
@@ -199,6 +204,8 @@ def resolution_from_json(payload, F=FieldSpec(0)):
             except IndexError:
                 raise InputError(f"row/col index out of range in "
                                  f"differential {pos}") from None
+            if not _SCALAR.fullmatch(ent["scalar"]):
+                raise InputError(f"malformed scalar {ent['scalar']!r}")
             try:
                 scalar = Fraction(ent["scalar"])
             except ZeroDivisionError:

@@ -125,6 +125,11 @@ def build_frame(B, F=FieldSpec(0)):
     Intended for Betti posets of rigid ideals, where the result carries
     a minimal free resolution; any poset with a minimum is accepted and
     verify_frame decides whether the outcome is exact.
+
+    >>> from rigidres.monomials import parse_ideal
+    >>> B = betti_poset(lcm_lattice(parse_ideal("x*y; y*z; z*w")))
+    >>> build_frame(B).ranks()
+    (1, 3, 2)
     """
     bot = B.bottom
     others = [q for q in B.elements if q != bot]

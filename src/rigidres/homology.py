@@ -15,13 +15,17 @@ All of it runs on one sparse elimination kernel (`Elimination`):
     fraction-free (x ← a·x − c·b, then the content is divided out), and
     a `Fraction` is made only when a representative or a coordinate is
     handed back;
-  - `reduced_homology` makes one tagged pass per boundary ∂_i: its
-    pivots are the reducer for H̃_{i−1}, and the columns that reduce to
-    zero give the cycles that become representatives of H̃_i;
-  - `homology_ranks` is the rank-only path: h_i = n_i − rank ∂_i −
-    rank ∂_{i+1}, with no combinations tracked.  It eliminates from the
-    top dimension down with clearing (Chen–Kerber): a column of ∂_i
-    whose face is a pivot row of ∂_{i+1} is never built or reduced.
+  - one cleared pass eliminates the boundaries from the top dimension
+    down with clearing (Chen–Kerber): a column of ∂_i whose face is a
+    pivot row of ∂_{i+1} is never built or reduced, and no
+    combinations are tracked.  It gives h_i = n_i − rank ∂_i −
+    rank ∂_{i+1} and, for each i, pivots spanning im ∂_{i+1};
+  - `homology_ranks` is that pass's ranks;
+  - `reduced_homology` takes the pivots of ∂_{i+1} as the reducer of
+    H̃_i, and runs a tagged pass over ∂_i, in face order and without
+    clearing, only where h_i ≠ 0: the columns that reduce to zero give
+    the cycles that become representatives of H̃_i, and the pass stops
+    at the h_i-th representative.
 
 A representative is the cycle f − (its unique expression over the
 earlier independent faces), scaled to coefficient 1 on its face f; the
@@ -219,9 +223,21 @@ def face_boundary(face, F):
 
 
 def chain_boundary(chain, F):
+    """∂(chain), term by term as in `face_boundary`, dropping zeros."""
+    p = F.characteristic
     out = {}
+    get = out.get
     for f, c in chain.terms.items():
-        axpy(out, c, face_boundary(f, F), F)
+        for v in sorted(f, key=vertex_key):
+            g = f - {v}
+            s = get(g, 0) + c
+            if p:
+                s %= p
+            if s:
+                out[g] = s
+            else:
+                out.pop(g, None)
+            c = -c
     return Chain(chain.dimension - 1, out)
 
 
@@ -433,10 +449,11 @@ class HomologyBasis:
         return sorted(self.ranks)
 
 
-def homology_ranks(K, F=FieldSpec(0)):
-    """Ranks {i: h_i} of the nonzero reduced homology of K over F,
-    h_i = #i-faces − rank ∂_i − rank ∂_{i+1}, without representatives,
-    in ascending degree.
+def _cleared_pass(levels, p):
+    """The ranks {i: h_i ≠ 0} of the complex with boundaries `levels`
+    (from `_integer_boundaries`), in ascending degree, and for each i
+    the pivots stored for ∂_i, each a column {row id: int} under its
+    pivot row.
 
     The boundaries are eliminated from the top dimension down, with
     clearing: a column of ∂_i whose face is the pivot row of a column
@@ -446,15 +463,12 @@ def homology_ranks(K, F=FieldSpec(0)):
     matrix with nonzero diagonal.  For f in P some combination b of
     them, a boundary, therefore has coefficient 1 at f and 0 at the
     rest of P.  Since ∂_i b = 0, ∂_i f = ∂_i (f − b), and f − b lies on
-    faces outside P.  So the kept columns span im ∂_i.
-
-    >>> homology_ranks(SimplicialComplex([{1, 2}, {2, 3}, {1, 3}]))
-    {1: 1}
+    faces outside P.  So the kept columns span im ∂_i, and the pivots
+    stored for ∂_i are an echelon basis of im ∂_i.
     """
-    p = F.characteristic
-    ranks = {}
+    ranks, pivots = {}, {}
     cleared = {}  # pivot rows of the columns stored for ∂_{i+1}
-    for i, faces, _, column in reversed(_integer_boundaries(K, p)):
+    for i, faces, _, column in reversed(levels):
         elimination = Elimination(p)
         for k, f in enumerate(faces):
             if k not in cleared:
@@ -462,8 +476,22 @@ def homology_ranks(K, F=FieldSpec(0)):
         h = len(faces) - len(elimination.pivots) - len(cleared)
         if h:
             ranks[i] = h
-        cleared = elimination.pivots
-    return dict(sorted(ranks.items()))
+        cleared = pivots[i] = elimination.pivots
+    return dict(sorted(ranks.items())), pivots
+
+
+def homology_ranks(K, F=FieldSpec(0)):
+    """Ranks {i: h_i} of the nonzero reduced homology of K over F,
+    h_i = #i-faces − rank ∂_i − rank ∂_{i+1}, without representatives,
+    in ascending degree: the ranks of one cleared pass
+    (`_cleared_pass`, where the proof that clearing keeps the ranks is
+    given).
+
+    >>> homology_ranks(SimplicialComplex([{1, 2}, {2, 3}, {1, 3}]))
+    {1: 1}
+    """
+    p = F.characteristic
+    return _cleared_pass(_integer_boundaries(K, p), p)[0]
 
 
 def _field_chain(i, vec, d, faces, p):
@@ -477,12 +505,18 @@ def _field_chain(i, vec, d, faces, p):
 def reduced_homology(K, F=FieldSpec(0)):
     """Reduced homology of K over F with deterministic representatives.
 
-    One tagged pass over the columns of each boundary ∂_i, in face
-    order, yields its pivots and, from the columns that reduce to zero,
-    the cycles z_f = f + (a combination of earlier independent faces).
-    The pivots of ∂_{i+1} are the reducer of H̃_i; the cycles of ∂_i
-    that stay independent of it and of the earlier ones become the
-    representatives of H̃_i, with coefficient 1 on their own face f.
+    One cleared pass (`_cleared_pass`) gives the ranks and, for every
+    i, pivots spanning im ∂_{i+1}: the reducer of H̃_i, kept for every
+    degree from −1 to dim K so that `reduce_cycle` works in all of
+    them.  Only where h_i ≠ 0 is ∂_i eliminated again, in a tagged pass
+    over its columns in face order without clearing.  A column that
+    reduces to zero gives the cycle z_f = f + (a combination of earlier
+    independent faces); the cycles that stay independent of the reducer
+    and of the earlier ones become the representatives of H̃_i, with
+    coefficient 1 on their own face f, and the pass stops at the h_i-th.
+    They are fixed by the face order alone, and the coordinates of
+    `reduce_cycle` do not depend on which echelon basis of the
+    boundaries the reducer holds.
 
     >>> K = SimplicialComplex([{1}, {2}])
     >>> reduced_homology(K).ranks
@@ -491,30 +525,25 @@ def reduced_homology(K, F=FieldSpec(0)):
     {-1: 1}
     """
     p = F.characteristic
-    basis = HomologyBasis()
-    below = None  # (i − 1, its faces and ids, the cycles of ∂_{i−1})
-    passes = itertools.chain(_integer_boundaries(K, p),
-                             [(K.dim + 1, [], {}, None)])
-    for i, faces, index, column in passes:
-        tagged = Elimination(p)
-        cycles = []
-        for k, f in enumerate(faces):
-            combo = {k: 1}
-            if tagged.insert(column(f), combo) is None:
-                cycles.append((k, combo))
-        if below is not None:
-            j, faces_j, index_j, cycles_j = below
-            reducer = Elimination(
-                p, {r: (col, None) for r, (col, _) in tagged.pivots.items()})
+    levels = _integer_boundaries(K, p)
+    ranks, pivots = _cleared_pass(levels, p)
+    basis = HomologyBasis(ranks=ranks)
+    for i, faces, index, column in levels:
+        reducer = Elimination(p, pivots.get(i + 1, {}))
+        h = ranks.get(i, 0)
+        if h:
+            tagged = Elimination(p)
             reps = []
-            for k, z in cycles_j:
-                if reducer.insert(dict(z), {len(reps): z[k]}) is not None:
-                    reps.append(_field_chain(j, z, z[k], faces_j, p))
-            if reps:
-                basis.ranks[j] = len(reps)
-                basis.representatives[j] = reps
-            basis._reducers[j] = (index_j, reducer)
-        below = (i, faces, index, cycles)
+            for k, f in enumerate(faces):
+                z = {k: 1}
+                if (tagged.insert(column(f), z) is None
+                        and reducer.insert(dict(z), {len(reps): z[k]})
+                        is not None):
+                    reps.append(_field_chain(i, z, z[k], faces, p))
+                    if len(reps) == h:
+                        break
+            basis.representatives[i] = reps
+        basis._reducers[i] = (index, reducer)
     return basis
 
 

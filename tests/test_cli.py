@@ -511,6 +511,19 @@ def test_verify_rejects_a_zero_denominator(tmp_path, capsys):
         "", "error: zero denominator in scalar 1/0\n")
 
 
+@pytest.mark.parametrize("scalar", ["1\n", "-1/2\n", " 1", "1 "])
+def test_verify_rejects_a_padded_scalar(tmp_path, capsys, scalar):
+    out, payload = path_resolution(tmp_path)
+    payload["differentials"][1][0]["scalar"] = scalar
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert repr(scalar) in captured.err
+
+
 def test_verify_reports_a_zero_scalar(tmp_path, capsys):
     out, payload = path_resolution(tmp_path)
     payload["differentials"][0][0]["scalar"] = "0"

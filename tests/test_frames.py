@@ -6,6 +6,7 @@ computations for two and three variables, the Taylor-complex oracle
 characteristic-2 jump of the projective-plane ideal.
 """
 
+import json
 import random
 
 import pytest
@@ -30,6 +31,7 @@ from rigidres.frames import (
     verify_resolution,
 )
 from rigidres import frames, homology
+from rigidres.cli import resolution_from_json, resolution_to_json
 from rigidres.homology import FieldSpec, homology_ranks, reduced_homology
 from rigidres.monomials import Monomial, MonomialIdeal, minimalize, parse_ideal
 from rigidres.posets import is_isomorphic, lcm_lattice, order_complex
@@ -409,6 +411,18 @@ def test_interval_route_matches_taylor_on_ladder(F):
               + [strongly_generic_ideal(n, n) for n in range(6, 11)])
     for I in ladder:
         assert betti_numbers(I, F) == taylor_betti(I, F), I.generators
+
+
+@pytest.mark.parametrize("F", [Q, GF2], ids=["char0", "char2"])
+def test_c9_resolution_survives_its_file_and_verifies(F):
+    """resolve → .res JSON → load → verify on the 9-cycle, against the
+    Taylor totals (Taylor 1966; Bayer–Peeva–Sturmfels 1998)."""
+    I = cycle_edge_ideal(9)
+    _, _, res = resolve(I, F)
+    text = json.dumps(resolution_to_json(res))
+    back = resolution_from_json(json.loads(text), F)
+    assert verify_resolution(back).ok
+    assert back.ranks() == taylor_betti(I, F).totals()
 
 
 def test_checkers_run_no_kernel_code(monkeypatch):

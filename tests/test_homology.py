@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rigidres import homology
 from rigidres.homology import (
     Chain,
     FieldSpec,
@@ -17,6 +18,7 @@ from rigidres.homology import (
     reduce_cycle,
     reduced_homology,
 )
+from rigidres.posets import Poset, order_complex
 
 Q = FieldSpec(0)
 
@@ -190,6 +192,61 @@ def test_reduce_cycle_rejects_non_cycles():
         reduce_cycle(Chain(1, {frozenset({1, 2}): Fraction(1)}), HEXAGON, basis, Q)
     with pytest.raises(ValueError):
         reduce_cycle(Chain(1, {frozenset({2, 5}): Fraction(1)}), HEXAGON, basis, Q)
+
+
+# --------------------------------------------------------------------------
+# the tagged pass runs only where there is homology
+
+def tagged_inserts(monkeypatch):
+    """The combinations of the columns inserted with one, as inserted."""
+    seen = []
+    insert = homology.Elimination.insert
+
+    def recording(self, col, combo=None):
+        if combo is not None:
+            seen.append(dict(combo))
+        return insert(self, col, combo)
+
+    monkeypatch.setattr(homology.Elimination, "insert", recording)
+    return seen
+
+
+CONE = SimplicialComplex([{0, 1, 2}, {0, 2, 3}, {0, 3, 4}, {0, 4, 5},
+                          {0, 5, 6}, {0, 1, 6}])  # the cone over HEXAGON
+
+
+@pytest.mark.parametrize("K", [
+    CONE,
+    # the order complex of a fragment with a top is a cone on the top
+    order_complex(Poset([{0}, {1}, {2}, {0, 1}, {1, 2}, {0, 1, 2}])),
+], ids=["cone", "fragment-with-top"])
+def test_acyclic_complexes_tag_nothing(monkeypatch, K):
+    seen = tagged_inserts(monkeypatch)
+    basis = reduced_homology(K, Q)
+    assert basis.ranks == {} and seen == []
+    for i in range(-1, K.dim + 1):
+        assert basis.rank(i) == 0
+        assert i in basis._reducers
+
+
+def test_hexagon_tags_only_its_edges(monkeypatch):
+    seen = tagged_inserts(monkeypatch)
+    basis = reduced_homology(HEXAGON, Q)
+    assert basis.ranks == {1: 1}
+    # the six columns of ∂_1, then the one representative entering the
+    # reducer of H̃_1; ∂_0 and ∂_{−1} are never tagged
+    edges = HEXAGON.faces_of_dim(1)
+    assert seen == [{k: 1} for k in range(len(edges))] + [{0: 1}]
+
+
+@pytest.mark.parametrize("K, i", [(HEXAGON, 0), (HEXAGON, -1), (CONE, 1),
+                                  (CONE, 0)])
+def test_reduce_cycle_of_a_boundary_without_homology(K, i):
+    basis = reduced_homology(K, Q)
+    assert basis.rank(i) == 0
+    for f in K.faces_of_dim(i + 1):
+        z = chain_boundary(Chain(i + 1, {f: Fraction(3)}), Q)
+        assert reduce_cycle(z, K, basis, Q) == []
 
 
 # --------------------------------------------------------------------------

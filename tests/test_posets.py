@@ -334,8 +334,7 @@ def assert_order_queries_match_brute_force(P):
         else:
             with pytest.raises(ValueError):
                 getattr(P, name)
-    assert order_complex(P) == SimplicialComplex(
-        frozenset(c) for c in all_chains(els))
+    assert_order_complex_matches_closing_constructor(P)
     if len(mins) != 1:
         return
     bot = mins[0]
@@ -371,6 +370,34 @@ def test_order_queries_match_brute_force(data):
         P = Poset(data.draw(st.lists(st.sampled_from(lat.elements),
                                      unique=True)))
     assert_order_queries_match_brute_force(P)
+
+
+def assert_order_complex_matches_closing_constructor(P):
+    """`order_complex` enumerates its faces closed; the closing
+    constructor on every chain must give the same faces, dimension by
+    dimension, in the same order."""
+    K = order_complex(P)
+    closed = SimplicialComplex(frozenset(c) for c in all_chains(P.elements))
+    assert K.faces == closed.faces
+    assert K.dim == closed.dim
+    assert K.vertices == closed.vertices
+    for i in range(-1, closed.dim + 2):
+        assert K.faces_of_dim(i) == closed.faces_of_dim(i)
+
+
+@given(st.sets(st.frozensets(st.integers(0, 4), max_size=4), max_size=12))
+@settings(max_examples=80, deadline=None)
+def test_order_complex_matches_closing_constructor(family):
+    assert_order_complex_matches_closing_constructor(Poset(family))
+
+
+@pytest.mark.parametrize("family", [
+    [],
+    [{0}, {1}, {2}, {3}],  # an antichain: four isolated vertices
+    [{0, 1}, {1, 2}, {0, 2}],
+], ids=["empty", "antichain", "antichain-of-pairs"])
+def test_order_complex_matches_closing_constructor_at_the_edges(family):
+    assert_order_complex_matches_closing_constructor(Poset(family))
 
 
 def test_order_queries_match_brute_force_on_fixtures(
