@@ -15,12 +15,10 @@ from .monomials import (  # noqa: F401
     lcm_of,
 )
 from .homology import (  # noqa: F401
-    Chain,
     FieldSpec,
     HomologyBasis,
     SimplicialComplex,
     SpanBasis,
-    chain_boundary,
     homology_ranks,
     reduce_cycle,
     reduced_homology,

@@ -11,7 +11,9 @@ and maps assembled from the reduced homology of B's open intervals:
     representative cycle z as a + b, where a collects exactly the
     chains lying inside the half-open interval (0̂, p]; then ∂a is a
     cycle of the open interval below p, and its coordinates in p's
-    fixed homology basis give the block column.
+    fixed homology basis give the block column.  The split works on
+    face ids, and ∂a is taken with the integer boundary columns of
+    (0̂, q), so the map runs in integers up to its coordinates.
 
 The split is well defined on covers: a chain of (0̂, q) containing p
 has p as its largest element (nothing fits strictly between p and q),
@@ -41,12 +43,11 @@ from dataclasses import dataclass, field
 
 from .betti import BettiTable, betti_numbers, betti_poset
 from .homology import (
-    Chain,
     FieldSpec,
     SimplicialComplex,
     SpanBasis,
+    _boundary,
     axpy,
-    chain_boundary,
     reduce_cycle,
     reduced_homology,
 )
@@ -109,14 +110,23 @@ class Frame:
         ]
 
 
-def _connecting_column(z, p, K_p, basis_p, F):
+def _connecting_column(z, i, p, basis_q, basis_p, F):
     """One column of the connecting map along a cover p ⋖ q: split the
-    cycle z of (0̂, q) as a + b with a the terms inside (0̂, p], and
-    return the coordinates of ∂a in p's fixed homology basis (K_p is
-    the order complex of (0̂, p))."""
-    a = Chain(z.dimension,
-              {ch: c for ch, c in z.terms.items() if all(e <= p for e in ch)})
-    return reduce_cycle(chain_boundary(a, F), K_p, basis_p, F)
+    i-cycle z = (vector, d) of (0̂, q) as a + b with a the face ids whose
+    chains lie inside (0̂, p], and return the coordinates of ∂a in p's
+    fixed homology basis (the bases are those of the order complexes)."""
+    vec, d = z
+    level = basis_q._reducers[i][0]  # (i, i-faces, face -> id, column)
+    below = basis_q._reducers[i - 1][0][1]
+    rows = basis_p._reducers[i - 1][0][2]
+    a = {k: c for k, c in vec.items() if all(e <= p for e in level[1][k])}
+    col = {}
+    for k, c in _boundary(a, level, F.characteristic).items():
+        if below[k] not in rows:
+            raise ValueError(f"chain {sorted(map(sorted, below[k]))} "
+                             "not in the complex")
+        col[rows[below[k]]] = c
+    return reduce_cycle((col, d), i - 1, basis_p, F)
 
 
 def build_frame(B, F=FieldSpec(0)):
@@ -133,36 +143,32 @@ def build_frame(B, F=FieldSpec(0)):
     """
     bot = B.bottom
     others = [q for q in B.elements if q != bot]
-    complexes = {q: order_complex(B.open_interval(q)) for q in others}
-    bases = {q: reduced_homology(complexes[q], F) for q in others}
+    bases = {q: reduced_homology(order_complex(B.open_interval(q)), F)
+             for q in others}
 
     components = {0: ((bot, 1),)}
     for q in others:  # canonical order keeps each level sorted
-        for i in bases[q].nonzero_degrees():
-            level = i + 2
-            components.setdefault(level, ())
-            components[level] += ((q, bases[q].ranks[i]),)
+        for i, h in bases[q].ranks.items():
+            components[i + 2] = components.get(i + 2, ()) + ((q, h),)
 
     maps = {}
     for level in sorted(components):
         if level == 0:
             continue
         maps[level] = {}
-        for q, mult in components[level]:
-            reps = bases[q].representatives[level - 2]
-            for j in range(mult):
-                z = reps[j]
+        i = level - 2
+        for q, _ in components[level]:
+            for j, z in enumerate(bases[q].representatives[i]):
                 col = {}
                 for p in B.lower_covers(q):
                     if p == bot:
                         # only atoms cover 0̂; their class is the empty
                         # face itself, sent identically to position 0
-                        col[(bot, 0)] = z.terms[frozenset()]
+                        col[(bot, 0)] = F.one
                         continue
-                    if bases[p].rank(level - 3) == 0:
+                    if bases[p].rank(i - 1) == 0:
                         continue
-                    coords = _connecting_column(z, p, complexes[p],
-                                                bases[p], F)
+                    coords = _connecting_column(z, i, p, bases[q], bases[p], F)
                     for k, c in enumerate(coords):
                         if c:
                             col[(p, k)] = c

@@ -13,8 +13,7 @@ All of it runs on one sparse elimination kernel (`Elimination`):
     fixed face order, so a column's pivot is the smallest id in it;
   - over GF(p) entries are plain ints mod p; over Q updates are
     fraction-free (x ← a·x − c·b, then the content is divided out), and
-    a `Fraction` is made only when a representative or a coordinate is
-    handed back;
+    a `Fraction` is made only when a coordinate is handed back;
   - one cleared pass eliminates the boundaries from the top dimension
     down with clearing (Chen–Kerber): a column of ∂_i whose face is a
     pivot row of ∂_{i+1} is never built or reduced, and no
@@ -30,6 +29,7 @@ All of it runs on one sparse elimination kernel (`Elimination`):
 A representative is the cycle f − (its unique expression over the
 earlier independent faces), scaled to coefficient 1 on its face f; the
 arithmetic is exact, so these do not depend on how pivots are reduced.
+It is handed back as the kernel holds it: integers on face ids, over d.
 `SpanBasis` is a separate, plain field elimination kept for the
 checkers (`frames.taylor_betti`, `verify_resolution`, the strand ranks
 of `verify_frame`), which therefore share no code with the kernel.
@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 # --------------------------------------------------------------------------
@@ -81,9 +81,17 @@ class FieldSpec:
             raise ValueError(f"characteristic must be 0 or a prime, got {c}")
 
     def coerce(self, x):
-        if self.characteristic == 0:
+        """x as an element of the field; over GF(p) a rational a/b is
+        a·b⁻¹, and ValueError when p divides b."""
+        p = self.characteristic
+        if p == 0:
             return Fraction(x)
-        return int(x) % self.characteristic
+        if isinstance(x, int):
+            return x % p
+        x = Fraction(x)
+        if x.denominator % p == 0:
+            raise ValueError(f"{x} has no value mod {p}")
+        return x.numerator * pow(x.denominator, p - 2, p) % p
 
     @property
     def one(self):
@@ -120,7 +128,7 @@ def axpy(target, c, source, F):
 
 
 # --------------------------------------------------------------------------
-# complexes and chains
+# complexes
 
 def vertex_key(v):
     """Deterministic total order on vertices.
@@ -183,9 +191,6 @@ class SimplicialComplex:
         """Faces with i+1 vertices, in the fixed lexicographic order."""
         return list(self._by_dim.get(i, ()))
 
-    def __contains__(self, face):
-        return frozenset(face) in self.faces
-
     def __eq__(self, other):
         return isinstance(other, SimplicialComplex) and self.faces == other.faces
 
@@ -198,58 +203,6 @@ class SimplicialComplex:
         return f"SimplicialComplex[{inner}]"
 
 
-@dataclass
-class Chain:
-    """A formal sum of equal-dimension faces with nonzero coefficients."""
-
-    dimension: int
-    terms: dict  # face (frozenset) -> nonzero scalar
-
-    def __post_init__(self):
-        for f in self.terms:
-            if len(f) - 1 != self.dimension:
-                raise ValueError(f"face {set(f)} not of dimension {self.dimension}")
-
-
-def face_boundary(face, F):
-    """∂(face) with alternating signs; removing the j-th vertex (in the
-    global vertex order) contributes (−1)^j.  For a vertex this is +1·∅."""
-    verts = sorted(face, key=vertex_key)
-    out = {}
-    sign = F.one
-    for j, v in enumerate(verts):
-        out[face - {v}] = sign if j % 2 == 0 else F.neg(sign)
-    return out
-
-
-def chain_boundary(chain, F):
-    """∂(chain), term by term as in `face_boundary`, dropping zeros."""
-    p = F.characteristic
-    out = {}
-    get = out.get
-    for f, c in chain.terms.items():
-        for v in sorted(f, key=vertex_key):
-            g = f - {v}
-            s = get(g, 0) + c
-            if p:
-                s %= p
-            if s:
-                out[g] = s
-            else:
-                out.pop(g, None)
-            c = -c
-    return Chain(chain.dimension - 1, out)
-
-
-def boundary_matrix(K, i, F):
-    """Columns of ∂_i: C_i → C_{i−1}, keyed by i-face, in the fixed
-    face order.  ∂_0 is the augmentation onto the empty face; ∂_{−1} = 0."""
-    cols = {}
-    for f in K.faces_of_dim(i):
-        cols[f] = face_boundary(f, F) if i >= 0 else {}
-    return cols
-
-
 # --------------------------------------------------------------------------
 # the reference elimination of the checkers
 
@@ -259,9 +212,7 @@ class SpanBasis:
     The checkers' elimination, kept apart from the kernel below.
 
     Columns may carry a tag; the basis remembers, for each reduced
-    column, its expansion over the *tagged* originals.  This turns
-    "write cycle z as a combination of chosen representatives modulo
-    boundaries" into a single reduction pass.
+    column, its expansion over the *tagged* originals.
 
     Pivoting is deterministic: a column's pivot is its first nonzero
     row in the global row order (the `key` argument, faces by default),
@@ -298,13 +249,6 @@ class SpanBasis:
         self._pivots[pivot] = (col, combo)
         self.rank += 1
         return True
-
-    def express(self, col):
-        """(residue, combo): col − residue lies in the span, and the
-        tagged part of the decomposition is −combo … i.e. col =
-        Σ (−combo[t])·column_t + untagged part + residue."""
-        col, combo, _ = self._reduce(col, {})
-        return col, {t: self.F.neg(c) for t, c in combo.items()}
 
 
 # --------------------------------------------------------------------------
@@ -436,17 +380,15 @@ class HomologyBasis:
     """Ranks and fixed cycle representatives of H̃_i, plus the internal
     eliminators needed to express further cycles in this basis."""
 
-    ranks: dict = field(default_factory=dict)  # i -> h_i (only nonzero kept)
-    representatives: dict = field(default_factory=dict)  # i -> [Chain]
-    # i -> (face -> row id, Elimination over the boundaries B_i and the
-    # representatives, tagged by their index)
+    ranks: dict = field(default_factory=dict)  # i -> h_i ≠ 0, ascending
+    # i -> [(vector, d)]: the cycle Σ vector[k]/d · (k-th i-face of K)
+    representatives: dict = field(default_factory=dict)
+    # i -> (the level of `_integer_boundaries` in degree i, Elimination
+    # over the boundaries B_i and the representatives, tagged by index)
     _reducers: dict = field(default_factory=dict, repr=False)
 
     def rank(self, i):
         return self.ranks.get(i, 0)
-
-    def nonzero_degrees(self):
-        return sorted(self.ranks)
 
 
 def _cleared_pass(levels, p):
@@ -494,14 +436,6 @@ def homology_ranks(K, F=FieldSpec(0)):
     return _cleared_pass(_integer_boundaries(K, p), p)[0]
 
 
-def _field_chain(i, vec, d, faces, p):
-    """The integer vector vec / d on i-face ids as a chain over F."""
-    if p:
-        inv = pow(d, p - 2, p)
-        return Chain(i, {faces[k]: v * inv % p for k, v in sorted(vec.items())})
-    return Chain(i, {faces[k]: Fraction(v, d) for k, v in sorted(vec.items())})
-
-
 def reduced_homology(K, F=FieldSpec(0)):
     """Reduced homology of K over F with deterministic representatives.
 
@@ -523,12 +457,22 @@ def reduced_homology(K, F=FieldSpec(0)):
     {0: 1}
     >>> reduced_homology(SimplicialComplex()).ranks
     {-1: 1}
+
+    A representative is a pair (vector, d) on face ids: on the hollow
+    triangle, H̃_1 is spanned by {1, 2} − {1, 3} + {2, 3}.
+
+    >>> triangle = SimplicialComplex([{1, 2}, {2, 3}, {1, 3}])
+    >>> triangle.faces_of_dim(1)
+    [frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3})]
+    >>> reduced_homology(triangle).representatives[1]
+    [({0: 1, 1: -1, 2: 1}, 1)]
     """
     p = F.characteristic
     levels = _integer_boundaries(K, p)
     ranks, pivots = _cleared_pass(levels, p)
     basis = HomologyBasis(ranks=ranks)
-    for i, faces, index, column in levels:
+    for level in levels:
+        i, faces, _, column = level
         reducer = Elimination(p, pivots.get(i + 1, {}))
         h = ranks.get(i, 0)
         if h:
@@ -539,40 +483,50 @@ def reduced_homology(K, F=FieldSpec(0)):
                 if (tagged.insert(column(f), z) is None
                         and reducer.insert(dict(z), {len(reps): z[k]})
                         is not None):
-                    reps.append(_field_chain(i, z, z[k], faces, p))
+                    reps.append((dict(sorted(z.items())), z[k]))
                     if len(reps) == h:
                         break
             basis.representatives[i] = reps
-        basis._reducers[i] = (index, reducer)
+        basis._reducers[i] = (level, reducer)
     return basis
 
 
-def reduce_cycle(z, K, basis, F=FieldSpec(0)):
-    """Coordinates of the cycle z over basis.representatives[z.dimension].
+def _boundary(vec, level, p):
+    """∂ of vec, nonzero (mod p) on the i-face ids of `level` (from
+    `_integer_boundaries`), as a vector on (i−1)-face ids."""
+    _, faces, _, column = level
+    out = {}
+    for k, c in vec.items():
+        _axpy(out, c, column(faces[k]), p)
+    return out
 
-    z must be a cycle supported on K; the result c satisfies
-    z − Σ c_j · rep_j ∈ boundaries.  All-zero means z bounds.
-    """
-    for f in z.terms:
-        if f not in K:
-            raise ValueError(f"face {set(f)} not in the complex")
-    if z.dimension >= 0 and any(chain_boundary(z, F).terms.values()):
-        raise ValueError("not a cycle")
+
+def reduce_cycle(z, i, basis, F=FieldSpec(0)):
+    """Coordinates of the i-cycle z = (vector, d), given as the
+    representatives are (d prime to the characteristic), over
+    basis.representatives[i].  z must be a cycle supported on K; the
+    result c satisfies z − Σ c_j · rep_j ∈ boundaries.  All-zero means
+    z bounds."""
+    vec, d = z
     p = F.characteristic
-    rows, reducer = basis._reducers.get(z.dimension, ({}, Elimination(p)))
-    n_reps = len(basis.representatives.get(z.dimension, []))
-    if p:
-        scale = 1
-        col = {rows[f]: int(c) % p for f, c in z.terms.items() if int(c) % p}
-    else:
-        scale = lcm(*(Fraction(c).denominator for c in z.terms.values()))
-        col = {rows[f]: (Fraction(c) * scale).numerator
-               for f, c in z.terms.items() if c}
+    if not (d % p if p else d):
+        raise ValueError(f"denominator {d} is zero in the field")
+    # outside degrees −1 … dim K there are no i-faces
+    level, reducer = basis._reducers.get(i, ((i, ()), None))
+    col = {}
+    for k, c in vec.items():
+        if not 0 <= k < len(level[1]):
+            raise ValueError(f"face id {k} not in the complex")
+        c = c % p if p else c
+        if c:
+            col[k] = c
+    if col and _boundary(col, level, p):
+        raise ValueError("not a cycle")
     combo = {-1: 1}  # tag −1 tracks the multiple of z that col holds
-    if reducer.reduce(col, combo) is not None:
+    if col and reducer.reduce(col, combo) is not None:
         raise ValueError("cycle not in the span of boundaries and representatives")
-    s = combo.pop(-1) * scale
+    s = combo.pop(-1) * d
     if p:
         inv = pow(s, p - 2, p)
-        return [-combo.get(j, 0) * inv % p for j in range(n_reps)]
-    return [Fraction(-combo.get(j, 0), s) for j in range(n_reps)]
+        return [-combo.get(j, 0) * inv % p for j in range(basis.rank(i))]
+    return [Fraction(-combo.get(j, 0), s) for j in range(basis.rank(i))]

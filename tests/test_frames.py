@@ -6,6 +6,7 @@ computations for two and three variables, the Taylor-complex oracle
 characteristic-2 jump of the projective-plane ideal.
 """
 
+import hashlib
 import json
 import random
 
@@ -130,6 +131,19 @@ def test_three_variable_blocks_are_unit_entries():
         block = fr.block(3, top, pair)
         assert len(block) == 1 and len(block[0]) == 1
         assert block[0][0] in (Q.coerce(1), Q.coerce(-1))
+
+
+def test_connecting_column_refuses_a_boundary_outside_the_interval():
+    # a lone edge {0} < {0, 1} is no cycle: its boundary keeps the
+    # vertex {0, 1}, which is not a face of the interval below {0, 1}
+    B = pipeline("x; y; z")[2]
+    top, p = frozenset({0, 1, 2}), frozenset({0, 1})
+    K_q = order_complex(B.open_interval(top))
+    basis_q = reduced_homology(K_q, Q)
+    basis_p = reduced_homology(order_complex(B.open_interval(p)), Q)
+    k = K_q.faces_of_dim(1).index(frozenset({frozenset({0}), p}))
+    with pytest.raises(ValueError, match=r"\[\[0, 1\]\] not in the complex"):
+        frames._connecting_column(({k: 1}, 1), 1, p, basis_q, basis_p, Q)
 
 
 def test_blocks_agree_with_maps_on_every_cover(hexagon_ideal):
@@ -455,6 +469,32 @@ def test_checkers_run_no_kernel_code(monkeypatch):
     monkeypatch.setattr(frames, "betti_numbers",
                         lambda P, F, memo=None: tables[P.elements])
     assert verify_frame(frame, ambient=L).ok
+
+
+# sha256 of repr(frame.components) + repr(frame.maps): the golden tables
+# cover only the small fixtures, so these freeze every scalar of larger
+# frames
+FRAME_DIGESTS = {
+    "C7-char0": "ae274252404fc2f5551c9ffb0d97b2d88aef422935dc2b4986e9ff8554beea55",
+    "C7-char2": "971dd488e0d7cf5c5d920bca17f89aa6ddf007583f108e1ca689b2ef895a297a",
+    "C7-char3": "2f163d1e778b6e961a5e0f36802428532c5db8342f90b9e4a200e0865eee1672",
+    "C8-char0": "4fca4c0cd6475992b52027828db993e2d26b9136a2f1e0151ebfeef8fd139251",
+    "C8-char2": "b6593ba30f0cee78c71276449295ecbb275c2e0a345819b4ddd9977883501622",
+    "C8-char3": "721d1b1b5b5dc3f8397f2a3eaccebb70918f195be7c0af9b42025bee98afda86",
+    "generic77-char0":
+        "1575f2d29e92d507731822f2d6d0fe5c3f47c8aea21e1d1bb71192dac04fe3fd",
+}
+
+
+@pytest.mark.parametrize("name", FRAME_DIGESTS)
+def test_frame_digests_are_frozen(name):
+    ideal, char = name.split("-char")
+    I = (strongly_generic_ideal(7, 7) if ideal == "generic77"
+         else cycle_edge_ideal(int(ideal[1:])))
+    F = FieldSpec(int(char))
+    frame = build_frame(betti_poset(lcm_lattice(I), F), F)
+    text = repr(frame.components) + repr(frame.maps)
+    assert hashlib.sha256(text.encode()).hexdigest() == FRAME_DIGESTS[name]
 
 
 def projective_plane_ideal():

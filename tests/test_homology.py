@@ -1,22 +1,21 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rigidres import homology
 from rigidres.homology import (
-    Chain,
     FieldSpec,
     SimplicialComplex,
     SpanBasis,
     axpy,
-    boundary_matrix,
-    chain_boundary,
     homology_ranks,
     reduce_cycle,
     reduced_homology,
+    vertex_key,
 )
 from rigidres.posets import Poset, order_complex
 
@@ -29,6 +28,46 @@ HEXAGON = SimplicialComplex([{1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {1, 6}])
 RP2_TRIANGLES = [{1, 2, 5}, {1, 2, 6}, {1, 3, 4}, {1, 3, 6}, {1, 4, 5},
                  {2, 3, 4}, {2, 3, 5}, {2, 4, 6}, {3, 5, 6}, {4, 5, 6}]
 RP2 = SimplicialComplex(RP2_TRIANGLES)
+
+
+# --------------------------------------------------------------------------
+# chains as {face: scalar} dicts, converted at the edge to the pair
+# (vector on face ids, d) that representatives and reduce_cycle use
+
+def face_boundary(face, F):
+    """∂(face) with alternating signs; removing the j-th vertex (in the
+    global vertex order) contributes (−1)^j.  For a vertex this is +1·∅."""
+    verts = sorted(face, key=vertex_key)
+    return {face - {v}: F.coerce((-1) ** j) for j, v in enumerate(verts)}
+
+
+def boundary(chain, F):
+    """∂ of a chain {face: scalar}, face by face."""
+    out = {}
+    for f, c in chain.items():
+        axpy(out, c, face_boundary(f, F), F)
+    return out
+
+
+def boundary_matrix(K, i, F):
+    """Columns of ∂_i: C_i → C_{i−1}, keyed by i-face, in the fixed
+    face order.  ∂_0 is the augmentation onto the empty face; ∂_{−1} = 0."""
+    return {f: face_boundary(f, F) if i >= 0 else {}
+            for f in K.faces_of_dim(i)}
+
+
+def as_vector(K, i, chain):
+    """A chain {i-face of K: scalar} as (vector on i-face ids, d)."""
+    ids = {f: k for k, f in enumerate(K.faces_of_dim(i))}
+    d = lcm(*(Fraction(c).denominator for c in chain.values()))
+    return {ids[f]: int(Fraction(c) * d) for f, c in chain.items()}, d
+
+
+def as_chain(K, i, z, F):
+    """The i-chain z = (vector on face ids, d) of K as {face: scalar}."""
+    vec, d = z
+    faces = K.faces_of_dim(i)
+    return {faces[k]: F.coerce(Fraction(v, d)) for k, v in vec.items()}
 
 
 def small_complexes():
@@ -45,10 +84,35 @@ def test_field_spec_validates():
         FieldSpec(1)
 
 
+def test_coerce_reduces_integers_mod_p():
+    assert FieldSpec(3).coerce(7) == 1
+    assert FieldSpec(3).coerce(-1) == 2
+    assert FieldSpec(0).coerce(-1) == Fraction(-1)
+
+
+@pytest.mark.parametrize("x, residue", [
+    (Fraction(1, 2), 2),  # 2·2 = 4 ≡ 1
+    (Fraction(-1, 2), 1),
+    (0.5, 2),
+    (Fraction(4, 5), 2),  # 5 ≡ 2 and 2·2 ≡ 4 ≡ 1
+    (Fraction(6, 1), 0),
+], ids=str)
+def test_coerce_reads_a_rational_as_a_over_b_mod_p(x, residue):
+    assert FieldSpec(3).coerce(x) == residue
+    assert FieldSpec(0).coerce(x) == Fraction(x)
+
+
+@pytest.mark.parametrize("p, x", [(3, Fraction(1, 3)), (3, Fraction(2, 9)),
+                                  (2, 0.5), (2, Fraction(-3, 2))], ids=str)
+def test_coerce_refuses_a_denominator_divisible_by_p(p, x):
+    with pytest.raises(ValueError, match=f"no value mod {p}"):
+        FieldSpec(p).coerce(x)
+
+
 def test_downward_closure_and_dim():
     K = SimplicialComplex([{1, 2, 3}])
     assert K.dim == 2
-    assert {1, 2} in K and {3} in K and frozenset() in K
+    assert {frozenset({1, 2}), frozenset({3}), frozenset()} <= K.faces
     assert len(K.faces) == 8
 
 
@@ -105,8 +169,7 @@ def test_edge_boundary_signs():
 def test_boundary_squares_to_zero(K):
     for i in range(0, K.dim + 1):
         for col in boundary_matrix(K, i, Q).values():
-            z = chain_boundary(Chain(i - 1, col), Q)
-            assert not z.terms
+            assert not boundary(col, Q)
 
 
 @given(small_complexes())
@@ -138,36 +201,33 @@ def test_representatives_are_independent_cycles(K):
         for col in boundary_matrix(K, i + 1, Q).values():
             fresh.insert(col)
         for rep in reps:
+            chain = as_chain(K, i, rep, Q)
             if i >= 0:
-                assert not chain_boundary(rep, Q).terms
-            assert fresh.insert(dict(rep.terms))
+                assert not boundary(chain, Q)
+            assert fresh.insert(chain)
 
 
 def test_representatives_deterministic():
     a = reduced_homology(SimplicialComplex([{1, 2}, {2, 3}, {1, 3}, {4}]), Q)
     b = reduced_homology(SimplicialComplex([{4}, {1, 3}, {2, 3}, {1, 2}]), Q)
     assert a.ranks == b.ranks
-    for i in a.representatives:
-        assert [r.terms for r in a.representatives[i]] == [
-            r.terms for r in b.representatives[i]
-        ]
+    assert a.representatives == b.representatives
 
 
 def test_reduce_cycle_on_representative_is_unit_vector():
     basis = reduced_homology(HEXAGON, Q)
     (rep,) = basis.representatives[1]
-    assert reduce_cycle(rep, HEXAGON, basis, Q) == [1]
+    assert reduce_cycle(rep, 1, basis, Q) == [1]
 
 
 def test_reduce_cycle_on_boundary_is_zero():
+    z = boundary({frozenset({1, 2, 3}): Fraction(1)}, Q)
     K = SimplicialComplex([{1, 2, 3}, {1, 3, 4}])
     basis = reduced_homology(K, Q)
-    z = chain_boundary(Chain(2, {frozenset({1, 2, 3}): Fraction(1)}), Q)
-    assert reduce_cycle(z, K, basis, Q) == []
+    assert reduce_cycle(as_vector(K, 1, z), 1, basis, Q) == []
     K2 = SimplicialComplex([{1, 2, 3}, {1, 4}, {4, 5}, {1, 5}])
     basis2 = reduced_homology(K2, Q)
-    z2 = chain_boundary(Chain(2, {frozenset({1, 2, 3}): Fraction(1)}), Q)
-    assert reduce_cycle(z2, K2, basis2, Q) == [0]
+    assert reduce_cycle(as_vector(K2, 1, z), 1, basis2, Q) == [0]
 
 
 def test_reduce_cycle_around_hexagon():
@@ -180,18 +240,27 @@ def test_reduce_cycle_around_hexagon():
         frozenset({5, 6}): Fraction(1),
         frozenset({1, 6}): Fraction(-1),
     }
-    z = Chain(1, walk)
-    assert not chain_boundary(z, Q).terms
-    (c,) = reduce_cycle(z, HEXAGON, basis, Q)
+    assert not boundary(walk, Q)
+    (c,) = reduce_cycle(as_vector(HEXAGON, 1, walk), 1, basis, Q)
     assert abs(c) == 1
 
 
 def test_reduce_cycle_rejects_non_cycles():
     basis = reduced_homology(HEXAGON, Q)
-    with pytest.raises(ValueError):
-        reduce_cycle(Chain(1, {frozenset({1, 2}): Fraction(1)}), HEXAGON, basis, Q)
-    with pytest.raises(ValueError):
-        reduce_cycle(Chain(1, {frozenset({2, 5}): Fraction(1)}), HEXAGON, basis, Q)
+    edge = as_vector(HEXAGON, 1, {frozenset({1, 2}): Fraction(1)})
+    with pytest.raises(ValueError, match="not a cycle"):
+        reduce_cycle(edge, 1, basis, Q)
+    # {2, 5} is no edge of the hexagon, so it has no id among the six
+    n_edges = len(HEXAGON.faces_of_dim(1))
+    for k in (n_edges, -1):
+        with pytest.raises(ValueError, match="not in the complex"):
+            reduce_cycle(({k: 1}, 1), 1, basis, Q)
+    with pytest.raises(ValueError, match="not in the complex"):
+        reduce_cycle(({0: 1}, 1), 2, basis, Q)
+    (rep,) = basis.representatives[1]
+    for d, F in ((0, Q), (2, FieldSpec(2)), (6, FieldSpec(3))):
+        with pytest.raises(ValueError, match="zero in the field"):
+            reduce_cycle((rep[0], d), 1, reduced_homology(HEXAGON, F), F)
 
 
 # --------------------------------------------------------------------------
@@ -245,12 +314,20 @@ def test_reduce_cycle_of_a_boundary_without_homology(K, i):
     basis = reduced_homology(K, Q)
     assert basis.rank(i) == 0
     for f in K.faces_of_dim(i + 1):
-        z = chain_boundary(Chain(i + 1, {f: Fraction(3)}), Q)
-        assert reduce_cycle(z, K, basis, Q) == []
+        z = boundary({f: Fraction(3)}, Q)
+        assert reduce_cycle(as_vector(K, i, z), i, basis, Q) == []
 
 
 # --------------------------------------------------------------------------
 # the elimination kernel against the reference SpanBasis elimination
+
+def express(basis, col):
+    """(residue, combo) for a SpanBasis: col = Σ combo[t]·column_t +
+    (a combination of untagged columns) + residue, over the tagged
+    columns t."""
+    col, combo, _ = basis._reduce(col, {})
+    return col, {t: basis.F.neg(c) for t, c in combo.items()}
+
 
 def reference_homology(K, F):
     """Ranks and representatives by two SpanBasis passes per degree: the
@@ -266,7 +343,7 @@ def reference_homology(K, F):
         reps = []
         for f, col in boundary_matrix(K, i, F).items():
             if not ker_finder.insert(col, tag=f):
-                _, combo = ker_finder.express(col)
+                _, combo = express(ker_finder, col)
                 vec = {t: F.neg(c) for t, c in combo.items()}
                 vec[f] = F.one
                 if reducer.insert(dict(vec)):
@@ -333,12 +410,14 @@ def check_against_reference(K, F):
     ranks, representatives = reference_homology(K, F)
     assert homology_ranks(K, F) == basis.ranks == span_ranks(K, F) == ranks
     assert list(homology_ranks(K, F)) == sorted(ranks)
-    assert {i: [r.terms for r in reps]
+    assert {i: [as_chain(K, i, r, F) for r in reps]
             for i, reps in basis.representatives.items()} == representatives
+    p = F.characteristic
     for reps in basis.representatives.values():
-        for r in reps:
-            for c in r.terms.values():
-                assert type(c) is (Fraction if F.characteristic == 0 else int)
+        for vec, d in reps:
+            assert all(type(c) is int for c in (d, *vec.values()))
+            if p:
+                assert all(0 < c < p for c in vec.values())
 
 
 def check_reduce_cycle(K, F, scalar):
@@ -349,11 +428,10 @@ def check_reduce_cycle(K, F, scalar):
         coords = [F.coerce(scalar()) for _ in reps]
         z = {}
         for c, rep in zip(coords, reps):
-            axpy(z, c, rep.terms, F)
+            axpy(z, c, as_chain(K, i, rep, F), F)
         w = {f: F.coerce(scalar()) for f in K.faces_of_dim(i + 1)}
-        w = Chain(i + 1, {f: c for f, c in w.items() if c})
-        axpy(z, F.one, chain_boundary(w, F).terms, F)
-        assert reduce_cycle(Chain(i, z), K, basis, F) == coords
+        axpy(z, F.one, boundary({f: c for f, c in w.items() if c}, F), F)
+        assert reduce_cycle(as_vector(K, i, z), i, basis, F) == coords
 
 
 def field_scalar(F):
@@ -381,6 +459,8 @@ def test_kernel_on_complexes_with_scaled_pivots(facets, F):
     K = SimplicialComplex(facets)
     check_against_reference(K, F)
     rng = random.Random(len(facets))
+    # halves exist in GF(3) but not in GF(2)
+    top = 1 if F.characteristic == 2 else 2
     for _ in range(5):
         check_reduce_cycle(K, F, lambda: Fraction(rng.randint(-3, 3),
-                                                  rng.randint(1, 2)))
+                                                  rng.randint(1, top)))
