@@ -546,7 +546,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing keeps its
+    results in a fresh namespace per call, so calls share nothing."""
     common = _Parser(add_help=False)
     common.add_argument("--char", type=int, default=0, metavar="P",
                         help="coefficient field characteristic, 0 or a prime"

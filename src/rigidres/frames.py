@@ -32,7 +32,11 @@ oracle, `verify_resolution` and the strand ranks of `verify_frame`
 eliminate with the separate `SpanBasis`.  That is what makes the
 cross-checks in the test suite meaningful.  (The length check of
 `verify_frame` predicts lengths by interval homology, so it does use
-the kernel.)
+the kernel.)  The two verifiers number each position's keys once, in
+canonical order, and translate the scalar maps once (`_numbered`), so
+every strand is a list of columns on int rows with integral scalars
+as ints; `verify_resolution` decides strand membership and takes the
+lcm closure on exponent tuples computed once.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import le, sub
 
 from .betti import BettiTable, betti_numbers, betti_poset
 from .homology import (
@@ -48,6 +53,7 @@ from .homology import (
     SpanBasis,
     _boundary,
     axpy,
+    plain,
     reduce_cycle,
     reduced_homology,
 )
@@ -194,13 +200,48 @@ def _entry_text(position, colkey, rowkey):
             f"row {support_text(p)}#{k}")
 
 
-def _strand_homology(F, strand, key):
+def _numbered(F, keys, maps):
+    """The checkers' copy of scalar maps laid out as in a `Frame`
+    (level → {column key → {row key → scalar}}), given the basis keys
+    as level → keys.  Each level's keys are numbered once, in canonical
+    order; a key the maps name that is not a basis key (a tampered
+    frame) is numbered in the same order.  Returns the nonzero entries
+    of the composites (as `_nonzero_compositions`, keys named back) and
+    level → the column of each basis key on numbered rows, with
+    integral scalars as ints and zero scalars dropped, so that none
+    becomes an elimination pivot."""
+    found = {level: set(ks) for level, ks in keys.items()}
+    for level, cols in maps.items():
+        found.setdefault(level, set()).update(cols)
+        below = found.setdefault(level - 1, set())
+        for col in cols.values():
+            below.update(col)
+    names = {level: sorted(ks, key=_key_order) for level, ks in found.items()}
+    number = {level: {k: n for n, k in enumerate(ks)}
+              for level, ks in names.items()}
+    numbered = {}
+    for level, cols in maps.items():
+        out, rows = number[level], number[level - 1]
+        numbered[level] = {
+            out[colkey]: {rows[r]: plain(c) for r, c in col.items() if c}
+            for colkey, col in cols.items()}
+    # a composite's rows are two levels down
+    compositions = [(level, names[level][c], names[level - 2][r])
+                    for level, c, r in _nonzero_compositions(numbered, F)]
+    columns = {level: [numbered.get(level, {}).get(number[level][key], {})
+                       for key in ks]
+               for level, ks in keys.items()}
+    return compositions, columns
+
+
+def _strand_homology(F, strand):
     """{position: h ≠ 0} of a strand given as position → the columns of
     its basis vectors (sparse over the basis one position down, rows
-    ordered by `key`): h = #vectors − rank out − rank in."""
+    compared in their natural order: numbers in the verifiers, subset
+    tuples in the Taylor oracle): h = #vectors − rank out − rank in."""
     ranks = {}
     for pos, cols in strand.items():
-        basis = SpanBasis(F, key=key)
+        basis = SpanBasis(F)
         for col in cols:
             basis.insert(col)
         ranks[pos] = basis.rank
@@ -213,7 +254,7 @@ def _strand_homology(F, strand, key):
 def _nonzero_compositions(maps, F):
     """(level, column key, row key) of every nonzero entry of the
     composite φ_{level−1} ∘ φ_level, for scalar maps given as
-    level → {column key → {row key → scalar}}."""
+    level → {column key → {row key → scalar}}, rows in natural order."""
     found = []
     for level in sorted(maps):
         below = maps.get(level - 1)
@@ -223,8 +264,7 @@ def _nonzero_compositions(maps, F):
             acc = {}
             for rowkey, c in col.items():
                 axpy(acc, c, below.get(rowkey, {}), F)
-            found.extend((level, colkey, rowkey)
-                         for rowkey in sorted(acc, key=_key_order))
+            found.extend((level, colkey, rowkey) for rowkey in sorted(acc))
     return found
 
 
@@ -281,18 +321,19 @@ def verify_frame(frame, ambient):
     whose nonvanishing is exactly what the frame resolves.
     """
     F = frame.field
-    report = FrameReport(
-        bad_compositions=_nonzero_compositions(frame.maps, F))
+    keys = {level: frame.basis_keys(level) for level in frame.components}
+    compositions, columns = _numbered(F, keys, frame.maps)
+    report = FrameReport(bad_compositions=compositions)
 
     bot = ambient.bottom
     for m in ambient.elements:
         if m == bot:
             continue
-        strand = {level: [frame.maps.get(level, {}).get(key, {})
-                          for key in frame.basis_keys(level) if key[0] <= m]
-                  for level in frame.components}
+        strand = {level: [col for (q, _), col in zip(keys[level], cols)
+                          if q <= m]
+                  for level, cols in columns.items()}
         report.strand_failures.extend(
-            (m, level) for level in _strand_homology(F, strand, _key_order))
+            (m, level) for level in _strand_homology(F, strand))
         report.strands_checked += 1
 
     B = frame.poset
@@ -479,43 +520,53 @@ def verify_resolution(resolution):
     """
     F = resolution.field
     report = ResolutionReport()
-    all_degrees = {}
-    for level, mods in resolution.modules.items():
-        for key, deg in mods:
-            all_degrees[(level, key)] = deg
+    # each degree as an exponent tuple, computed once
+    degree = {(level, key): tuple(deg)
+              for level, mods in resolution.modules.items()
+              for key, deg in mods}
+    dims = sorted({len(deg) for deg in degree.values()})
+    if len(dims) > 1:
+        raise ValueError(f"ambient dimension mismatch: {dims[0]} vs "
+                         f"{dims[-1]}")
 
     for level, cols in resolution.differentials.items():
         for colkey, col in cols.items():
-            dq = all_degrees[(level, colkey)]
+            dq = degree[(level, colkey)]
             for rowkey, (c, mono) in col.items():
-                dp = all_degrees[(level - 1, rowkey)]
+                dp = degree[(level - 1, rowkey)]
                 if not c:
                     report.homogeneity_failures.append((level, colkey, rowkey))
                     continue
-                if not dp.divides(dq) or dq.ratio(dp) != mono:
+                if (not all(map(le, dp, dq))
+                        or tuple(map(sub, dq, dp)) != mono):
                     report.homogeneity_failures.append((level, colkey, rowkey))
                 if mono.is_unit:
                     report.unit_entries.append((level, colkey, rowkey))
 
-    # zero scalars, reported above, must not become elimination pivots
-    scalars = {level: {colkey: {r: c for r, (c, _) in col.items() if c}
+    scalars = {level: {colkey: {r: c for r, (c, _) in col.items()}
                        for colkey, col in cols.items()}
                for level, cols in resolution.differentials.items()}
-    report.bad_compositions = _nonzero_compositions(scalars, F)
+    keys = {level: [key for key, _ in mods]
+            for level, mods in resolution.modules.items()}
+    report.bad_compositions, columns = _numbered(F, keys, scalars)
 
-    gen_degrees = [deg for _, deg in resolution.modules.get(1, ())]
-    values = set(gen_degrees)
+    degs = {level: [degree[(level, key)] for key in ks]
+            for level, ks in keys.items()}
+    gens = degs.get(1, [])
+    values = set(gens)
     frontier = set(values)
     while frontier:
-        new = {a.lcm(b) for a in frontier for b in gen_degrees} - values
+        new = {tuple(map(max, a, b)) for a in frontier for b in gens} - values
         values |= new
         frontier = new
+    degrees = set(degree.values())
     for b in sorted(values):
-        strand = {level: [scalars.get(level, {}).get(key, {})
-                          for key, deg in mods if deg.divides(b)]
-                  for level, mods in resolution.modules.items()}
+        below = {deg for deg in degrees if all(map(le, deg, b))}
+        strand = {level: [col for deg, col in zip(degs[level], cols)
+                          if deg in below]
+                  for level, cols in columns.items()}
         report.strand_failures.extend(
-            (b, level) for level in _strand_homology(F, strand, _key_order))
+            (Monomial(b), level) for level in _strand_homology(F, strand))
         report.strands_checked += 1
     return report
 
@@ -553,6 +604,8 @@ def taylor_betti(I, F=FieldSpec(0)):
     alternating signs; β_{i,b} is the homology rank of the strand at b.
     """
     table = BettiTable()
+    p = F.characteristic
+    minus = p - 1 if p else -1
     for b, subsets in sorted(_subsets_by_lcm(I).items()):
         members = set(subsets)
         strand = {}
@@ -561,9 +614,9 @@ def taylor_betti(I, F=FieldSpec(0)):
             for pos, j in enumerate(sorted(S)):
                 T = tuple(x for x in S if x != j)
                 if T in members:
-                    col[T] = F.coerce(1 if pos % 2 == 0 else -1)
+                    col[T] = 1 if pos % 2 == 0 else minus
             strand.setdefault(len(S), []).append(col)
-        for i, h in _strand_homology(F, strand, lambda t: t).items():
+        for i, h in _strand_homology(F, strand).items():
             table.entries[(i, b)] = h
     return table
 

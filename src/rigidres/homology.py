@@ -32,7 +32,11 @@ arithmetic is exact, so these do not depend on how pivots are reduced.
 It is handed back as the kernel holds it: integers on face ids, over d.
 `SpanBasis` is a separate, plain field elimination kept for the
 checkers (`frames.taylor_betti`, `verify_resolution`, the strand ranks
-of `verify_frame`), which therefore share no code with the kernel.
+of `verify_frame`), which therefore share no code with the kernel.  It
+compares rows in their natural order (the checkers number their rows),
+stores each pivot column scaled to pivot entry one, and takes integral
+scalars as ints (`plain`), so over Q a `Fraction` is made only where an
+entry really is fractional.
 
 The empty complex {∅} is a first-class citizen: its reduced homology is
 one-dimensional in degree −1, and that class (the empty face with
@@ -118,13 +122,25 @@ class FieldSpec:
 
 def axpy(target, c, source, F):
     """target += c * source for sparse vectors (dicts), dropping zeros."""
+    p = F.characteristic
+    get = target.get
     for k, v in source.items():
-        s = F.add(target.get(k, F.coerce(0)), F.mul(c, v))
+        s = get(k, 0) + c * v
+        if p:
+            s %= p
         if s:
             target[k] = s
         else:
             target.pop(k, None)
     return target
+
+
+def plain(x):
+    """x with an integral `Fraction` as its int numerator.  ℤ ⊂ ℚ, so
+    nothing exact changes, and int arithmetic is far cheaper."""
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    return x
 
 
 # --------------------------------------------------------------------------
@@ -215,37 +231,60 @@ class SpanBasis:
     column, its expansion over the *tagged* originals.
 
     Pivoting is deterministic: a column's pivot is its first nonzero
-    row in the global row order (the `key` argument, faces by default),
-    and reduction eliminates pivots smallest-first, so results do not
-    depend on dict iteration order.
+    row, with rows compared in their natural order (ints, or tuples of
+    ints) unless a `key` is given (faces need `face_key`), and
+    reduction eliminates pivots smallest-first, so results do not
+    depend on dict iteration order.  A stored column is scaled to
+    pivot entry one, so a reduction step subtracts it without a field
+    inversion.  Over Q the entries may mix ints and `Fraction`s;
+    integral scalars given as ints (see `plain`) keep the arithmetic
+    in ints wherever it stays integral.
+
+    >>> basis = SpanBasis(FieldSpec(0))
+    >>> basis.insert({0: 2, 1: 1}), basis.insert({0: 4, 1: 2})
+    (True, False)
+    >>> basis.insert({1: 3}), basis.rank
+    (True, 2)
+    >>> basis._pivots[0]
+    ({0: 1, 1: Fraction(1, 2)}, {})
     """
 
-    def __init__(self, F, key=face_key):
+    def __init__(self, F, key=None):
         self.F = F
         self.key = key
-        self._pivots = {}  # pivot row -> (column dict, combo dict)
+        # pivot row -> (column with pivot entry 1, combo dict)
+        self._pivots = {}
         self.rank = 0
 
     def _reduce(self, col, combo):
         col = dict(col)
         combo = dict(combo)
+        F, key, pivots = self.F, self.key, self._pivots
         while col:
-            pivot = min(col, key=self.key)
-            hit = self._pivots.get(pivot)
+            pivot = min(col, key=key)
+            hit = pivots.get(pivot)
             if hit is None:
                 return col, combo, pivot
             bcol, bcombo = hit
-            c = self.F.neg(self.F.mul(col[pivot], self.F.inv(bcol[pivot])))
-            axpy(col, c, bcol, self.F)
-            axpy(combo, c, bcombo, self.F)
+            c = -col[pivot]  # axpy reduces mod p
+            axpy(col, c, bcol, F)
+            if bcombo:
+                axpy(combo, c, bcombo, F)
         return col, combo, None
 
     def insert(self, col, tag=None):
         """Add a column; returns True if it enlarged the span."""
-        combo = {tag: self.F.one} if tag is not None else {}
+        F = self.F
+        combo = {tag: F.one} if tag is not None else {}
         col, combo, pivot = self._reduce(col, combo)
         if pivot is None:
             return False
+        a = col[pivot]
+        if a != 1:
+            inv = -1 if a == -1 else plain(F.inv(a))
+            for vec in (col, combo):
+                for k, v in vec.items():
+                    vec[k] = plain(F.mul(inv, v))
         self._pivots[pivot] = (col, combo)
         self.rank += 1
         return True

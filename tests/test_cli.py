@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -74,6 +75,22 @@ def test_characteristic_changes_the_answer(tmp_path, capsys):
     assert capsys.readouterr().out == "totals: 1,10,15,6\n"
     assert main(["betti-numbers", path, "--char", "2"]) == 0
     assert capsys.readouterr().out == "totals: 1,10,15,7,1\n"
+
+
+def test_consecutive_calls_share_no_parsed_state(tmp_path, capsys):
+    """The parser is built once per process; --json, -o and --char
+    each revert to their defaults on the next call."""
+    assert build_parser() is build_parser()
+    path = ideal_file(tmp_path, "rp2.ideal", projective_plane_ideal().to_text())
+    out = tmp_path / "rp2.json"
+    assert main(["betti-numbers", path, "--json", "-o", str(out),
+                 "--char", "2"]) == 0
+    assert capsys.readouterr().out == ""
+    written = out.read_text()
+    assert json.loads(written)["totals"] == [1, 10, 15, 7, 1]
+    assert main(["betti-numbers", path]) == 0
+    assert capsys.readouterr().out == "totals: 1,10,15,6\n"
+    assert out.read_text() == written
 
 
 # --------------------------------------------------------------------------
@@ -480,6 +497,34 @@ def test_verify_detects_a_corrupted_scalar(tmp_path, capsys):
         "2 nonzero compositions (first: position 2, column {1,2}#0, "
         "row {}#0); 2 inexact strand positions (first: degree [1,1,1], "
         "position 1)\n")
+
+
+def test_verify_reads_fractional_scalars(tmp_path, capsys):
+    """The hexagon's resolution with one basis vector at position 2
+    rescaled by 1/2 verifies; corrupting a "1/2" names a first witness."""
+    ideal = ideal_file(tmp_path, "hexagon.ideal", HEXAGON_TEXT)
+    out = tmp_path / "hexagon.res"
+    assert main(["resolve", ideal, "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    column = [e for e in payload["differentials"][1] if e["col"] == 0]
+    for e in column:
+        e["scalar"] = str(Fraction(e["scalar"]) / 2)
+    for e in payload["differentials"][2]:
+        if e["row"] == 0:
+            e["scalar"] = str(2 * Fraction(e["scalar"]))
+    assert [e["scalar"] for e in column] == ["-1/2", "1/2"]
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "minimal multigraded resolution, 28 degree strands exact\n")
+    column[0]["scalar"] = "-1/3"
+    out.write_text(json.dumps(payload))
+    assert main(["verify", str(out)]) == 2
+    assert capsys.readouterr().out == (
+        "4 nonzero compositions (first: position 2, column {1,2}#0, "
+        "row {}#0); 8 inexact strand positions (first: degree "
+        "[1,1,1,0,1,1], position 1)\n")
 
 
 def path_resolution(tmp_path):

@@ -9,6 +9,7 @@ characteristic-2 jump of the projective-plane ideal.
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -221,6 +222,20 @@ def test_dropped_entry_is_detected():
     assert report.bad_compositions or report.strand_failures
 
 
+def test_zero_scalar_in_a_frame_is_no_pivot():
+    """A zero entry is an absent entry, never a pivot: φ_1 of x set to
+    0 leaves the strand at x inexact."""
+    _, L, B, fr = pipeline("x; y")
+    broken_maps = {lv: {k: dict(col) for k, col in cols.items()}
+                   for lv, cols in fr.maps.items()}
+    broken_maps[1][(frozenset({0}), 0)][(BOT, 0)] = Q.coerce(0)
+    broken = Frame(fr.poset, Q, fr.components, broken_maps)
+    assert verify_frame(broken, ambient=L).summary() == (
+        "1 nonzero compositions (first: position 2, column {1,2}#0, "
+        "row {}#0); 2 inexact strand positions (first: strand {1}, "
+        "position 0)")
+
+
 def test_frame_summary_names_the_first_bad_composition():
     _, L, B, fr = pipeline("x; y; z")
     broken_maps = {lv: {k: dict(col) for k, col in cols.items()}
@@ -308,6 +323,28 @@ def test_missing_strand_rank_is_detected():
     res.differentials[1][(frozenset({0}), 0)] = {}
     report = verify_resolution(res)
     assert report.strand_failures
+
+
+def test_fractional_scalars_verify(hexagon_ideal):
+    """Rescaling one basis vector at position 2 by 1/2 (its φ_2 column
+    times 1/2, its φ_3 row entries times 2) keeps a resolution, now
+    with genuinely fractional scalars."""
+    _, _, res = resolve(hexagon_ideal, Q)
+    key = res.modules[2][0][0]
+    col = res.differentials[2][key]
+    for rowkey, (c, mono) in col.items():
+        col[rowkey] = (c / 2, mono)
+    for above in res.differentials[3].values():
+        if key in above:
+            c, mono = above[key]
+            above[key] = (2 * c, mono)
+    assert {c for c, _ in col.values()} == {Fraction(1, 2), Fraction(-1, 2)}
+    report = verify_resolution(res)
+    assert report.ok
+    assert report.strands_checked == 28
+    rowkey, (c, mono) = next(iter(col.items()))
+    col[rowkey] = (c * 2 / 3, mono)  # ±1/2 becomes ±1/3
+    assert not verify_resolution(res).ok
 
 
 def test_resolve_accepts_the_lcm_lattice(twin_a):
@@ -469,6 +506,103 @@ def test_checkers_run_no_kernel_code(monkeypatch):
     monkeypatch.setattr(frames, "betti_numbers",
                         lambda P, F, memo=None: tables[P.elements])
     assert verify_frame(frame, ambient=L).ok
+
+
+def test_checkers_eliminate_without_the_kernel(monkeypatch):
+    """The checkers' strand ranks never reach the kernel's integer
+    boundaries, its cleared pass or its reductions."""
+    I = strongly_generic_ideal(7, 7)
+    L, B, res = resolve(I, Q)
+    frame = build_frame(B, Q)
+    K = order_complex(B.open_interval(B.elements[-1]))
+    table = taylor_betti(I, Q)
+    tables = {}
+
+    def recorded(P, F, memo=None):
+        tables[P.elements] = betti_numbers(P, F, memo)
+        return tables[P.elements]
+
+    monkeypatch.setattr(frames, "betti_numbers", recorded)
+    report = verify_frame(frame, ambient=L)
+    assert report.ok
+
+    # patched innermost first, so each message names the newest patch
+    for owner, name in ((homology.Elimination, "reduce"),
+                        (homology, "_cleared_pass"),
+                        (homology, "_integer_boundaries")):
+        def kernel_called(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} called")
+
+        monkeypatch.setattr(owner, name, kernel_called)
+        with pytest.raises(AssertionError, match=f"^{name} called"):
+            homology_ranks(K, Q)
+    assert taylor_betti(I, Q) == table
+    assert verify_resolution(res).ok
+    # the length check predicts by interval homology: replay it
+    monkeypatch.setattr(frames, "betti_numbers",
+                        lambda P, F, memo=None: tables[P.elements])
+    assert verify_frame(frame, ambient=L) == report
+
+
+# scalars of the random strands: ints, integral Fractions, true
+# fractions, and pivots other than ±1
+STRAND_SCALARS = [1, -1, 2, -3, Fraction(1), Fraction(-2), Fraction(1, 2),
+                  Fraction(-1, 2), Fraction(3, 4)]
+
+
+def dense_rank(F, cols, n_rows):
+    """Rank of sparse columns {row: scalar} over F, by Gaussian
+    elimination on the dense matrix."""
+    m = [[F.coerce(col.get(r, 0)) for col in cols] for r in range(n_rows)]
+    rank = 0
+    for c in range(len(cols)):
+        pivot = next((r for r in range(rank, n_rows) if m[r][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = F.inv(m[rank][c])
+        for r in range(n_rows):
+            if r != rank and m[r][c]:
+                f = F.mul(m[r][c], inv)
+                m[r] = [F.add(x, F.neg(F.mul(f, y)))
+                        for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def sparse_strands(draw):
+    """(F, sizes, strand): position → columns over int rows 0 … the
+    size one position down, scalars from STRAND_SCALARS (those with a
+    value mod p, as residues, in characteristic p)."""
+    F = draw(st.sampled_from([Q, GF2, FieldSpec(3)]))
+    p = F.characteristic
+    sizes = draw(st.lists(st.integers(0, 5), min_size=1, max_size=5))
+    strand = {}
+    for pos, n in enumerate(sizes):
+        cols = []
+        for _ in range(n):
+            col = {}
+            for r in range(sizes[pos - 1] if pos else 0):
+                x = draw(st.sampled_from([0, 0, 0] + STRAND_SCALARS))
+                if x and not (p and x.denominator % p == 0) and F.coerce(x):
+                    col[r] = F.coerce(x) if p else x
+            cols.append(col)
+        strand[pos] = cols
+    return F, sizes, strand
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_strands())
+def test_strand_homology_matches_dense_ranks(case):
+    F, sizes, strand = case
+    ranks = [dense_rank(F, cols, sizes[pos - 1] if pos else 0)
+             for pos, cols in strand.items()] + [0]
+    top = max((pos for pos, cols in strand.items() if cols), default=0)
+    expected = {pos: sizes[pos] - ranks[pos] - ranks[pos + 1]
+                for pos in range(top + 1)}
+    assert frames._strand_homology(F, strand) == {
+        pos: h for pos, h in expected.items() if h}
 
 
 # sha256 of repr(frame.components) + repr(frame.maps): the golden tables

@@ -12,6 +12,7 @@ from rigidres.homology import (
     SimplicialComplex,
     SpanBasis,
     axpy,
+    face_key,
     homology_ranks,
     reduce_cycle,
     reduced_homology,
@@ -197,7 +198,7 @@ def test_characteristic_zero_matches_gf7(K):
 def test_representatives_are_independent_cycles(K):
     basis = reduced_homology(K, Q)
     for i, reps in basis.representatives.items():
-        fresh = SpanBasis(Q)
+        fresh = SpanBasis(Q, key=face_key)
         for col in boundary_matrix(K, i + 1, Q).values():
             fresh.insert(col)
         for rep in reps:
@@ -336,10 +337,10 @@ def reference_homology(K, F):
     before."""
     ranks, representatives = {}, {}
     for i in range(-1, K.dim + 1):
-        reducer = SpanBasis(F)
+        reducer = SpanBasis(F, key=face_key)
         for col in boundary_matrix(K, i + 1, F).values():
             reducer.insert(col)
-        ker_finder = SpanBasis(F)
+        ker_finder = SpanBasis(F, key=face_key)
         reps = []
         for f, col in boundary_matrix(K, i, F).items():
             if not ker_finder.insert(col, tag=f):
@@ -358,7 +359,7 @@ def span_ranks(K, F):
     """h_i = #i-faces − rank ∂_i − rank ∂_{i+1}, ranks by fresh SpanBases."""
     rank = {}
     for i in range(-1, K.dim + 2):
-        basis = SpanBasis(F)
+        basis = SpanBasis(F, key=face_key)
         for col in boundary_matrix(K, i, F).values():
             basis.insert(col)
         rank[i] = basis.rank
