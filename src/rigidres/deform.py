@@ -13,9 +13,11 @@ to a minimal resolution of I.  Two entry points:
   - search_rigid_deformation: a bounded, deterministic scan over
     augmentations of L_I by missing support sets (meet-closed after
     each addition), plus the Betti poset itself when it happens to be
-    a lattice.  Used mostly as a negative control: for the hexagon
-    edge ideal every single-support augmentation strictly increases
-    total Betti numbers, so the scan comes back empty.
+    a lattice, certifying only candidates whose total Betti numbers
+    match the source and which are rigid, since a certificate requires
+    both.  Used mostly as a negative control: for the hexagon edge
+    ideal every single-support augmentation strictly increases total
+    Betti numbers, so the scan comes back empty.
 
 Certification never trusts the construction: it re-checks rigidity,
 Betti totals, and the full relabeled resolution independently.
@@ -198,6 +200,12 @@ class SearchOutcome:
 
 
 def _certified_result(T, L, F, memo, added):
+    """The certified deformation to T, or None.  A certificate requires
+    L_J to be rigid, and L_J has the support family of T, so a
+    non-rigid T is skipped before coordinatizing: its interval ranks
+    are already in the memo under the keys L_J would use."""
+    if not rigidity_report(T, F, memo).rigid:
+        return None
     J = coordinatize(T)
     certificate = certify_rigid_deformation(J, L, F, memo)
     if not certificate:
@@ -218,10 +226,12 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
     Otherwise the scan tries the Betti poset (when it is a lattice and
     differs from L), then meet closures of L plus up to `budget` of the
     missing support sets, certifying only candidates whose total Betti
-    numbers match the source — a relabeled *minimal* resolution cannot
-    exist otherwise.  Absent result means none within budget, not a
-    proof that no deformation exists.  One interval-rank memo serves L,
-    every candidate and every certification.
+    numbers match the source and which are rigid, since a certificate
+    requires both: a relabeled *minimal* resolution cannot exist
+    otherwise, and the deformation must be rigid.  Absent result means
+    none within budget, not a proof that no deformation exists.  One
+    interval-rank memo serves L, every candidate and every
+    certification, so the rigidity check only reads it.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")

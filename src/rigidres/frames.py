@@ -57,7 +57,7 @@ from .homology import (
     reduce_cycle,
     reduced_homology,
 )
-from .monomials import Monomial, lcm_of
+from .monomials import Monomial
 from .posets import (FiniteAtomicLattice, Poset, element_key, lcm_lattice,
                      order_complex, support_text)
 
@@ -581,17 +581,22 @@ MAX_SUBSET_GENERATORS = 12
 
 def _subsets_by_lcm(I):
     """Every generator subset (a sorted index tuple) grouped by its
-    lcm, the empty one under the unit monomial, in order of size."""
+    lcm, the empty one under the unit monomial, in order of size and
+    lexicographically within a size.  The lcm of S extends the lcm of
+    S[:-1], kept from the level below."""
     gens = I.generators
     if len(gens) > MAX_SUBSET_GENERATORS:
         raise ValueError(f"{len(gens)} generators exceed the bound "
                          f"{MAX_SUBSET_GENERATORS}")
     unit = Monomial([0] * I.ambient_dim)
-    by_lcm = {}
-    for r in range(len(gens) + 1):
+    by_lcm = {unit: [()]}
+    prev = {(): unit}
+    for r in range(1, len(gens) + 1):
+        level = {}
         for S in itertools.combinations(range(len(gens)), r):
-            b = lcm_of([gens[i] for i in S]) if S else unit
+            b = level[S] = prev[S[:-1]].lcm(gens[S[-1]])
             by_lcm.setdefault(b, []).append(S)
+        prev = level
     return by_lcm
 
 

@@ -94,12 +94,17 @@ def ratio(a, b):
 
 
 def lcm_of(monomials):
-    """Fold lcm over a non-empty iterable."""
+    """Fold lcm over a non-empty iterable.  Plain exponent vectors are
+    validated as Monomials; Monomials are used as they are."""
     it = iter(monomials)
-    out = Monomial(next(it))
+    out = _as_monomial(next(it))
     for m in it:
-        out = out.lcm(Monomial(m))
+        out = out.lcm(_as_monomial(m))
     return out
+
+
+def _as_monomial(m):
+    return m if isinstance(m, Monomial) else Monomial(m)
 
 
 def _check_dim(a, b):

@@ -24,7 +24,6 @@ keys of `betti.interval_ranks` all come from it.
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 
 from .homology import SimplicialComplex
@@ -359,8 +358,8 @@ def is_isomorphic(P, Q):
 
 def join_preserving_map(P, Q):
     """A join-preserving map P → Q restricting to a bijection on atoms,
-    as a dict of elements, or None.  All n! atom assignments σ are
-    tried, the identity first.
+    as a dict of elements, or None.  Atom assignments σ are tried in
+    lexicographic order, the identity first (`_pullback_sigma`).
 
     Such a map is determined by σ: it must send p to f(p) = join_Q(σ(p)).
     Joins in both lattices are least members containing a union, so f
@@ -378,10 +377,46 @@ def join_preserving_map(P, Q):
         raise ValueError(f"atom counts differ: {P.n_atoms} vs {Q.n_atoms}")
     if len(Q) > len(P):
         return None
-    for sigma in itertools.permutations(range(P.n_atoms)):
-        if all(frozenset(map(sigma.index, q)) in P for q in Q.elements):
-            return {p: Q.join([{sigma[i] for i in p}]) for p in P.elements}
-    return None
+    sigma = _pullback_sigma(P, Q)
+    if sigma is None:
+        return None
+    return {p: Q.join([{sigma[i] for i in p}]) for p in P.elements}
+
+
+def _pullback_sigma(P, Q):
+    """The lexicographically first atom bijection σ (σ[i] the atom of Q
+    that atom i of P goes to) with σ⁻¹(q) in P for every member q of Q,
+    or None.  σ is fixed one atom of P at a time, and a prefix is
+    rejected as soon as a member of Q made only of the atoms it has
+    assigned pulls back outside P: every extension of that prefix fails
+    on the same member, so the first σ that survives is the first of
+    all n! that passes.  Sets are bit masks."""
+    n = P.n_atoms
+    in_p = {sum(1 << a for a in p) for p in P.elements}
+    # members of Q through each atom j, as (mask, atoms)
+    through = [[(sum(1 << a for a in q), tuple(q)) for q in Q.elements if j in q]
+               for j in range(n)]
+    back = [0] * n  # atom j of Q ↦ the bit of its preimage in P
+    sigma = []
+
+    def extend(used):
+        i = len(sigma)
+        if i == n:
+            return True
+        for j in range(n):
+            if used >> j & 1:
+                continue
+            back[j] = 1 << i
+            now = used | 1 << j
+            if all(sum(back[a] for a in atoms) in in_p
+                   for mask, atoms in through[j] if not mask & ~now):
+                sigma.append(j)
+                if extend(now):
+                    return True
+                sigma.pop()
+        return False
+
+    return tuple(sigma) if extend(0) else None
 
 
 def coordinatize(L):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidres import betti
-from rigidres.betti import betti_numbers, interval_ranks
+from rigidres import betti, deform
+from rigidres.betti import betti_numbers, interval_ranks, rigidity_report
 from rigidres.deform import (
     Certificate,
     certify_rigid_deformation,
@@ -218,6 +218,50 @@ def test_hexagon_scan_computes_each_interval_content_once(
     out = search_rigid_deformation(hexagon_ideal, budget=budget, F=F)
     assert not out
     assert len(calls) == expected
+
+
+def record_certifications(monkeypatch):
+    """Wrap `deform.certify_rigid_deformation` and return the list of
+    candidate ideals J the search asks it to certify."""
+    asked = []
+    certify = deform.certify_rigid_deformation
+
+    def recorded(J, I, F=Q, memo=None):
+        asked.append(J)
+        return certify(J, I, F, memo)
+
+    monkeypatch.setattr(deform, "certify_rigid_deformation", recorded)
+    return asked
+
+
+@pytest.mark.parametrize("text,found", [
+    # not rigid; adjoining the support {0, 1} deforms it
+    ("x0*x1*x3; x0*x2; x2*x3", True),
+    # three rigid candidates fail certification, and four candidates
+    # that are not rigid are never certified
+    ("x0*x2*x3*x4; x0*x1*x4; x1*x3; x1*x2", False),
+])
+def test_search_certifies_only_rigid_candidates(monkeypatch, text, found):
+    asked = record_certifications(monkeypatch)
+    assert bool(search_rigid_deformation(parse_ideal(text), 1, Q)) == found
+    assert asked
+    assert all(rigidity_report(lcm_lattice(J), Q).rigid for J in asked)
+
+
+def test_search_skips_non_rigid_candidates_of_twin(monkeypatch, twin_a):
+    # every candidate with matching totals here is not rigid
+    asked = record_certifications(monkeypatch)
+    out = search_rigid_deformation(twin_a, budget=1, F=Q)
+    assert not out
+    assert out.betti_poset_candidate is not None
+    assert any(e.totals == out.base_totals for e in out.augmentation_log)
+    assert asked == []
+
+
+def test_search_certifies_a_rigid_input_once(monkeypatch):
+    asked = record_certifications(monkeypatch)
+    assert search_rigid_deformation(parse_ideal("x; y; z"), budget=1, F=Q)
+    assert len(asked) == 1
 
 
 def test_certify_twins_is_honest_about_rigidity(twin_a, twin_b):

@@ -7,6 +7,7 @@ characteristic-2 jump of the projective-plane ideal.
 """
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -657,6 +658,41 @@ def test_interval_homology_tracks_characteristic():
     I = projective_plane_ideal()
     for F in (Q, GF2, FieldSpec(3)):
         assert betti_numbers(I, F).entries == taylor_betti(I, F).entries
+
+
+def subsets_by_lcm_reference(I):
+    """Every generator subset in `combinations` order, its lcm folded
+    from the unit monomial with no shared work, grouped by that lcm."""
+    gens = I.generators
+    by_lcm = {}
+    for r in range(len(gens) + 1):
+        for S in itertools.combinations(range(len(gens)), r):
+            b = (0,) * I.ambient_dim
+            for i in S:
+                b = tuple(max(x, y) for x, y in zip(b, gens[i]))
+            by_lcm.setdefault(Monomial(b), []).append(S)
+    return by_lcm
+
+
+def assert_subsets_match_reference(I):
+    # order included: Scarf reads subsets[0] and strands follow the order
+    got = frames._subsets_by_lcm(I)
+    assert list(got.items()) == list(subsets_by_lcm_reference(I).items())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6))
+def test_subsets_by_lcm_matches_scratch_fold(seed):
+    assert_subsets_match_reference(
+        random_generic_ideal(random.Random(seed), max_generators=7))
+
+
+def test_subsets_by_lcm_matches_scratch_fold_on_fixtures(
+        twin_a, twin_b, squarefree17, hexagon_ideal):
+    for I in (twin_a, twin_b, squarefree17, hexagon_ideal,
+              cycle_edge_ideal(10), projective_plane_ideal(),
+              parse_ideal("x^2; x*y; y^2")):
+        assert_subsets_match_reference(I)
 
 
 def test_taylor_generator_bound():

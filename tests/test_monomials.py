@@ -170,3 +170,15 @@ def test_lcm_of_matches_fold(ms):
     for m in ms[1:]:
         expected = lcm(expected, m)
     assert lcm_of(ms) == expected
+
+
+def test_lcm_of_validates_plain_vectors_only():
+    a, b = Monomial((2, 0)), Monomial((0, 3))
+    assert lcm_of([a, b]) == Monomial((2, 3))
+    assert type(lcm_of([a, (1, 1)])) is Monomial
+    with pytest.raises(ValueError, match="negative"):
+        lcm_of([a, (1, -1)])
+    with pytest.raises(ValueError, match="negative"):
+        lcm_of([(-1, 0), b])
+    with pytest.raises(ValueError, match="dimension"):
+        lcm_of([a, (1, 1, 1)])

@@ -6,6 +6,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import networkx as nx
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import HASSE_17, HASSE_TWIN_A, HASSE_TWIN_B
 from test_frames import cycle_edge_ideal
+from rigidres import posets
 from rigidres.homology import SimplicialComplex, reduced_homology
 from rigidres.monomials import Monomial, MonomialIdeal, minimalize, parse_ideal
 from rigidres.posets import (
@@ -700,8 +702,62 @@ def test_join_preserving_map_refuses_a_larger_target_without_search(
     def no_search(*args, **kwargs):
         raise AssertionError("atom bijections enumerated")
 
-    monkeypatch.setattr(itertools, "permutations", no_search)
+    monkeypatch.setattr(posets, "_pullback_sigma", no_search)
     assert join_preserving_map(C8, P9) is None
+
+
+def permutation_loop_map(P, Q):
+    """Reference search: every atom bijection σ in lexicographic order,
+    each tested on all members of Q at once.  Returns the map of the
+    first σ that passes, or None."""
+    if len(Q) > len(P):
+        return None
+    for sigma in itertools.permutations(range(P.n_atoms)):
+        if all(frozenset(map(sigma.index, q)) in P for q in Q.elements):
+            return {p: Q.join([{sigma[i] for i in p}]) for p in P.elements}
+    return None
+
+
+def wider_lattices(n):
+    """Atomic lattices on n atoms, meet closures of up to 6 supports."""
+    return st.lists(
+        st.frozensets(st.integers(0, n - 1), min_size=2, max_size=n),
+        max_size=6).map(lambda fam: meet_closure(fam, n))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_pruned_search_matches_permutation_loop(data):
+    n = data.draw(st.integers(2, 6), label="atoms")
+    P, Q = data.draw(wider_lattices(n)), data.draw(wider_lattices(n))
+    if data.draw(st.booleans()):
+        # P made finer than a relabelled Q, so a map exists
+        sigma = data.draw(st.permutations(range(n)))
+        P = meet_closure(list(P.elements)
+                         + [{sigma[i] for i in q} for q in Q.elements], n)
+    for A, B in ((P, Q), (Q, P)):
+        assert join_preserving_map(A, B) == permutation_loop_map(A, B)
+
+
+def test_pruned_search_matches_permutation_loop_on_fixtures(
+        twin_a, twin_b, squarefree17, hexagon_ideal):
+    lattices = [lcm_lattice(I) for I in
+                (twin_a, twin_b, squarefree17, hexagon_ideal,
+                 cycle_edge_ideal(6))]
+    for P, Q in itertools.product(lattices, repeat=2):
+        if P.n_atoms == Q.n_atoms:
+            assert join_preserving_map(P, Q) == permutation_loop_map(P, Q)
+
+
+def test_pruned_search_proves_no_map_quickly():
+    # the permutation loop tries all 8! bijections here (about 0.5 s)
+    C8 = lcm_lattice(cycle_edge_ideal(8))
+    Q = meet_closure([{0, 1, 2, 4}, {0, 1, 2, 5, 6, 7}, {0, 1, 3, 7},
+                      {0, 2, 6, 7}, {1, 2, 3}, {2, 3, 4, 6}], 8)
+    assert len(Q) == 26
+    start = time.perf_counter()
+    assert join_preserving_map(C8, Q) is None
+    assert time.perf_counter() - start < 0.25
 
 
 # -- coordinatization -------------------------------------------------------
