@@ -43,11 +43,11 @@ def crosscut_complex(inside):
     the elements strictly between 0̂ and its top (`inside`).
 
     Its vertices 0…k−1 are the maximal members of `inside` (the coatoms
-    of the interval) in canonical order, and its faces are the index
-    sets whose coatoms have a nonempty intersection.  Faces are
-    enumerated level by level, each level in lexicographic order: a
-    face extends a face of the level below by a larger index, so the
-    family is closed and already in face order.
+    of the interval) in canonical order, and its faces are the
+    increasing index tuples whose coatoms have a nonempty intersection.
+    Faces are enumerated level by level, each level in lexicographic
+    order: a face extends a face of the level below by a larger index,
+    so the family is closed and already in face order.
 
     >>> from rigidres.monomials import parse_ideal
     >>> from rigidres.posets import lcm_lattice
@@ -64,10 +64,10 @@ def crosscut_complex(inside):
     # atom sets as bit masks, in canonical order
     masks = [sum(1 << a for a in c) for c in sorted(coatoms, key=element_key)]
     k = len(masks)
-    levels = [[frozenset()]]
+    levels = [[()]]
     level = [((j,), m) for j, m in enumerate(masks)]
     while level:
-        levels.append([frozenset(t) for t, _ in level])
+        levels.append([t for t, _ in level])
         level = [(t + (j,), m & masks[j]) for t, m in level
                  for j in range(t[-1] + 1, k) if m & masks[j]]
     return SimplicialComplex._closed(levels)

@@ -152,7 +152,7 @@ def simplicial_rigid_deformation(I, X, F=FieldSpec(0)):
             continue
         # lcm(m_i : i ∈ f) divides degree(q) exactly when f ⊆ q
         ranks = homology_ranks(
-            SimplicialComplex(f for f in X.faces if f <= q), F)
+            SimplicialComplex(f for f in X.faces if q.issuperset(f)), F)
         if ranks:
             raise ValueError(
                 f"restriction to degree of {sorted(q)} is not acyclic "

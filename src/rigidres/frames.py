@@ -11,9 +11,11 @@ and maps assembled from the reduced homology of B's open intervals:
     representative cycle z as a + b, where a collects exactly the
     chains lying inside the half-open interval (0̂, p]; then ∂a is a
     cycle of the open interval below p, and its coordinates in p's
-    fixed homology basis give the block column.  The split works on
-    face ids, and ∂a is taken with the integer boundary columns of
-    (0̂, q), so the map runs in integers up to its coordinates.
+    fixed homology basis give the block column.  A chain is the
+    increasing tuple of its elements' positions in (0̂, q); ∂a is taken
+    with the integer boundary columns of (0̂, q) and renumbered into
+    positions of (0̂, p), so the map runs in integers up to its
+    coordinates.
 
 The split is well defined on covers: a chain of (0̂, q) containing p
 has p as its largest element (nothing fits strictly between p and q),
@@ -116,22 +118,25 @@ class Frame:
         ]
 
 
-def _connecting_column(z, i, p, basis_q, basis_p, F):
+def _connecting_column(z, i, p, elements, basis_q, basis_p, F):
     """One column of the connecting map along a cover p ⋖ q: split the
-    i-cycle z = (vector, d) of (0̂, q) as a + b with a the face ids whose
-    chains lie inside (0̂, p], and return the coordinates of ∂a in p's
-    fixed homology basis (the bases are those of the order complexes)."""
+    i-cycle z = (vector, d) of (0̂, q), whose vertex k is elements[k],
+    as a + b with a the face ids whose chains lie inside (0̂, p] (their
+    last, largest vertex does), and return the coordinates of ∂a in p's
+    fixed homology basis (the bases are those of the order complexes).
+    (0̂, p) is the part of (0̂, q) below p, in order: ∂a is renumbered."""
     vec, d = z
     level = basis_q._reducers[i][0]  # (i, i-faces, face -> id, column)
     below = basis_q._reducers[i - 1][0][1]
     rows = basis_p._reducers[i - 1][0][2]
-    a = {k: c for k, c in vec.items() if all(e <= p for e in level[1][k])}
+    renumber = {k: n for n, k in enumerate(k for k, e in enumerate(elements) if e < p)}
+    a = {k: c for k, c in vec.items() if elements[level[1][k][-1]] <= p}
     col = {}
     for k, c in _boundary(a, level, F.characteristic).items():
-        if below[k] not in rows:
-            raise ValueError(f"chain {sorted(map(sorted, below[k]))} "
+        if not renumber.keys() >= set(below[k]):
+            raise ValueError(f"chain {sorted(sorted(elements[v]) for v in below[k])} "
                              "not in the complex")
-        col[rows[below[k]]] = c
+        col[rows[tuple(renumber[v] for v in below[k])]] = c
     return reduce_cycle((col, d), i - 1, basis_p, F)
 
 
@@ -149,7 +154,8 @@ def build_frame(B, F=FieldSpec(0)):
     """
     bot = B.bottom
     others = [q for q in B.elements if q != bot]
-    bases = {q: reduced_homology(order_complex(B.open_interval(q)), F)
+    intervals = {q: B.open_interval(q) for q in others}
+    bases = {q: reduced_homology(order_complex(intervals[q]), F)
              for q in others}
 
     components = {0: ((bot, 1),)}
@@ -174,7 +180,8 @@ def build_frame(B, F=FieldSpec(0)):
                         continue
                     if bases[p].rank(i - 1) == 0:
                         continue
-                    coords = _connecting_column(z, i, p, bases[q], bases[p], F)
+                    coords = _connecting_column(z, i, p, intervals[q].elements,
+                                                bases[q], bases[p], F)
                     for k, c in enumerate(coords):
                         if c:
                             col[(p, k)] = c
@@ -616,8 +623,8 @@ def taylor_betti(I, F=FieldSpec(0)):
         strand = {}
         for S in subsets:
             col = {}
-            for pos, j in enumerate(sorted(S)):
-                T = tuple(x for x in S if x != j)
+            for pos in range(len(S)):
+                T = S[:pos] + S[pos + 1:]
                 if T in members:
                     col[T] = 1 if pos % 2 == 0 else minus
             strand.setdefault(len(S), []).append(col)
@@ -628,7 +635,7 @@ def taylor_betti(I, F=FieldSpec(0)):
 
 def scarf_complex(I):
     """Generator subsets whose lcm no other subset attains."""
-    unique = [frozenset(subsets[0])
+    unique = [subsets[0]
               for subsets in _subsets_by_lcm(I).values() if len(subsets) == 1]
     K = SimplicialComplex(unique)
     if K.faces != set(unique):

@@ -7,10 +7,14 @@ lexicographically and elimination always pivots on the first nonzero
 row — so that anything built on top of the representatives (connecting
 maps, resolutions) is byte-for-byte reproducible.
 
+A face is the increasing tuple of its int vertices, from enumeration
+(order and crosscut complexes are built as such tuples) to boundary
+columns, where ∂ deletes position j with sign (−1)^j.
+
 All of it runs on one sparse elimination kernel (`Elimination`):
 
-  - faces get integer ids once per complex, their positions in the
-    fixed face order, so a column's pivot is the smallest id in it;
+  - faces get integer ids once per complex, their positions in face
+    order, so a column's pivot is the smallest id in it;
   - over GF(p) entries are plain ints mod p; over Q updates are
     fraction-free (x ← a·x − c·b, then the content is divided out), and
     a `Fraction` is made only when a coordinate is handed back;
@@ -48,6 +52,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 
@@ -101,13 +106,6 @@ class FieldSpec:
     def one(self):
         return self.coerce(1)
 
-    def add(self, a, b):
-        s = a + b
-        return s % self.characteristic if self.characteristic else s
-
-    def neg(self, a):
-        return (-a) % self.characteristic if self.characteristic else -a
-
     def mul(self, a, b):
         p = a * b
         return p % self.characteristic if self.characteristic else p
@@ -146,45 +144,36 @@ def plain(x):
 # --------------------------------------------------------------------------
 # complexes
 
-def vertex_key(v):
-    """Deterministic total order on vertices.
-
-    Vertices are either plain hashables (ints, strings) or frozensets of
-    ints (poset elements); frozensets sort by (size, sorted members).
-    """
-    if isinstance(v, frozenset):
-        return (len(v), tuple(sorted(v)))
-    return v
-
-
-def face_key(face):
-    return (len(face), tuple(sorted(vertex_key(v) for v in face)))
-
-
 class SimplicialComplex:
-    """An abstract simplicial complex, stored downward-closed with ∅.
+    """An abstract simplicial complex on int vertices, stored
+    downward-closed with ∅.
 
-    The constructor closes the given faces under subsets, so
+    A face is the increasing tuple of its vertices, and each dimension
+    is kept in lexicographic order of these tuples (face order).  The
+    constructor closes the given faces under subsets, so
     SimplicialComplex([{1,2},{2,3}]) is the path on three vertices.
     The void complex (no faces at all) is unrepresentable: ∅ is always
     a face.  dim({∅}) = −1.
     """
 
     def __init__(self, faces=()):
-        closed = {frozenset()}
-        stack = [frozenset(f) for f in faces]
+        stack = []
+        for f in map(set, faces):
+            bad = [v for v in f if not isinstance(v, int)]
+            if bad:  # ints are totally ordered, so face order is defined
+                raise ValueError(f"vertex {bad[0]!r} is not an int")
+            stack.append(tuple(sorted(f)))
+        closed = {()}
         while stack:
             f = stack.pop()
-            if f in closed:
-                continue
-            closed.add(f)
-            for v in f:
-                stack.append(f - {v})
+            if f not in closed:
+                closed.add(f)
+                stack.extend(f[:j] + f[j + 1:] for j in range(len(f)))
         levels = [[] for _ in range(max(map(len, closed)) + 1)]
         for f in closed:
             levels[len(f)].append(f)
         for fs in levels:
-            fs.sort(key=face_key)
+            fs.sort()
         self._set_levels(levels)
 
     @classmethod
@@ -197,14 +186,17 @@ class SimplicialComplex:
         return K
 
     def _set_levels(self, levels):
-        self.faces = frozenset(itertools.chain.from_iterable(levels))
         self.dim = len(levels) - 2
-        # the 0-faces in face order are the vertices in vertex order
         self.vertices = tuple(v for (v,) in levels[1]) if self.dim >= 0 else ()
         self._by_dim = {i - 1: fs for i, fs in enumerate(levels)}
 
+    @cached_property
+    def faces(self):
+        """Every face, as a frozenset of tuples; built on first read."""
+        return frozenset(itertools.chain.from_iterable(self._by_dim.values()))
+
     def faces_of_dim(self, i):
-        """Faces with i+1 vertices, in the fixed lexicographic order."""
+        """Faces with i+1 vertices, in face order."""
         return list(self._by_dim.get(i, ()))
 
     def __eq__(self, other):
@@ -214,8 +206,9 @@ class SimplicialComplex:
         return hash(self.faces)
 
     def __repr__(self):
-        facets = [f for f in self.faces if not any(f < g for g in self.faces)]
-        inner = ", ".join(str(set(f) or "{}") for f in sorted(facets, key=face_key))
+        covered = {f[:j] + f[j + 1:] for f in self.faces for j in range(len(f))}
+        facets = sorted(self.faces - covered, key=lambda f: (len(f), f))
+        inner = ", ".join("{" + ", ".join(map(str, f)) + "}" for f in facets)
         return f"SimplicialComplex[{inner}]"
 
 
@@ -232,13 +225,12 @@ class SpanBasis:
 
     Pivoting is deterministic: a column's pivot is its first nonzero
     row, with rows compared in their natural order (ints, or tuples of
-    ints) unless a `key` is given (faces need `face_key`), and
-    reduction eliminates pivots smallest-first, so results do not
-    depend on dict iteration order.  A stored column is scaled to
-    pivot entry one, so a reduction step subtracts it without a field
-    inversion.  Over Q the entries may mix ints and `Fraction`s;
-    integral scalars given as ints (see `plain`) keep the arithmetic
-    in ints wherever it stays integral.
+    ints such as faces of one dimension), and reduction eliminates
+    pivots smallest-first, so results do not depend on dict iteration
+    order.  A stored column is scaled to pivot entry one, so a reduction
+    step subtracts it without a field inversion.  Over Q the entries may
+    mix ints and `Fraction`s; integral scalars given as ints (see
+    `plain`) keep the arithmetic in ints wherever it stays integral.
 
     >>> basis = SpanBasis(FieldSpec(0))
     >>> basis.insert({0: 2, 1: 1}), basis.insert({0: 4, 1: 2})
@@ -249,9 +241,8 @@ class SpanBasis:
     ({0: 1, 1: Fraction(1, 2)}, {})
     """
 
-    def __init__(self, F, key=None):
+    def __init__(self, F):
         self.F = F
-        self.key = key
         # pivot row -> (column with pivot entry 1, combo dict)
         self._pivots = {}
         self.rank = 0
@@ -259,9 +250,9 @@ class SpanBasis:
     def _reduce(self, col, combo):
         col = dict(col)
         combo = dict(combo)
-        F, key, pivots = self.F, self.key, self._pivots
+        F, pivots = self.F, self._pivots
         while col:
-            pivot = min(col, key=key)
+            pivot = min(col)
             hit = pivots.get(pivot)
             if hit is None:
                 return col, combo, pivot
@@ -295,12 +286,11 @@ class SpanBasis:
 
 def _integer_boundaries(K, p):
     """K with integer row ids: for each i from −1 to dim K, the i-faces
-    in the fixed face order (a face's id is its position), the id of
-    each face, and the boundary `column(f)` of an i-face as
-    {(i−1)-face id: ±1}, with −1 written as p − 1 over GF(p).  Columns
-    are built on request, so a pass that skips a face never builds its
-    column."""
-    rank = {v: r for r, v in enumerate(K.vertices)}.__getitem__
+    in face order (a face's id is its position), the id of each face,
+    and the boundary `column(f)` of an i-face as {(i−1)-face id: ±1},
+    with −1 written as p − 1 over GF(p): deleting position j of the
+    increasing tuple f gives sign (−1)^j.  Columns are built on
+    request, so a pass that skips a face never builds its column."""
     minus = p - 1 if p else -1
     levels = []
     below = None
@@ -309,12 +299,8 @@ def _integer_boundaries(K, p):
         index = {f: k for k, f in enumerate(faces)}
 
         def column(f, below=below):
-            col = {}
-            sign = 1
-            for v in sorted(f, key=rank):
-                col[below[f - {v}]] = sign
-                sign = minus if sign == 1 else 1
-            return col
+            return {below[f[:j] + f[j + 1:]]: minus if j % 2 else 1
+                    for j in range(len(f))}
 
         levels.append((i, faces, index, column))
         below = index
@@ -502,7 +488,7 @@ def reduced_homology(K, F=FieldSpec(0)):
 
     >>> triangle = SimplicialComplex([{1, 2}, {2, 3}, {1, 3}])
     >>> triangle.faces_of_dim(1)
-    [frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3})]
+    [(1, 2), (1, 3), (2, 3)]
     >>> reduced_homology(triangle).representatives[1]
     [({0: 1, 1: -1, 2: 1}, 1)]
     """

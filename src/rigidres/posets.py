@@ -195,30 +195,31 @@ class Poset:
 def order_complex(fragment):
     """Faces are the chains (totally ordered subsets) of the fragment.
 
-    The empty fragment gives the empty complex {∅}; two incomparable
-    elements give two isolated vertices.  A chain is a tuple of
+    Vertex k is `fragment.elements[k]`, so a chain is the tuple of its
     canonical indices, increasing because canonical order extends
     inclusion; it grows upward by a larger index above its last
-    element.  Faces are enumerated level by level, each level in
-    lexicographic order of these tuples, which is face order, so the
-    family is closed and already in face order.
+    element.  The empty fragment gives the empty complex {∅}; two
+    incomparable elements give two isolated vertices.  Faces are
+    enumerated level by level, each level in lexicographic order of
+    these tuples, which is face order, so the family is closed and
+    already in face order.
 
-    >>> K = order_complex(Poset([{0}, {0, 1}, {0, 1, 2}]))
-    >>> [[sorted(e) for e in sorted(f, key=element_key)]
-    ...  for f in K.faces_of_dim(1)]
-    [[[0], [0, 1]], [[0], [0, 1, 2]], [[0, 1], [0, 1, 2]]]
+    >>> P = Poset([{0}, {0, 1}, {0, 1, 2}])
+    >>> order_complex(P).faces_of_dim(1)
+    [(0, 1), (0, 2), (1, 2)]
+    >>> [sorted(P.elements[k]) for k in (0, 2)]
+    [[0], [0, 1, 2]]
     >>> order_complex(Poset([]))
     SimplicialComplex[{}]
     """
-    els = fragment.elements
-    above = [[] for _ in els]
+    above = [[] for _ in fragment.elements]
     for j, down in enumerate(fragment._down.values()):
         for p in down:
             above[fragment._index[p]].append(j)
-    levels = [[frozenset()]]
-    level = [(j,) for j in range(len(els))]
+    levels = [[()]]
+    level = [(j,) for j in range(len(above))]
     while level:
-        levels.append([frozenset(map(els.__getitem__, t)) for t in level])
+        levels.append(level)
         level = [t + (j,) for t in level for j in above[t[-1]]]
     return SimplicialComplex._closed(levels)
 

@@ -63,7 +63,7 @@ def atom_crosscut(L, q):
 def test_crosscut_of_atom_is_empty_complex():
     lat = lcm_lattice(parse_ideal("x; y"))
     K = coatom_crosscut(lat, frozenset({0}))
-    assert K.faces == frozenset({frozenset()})
+    assert K.faces == frozenset({()})
 
 
 def test_crosscut_of_boolean_top_is_sphere():
