@@ -31,7 +31,7 @@ def main():
 
     base = sum(out.base_totals)
     print(f"base totals {out.base_totals} (sum {base}); "
-          f"budget {args.budget}; {elapsed:.1f}s")
+          f"budget {args.budget}; {elapsed:.3f}s")
     if out.betti_poset_candidate:
         entry = out.betti_poset_candidate
         print(f"Betti-poset candidate: {entry.lattice_size} elements, "

@@ -96,15 +96,23 @@ def interval_ranks(P, q, F=FieldSpec(0), memo=None):
     bot = P.bottom
     if q == bot:
         raise ValueError("the interval below the bottom element is undefined")
+    inside = frozenset(P.below(q)) - {bot}
+    return ranks_inside(inside, F, memo, isinstance(P, FiniteAtomicLattice))
+
+
+def ranks_inside(inside, F=FieldSpec(0), memo=None, atomic=True):
+    """The ranks of `interval_ranks`, given the interval's elements
+    strictly between 0̂ and its top (`inside`, a frozenset) instead of
+    the poset: the memo key is (inside, characteristic), and the complex
+    is the coatom crosscut of `inside` when the interval is one of an
+    atomic lattice (`atomic`), its order complex otherwise.  A caller
+    that knows an interval's elements without building its poset, such
+    as the deformation scan, reads it here under the same key."""
     if memo is None:
         memo = {}
-    inside = frozenset(P.below(q)) - {bot}
     key = (inside, F.characteristic)
     if key not in memo:
-        if isinstance(P, FiniteAtomicLattice):
-            K = crosscut_complex(inside)
-        else:
-            K = order_complex(Poset(inside))
+        K = crosscut_complex(inside) if atomic else order_complex(Poset(inside))
         memo[key] = homology_ranks(K, F)
     return dict(memo[key])
 

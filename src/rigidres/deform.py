@@ -15,9 +15,12 @@ to a minimal resolution of I.  Two entry points:
     each addition), plus the Betti poset itself when it happens to be
     a lattice, certifying only candidates whose total Betti numbers
     match the source and which are rigid, since a certificate requires
-    both.  Used mostly as a negative control: for the hexagon edge
-    ideal every single-support augmentation strictly increases total
-    Betti numbers, so the scan comes back empty.
+    both.  Each augmentation is read as a change to L_I: only the added
+    sets are closed, only the intervals they enter are re-read, and a
+    lattice is built only for a candidate that reaches certification.
+    Used mostly as a negative control: for the hexagon edge ideal every
+    single-support augmentation strictly increases total Betti numbers,
+    so the scan comes back empty.
 
 Certification never trusts the construction: it re-checks rigidity,
 Betti totals, and the full relabeled resolution independently.
@@ -26,13 +29,15 @@ Betti totals, and the full relabeled resolution independently.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .betti import betti_numbers, betti_poset, rigidity_report
+from .betti import betti_numbers, betti_poset, ranks_inside, rigidity_report
 from .frames import relabel, resolve, verify_resolution
 from .homology import FieldSpec, SimplicialComplex, homology_ranks
 from .posets import (
     FiniteAtomicLattice,
+    _closure,
     coordinatize,
     element_key,
     face_lattice,
@@ -115,13 +120,14 @@ def certify_rigid_deformation(J, I, F=FieldSpec(0), memo=None):
             return cert
         cert.route = "join-preserving"
 
-    _, _, res = resolve(LJ, F, memo)
-    degrees_i = {q: LI.degree(q) for q in LI.elements}
-    try:
-        moved = relabel(res, assignment, degrees_i)
-    except ValueError as err:
-        cert.detail = f"relabel failed: {err}"
+    # the resolution's elements are BJ's, so relabel would refuse a map
+    # that merges two of them; decide that before resolving
+    if len({assignment[e] for e in BJ.elements}) < len(BJ):
+        cert.detail = ("relabel failed: mapping is not injective on the "
+                       "resolution's elements")
         return cert
+    _, _, res = resolve(LJ, F, memo)
+    moved = relabel(res, assignment, {q: LI.degree(q) for q in LI.elements})
     verdict = verify_resolution(moved)
     cert.relabel_verified = verdict.ok and _resolves(moved, LI)
     if not verdict.ok:
@@ -219,6 +225,49 @@ def _certified_result(T, L, F, memo, added):
     )
 
 
+def _augmentation_reader(L, F, memo):
+    """A function `read(added)` giving the closure T of L ∪ added, as a
+    set of frozensets, and T's total Betti numbers, without building T
+    as a lattice: T is read as a change to L.
+
+    Only the added sets are intersected (`_closure` from L's elements,
+    already closed).  An element q of L keeps its interval (0̂, q), and
+    so its ranks, unless some new element lies strictly below q; then
+    the interval holds L's elements below q and those new ones.  The
+    interval of a new element holds every nonempty member of T strictly
+    inside it.  These are the elements `interval_ranks` would key on T,
+    so the ranks come from `ranks_inside` under the same memo keys.
+    Summed by degree they give the totals as `BettiTable.totals` does:
+    1 in index 0, h_i in index i + 2, and 0 in a gap."""
+    bot = L.bottom
+    family = frozenset(L.elements)
+    intervals = {}
+    base = Counter()
+    for q in L.elements:
+        if q != bot:
+            inside = frozenset(L.below(q)) - {bot}
+            ranks = ranks_inside(inside, F, memo)
+            intervals[q] = (inside, ranks)
+            base.update(ranks)
+
+    def read(added):
+        closed = _closure(added, start=family)
+        new = closed - family
+        ranks = Counter(base)
+        for q, (inside, old) in intervals.items():
+            under = {p for p in new if p < q}
+            if under:
+                ranks.subtract(old)
+                ranks.update(ranks_inside(inside | under, F, memo))
+        for q in new:
+            inside = frozenset(p for p in closed if p and p < q)
+            ranks.update(ranks_inside(inside, F, memo))
+        top = max(i for i, h in ranks.items() if h)
+        return closed, (1,) + tuple(ranks[i] for i in range(-1, top + 1))
+
+    return read
+
+
 def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
     """Bounded deterministic search for a rigid deformation of I.
 
@@ -229,9 +278,16 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
     numbers match the source and which are rigid, since a certificate
     requires both: a relabeled *minimal* resolution cannot exist
     otherwise, and the deformation must be rigid.  Absent result means
-    none within budget, not a proof that no deformation exists.  One
-    interval-rank memo serves L, every candidate and every
-    certification, so the rigidity check only reads it.
+    none within budget, not a proof that no deformation exists.
+
+    A candidate's size and totals are read off L's table
+    (`_augmentation_reader`): the added sets are closed against L's
+    elements, and only the intervals that gain a new element, or are
+    new, are looked up.  Candidates with the source's totals are then
+    built as lattices by `meet_closure`, whose constructor checks
+    closure, in order of size.  One interval-rank memo serves L, every
+    candidate and every certification, so the rigidity check only
+    reads it.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -268,20 +324,22 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
          for s in itertools.combinations(range(n), r)
          if frozenset(s) not in family),
         key=element_key)
+    read = _augmentation_reader(L, F, memo)
     candidates = []
     for r in range(1, min(budget, len(missing)) + 1):
         for combo in itertools.combinations(missing, r):
-            T = meet_closure(family | set(combo), n)
-            entry = ScanEntry(added=combo, lattice_size=len(T.elements),
-                              totals=betti_numbers(T, F, memo).totals())
+            closed, totals = read(combo)
+            entry = ScanEntry(added=combo, lattice_size=len(closed),
+                              totals=totals)
             outcome.augmentation_log.append(entry)
-            if entry.totals == base:
-                candidates.append((entry, T))
+            if totals == base:
+                candidates.append((entry, closed))
 
     candidates.sort(key=lambda pair: (
         pair[0].lattice_size,
         tuple(element_key(s) for s in pair[0].added)))
-    for entry, T in candidates:
+    for entry, closed in candidates:
+        T = meet_closure(closed, n)
         result = _certified_result(T, L, F, memo, added=entry.added)
         if result is not None:
             entry.certified = True

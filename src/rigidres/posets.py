@@ -273,18 +273,21 @@ class FiniteAtomicLattice(Poset):
         return self.degrees[frozenset(e)]
 
 
-def _closure(sets, inside=None):
-    """The intersection closure of some frozensets, taken largest first.
+def _closure(sets, inside=None, start=()):
+    """The intersection closure of some frozensets, taken largest first,
+    together with `start`, a family that is already closed.
 
     A set already present is skipped; any other set x is added with its
     intersection with every set kept so far.  That keeps the family
     closed: if C is, so is C ∪ {x} ∪ {x ∩ c : c ∈ C}, as (x ∩ c) ∩ c'
     and (x ∩ c) ∩ (x ∩ c') both equal x ∩ (c ∩ c').  An intersection of
-    larger sets is present by its turn, so only the rest cost a pass.
+    larger sets is present by its turn, so only the rest cost a pass,
+    and the members of `start` are never intersected with each other:
+    adding k sets to a closed family costs O(k·|result|).
     With `inside`, a family meant to be closed already, the walk stops
     at the first intersection outside it and raises, naming the pair:
     the closure of an unclosed family is never built."""
-    closed = set()
+    closed = set(start)
     for x in sorted(sets, key=len, reverse=True):
         if x in closed:
             continue

@@ -3,6 +3,7 @@ and the DOT export."""
 
 import argparse
 import copy
+import hashlib
 import json
 import os
 import resource
@@ -689,6 +690,17 @@ def test_deform_search_hexagon_reports_every_augmentation(tmp_path, capsys):
     assert "scanned 35 augmentations:" in out
     assert "no rigid deformation found" in out
     assert out.count("  +{") == 35
+
+
+def test_twin_a_budget_two_scan_is_frozen(tmp_path, capsys):
+    # 1,275 augmentations, some with the base totals, and a Betti-poset
+    # candidate: the certification path the hexagon never reaches
+    ideal = ideal_file(tmp_path, "m.ideal", TWIN_A_TEXT)
+    assert main(["deform-search", ideal, "--budget", "2"]) == 2
+    out = capsys.readouterr().out
+    assert "scanned 1275 augmentations:" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ec197853c21e134bf9938b3b9a9d3dfe12595d4ac1ed3b575123d029dfc85656")
 
 
 def test_deform_search_budget_beyond_the_missing_supports(tmp_path, capsys):

@@ -18,7 +18,13 @@ from rigidres.deform import (
 from rigidres.frames import scarf_complex
 from rigidres.homology import FieldSpec, SimplicialComplex
 from rigidres.monomials import parse_ideal
-from rigidres.posets import FiniteAtomicLattice, face_lattice, lcm_lattice
+from rigidres.posets import (
+    FiniteAtomicLattice,
+    _closure,
+    face_lattice,
+    lcm_lattice,
+    meet_closure,
+)
 
 from conftest import random_generic_ideal
 
@@ -275,6 +281,28 @@ def test_certify_twins_is_honest_about_rigidity(twin_a, twin_b):
     assert not report.all_true
 
 
+# a rigid candidate of twin A's budget-2 scan with twin A's totals,
+# coordinatized: the only map to L_I is join-preserving, and it merges
+# two elements of the candidate's Betti poset
+TWIN_A_CANDIDATE = (
+    "x2*x3*x4*x5*x6*x9*x10*x11*x12*x13*x14; x1*x3*x4*x5*x6*x8*x10*x11*x12*x14; "
+    "x1*x2*x4*x5*x6*x7*x8*x11*x12*x14; x1*x2*x3*x5*x6*x7*x9*x12; "
+    "x1*x2*x3*x4*x6*x7*x8*x9*x10*x11*x13; x1*x2*x3*x4*x5*x7*x8*x9*x10*x13")
+
+
+def test_certification_refuses_a_merging_map_before_resolving(
+        monkeypatch, twin_a):
+    resolved = []
+    monkeypatch.setattr(deform, "resolve", lambda *a: resolved.append(a))
+    report = certify_rigid_deformation(parse_ideal(TWIN_A_CANDIDATE), twin_a, Q)
+    assert report.rigid and report.betti_preserved
+    assert report.route == "join-preserving"
+    assert report.detail == ("relabel failed: mapping is not injective on "
+                             "the resolution's elements")
+    assert not report
+    assert resolved == []
+
+
 def test_certify_mismatched_generator_counts():
     report = certify_rigid_deformation(
         parse_ideal("x; y"), parse_ideal("x; y; z"), Q)
@@ -338,3 +366,41 @@ def test_search_log_is_deterministic(hexagon_ideal):
             for e in first.augmentation_log] == \
            [(e.added, e.lattice_size, e.totals)
             for e in second.augmentation_log]
+
+
+@pytest.mark.parametrize("fixture,lattices", [
+    ("hexagon_ideal", 0),  # all 35 augmentations raise the totals
+    ("twin_a", 20),        # 20 of 50 keep them, none is rigid
+])
+def test_scan_builds_lattices_only_for_matching_totals(
+        monkeypatch, request, fixture, lattices):
+    built = []
+    closure = deform.meet_closure
+
+    def counted(family, n_atoms):
+        built.append(family)
+        return closure(family, n_atoms)
+
+    monkeypatch.setattr(deform, "meet_closure", counted)
+    out = search_rigid_deformation(request.getfixturevalue(fixture), 1, Q)
+    matching = [e for e in out.augmentation_log if e.totals == out.base_totals]
+    assert len(built) == len(matching) == lattices
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_scan_reads_an_augmentation_as_its_meet_closure(data):
+    n = data.draw(st.integers(min_value=2, max_value=5))
+    atoms = st.integers(0, n - 1)
+    L = meet_closure(data.draw(st.lists(st.sets(atoms, min_size=2),
+                                        max_size=4)), n)
+    added = [frozenset(s) for s in data.draw(st.lists(st.sets(atoms),
+                                                      min_size=1, max_size=2))]
+    closed = _closure(added, start=L.elements)
+    assert closed == _closure(set(L.elements) | set(added))
+    T = meet_closure(set(L.elements) | set(added), n)
+    for F in (Q, FieldSpec(2)):
+        read = deform._augmentation_reader(L, F, {})
+        family, totals = read(added)
+        assert family == closed
+        assert (len(family), totals) == (len(T), betti_numbers(T, F).totals())

@@ -179,6 +179,26 @@ def test_edge_boundary_signs():
     assert col == {(2,): 1, (1,): -1}
 
 
+@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize("n", [4, 5], ids=["3-simplex", "4-simplex"])
+def test_kernel_boundary_signs_past_position_two(n, p):
+    # the kernel's own columns: deleting position j of an i-face has
+    # sign (−1)^j (p − 1 for −1 over GF(p)), and ∂_{i−1} ∘ ∂_i = 0
+    levels = homology._integer_boundaries(SimplicialComplex([range(n)]), p)
+    for (_, lower, _, lower_column), (i, faces, _, column) in zip(levels,
+                                                                 levels[1:]):
+        for f in faces:
+            col = column(f)
+            assert {lower[k]: c for k, c in col.items()} == {
+                f[:j] + f[j + 1:]: (-1) ** j % p if p else (-1) ** j
+                for j in range(i + 1)}
+            twice = {}
+            for k, c in col.items():
+                for r, d in lower_column(lower[k]).items():
+                    twice[r] = twice.get(r, 0) + c * d
+            assert all(v % p == 0 if p else v == 0 for v in twice.values())
+
+
 @given(small_complexes())
 def test_boundary_squares_to_zero(K):
     for i in range(0, K.dim + 1):
