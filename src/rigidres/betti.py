@@ -8,19 +8,24 @@ the Betti table off any such poset: one generator at 0̂, and
 keyed by its degree, these are the multigraded Betti numbers of the
 quotient by the ideal.
 
-Rank-only queries on atomic lattices take a shortcut: the interval
-(0̂, q) has the homology of its coatom crosscut, the nerve of the
-maximal elements strictly below q, whose faces are the sets of them
-with a nonempty intersection (`crosscut_complex`).  That complex lives
-on the coatoms of the interval instead of the whole interval, and the
-equality of ranks is itself property-tested against the order-complex
-route.  Ranks come from the rank-only path `homology_ranks`.  They
-depend only on the set of elements inside the interval, so a caller
-that reads many intervals — across candidate lattices, Betti posets
-and ranked fragments alike — passes one plain dict `memo` keyed by
-(that set, characteristic); with no memo nothing is kept.  Anything
-needing actual cycle representatives (the resolution builder) uses the
-order complex directly.
+Rank-only queries take one of two routes, each with its own memo key.
+On an atomic lattice, the interval (0̂, q) has the homology of its
+coatom crosscut, the nerve of the maximal elements strictly below q,
+whose faces are the sets of them with a nonempty intersection
+(`crosscut_complex`, property-tested against the order-complex route).
+That nerve is fixed by the coatoms alone, so the ranks are keyed by
+("crosscut", the coatom set, characteristic), and intervals of
+different lattices with the same coatoms share one complex.  On any
+other poset (Betti posets, the ranked fragments of `verify_frame`) the
+ranks come from the order complex of the interval and are keyed by
+("order", the elements strictly inside, characteristic).  The tags keep
+the two apart: one set of sets can be both an antichain of coatoms and
+a fragment's content, with different homology.  A caller that reads
+many intervals — across candidate lattices, Betti posets and ranked
+fragments alike — passes one plain dict `memo`; with no memo nothing
+is kept.  Ranks come from the rank-only path `homology_ranks`.
+Anything needing actual cycle representatives (the resolution builder)
+uses the order complex directly.
 """
 
 from __future__ import annotations
@@ -34,13 +39,16 @@ from .posets import (
     Poset,
     element_key,
     lcm_lattice,
+    maximal_members,
     order_complex,
 )
 
 
 def crosscut_complex(inside):
     """The coatom crosscut of an interval of an atomic lattice, given
-    the elements strictly between 0̂ and its top (`inside`).
+    its coatoms or, as well, all its elements strictly between 0̂ and
+    its top (`inside`): only the maximal members are read, and an
+    antichain of coatoms is its own set of maximal members.
 
     Its vertices 0…k−1 are the maximal members of `inside` (the coatoms
     of the interval) in canonical order, and its faces are the
@@ -54,15 +62,14 @@ def crosscut_complex(inside):
     >>> L = lcm_lattice(parse_ideal("x; y; z"))
     >>> crosscut_complex(frozenset(L.below(L.top)) - {L.bottom})
     SimplicialComplex[{0, 1}, {0, 2}, {1, 2}]
+    >>> crosscut_complex(frozenset(L.lower_covers(L.top)))
+    SimplicialComplex[{0, 1}, {0, 2}, {1, 2}]
     >>> crosscut_complex(frozenset())
     SimplicialComplex[{}]
     """
-    coatoms = []
-    for p in sorted(inside, key=len, reverse=True):
-        if not any(p < c for c in coatoms):
-            coatoms.append(p)
     # atom sets as bit masks, in canonical order
-    masks = [sum(1 << a for a in c) for c in sorted(coatoms, key=element_key)]
+    masks = [sum(1 << a for a in c)
+             for c in sorted(maximal_members(inside), key=element_key)]
     k = len(masks)
     levels = [[()]]
     level = [((j,), m) for j, m in enumerate(masks)]
@@ -73,48 +80,58 @@ def crosscut_complex(inside):
     return SimplicialComplex._closed(levels)
 
 
+def _memo_ranks(key, build, F, memo):
+    """homology_ranks(build(), F), looked up in and stored into memo
+    (a dict, or None) under key."""
+    if memo is None:
+        return homology_ranks(build(), F)
+    if key not in memo:
+        memo[key] = homology_ranks(build(), F)
+    return dict(memo[key])
+
+
 def interval_ranks(P, q, F=FieldSpec(0), memo=None):
     """Reduced homology ranks {i: h_i} of the open interval (0̂, q).
 
     The ranks are looked up in, and stored into, `memo` (a dict owned
-    by the caller, or None) under (the frozenset `inside` of elements
-    strictly between 0̂ and q, characteristic).  On an atomic lattice
-    they come from the coatom crosscut of `inside` (`crosscut_complex`),
-    on any other poset from its order complex.  The key is sound across
-    both routes, because both give the homology of the order complex
-    of `inside`.  On a lattice, `inside` is closed under nonempty
-    intersections, since the family is intersection-closed with bottom
-    ∅.  Every chain of `inside` then lies below its top element, and so
-    below some maximal member c.  The chains below c form a cone with
-    apex c.  The chains below c_1, …, c_r are those below c_1 ∩ … ∩ c_r
-    when that intersection is nonempty, a cone again, and there are none
+    by the caller, or None) under one key per route.  On an atomic
+    lattice they are `coatom_ranks` of the coatoms of (0̂, q), the
+    lower covers of q other than 0̂.  On any other poset they come from
+    the order complex of the elements `inside` strictly between 0̂ and
+    q, under the key ("order", inside, characteristic).
+
+    The coatom key is sound.  Every lattice here is intersection-closed
+    with bottom ∅, so `inside` is closed under nonempty intersections.
+    Every chain of `inside` then lies below its top element, and so
+    below some coatom c.  The chains below c form a cone with apex c.
+    The chains below c_1, …, c_r are those below c_1 ∩ … ∩ c_r when
+    that intersection is nonempty, a cone again, and there are none
     otherwise.  By the nerve lemma, the order complex has the homology
     of the nerve of these cones, which is the coatom crosscut
-    (Björner's crosscut theorem for the coatoms).
+    (Björner's crosscut theorem for the coatoms).  Whether a set of
+    coatoms meets is a fact about the sets alone, so two intervals with
+    the same coatoms, in one lattice or in two, have the same ranks.
     """
     q = frozenset(q)
     bot = P.bottom
     if q == bot:
         raise ValueError("the interval below the bottom element is undefined")
+    if isinstance(P, FiniteAtomicLattice):
+        return coatom_ranks(frozenset(P.lower_covers(q)) - {bot}, F, memo)
     inside = frozenset(P.below(q)) - {bot}
-    return ranks_inside(inside, F, memo, isinstance(P, FiniteAtomicLattice))
+    return _memo_ranks(("order", inside, F.characteristic),
+                       lambda: order_complex(Poset(inside)), F, memo)
 
 
-def ranks_inside(inside, F=FieldSpec(0), memo=None, atomic=True):
-    """The ranks of `interval_ranks`, given the interval's elements
-    strictly between 0̂ and its top (`inside`, a frozenset) instead of
-    the poset: the memo key is (inside, characteristic), and the complex
-    is the coatom crosscut of `inside` when the interval is one of an
-    atomic lattice (`atomic`), its order complex otherwise.  A caller
-    that knows an interval's elements without building its poset, such
-    as the deformation scan, reads it here under the same key."""
-    if memo is None:
-        memo = {}
-    key = (inside, F.characteristic)
-    if key not in memo:
-        K = crosscut_complex(inside) if atomic else order_complex(Poset(inside))
-        memo[key] = homology_ranks(K, F)
-    return dict(memo[key])
+def coatom_ranks(coatoms, F=FieldSpec(0), memo=None):
+    """The ranks of `interval_ranks` for an interval of an atomic
+    lattice, given its coatoms (a frozenset of frozensets) instead of
+    the lattice, under the memo key ("crosscut", coatoms,
+    characteristic).  A caller that knows an interval's coatoms without
+    building its lattice, such as the deformation scan, reads it here
+    under the key `interval_ranks` would use."""
+    return _memo_ranks(("crosscut", coatoms, F.characteristic),
+                       lambda: crosscut_complex(coatoms), F, memo)
 
 
 def betti_poset(P, F=FieldSpec(0), memo=None):

@@ -634,7 +634,11 @@ def build_parser():
                        help="bounded scan for a rigid deformation")
     p.add_argument("input", help=".ideal file")
     p.add_argument("--budget", type=int, default=1,
-                   help="max number of supports to adjoin (default 1)")
+                   help="max number of supports to adjoin (default 1); "
+                        "the scan tries every choice of up to that many, "
+                        "so on the hexagon budgets 1 / 2 / 3 scan 35 / "
+                        "630 / 7,175 augmentations in about 0.01 / 0.1 / "
+                        "1.1 s")
     p.set_defaults(run=cmd_deform_search)
 
     p = sub.add_parser("compare", parents=[common],

@@ -16,8 +16,9 @@ to a minimal resolution of I.  Two entry points:
     a lattice, certifying only candidates whose total Betti numbers
     match the source and which are rigid, since a certificate requires
     both.  Each augmentation is read as a change to L_I: only the added
-    sets are closed, only the intervals they enter are re-read, and a
-    lattice is built only for a candidate that reaches certification.
+    sets are closed, only the intervals whose coatoms they change are
+    re-read, and a lattice is built only for a candidate that reaches
+    certification.
     Used mostly as a negative control: for the hexagon edge ideal every
     single-support augmentation strictly increases total Betti numbers,
     so the scan comes back empty.
@@ -32,7 +33,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .betti import betti_numbers, betti_poset, ranks_inside, rigidity_report
+from .betti import betti_numbers, betti_poset, coatom_ranks, rigidity_report
 from .frames import relabel, resolve, verify_resolution
 from .homology import FieldSpec, SimplicialComplex, homology_ranks
 from .posets import (
@@ -44,6 +45,7 @@ from .posets import (
     is_isomorphic,
     join_preserving_map,
     lcm_lattice,
+    maximal_members,
     meet_closure,
 )
 
@@ -225,43 +227,69 @@ def _certified_result(T, L, F, memo, added):
     )
 
 
+def _raised(coatoms, under):
+    """The maximal members of the antichain `coatoms` together with the
+    sets `under`, none of which is a coatom; `coatoms` itself when no
+    set of `under` is maximal.  A set of `under` is maximal when it lies
+    inside no coatom and no other set of `under`.  A coatom c is not
+    maximal when it lies inside some p of `under`; no coatom contains
+    that p (it would contain c), so a maximal set of `under` contains
+    p, and comparing c with the maximal sets is enough."""
+    top = [p for p in under if not any(map(p.__lt__, coatoms))
+           and not any(map(p.__lt__, under))]
+    if not top:
+        return coatoms
+    return frozenset([c for c in coatoms if not any(map(c.__lt__, top))] + top)
+
+
 def _augmentation_reader(L, F, memo):
     """A function `read(added)` giving the closure T of L ∪ added, as a
     set of frozensets, and T's total Betti numbers, without building T
     as a lattice: T is read as a change to L.
 
     Only the added sets are intersected (`_closure` from L's elements,
-    already closed).  An element q of L keeps its interval (0̂, q), and
-    so its ranks, unless some new element lies strictly below q; then
-    the interval holds L's elements below q and those new ones.  The
-    interval of a new element holds every nonempty member of T strictly
-    inside it.  These are the elements `interval_ranks` would key on T,
-    so the ranks come from `ranks_inside` under the same memo keys.
-    Summed by degree they give the totals as `BettiTable.totals` does:
-    1 in index 0, h_i in index i + 2, and 0 in a gap."""
+    already closed).  Each interval (0̂, q) is read by its coatoms, as
+    `interval_ranks` keys it on T, so the ranks come from `coatom_ranks`
+    under the same memo keys.  The interval of an element q of L holds
+    L's elements below q and the new elements below q.  Its coatoms
+    are the maximal members of the old coatoms and those new elements,
+    because every other element of L below q lies inside an old coatom
+    (`_raised`); when they are the old coatoms, so are the ranks, and
+    the interval is not looked up again.  A new element q is read the
+    same way: its coatoms are the maximal elements of L inside q, kept
+    from one call to the next, raised by the new elements inside q.
+    Summed by degree the ranks give the totals as `BettiTable.totals`
+    does: 1 in index 0, h_i in index i + 2, and 0 in a gap."""
     bot = L.bottom
     family = frozenset(L.elements)
     intervals = {}
     base = Counter()
     for q in L.elements:
         if q != bot:
-            inside = frozenset(L.below(q)) - {bot}
-            ranks = ranks_inside(inside, F, memo)
-            intervals[q] = (inside, ranks)
+            coatoms = frozenset(L.lower_covers(q)) - {bot}
+            ranks = coatom_ranks(coatoms, F, memo)
+            intervals[q] = (coatoms, ranks)
             base.update(ranks)
+
+    inside_family = {}  # a new element ↦ the maximal elements of L in it
 
     def read(added):
         closed = _closure(added, start=family)
         new = closed - family
         ranks = Counter(base)
-        for q, (inside, old) in intervals.items():
-            under = {p for p in new if p < q}
+        for q, (coatoms, old) in intervals.items():
+            under = [p for p in new if p < q]
             if under:
-                ranks.subtract(old)
-                ranks.update(ranks_inside(inside | under, F, memo))
+                raised = _raised(coatoms, under)
+                if raised is not coatoms:
+                    ranks.subtract(old)
+                    ranks.update(coatom_ranks(raised, F, memo))
         for q in new:
-            inside = frozenset(p for p in closed if p and p < q)
-            ranks.update(ranks_inside(inside, F, memo))
+            if q not in inside_family:
+                # q holds two atoms of L, so ∅ is never maximal in it
+                inside_family[q] = maximal_members(filter(q.__gt__, family))
+            coatoms = _raised(inside_family[q], [p for p in new if p < q])
+            ranks.update(coatom_ranks(coatoms, F, memo))
         top = max(i for i, h in ranks.items() if h)
         return closed, (1,) + tuple(ranks[i] for i in range(-1, top + 1))
 
@@ -282,7 +310,7 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
 
     A candidate's size and totals are read off L's table
     (`_augmentation_reader`): the added sets are closed against L's
-    elements, and only the intervals that gain a new element, or are
+    elements, and only the intervals whose coatoms change, or that are
     new, are looked up.  Candidates with the source's totals are then
     built as lattices by `meet_closure`, whose constructor checks
     closure, in order of size.  One interval-rank memo serves L, every

@@ -111,29 +111,37 @@ class Poset:
     # -- covers -------------------------------------------------------
 
     @cached_property
-    def _covers(self):
-        """Lower and upper covers of every element.  Each down-set is
-        scanned largest first: p is covered by q unless it lies inside a
-        cover already kept, because anything strictly between p and q is
-        larger than p and so was scanned before it."""
+    def _lower_covers(self):
+        """Lower covers of every element.  Each down-set is scanned
+        largest first: p is covered by q unless it lies inside a cover
+        already kept, because anything strictly between p and q is
+        larger than p and so was scanned before it.  The covers are
+        kept in reverse canonical order, so reversing them sorts them."""
         lower = {}
-        upper = {e: [] for e in self.elements}
-        for q in self.elements:
+        for q, down in self._down.items():
             kept = []
-            for p in reversed(self.below(q)):
-                if not any(p < c for c in kept):
+            for p in reversed(down):
+                if not any(map(p.__lt__, kept)):
                     kept.append(p)
-                    upper[p].append(q)
-            lower[q] = tuple(sorted(kept, key=element_key))
-        return lower, {e: tuple(v) for e, v in upper.items()}
+            kept.reverse()
+            lower[q] = tuple(kept)
+        return lower
+
+    @cached_property
+    def _upper_covers(self):
+        upper = {e: [] for e in self.elements}
+        for q, covers in self._lower_covers.items():
+            for p in covers:
+                upper[p].append(q)
+        return {e: tuple(v) for e, v in upper.items()}
 
     def lower_covers(self, q):
         self._check(q)
-        return self._covers[0][frozenset(q)]
+        return self._lower_covers[frozenset(q)]
 
     def upper_covers(self, p):
         self._check(p)
-        return self._covers[1][frozenset(p)]
+        return self._upper_covers[frozenset(p)]
 
     def cover_pairs(self):
         """All (p, q) with p covered by q, in canonical order."""
@@ -271,6 +279,22 @@ class FiniteAtomicLattice(Poset):
         if self.degrees is None:
             raise ValueError("this lattice has no degree labels")
         return self.degrees[frozenset(e)]
+
+
+def maximal_members(family):
+    """The members of a family of sets that lie inside no other member,
+    as a frozenset: each is kept unless it lies inside one kept before,
+    the family being scanned largest first.
+
+    >>> family = [frozenset(s) for s in ({0}, {0, 1}, {2}, {1})]
+    >>> sorted(map(sorted, maximal_members(family)))
+    [[0, 1], [2]]
+    """
+    kept = []
+    for p in sorted(family, key=len, reverse=True):
+        if not any(map(p.__lt__, kept)):
+            kept.append(p)
+    return frozenset(kept)
 
 
 def _closure(sets, inside=None, start=()):

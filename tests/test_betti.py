@@ -42,8 +42,8 @@ def random_lattices():
 # -- crosscut shortcut -------------------------------------------------------
 
 def interval_content(L, q):
-    """The elements strictly between 0̂ and q, as `interval_ranks`
-    keys them and hands them to `crosscut_complex`."""
+    """The elements strictly between 0̂ and q; `crosscut_complex` reads
+    only their maximal members, the coatoms `interval_ranks` keys by."""
     return frozenset(p for p in L.elements if p and p < q)
 
 
@@ -192,8 +192,8 @@ def ranked_fragments(P):
 @given(st.lists(random_lattices(), min_size=1, max_size=3))
 @settings(max_examples=40, deadline=None)
 def test_one_memo_serves_lattices_betti_posets_and_fragments(lattices):
-    # interval ranks are keyed by the interval's elements, so lattices
-    # (crosscut route) and fragments (order-complex route) share keys
+    # one memo holds the coatom keys of lattices (crosscut route) and
+    # the content keys of Betti posets and fragments (order-complex route)
     memo = {}
     for F in (Q, FieldSpec(2)):
         posets = []
@@ -208,7 +208,26 @@ def test_one_memo_serves_lattices_betti_posets_and_fragments(lattices):
                 if isinstance(P, FiniteAtomicLattice):
                     assert homology_ranks(coatom_crosscut(P, q), F) == fresh
                 assert interval_ranks(P, q, F, memo) == fresh, sorted(q)
-    assert {char for _, char in memo} == {0, 2}
+    assert {char for _, _, char in memo} == {0, 2}
+
+
+@pytest.mark.parametrize("lattice_first", [True, False],
+                         ids=["lattice-first", "fragment-first"])
+def test_coatom_and_content_keys_never_collide(lattice_first):
+    # X = {{0,1},{1,2}} is the content of a fragment, whose order
+    # complex is two points, and the coatom set of (∅, {0,1,2}) in a
+    # lattice, whose crosscut is an edge
+    X = [frozenset({0, 1}), frozenset({1, 2})]
+    lattice = meet_closure(X, 3)
+    fragment = Poset([frozenset()] + X + [frozenset({0, 1, 2})])
+    top = frozenset({0, 1, 2})
+    assert frozenset(lattice.lower_covers(top)) == frozenset(X)
+    queries = [(lattice, {}), (fragment, {0: 1})]
+    memo = {}
+    for P, fresh in queries if lattice_first else queries[::-1]:
+        assert homology_ranks(order_complex(P.open_interval(top)), Q) == fresh
+        assert interval_ranks(P, top, Q, memo) == fresh
+    assert len(memo) == 2
 
 
 # -- contribution ------------------------------------------------------------

@@ -162,19 +162,20 @@ def test_self_certification_of_rigid_ideal():
     assert report.rigid and report.betti_preserved and report.relabel_verified
 
 
-def record_interval_contents(monkeypatch):
+def record_interval_complexes(monkeypatch):
     """Patch both interval-complex routes of `betti.interval_ranks` and
-    return the list of interval contents (the elements strictly between
-    0̂ and q) that they are asked to build."""
+    return the list of the complexes they are asked to build, each as
+    ("crosscut", the coatom set it is built on) or ("order", the
+    fragment's elements)."""
     computed = []
     crosscut, order = betti.crosscut_complex, betti.order_complex
 
-    def recorded_crosscut(inside):
-        computed.append(inside)
-        return crosscut(inside)
+    def recorded_crosscut(coatoms):
+        computed.append(("crosscut", coatoms))
+        return crosscut(coatoms)
 
     def recorded_order(fragment):
-        computed.append(frozenset(fragment.elements))
+        computed.append(("order", frozenset(fragment.elements)))
         return order(fragment)
 
     monkeypatch.setattr(betti, "crosscut_complex", recorded_crosscut)
@@ -182,36 +183,44 @@ def record_interval_contents(monkeypatch):
     return computed
 
 
-def interval_content(L, q):
-    return frozenset(p for p in L.elements if L.bottom < p < q)
+def coatom_set(L, q):
+    """("crosscut", the maximal elements strictly between 0̂ and q),
+    read off the elements of L, as `record_interval_complexes` records
+    the crosscut of (0̂, q)."""
+    inside = [p for p in L.elements if L.bottom < p < q]
+    return ("crosscut",
+            frozenset(p for p in inside if not any(p < r for r in inside)))
 
 
 def test_certification_computes_each_target_interval_once(monkeypatch):
-    # intervals are keyed by their elements, so all atoms share one key:
-    # no content is computed twice, and every content of L_J is computed
+    # lattice intervals are keyed by their coatoms, so all atoms share
+    # one key: no coatom set is built twice, and every coatom set of L_J
+    # is built
     I = parse_ideal(SILENT_EXAMPLE)
     J = simplicial_rigid_deformation(I, scarf_complex(I), Q).target_ideal
-    computed = record_interval_contents(monkeypatch)
+    computed = record_interval_complexes(monkeypatch)
     assert certify_rigid_deformation(J, I, Q).all_true
     LJ = lcm_lattice(J)
     assert len(computed) == len(set(computed))
-    assert {interval_content(LJ, q) for q in LJ.elements if q} <= set(computed)
+    assert {coatom_set(LJ, q) for q in LJ.elements if q} <= set(computed)
 
 
 def test_search_computes_each_source_interval_once(monkeypatch, twin_a):
     # one memo serves L_I, every candidate and every certification
     LI = lcm_lattice(twin_a)
-    computed = record_interval_contents(monkeypatch)
+    computed = record_interval_complexes(monkeypatch)
     search_rigid_deformation(twin_a, budget=1, F=Q)
     assert len(computed) == len(set(computed))
-    assert {interval_content(LI, q) for q in LI.elements if q} <= set(computed)
+    assert {coatom_set(LI, q) for q in LI.elements if q} <= set(computed)
 
 
 @pytest.mark.parametrize("budget,F,expected", [
-    (2, FieldSpec(2), 742),  # 21,404 when each lattice kept its own memo
-    (1, Q, 123),             # 1,121 then
+    # 742 and 123 when keyed by the interval's elements; 21,404 and
+    # 1,121 when each lattice kept its own memo
+    (2, FieldSpec(2), 235),
+    (1, Q, 93),
 ], ids=["budget2-char2", "budget1-char0"])
-def test_hexagon_scan_computes_each_interval_content_once(
+def test_hexagon_scan_computes_each_coatom_set_once(
         monkeypatch, hexagon_ideal, budget, F, expected):
     calls = []
     ranks = betti.homology_ranks
@@ -404,3 +413,35 @@ def test_scan_reads_an_augmentation_as_its_meet_closure(data):
         family, totals = read(added)
         assert family == closed
         assert (len(family), totals) == (len(T), betti_numbers(T, F).totals())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_scan_keys_intervals_as_interval_ranks_does(data):
+    # after read(added), every interval of the candidate lattice is a
+    # memo hit: the rigidity check that gates certification computes
+    # nothing, because the reader and `interval_ranks` make equal keys
+    n = data.draw(st.integers(min_value=2, max_value=5))
+    atoms = st.integers(0, n - 1)
+    L = meet_closure(data.draw(st.lists(st.sets(atoms, min_size=2),
+                                        max_size=4)), n)
+    added = [frozenset(s) for s in data.draw(st.lists(st.sets(atoms),
+                                                      min_size=1, max_size=2))]
+    calls = []
+    ranks = betti.homology_ranks
+
+    def counted(K, F):
+        calls.append(K)
+        return ranks(K, F)
+
+    for F in (Q, FieldSpec(2)):
+        memo = {}
+        closed, totals = deform._augmentation_reader(L, F, memo)(added)
+        T = meet_closure(closed, n)
+        betti.homology_ranks = counted
+        try:
+            rigidity_report(T, F, memo)
+            assert betti_numbers(T, F, memo).totals() == totals
+        finally:
+            betti.homology_ranks = ranks
+        assert calls == []

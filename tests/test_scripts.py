@@ -38,3 +38,11 @@ def test_hexagon_budget_two_scan_is_frozen():
     out = re.sub(r"; [0-9.]+s\n", "\n", out, count=1)
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "94f6bdec8ee75807427d85fcde74869571d944da41a2f2053d22c9cb0b7f834f")
+
+
+def test_hexagon_budget_two_scan_is_frozen_in_char_zero():
+    # the same table as in characteristic 2, read on rational ranks
+    out = run_script(["hexagon_scan.py", "--budget", "2", "--char", "0"])
+    out = re.sub(r"; [0-9.]+s\n", "\n", out, count=1)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "94f6bdec8ee75807427d85fcde74869571d944da41a2f2053d22c9cb0b7f834f")
