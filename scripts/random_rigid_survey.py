@@ -11,8 +11,10 @@ import collections
 import random
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "tests")  # reuse the suite's generic-ideal sampler
+# reuse the suite's generic-ideal sampler
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from conftest import random_generic_ideal  # noqa: E402
 
 from rigidres import (  # noqa: E402

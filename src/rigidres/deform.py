@@ -15,10 +15,10 @@ to a minimal resolution of I.  Two entry points:
     each addition), plus the Betti poset itself when it happens to be
     a lattice, certifying only candidates whose total Betti numbers
     match the source and which are rigid, since a certificate requires
-    both.  Each augmentation is read as a change to L_I: only the added
-    sets are closed, only the intervals whose coatoms they change are
-    re-read, and a lattice is built only for a candidate that reaches
-    certification.
+    both.  Each augmentation is read as a change to L_I, in one pass
+    over the candidate's elements: only the added sets are closed, an
+    interval whose coatoms they leave unchanged keeps its ranks, and a
+    lattice is built only for a candidate that reaches certification.
     Used mostly as a negative control: for the hexagon edge ideal every
     single-support augmentation strictly increases total Betti numbers,
     so the scan comes back empty.
@@ -30,7 +30,6 @@ Betti totals, and the full relabeled resolution independently.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .betti import betti_numbers, betti_poset, coatom_ranks, rigidity_report
@@ -167,22 +166,9 @@ def simplicial_rigid_deformation(I, X, F=FieldSpec(0)):
                 f"(nonzero reduced homology {ranks}); the complex does not "
                 "support the minimal resolution")
 
-    P = face_lattice(X)
-    family = set(L.elements) | set(P.elements)
-    T = meet_closure(family, n)
-    J = coordinatize(T)
-    LJ = lcm_lattice(J)
-    assert set(LJ.elements) == set(T.elements), \
-        "coordinatization changed the support family"
-
-    return DeformationResult(
-        target_lattice=T,
-        target_ideal=J,
-        certificate=certify_rigid_deformation(J, L, F),
-        comparable_to_source=join_preserving_map(T, L) is not None,
-        added=tuple(sorted(set(T.elements) - set(L.elements),
-                           key=element_key)),
-    )
+    T = meet_closure(set(L.elements) | set(face_lattice(X).elements), n)
+    added = tuple(sorted(set(T.elements) - set(L.elements), key=element_key))
+    return _deformation(T, L, F, {}, added)
 
 
 # --------------------------------------------------------------------------
@@ -207,6 +193,21 @@ class SearchOutcome:
         return self.result is not None
 
 
+def _deformation(T, L, F, memo, added):
+    """The deformation of L's ideal to T: T coordinatized, certified
+    against L, and compared with L by a join-preserving map."""
+    J = coordinatize(T)
+    assert set(lcm_lattice(J).elements) == set(T.elements), \
+        "coordinatization changed the support family"
+    return DeformationResult(
+        target_lattice=T,
+        target_ideal=J,
+        certificate=certify_rigid_deformation(J, L, F, memo),
+        comparable_to_source=join_preserving_map(T, L) is not None,
+        added=added,
+    )
+
+
 def _certified_result(T, L, F, memo, added):
     """The certified deformation to T, or None.  A certificate requires
     L_J to be rigid, and L_J has the support family of T, so a
@@ -214,32 +215,8 @@ def _certified_result(T, L, F, memo, added):
     are already in the memo under the keys L_J would use."""
     if not rigidity_report(T, F, memo).rigid:
         return None
-    J = coordinatize(T)
-    certificate = certify_rigid_deformation(J, L, F, memo)
-    if not certificate:
-        return None
-    return DeformationResult(
-        target_lattice=T,
-        target_ideal=J,
-        certificate=certificate,
-        comparable_to_source=join_preserving_map(T, L) is not None,
-        added=added,
-    )
-
-
-def _raised(coatoms, under):
-    """The maximal members of the antichain `coatoms` together with the
-    sets `under`, none of which is a coatom; `coatoms` itself when no
-    set of `under` is maximal.  A set of `under` is maximal when it lies
-    inside no coatom and no other set of `under`.  A coatom c is not
-    maximal when it lies inside some p of `under`; no coatom contains
-    that p (it would contain c), so a maximal set of `under` contains
-    p, and comparing c with the maximal sets is enough."""
-    top = [p for p in under if not any(map(p.__lt__, coatoms))
-           and not any(map(p.__lt__, under))]
-    if not top:
-        return coatoms
-    return frozenset([c for c in coatoms if not any(map(c.__lt__, top))] + top)
+    result = _deformation(T, L, F, memo, added)
+    return result if result.certificate else None
 
 
 def _augmentation_reader(L, F, memo):
@@ -248,50 +225,44 @@ def _augmentation_reader(L, F, memo):
     as a lattice: T is read as a change to L.
 
     Only the added sets are intersected (`_closure` from L's elements,
-    already closed).  Each interval (0̂, q) is read by its coatoms, as
-    `interval_ranks` keys it on T, so the ranks come from `coatom_ranks`
-    under the same memo keys.  The interval of an element q of L holds
-    L's elements below q and the new elements below q.  Its coatoms
-    are the maximal members of the old coatoms and those new elements,
-    because every other element of L below q lies inside an old coatom
-    (`_raised`); when they are the old coatoms, so are the ranks, and
-    the interval is not looked up again.  A new element q is read the
-    same way: its coatoms are the maximal elements of L inside q, kept
-    from one call to the next, raised by the new elements inside q.
-    Summed by degree the ranks give the totals as `BettiTable.totals`
-    does: 1 in index 0, h_i in index i + 2, and 0 in a gap."""
+    already closed).  Then one pass reads each interval (0̂, q) of T,
+    L's elements first and the new ones after, by its coatoms, as
+    `interval_ranks` keys it on T, so the ranks come from
+    `coatom_ranks` under the same memo keys.  The coatoms of q in T are
+    the maximal members of its coatoms in L and the new elements below
+    q: every other element below q lies inside one of those.  For q in
+    L, its coatoms in L are its lower covers other than 0̂; for a new q
+    they are the maximal elements of L inside q, kept in the same dict
+    from one call to the next.  An element of L whose coatoms do not
+    change keeps the ranks read when the reader was made.  Summed by
+    degree the ranks give the totals as `BettiTable.totals` does: 1 in
+    index 0, h_i in index i + 2, and 0 in a gap."""
     bot = L.bottom
     family = frozenset(L.elements)
-    intervals = {}
-    base = Counter()
-    for q in L.elements:
-        if q != bot:
-            coatoms = frozenset(L.lower_covers(q)) - {bot}
-            ranks = coatom_ranks(coatoms, F, memo)
-            intervals[q] = (coatoms, ranks)
-            base.update(ranks)
-
-    inside_family = {}  # a new element ↦ the maximal elements of L in it
+    coatoms = {q: frozenset(L.lower_covers(q)) - {bot}
+               for q in L.elements if q != bot}
+    stored = {q: coatom_ranks(c, F, memo) for q, c in coatoms.items()}
 
     def read(added):
         closed = _closure(added, start=family)
         new = closed - family
-        ranks = Counter(base)
-        for q, (coatoms, old) in intervals.items():
-            under = [p for p in new if p < q]
-            if under:
-                raised = _raised(coatoms, under)
-                if raised is not coatoms:
-                    ranks.subtract(old)
-                    ranks.update(coatom_ranks(raised, F, memo))
-        for q in new:
-            if q not in inside_family:
+        totals = {}
+        for q in itertools.chain(stored, new):
+            if q not in coatoms:
                 # q holds two atoms of L, so ∅ is never maximal in it
-                inside_family[q] = maximal_members(filter(q.__gt__, family))
-            coatoms = _raised(inside_family[q], [p for p in new if p < q])
-            ranks.update(coatom_ranks(coatoms, F, memo))
-        top = max(i for i, h in ranks.items() if h)
-        return closed, (1,) + tuple(ranks[i] for i in range(-1, top + 1))
+                coatoms[q] = maximal_members(filter(q.__gt__, family))
+            under = [p for p in new if p < q]
+            tops = (maximal_members(coatoms[q].union(under)) if under
+                    else coatoms[q])
+            if q in stored and tops == coatoms[q]:
+                ranks = stored[q]
+            else:
+                ranks = coatom_ranks(tops, F, memo)
+            for i, h in ranks.items():
+                totals[i] = totals.get(i, 0) + h
+        top = max(i for i, h in totals.items() if h)
+        return closed, (1,) + tuple(totals.get(i, 0)
+                                    for i in range(-1, top + 1))
 
     return read
 
@@ -327,8 +298,7 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
     outcome = SearchOutcome(base_totals=base)
 
     if rigidity_report(L, F, memo).rigid:
-        T = meet_closure(family, n)
-        outcome.result = _certified_result(T, L, F, memo, added=())
+        outcome.result = _certified_result(L, L, F, memo, added=())
         return outcome
 
     B = betti_poset(L, F, memo)

@@ -83,6 +83,8 @@ class FieldSpec:
 
     def __post_init__(self):
         c = self.characteristic
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise ValueError(f"characteristic must be an int, got {c!r}")
         if c > MAX_CHARACTERISTIC:
             raise ValueError(f"characteristic must be at most "
                              f"{MAX_CHARACTERISTIC}, got {c}")

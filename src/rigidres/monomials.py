@@ -8,6 +8,7 @@ shared freely.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 # Exponents are kept well below this bound; the input grammar rejects
@@ -206,8 +207,9 @@ def parse_ideal(text):
         if not chunk.strip():
             continue
         factors = []
-        for piece in chunk.split("*"):
-            at = base + chunk.index(piece)
+        pieces = chunk.split("*")
+        starts = itertools.accumulate((len(p) + 1 for p in pieces), initial=base)
+        for piece, at in zip(pieces, starts):
             piece = piece.strip()
             if not piece:
                 raise IdealSyntaxError("empty factor", at)

@@ -257,6 +257,11 @@ class FiniteAtomicLattice(Poset):
         for i in range(n_atoms):
             if frozenset({i}) not in family:
                 raise ValueError(f"atom {i} not realized as a singleton")
+        full = frozenset(range(n_atoms))
+        for e in self.elements:
+            if not e <= full:
+                raise ValueError(f"atom {min(e - full)} is not one of "
+                                 f"0..{n_atoms - 1}")
         _closure(reversed(self.elements), inside=family)
         self.degrees = None
         if degrees is not None:

@@ -415,6 +415,25 @@ def test_scan_reads_an_augmentation_as_its_meet_closure(data):
         assert (len(family), totals) == (len(T), betti_numbers(T, F).totals())
 
 
+@pytest.mark.parametrize("F", [Q, FieldSpec(2)], ids=["char0", "char2"])
+def test_reader_drops_an_added_set_inside_another(hexagon_ideal, F):
+    # {0, 2} and {0, 2, 3} are both missing from the hexagon's lattice
+    # and both lie below its element {0, 1, 2, 3}; only the larger is a
+    # coatom of that interval in the closure, and the reader keys the
+    # interval by that coatom set, as `interval_ranks` does on T
+    L = lcm_lattice(hexagon_ideal)
+    small, big = frozenset({0, 2}), frozenset({0, 2, 3})
+    assert frozenset({0, 1, 2, 3}) in L and small not in L and big not in L
+    memo = {}
+    closed, totals = deform._augmentation_reader(L, F, memo)([small, big])
+    T = meet_closure(set(L.elements) | {small, big}, L.n_atoms)
+    assert closed == set(T.elements)
+    keys = set(memo)
+    assert totals == betti_numbers(T, F, memo).totals()
+    assert set(memo) == keys
+    assert totals == betti_numbers(T, F).totals()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_scan_keys_intervals_as_interval_ranks_does(data):

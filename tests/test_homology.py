@@ -88,6 +88,13 @@ def test_field_spec_validates():
         FieldSpec(1)
 
 
+@pytest.mark.parametrize("characteristic", [3.0, 0.0, "3", True, None])
+def test_field_spec_refuses_a_characteristic_that_is_not_an_int(
+        characteristic):
+    with pytest.raises(ValueError, match="must be an int"):
+        FieldSpec(characteristic)
+
+
 def test_coerce_reduces_integers_mod_p():
     assert FieldSpec(3).coerce(7) == 1
     assert FieldSpec(3).coerce(-1) == 2

@@ -79,6 +79,19 @@ def test_syntax_error_carries_position():
     assert err.value.position >= 5
 
 
+@pytest.mark.parametrize("bad,position", [
+    ("x*", 2),
+    ("x**y", 2),
+    ("x*y*", 4),
+    ("a; x * y*", 9),
+])
+def test_empty_factor_reports_its_own_position(bad, position):
+    with pytest.raises(IdealSyntaxError) as err:
+        parse_ideal(bad)
+    assert err.value.position == position
+    assert f"empty factor (at position {position})" in str(err.value)
+
+
 def test_round_trip():
     text = "a*b^2; b*c^3; a^4*c"
     assert parse_ideal(parse_ideal(text).to_text()) == parse_ideal(text)

@@ -507,6 +507,14 @@ def test_lattice_validation():
             [frozenset({0}), frozenset({1}), frozenset({0, 1})], 2)  # no bottom
 
 
+def test_lattice_refuses_an_atom_outside_its_range():
+    # closed under intersection and holding 0..2 as singletons, but {5}
+    # would be a second maximum
+    members = [set(), {0}, {1}, {2}, {0, 1, 2}, {5}]
+    with pytest.raises(ValueError, match="atom 5 "):
+        FiniteAtomicLattice(members, 3)
+
+
 NAMED_PAIR = re.compile(r"not intersection-closed: (\{.*\}) ∩ (\{.*\}) missing")
 
 

@@ -31,6 +31,18 @@ def run_script(argv):
     return done.stdout
 
 
+def test_survey_runs_outside_the_repository(tmp_path):
+    # the script finds the suite's sampler from its own location
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable,
+                           str(ROOT / "scripts" / "random_rigid_survey.py"),
+                           "--samples", "2"],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "0 failures" in done.stdout
+
+
 def test_hexagon_budget_two_scan_is_frozen():
     # the full augmentation table (630 rows), timing field stripped;
     # characteristic 0 prints the same table
