@@ -94,15 +94,16 @@ def certify_rigid_deformation(J, I, F=FieldSpec(0), memo=None):
     available), and J's minimal resolution relabels to a verified
     minimal resolution of I.
 
-    I is a monomial ideal or its degree-labelled lcm-lattice, and memo
-    is an interval-rank memo (see `betti.interval_ranks`), made here
-    when none is given: a caller that certifies many candidates builds
-    L_I once and computes each interval once.
+    I and J are each a monomial ideal or its degree-labelled
+    lcm-lattice, and memo is an interval-rank memo (see
+    `betti.interval_ranks`), made here when none is given: a caller that
+    certifies many candidates builds L_I once and computes each interval
+    once.
     """
     if memo is None:
         memo = {}
     LI = I if isinstance(I, FiniteAtomicLattice) else lcm_lattice(I)
-    LJ = lcm_lattice(J)
+    LJ = J if isinstance(J, FiniteAtomicLattice) else lcm_lattice(J)
     cert = Certificate()
     cert.rigid = rigidity_report(LJ, F, memo).rigid
     cert.betti_preserved = (betti_numbers(LJ, F, memo).totals()
@@ -197,12 +198,13 @@ def _deformation(T, L, F, memo, added):
     """The deformation of L's ideal to T: T coordinatized, certified
     against L, and compared with L by a join-preserving map."""
     J = coordinatize(T)
-    assert set(lcm_lattice(J).elements) == set(T.elements), \
-        "coordinatization changed the support family"
+    LJ = lcm_lattice(J)
+    if set(LJ.elements) != set(T.elements):
+        raise ValueError("coordinatization changed the support family")
     return DeformationResult(
         target_lattice=T,
         target_ideal=J,
-        certificate=certify_rigid_deformation(J, L, F, memo),
+        certificate=certify_rigid_deformation(LJ, L, F, memo),
         comparable_to_source=join_preserving_map(T, L) is not None,
         added=added,
     )

@@ -7,20 +7,22 @@ and maps assembled from the reduced homology of B's open intervals:
   - position ℓ ≥ 1 holds one component per element q whose interval
     homology h_{ℓ−2} is nonzero, with that rank;
   - the map out of a component at q has one block per lower cover p of
-    q, computed as a Mayer-Vietoris connecting map: write each fixed
-    representative cycle z as a + b, where a collects exactly the
-    chains lying inside the half-open interval (0̂, p]; then ∂a is a
-    cycle of the open interval below p, and its coordinates in p's
+    q, computed as a Mayer-Vietoris connecting map from the link of p:
+    p is maximal in (0̂, q), so a chain through p ends at p, and the
+    link lk_p(z) of a fixed representative i-cycle z is z's entries on
+    the chains σ ∪ {p}, each put on σ.  The coordinates of
+    (−1)^i · lk_p(z), a cycle of the open interval below p, in p's
     fixed homology basis give the block column.  A chain is the
-    increasing tuple of its elements' positions in (0̂, q); ∂a is taken
-    with the integer boundary columns of (0̂, q) and renumbered into
-    positions of (0̂, p), so the map runs in integers up to its
-    coordinates.
+    increasing tuple of its elements' positions in (0̂, q); the link's
+    chains are renumbered into positions of (0̂, p) once per cover, so
+    the map runs in integers up to its coordinates.
 
-The split is well defined on covers: a chain of (0̂, q) containing p
-has p as its largest element (nothing fits strictly between p and q),
-so such chains all land in a, and ∂a = −∂b contains no chain through
-p, i.e. ∂a really lives below p.
+The link is the connecting map.  That map splits z = a + b, with a
+the chains inside (0̂, p], and reads the class of ∂a.  No chain of b
+holds p, so ∂a = −∂b has no chain through p.  Deleting p, the last
+vertex, from σ ∪ {p} gives (−1)^i σ, so ∂a = (−1)^i · lk_p(z) + ∂a′,
+with a′ the chains of a below p: the two cycles differ by a boundary
+of (0̂, p) and have the same coordinates.
 
 Homogenization turns a frame over a degree-labelled poset into a
 multigraded free resolution (scalar c on a cover p ⋖ q becomes
@@ -53,7 +55,6 @@ from .homology import (
     FieldSpec,
     SimplicialComplex,
     SpanBasis,
-    _boundary,
     axpy,
     plain,
     reduce_cycle,
@@ -118,26 +119,31 @@ class Frame:
         ]
 
 
-def _connecting_column(z, i, p, elements, basis_q, basis_p, F):
-    """One column of the connecting map along a cover p ⋖ q: split the
-    i-cycle z = (vector, d) of (0̂, q), whose vertex k is elements[k],
-    as a + b with a the face ids whose chains lie inside (0̂, p] (their
-    last, largest vertex does), and return the coordinates of ∂a in p's
-    fixed homology basis (the bases are those of the order complexes).
-    (0̂, p) is the part of (0̂, q) below p, in order: ∂a is renumbered."""
+def _link_vertices(elements, p):
+    """For a cover p ⋖ q, with (0̂, q) given by its elements in vertex
+    order: p's vertex in (0̂, q), and each vertex below p → its vertex
+    in (0̂, p), the part of (0̂, q) below p, in order."""
+    below = (k for k, e in enumerate(elements) if e < p)
+    return elements.index(p), {k: n for n, k in enumerate(below)}
+
+
+def _connecting_column(z, i, link, basis_q, basis_p, F):
+    """One column of the connecting map along a cover p ⋖ q: the
+    coordinates of (−1)^i · lk_p(z) in p's fixed homology basis, for an
+    i-cycle z = (vector, d) of (0̂, q) and link = `_link_vertices` of p
+    (the bases are those of the order complexes)."""
     vec, d = z
-    level = basis_q._reducers[i][0]  # (i, i-faces, face -> id, column)
-    below = basis_q._reducers[i - 1][0][1]
+    v, renumber = link
+    faces = basis_q._reducers[i][0][1]
     rows = basis_p._reducers[i - 1][0][2]
-    renumber = {k: n for n, k in enumerate(k for k, e in enumerate(elements) if e < p)}
-    a = {k: c for k, c in vec.items() if elements[level[1][k][-1]] <= p}
-    col = {}
-    for k, c in _boundary(a, level, F.characteristic).items():
-        if not renumber.keys() >= set(below[k]):
-            raise ValueError(f"chain {sorted(sorted(elements[v]) for v in below[k])} "
-                             "not in the complex")
-        col[rows[tuple(renumber[v] for v in below[k])]] = c
-    return reduce_cycle((col, d), i - 1, basis_p, F)
+    c = F.characteristic
+    sign = (c - 1 if c else -1) if i % 2 else 1
+    lk = {}
+    for k, x in vec.items():
+        chain = faces[k]
+        if chain[-1] == v:
+            lk[rows[tuple(map(renumber.__getitem__, chain[:-1]))]] = sign * x
+    return reduce_cycle((lk, d), i - 1, basis_p, F)
 
 
 def build_frame(B, F=FieldSpec(0)):
@@ -163,14 +169,12 @@ def build_frame(B, F=FieldSpec(0)):
         for i, h in bases[q].ranks.items():
             components[i + 2] = components.get(i + 2, ()) + ((q, h),)
 
-    maps = {}
-    for level in sorted(components):
-        if level == 0:
-            continue
-        maps[level] = {}
-        i = level - 2
-        for q, _ in components[level]:
-            for j, z in enumerate(bases[q].representatives[i]):
+    maps = {level: {} for level in sorted(components) if level}
+    for q in others:
+        links = {p: _link_vertices(intervals[q].elements, p)
+                 for p in B.lower_covers(q) if p != bot}
+        for i, reps in bases[q].representatives.items():
+            for j, z in enumerate(reps):
                 col = {}
                 for p in B.lower_covers(q):
                     if p == bot:
@@ -180,12 +184,12 @@ def build_frame(B, F=FieldSpec(0)):
                         continue
                     if bases[p].rank(i - 1) == 0:
                         continue
-                    coords = _connecting_column(z, i, p, intervals[q].elements,
-                                                bases[q], bases[p], F)
+                    coords = _connecting_column(z, i, links[p], bases[q],
+                                                bases[p], F)
                     for k, c in enumerate(coords):
                         if c:
                             col[(p, k)] = c
-                maps[level][(q, j)] = col
+                maps[i + 2][(q, j)] = col
     return Frame(B, F, components, maps)
 
 

@@ -518,16 +518,6 @@ def reduced_homology(K, F=FieldSpec(0)):
     return basis
 
 
-def _boundary(vec, level, p):
-    """∂ of vec, nonzero (mod p) on the i-face ids of `level` (from
-    `_integer_boundaries`), as a vector on (i−1)-face ids."""
-    _, faces, _, column = level
-    out = {}
-    for k, c in vec.items():
-        _axpy(out, c, column(faces[k]), p)
-    return out
-
-
 def reduce_cycle(z, i, basis, F=FieldSpec(0)):
     """Coordinates of the i-cycle z = (vector, d), given as the
     representatives are (d prime to the characteristic), over
@@ -540,14 +530,18 @@ def reduce_cycle(z, i, basis, F=FieldSpec(0)):
         raise ValueError(f"denominator {d} is zero in the field")
     # outside degrees −1 … dim K there are no i-faces
     level, reducer = basis._reducers.get(i, ((i, ()), None))
+    faces = level[1]
     col = {}
     for k, c in vec.items():
-        if not 0 <= k < len(level[1]):
+        if not 0 <= k < len(faces):
             raise ValueError(f"face id {k} not in the complex")
         c = c % p if p else c
         if c:
             col[k] = c
-    if col and _boundary(col, level, p):
+    boundary = {}
+    for k, c in col.items():  # nonempty only on a full level
+        _axpy(boundary, c, level[3](faces[k]), p)
+    if boundary:
         raise ValueError("not a cycle")
     combo = {-1: 1}  # tag −1 tracks the multiple of z that col holds
     if col and reducer.reduce(col, combo) is not None:

@@ -127,21 +127,9 @@ class Poset:
             lower[q] = tuple(kept)
         return lower
 
-    @cached_property
-    def _upper_covers(self):
-        upper = {e: [] for e in self.elements}
-        for q, covers in self._lower_covers.items():
-            for p in covers:
-                upper[p].append(q)
-        return {e: tuple(v) for e, v in upper.items()}
-
     def lower_covers(self, q):
         self._check(q)
         return self._lower_covers[frozenset(q)]
-
-    def upper_covers(self, p):
-        self._check(p)
-        return self._upper_covers[frozenset(p)]
 
     def cover_pairs(self):
         """All (p, q) with p covered by q, in canonical order."""
@@ -184,20 +172,25 @@ class Poset:
 
     def max_ranked(self, q):
         """The fragment of (0̂, q] of elements lying on some chain of
-        level(q) non-bottom elements ending at q; the result is ranked."""
-        below = self.below(q)
+        level(q) non-bottom elements ending at q; the result is ranked.
+
+        Such a chain drops one level at each cover, so its elements are
+        those reached from q down lower covers that each drop one level.
+        """
+        self._check(q)
         q = frozenset(q)
         bot = self.bottom
         if q == bot:
             raise ValueError("the bottom element has no ranked fragment")
-        inside = [p for p in below if p != bot]
-        up = {q: 0}  # longest cover-path (in edges) up to q
-        for p in reversed(inside):
-            hops = [up[r] for r in self.upper_covers(p) if r <= q]
-            up[p] = 1 + max(hops)
-        target = self.level(q)
-        return Poset([p for p in inside + [q]
-                      if self.level(p) + up[p] == target])
+        levels = self._levels
+        kept, stack = {q}, [q]
+        while stack:
+            s = stack.pop()
+            for p in self._lower_covers[s]:
+                if p != bot and p not in kept and levels[p] == levels[s] - 1:
+                    kept.add(p)
+                    stack.append(p)
+        return Poset(kept)
 
 
 def order_complex(fragment):

@@ -234,7 +234,7 @@ def test_coatom_and_content_keys_never_collide(lattice_first):
 
 def test_atoms_always_contribute():
     lat = lcm_lattice(parse_ideal("x*y; y*z; z*w"))
-    for a in lat.upper_covers(lat.bottom):
+    for a in (frozenset({i}) for i in range(lat.n_atoms)):
         assert interval_ranks(lat, a) == {-1: 1}
 
 

@@ -162,6 +162,23 @@ def test_self_certification_of_rigid_ideal():
     assert report.rigid and report.betti_preserved and report.relabel_verified
 
 
+def test_certification_reads_either_ideal_as_its_lattice(twin_a, twin_b):
+    LA, LB = lcm_lattice(twin_a), lcm_lattice(twin_b)
+    expected = certify_rigid_deformation(twin_a, twin_b, Q)
+    assert certify_rigid_deformation(LA, LB, Q) == expected
+    assert certify_rigid_deformation(LA, twin_b, Q) == expected
+
+
+def test_deformation_refuses_a_coordinatization_off_the_support_family(
+        monkeypatch):
+    # a ValueError rather than an assert, so `python -O` keeps the check
+    L = lcm_lattice(parse_ideal("x; y"))
+    monkeypatch.setattr(deform, "coordinatize",
+                        lambda T: parse_ideal("x^2; x*y; y^2"))
+    with pytest.raises(ValueError, match="support family"):
+        deform._deformation(L, L, Q, {}, ())
+
+
 def record_interval_complexes(monkeypatch):
     """Patch both interval-complex routes of `betti.interval_ranks` and
     return the list of the complexes they are asked to build, each as
@@ -237,7 +254,8 @@ def test_hexagon_scan_computes_each_coatom_set_once(
 
 def record_certifications(monkeypatch):
     """Wrap `deform.certify_rigid_deformation` and return the list of
-    candidate ideals J the search asks it to certify."""
+    candidates J the search asks it to certify, each the lcm-lattice of
+    a candidate ideal."""
     asked = []
     certify = deform.certify_rigid_deformation
 
@@ -260,7 +278,7 @@ def test_search_certifies_only_rigid_candidates(monkeypatch, text, found):
     asked = record_certifications(monkeypatch)
     assert bool(search_rigid_deformation(parse_ideal(text), 1, Q)) == found
     assert asked
-    assert all(rigidity_report(lcm_lattice(J), Q).rigid for J in asked)
+    assert all(rigidity_report(LJ, Q).rigid for LJ in asked)
 
 
 def test_search_skips_non_rigid_candidates_of_twin(monkeypatch, twin_a):

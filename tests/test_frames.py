@@ -35,11 +35,13 @@ from rigidres.frames import (
 )
 from rigidres import frames, homology
 from rigidres.cli import resolution_from_json, resolution_to_json
-from rigidres.homology import FieldSpec, homology_ranks, reduced_homology
+from rigidres.homology import (FieldSpec, axpy, homology_ranks,
+                               reduce_cycle, reduced_homology)
 from rigidres.monomials import Monomial, MonomialIdeal, minimalize, parse_ideal
 from rigidres.posets import is_isomorphic, lcm_lattice, order_complex
 
-from conftest import random_generic_ideal
+from conftest import (HEXAGON_TEXT, SQUAREFREE17_TEXT, TWIN_A_TEXT,
+                      TWIN_B_TEXT, random_generic_ideal)
 
 Q = FieldSpec(0)
 GF2 = FieldSpec(2)
@@ -135,9 +137,9 @@ def test_three_variable_blocks_are_unit_entries():
         assert block[0][0] in (Q.coerce(1), Q.coerce(-1))
 
 
-def test_connecting_column_refuses_a_boundary_outside_the_interval():
-    # a lone edge {0} < {0, 1} is no cycle: its boundary keeps the
-    # vertex {0, 1}, which is not a face of the interval below {0, 1}
+def test_connecting_column_refuses_a_link_that_is_no_cycle():
+    # a lone edge {0} < {0, 1} is no cycle: its link at {0, 1} is the
+    # vertex {0}, whose boundary, the empty face, is not zero
     B = pipeline("x; y; z")[2]
     top, p = frozenset({0, 1, 2}), frozenset({0, 1})
     K_q = order_complex(B.open_interval(top))
@@ -146,9 +148,62 @@ def test_connecting_column_refuses_a_boundary_outside_the_interval():
     elements = B.open_interval(top).elements
     k = K_q.faces_of_dim(1).index(
         (elements.index(frozenset({0})), elements.index(p)))
-    with pytest.raises(ValueError, match=r"\[\[0, 1\]\] not in the complex"):
-        frames._connecting_column(({k: 1}, 1), 1, p, elements, basis_q,
-                                  basis_p, Q)
+    with pytest.raises(ValueError, match="not a cycle"):
+        frames._connecting_column(({k: 1}, 1), 1,
+                                  frames._link_vertices(elements, p),
+                                  basis_q, basis_p, Q)
+
+
+def split_boundary_column(z, i, p, elements, basis_q, basis_p, F):
+    """The connecting map along p ⋖ q by the split route, kept as the
+    reference for `frames._connecting_column`: split the i-cycle
+    z = (vector, d) of (0̂, q) as a + b with a the chains inside (0̂, p]
+    (their last, largest vertex is), take ∂a with the integer boundary
+    columns of (0̂, q), renumber it into (0̂, p), the part of (0̂, q)
+    below p, and reduce it in p's basis."""
+    vec, d = z
+    _, faces, _, column = basis_q._reducers[i][0]
+    below = basis_q._reducers[i - 1][0][1]
+    rows = basis_p._reducers[i - 1][0][2]
+    renumber = {k: n for n, k in enumerate(
+        k for k, e in enumerate(elements) if e < p)}
+    boundary = {}
+    for k, x in vec.items():
+        if elements[faces[k][-1]] <= p:
+            axpy(boundary, x, column(faces[k]), F)
+    col = {}
+    for k, x in boundary.items():
+        assert renumber.keys() >= set(below[k]), "∂a leaves (0̂, p)"
+        col[rows[tuple(renumber[v] for v in below[k])]] = x
+    return reduce_cycle((col, d), i - 1, basis_p, F)
+
+
+@pytest.mark.parametrize("F", [Q, GF2, FieldSpec(3)],
+                         ids=["char0", "char2", "char3"])
+def test_link_column_matches_the_split_boundary_route(F):
+    compared = 0
+    for text in (HEXAGON_TEXT, TWIN_A_TEXT, TWIN_B_TEXT, SQUAREFREE17_TEXT,
+                 "; ".join(f"x{i}*x{i % 7 + 1}" for i in range(1, 8))):
+        B = betti_poset(lcm_lattice(parse_ideal(text)), F)
+        bot = B.bottom
+        bases = {q: reduced_homology(order_complex(B.open_interval(q)), F)
+                 for q in B.elements if q != bot}
+        for q, basis_q in bases.items():
+            elements = B.open_interval(q).elements
+            for p in B.lower_covers(q):
+                if p == bot:
+                    continue
+                link = frames._link_vertices(elements, p)
+                for i, reps in basis_q.representatives.items():
+                    if not bases[p].rank(i - 1):
+                        continue
+                    for z in reps:
+                        assert frames._connecting_column(
+                            z, i, link, basis_q, bases[p], F
+                        ) == split_boundary_column(
+                            z, i, p, elements, basis_q, bases[p], F)
+                        compared += 1
+    assert compared > 100
 
 
 def test_blocks_agree_with_maps_on_every_cover(hexagon_ideal):

@@ -71,14 +71,16 @@ def test_linear_extension_and_bottom():
     assert p.elements[0] == frozenset()
     assert p.bottom == frozenset()
     assert p.top == frozenset({0, 1})
-    assert [set(a) for a in p.upper_covers(p.bottom)] == [{0}, {1}]
+    assert [set(a) for a in p.elements
+            if p.lower_covers(a) == (p.bottom,)] == [{0}, {1}]
 
 
 def test_cover_relation():
     b3 = boolean_lattice(3)
     assert len(b3.cover_pairs()) == 12
     assert b3.lower_covers(frozenset({0, 1})) == (frozenset({0}), frozenset({1}))
-    assert b3.upper_covers(frozenset()) == (
+    assert tuple(q for q in b3.elements
+                 if frozenset() in b3.lower_covers(q)) == (
         frozenset({0}), frozenset({1}), frozenset({2}))
 
 
@@ -272,17 +274,16 @@ def test_max_ranked_squarefree17_drops_short_chains(squarefree17):
 
 
 def maximal_chain_lengths(fragment):
-    tops = fragment.maximal_elements()
     lengths = set()
-    stack = [(e, 1) for e in fragment.minimal_elements()]
+    stack = [(e, 1) for e in fragment.maximal_elements()]
+    assert stack
     while stack:
         e, n = stack.pop()
-        ups = fragment.upper_covers(e)
-        if not ups:
+        downs = fragment.lower_covers(e)
+        if not downs:
             lengths.add(n)
-        for u in ups:
-            stack.append((u, n + 1))
-    assert tops
+        for d in downs:
+            stack.append((d, n + 1))
     return lengths
 
 
@@ -297,18 +298,15 @@ def test_max_ranked_is_ranked(data):
 
 
 def reference_covers(P):
-    """Lower and upper covers found by testing every pair below each
-    element, as `Poset` did before its down-set index."""
-    lower = {e: [] for e in P.elements}
-    upper = {e: [] for e in P.elements}
+    """Lower covers found by testing every pair below each element, as
+    `Poset` did before its down-set index."""
+    lower = {}
     for q in P.elements:
         below = [p for p in P.elements if p < q]
-        for p in below:
-            if not any(p < r for r in below if r < q):
-                lower[q].append(p)
-                upper[p].append(q)
-    return ({e: tuple(sorted(v, key=element_key)) for e, v in lower.items()},
-            {e: tuple(sorted(v, key=element_key)) for e, v in upper.items()})
+        lower[q] = tuple(sorted(
+            (p for p in below if not any(p < r for r in below if r < q)),
+            key=element_key))
+    return lower
 
 
 def all_chains(elements):
@@ -325,11 +323,10 @@ def all_chains(elements):
 
 def assert_order_queries_match_brute_force(P):
     els = P.elements
-    lower, upper = reference_covers(P)
+    lower = reference_covers(P)
     for q in els:
         assert P.below(q) == tuple(p for p in els if p < q)
         assert P.lower_covers(q) == lower[q]
-        assert P.upper_covers(q) == upper[q]
     mins = [e for e in els if not any(f < e for f in els)]
     maxs = [e for e in els if not any(e < f for f in els)]
     for name, extremes in (("bottom", mins), ("top", maxs)):
