@@ -20,12 +20,18 @@ other poset (Betti posets, the ranked fragments of `verify_frame`) the
 ranks come from the order complex of the interval and are keyed by
 ("order", the elements strictly inside, characteristic).  The tags keep
 the two apart: one set of sets can be both an antichain of coatoms and
-a fragment's content, with different homology.  A caller that reads
-many intervals — across candidate lattices, Betti posets and ranked
-fragments alike — passes one plain dict `memo`; with no memo nothing
-is kept.  Ranks come from the rank-only path `homology_ranks`.
-Anything needing actual cycle representatives (the resolution builder)
-uses the order complex directly.
+a fragment's content, with different homology.  These keys are the
+first level.  On a miss the complex is built, and its ranks are looked
+up under the second-level key ("complex", the complex,
+characteristic): intervals of one lattice repeat a handful of
+complexes, and each distinct complex is eliminated once.  A caller that
+reads many intervals — across candidate lattices, Betti posets and
+ranked fragments alike — passes one plain dict `memo`.  With none,
+`betti_numbers`, `rigidity_report` and `betti_poset` keep one for the
+length of the call, and nothing outlives it.  Ranks come from the
+rank-only path `homology_ranks`.  Anything needing actual cycle
+representatives (the resolution builder) uses the order complex
+directly.
 """
 
 from __future__ import annotations
@@ -82,12 +88,20 @@ def crosscut_complex(inside):
 
 def _memo_ranks(key, build, F, memo):
     """homology_ranks(build(), F), looked up in and stored into memo
-    (a dict, or None) under key."""
+    (a dict, or None) under key.  On a miss the complex K = build() is
+    looked up under the second-level key ("complex", K,
+    characteristic), so each distinct complex is eliminated once."""
     if memo is None:
         return homology_ranks(build(), F)
-    if key not in memo:
-        memo[key] = homology_ranks(build(), F)
-    return dict(memo[key])
+    ranks = memo.get(key)
+    if ranks is None:
+        K = build()
+        by_complex = ("complex", K, F.characteristic)
+        ranks = memo.get(by_complex)
+        if ranks is None:
+            ranks = memo[by_complex] = homology_ranks(K, F)
+        memo[key] = ranks
+    return dict(ranks)
 
 
 def interval_ranks(P, q, F=FieldSpec(0), memo=None):
@@ -98,7 +112,10 @@ def interval_ranks(P, q, F=FieldSpec(0), memo=None):
     lattice they are `coatom_ranks` of the coatoms of (0̂, q), the
     lower covers of q other than 0̂.  On any other poset they come from
     the order complex of the elements `inside` strictly between 0̂ and
-    q, under the key ("order", inside, characteristic).
+    q, under the key ("order", inside, characteristic).  A miss looks
+    up the complex itself under the second-level key ("complex", the
+    complex, characteristic) before eliminating it.  With memo None
+    nothing is kept: each call eliminates.
 
     The coatom key is sound.  Every lattice here is intersection-closed
     with bottom ∅, so `inside` is closed under nonempty intersections.
@@ -135,7 +152,10 @@ def coatom_ranks(coatoms, F=FieldSpec(0), memo=None):
 
 
 def betti_poset(P, F=FieldSpec(0), memo=None):
-    """The induced subposet on 0̂ and all contributing elements."""
+    """The induced subposet on 0̂ and all contributing elements.  memo
+    is passed to `interval_ranks`; with none, one is kept for the
+    length of the call."""
+    memo = {} if memo is None else memo
     bot = P.bottom
     return Poset([bot] + [e for e in P.elements
                           if e != bot and interval_ranks(P, e, F, memo)])
@@ -178,7 +198,8 @@ def betti_numbers(P, F=FieldSpec(0), memo=None):
     its lcm-lattice.  Keys are degrees when P is a degree-labelled
     atomic lattice, so an ideal's table is its multigraded one, and
     elements otherwise; the totals agree either way, because degree
-    labels are distinct.  memo is passed to `interval_ranks`.
+    labels are distinct.  memo is passed to `interval_ranks`; with
+    none, one is kept for the length of the call.
 
     >>> L = FiniteAtomicLattice([set(), {0}, {1}, {0, 1}], 2)
     >>> table = betti_numbers(L)
@@ -187,6 +208,7 @@ def betti_numbers(P, F=FieldSpec(0), memo=None):
     >>> table.entries[(2, frozenset({0, 1}))]
     1
     """
+    memo = {} if memo is None else memo
     P = P if isinstance(P, Poset) else lcm_lattice(P)
     labelled = isinstance(P, FiniteAtomicLattice) and P.degrees is not None
     key = P.degree if labelled else frozenset
@@ -225,8 +247,10 @@ def rigidity_report(L, F=FieldSpec(0), memo=None):
     Rigid means: every interval (0̂, q) has homology of total rank at
     most one, and elements contributing in the same homological index
     are pairwise incomparable.  The first violation in the canonical
-    element order is reported.
+    element order is reported.  memo is passed to `interval_ranks`;
+    with none, one is kept for the length of the call.
     """
+    memo = {} if memo is None else memo
     L = L if isinstance(L, Poset) else lcm_lattice(L)
     bot = L.bottom
     contributing = {}

@@ -153,6 +153,10 @@ def build_frame(B, F=FieldSpec(0)):
     a minimal free resolution; any poset with a minimum is accepted and
     verify_frame decides whether the outcome is exact.
 
+    Intervals with equal order complexes share one homology basis: a
+    basis is a function of the face lists and the field, and the
+    connecting map only reads it.
+
     >>> from rigidres.monomials import parse_ideal
     >>> B = betti_poset(lcm_lattice(parse_ideal("x*y; y*z; z*w")))
     >>> build_frame(B).ranks()
@@ -161,8 +165,12 @@ def build_frame(B, F=FieldSpec(0)):
     bot = B.bottom
     others = [q for q in B.elements if q != bot]
     intervals = {q: B.open_interval(q) for q in others}
-    bases = {q: reduced_homology(order_complex(intervals[q]), F)
-             for q in others}
+    bases, shared = {}, {}
+    for q in others:
+        K = order_complex(intervals[q])
+        if K not in shared:
+            shared[K] = reduced_homology(K, F)
+        bases[q] = shared[K]
 
     components = {0: ((bot, 1),)}
     for q in others:  # canonical order keeps each level sorted

@@ -156,6 +156,11 @@ class SimplicialComplex:
     SimplicialComplex([{1,2},{2,3}]) is the path on three vertices.
     The void complex (no faces at all) is unrepresentable: ∅ is always
     a face.  dim({∅}) = −1.
+
+    A complex compares and hashes by its face levels, one tuple per
+    dimension.  A closed family in face order has exactly one such
+    form, so two complexes are equal exactly when their face sets are,
+    and a complex can key a memo of what is computed from it.
     """
 
     def __init__(self, faces=()):
@@ -181,8 +186,9 @@ class SimplicialComplex:
     @classmethod
     def _closed(cls, levels):
         """The complex whose i-faces are levels[i + 1], for a family
-        already closed under subsets and with every level already in
-        face order; neither is checked or redone."""
+        already closed under subsets, with no empty level and every
+        level already in face order; none of this is checked or
+        redone."""
         K = cls.__new__(cls)
         K._set_levels(levels)
         return K
@@ -190,22 +196,27 @@ class SimplicialComplex:
     def _set_levels(self, levels):
         self.dim = len(levels) - 2
         self.vertices = tuple(v for (v,) in levels[1]) if self.dim >= 0 else ()
-        self._by_dim = {i - 1: fs for i, fs in enumerate(levels)}
+        self._levels = tuple(map(tuple, levels))
 
     @cached_property
     def faces(self):
         """Every face, as a frozenset of tuples; built on first read."""
-        return frozenset(itertools.chain.from_iterable(self._by_dim.values()))
+        return frozenset(itertools.chain.from_iterable(self._levels))
 
     def faces_of_dim(self, i):
         """Faces with i+1 vertices, in face order."""
-        return list(self._by_dim.get(i, ()))
+        return list(self._levels[i + 1]) if -1 <= i <= self.dim else []
+
+    @cached_property
+    def _hash(self):
+        return hash(self._levels)
 
     def __eq__(self, other):
-        return isinstance(other, SimplicialComplex) and self.faces == other.faces
+        return (isinstance(other, SimplicialComplex)
+                and self._levels == other._levels)
 
     def __hash__(self):
-        return hash(self.faces)
+        return self._hash
 
     def __repr__(self):
         covered = {f[:j] + f[j + 1:] for f in self.faces for j in range(len(f))}

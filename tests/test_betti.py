@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rigidres import betti
 from rigidres.betti import (
     betti_numbers,
     betti_poset,
@@ -227,7 +228,55 @@ def test_coatom_and_content_keys_never_collide(lattice_first):
     for P, fresh in queries if lattice_first else queries[::-1]:
         assert homology_ranks(order_complex(P.open_interval(top)), Q) == fresh
         assert interval_ranks(P, top, Q, memo) == fresh
-    assert len(memo) == 2
+    # two first-level keys, and under them the two complexes
+    edge = SimplicialComplex([{0, 1}])
+    points = SimplicialComplex([{0}, {1}])
+    assert set(memo) == {("crosscut", frozenset(X), 0),
+                         ("order", frozenset(X), 0),
+                         ("complex", edge, 0), ("complex", points, 0)}
+
+
+def record_eliminations(monkeypatch):
+    """Patch `betti.homology_ranks` and return the list of the complexes
+    it eliminates."""
+    calls = []
+    ranks = betti.homology_ranks
+
+    def counted(K, F):
+        calls.append(K)
+        return ranks(K, F)
+
+    monkeypatch.setattr(betti, "homology_ranks", counted)
+    return calls
+
+
+@pytest.mark.parametrize("F", [Q, FieldSpec(2)], ids=["char0", "char2"])
+def test_a_call_with_no_memo_eliminates_each_complex_once(monkeypatch, F):
+    L = lcm_lattice(cycle_edge_ideal(8))
+    intervals = [q for q in L.elements if q]
+    # the fresh route: one elimination per interval
+    complexes = [coatom_crosscut(L, q) for q in intervals]
+    fresh = {q: homology_ranks(K, F) for q, K in zip(intervals, complexes)}
+    assert len(intervals) == 89 and len(set(complexes)) == 10
+    table = {(0, L.degree(L.bottom)): 1}
+    for q, ranks in fresh.items():
+        table.update(((i + 2, L.degree(q)), h) for i, h in ranks.items())
+    expected = [
+        (betti_numbers, table),
+        (rigidity_report, rigidity_report(L, F, {})),
+        (betti_poset, Poset([L.bottom] + [q for q in intervals if fresh[q]])),
+    ]
+    assert expected[1][1].rigid
+    for call, value in expected:
+        calls = record_eliminations(monkeypatch)
+        got = call(L, F)
+        assert (got.entries if call is betti_numbers else got) == value
+        assert len(calls) == len(set(calls)) and set(calls) == set(complexes)
+    # nothing is kept from one call to the next
+    calls = record_eliminations(monkeypatch)
+    for _ in range(2):
+        assert interval_ranks(L, L.top, F) == fresh[L.top]
+    assert len(calls) == 2
 
 
 # -- contribution ------------------------------------------------------------

@@ -232,10 +232,11 @@ def test_search_computes_each_source_interval_once(monkeypatch, twin_a):
 
 
 @pytest.mark.parametrize("budget,F,expected", [
-    # 742 and 123 when keyed by the interval's elements; 21,404 and
-    # 1,121 when each lattice kept its own memo
-    (2, FieldSpec(2), 235),
-    (1, Q, 93),
+    # one elimination per distinct complex; 235 and 93 when keyed by
+    # the coatom set alone, 742 and 123 when keyed by the interval's
+    # elements, 21,404 and 1,121 when each lattice kept its own memo
+    (2, FieldSpec(2), 104),
+    (1, Q, 23),
 ], ids=["budget2-char2", "budget1-char0"])
 def test_hexagon_scan_computes_each_coatom_set_once(
         monkeypatch, hexagon_ideal, budget, F, expected):

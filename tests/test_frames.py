@@ -206,6 +206,62 @@ def test_link_column_matches_the_split_boundary_route(F):
     assert compared > 100
 
 
+def fresh_basis_frame(B, F):
+    """The components and maps of `build_frame` with a fresh
+    `reduced_homology` for every interval of B, kept as the reference
+    for the bases `build_frame` shares between equal order complexes."""
+    bot = B.bottom
+    others = [q for q in B.elements if q != bot]
+    bases = {q: reduced_homology(order_complex(B.open_interval(q)), F)
+             for q in others}
+    components = {0: ((bot, 1),)}
+    for q in others:
+        for i, h in bases[q].ranks.items():
+            components[i + 2] = components.get(i + 2, ()) + ((q, h),)
+    maps = {level: {} for level in sorted(components) if level}
+    for q in others:
+        elements = B.open_interval(q).elements
+        for i, reps in bases[q].representatives.items():
+            for j, z in enumerate(reps):
+                col = {}
+                for p in B.lower_covers(q):
+                    if p == bot:
+                        col[(bot, 0)] = F.one
+                    elif bases[p].rank(i - 1):
+                        coords = frames._connecting_column(
+                            z, i, frames._link_vertices(elements, p),
+                            bases[q], bases[p], F)
+                        col.update(((p, k), c)
+                                   for k, c in enumerate(coords) if c)
+                maps[i + 2][(q, j)] = col
+    return components, maps
+
+
+@pytest.mark.parametrize("F", [Q, GF2, FieldSpec(3)],
+                         ids=["char0", "char2", "char3"])
+def test_shared_bases_give_the_fresh_basis_frame(monkeypatch, F):
+    eliminated = []
+    fresh = frames.reduced_homology
+
+    def counted(K, F):
+        eliminated.append(K)
+        return fresh(K, F)
+
+    monkeypatch.setattr(frames, "reduced_homology", counted)
+    for text in (HEXAGON_TEXT, TWIN_A_TEXT, TWIN_B_TEXT, SQUAREFREE17_TEXT,
+                 "; ".join(f"x{i}*x{i % 7 + 1}" for i in range(1, 8)),
+                 "; ".join(f"x{i}*x{i % 8 + 1}" for i in range(1, 9))):
+        B = betti_poset(lcm_lattice(parse_ideal(text)), F)
+        eliminated.clear()
+        frame = build_frame(B, F)
+        assert (frame.components, frame.maps) == fresh_basis_frame(B, F)
+        complexes = {order_complex(B.open_interval(q))
+                     for q in B.elements if q != B.bottom}
+        assert len(eliminated) == len(set(eliminated)) == len(complexes)
+    # C8, the last: 65 intervals and 11 distinct order complexes
+    assert len(B.elements) - 1 == 65 and len(complexes) == 11
+
+
 def test_blocks_agree_with_maps_on_every_cover(hexagon_ideal):
     B = betti_poset(lcm_lattice(hexagon_ideal), Q)
     fr = build_frame(B, Q)

@@ -7,7 +7,9 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rigidres import homology
+from rigidres import frames, homology
+from rigidres.betti import crosscut_complex
+from rigidres.frames import scarf_complex
 from rigidres.homology import (
     FieldSpec,
     SimplicialComplex,
@@ -17,6 +19,7 @@ from rigidres.homology import (
     reduce_cycle,
     reduced_homology,
 )
+from rigidres.monomials import Monomial, parse_ideal
 from rigidres.posets import Poset, order_complex
 
 Q = FieldSpec(0)
@@ -147,6 +150,45 @@ def test_closing_constructor_refuses_a_non_int_vertex(vertex):
 def test_two_points():
     K = SimplicialComplex([{1}, {2}])
     assert reduced_homology(K).ranks == {0: 1}
+
+
+def test_a_complex_compares_by_its_faces_on_every_route():
+    f = frozenset
+    # the content of test_betti's collide fixture: its coatom crosscut
+    # is an edge, the order complex of the fragment is two points
+    X = [f({0, 1}), f({1, 2})]
+    routes = {
+        "edge": [SimplicialComplex([{0, 1}]), crosscut_complex(f(X)),
+                 order_complex(Poset([{0}, {0, 1}]))],
+        "two points": [SimplicialComplex([{0}, {1}]),
+                       crosscut_complex(f([f({0}), f({1})])),
+                       order_complex(Poset(X))],
+        "triangle": [SimplicialComplex([{0, 1, 2}]),
+                     crosscut_complex(f([f({0, 1}), f({0, 2}), f({0, 3})])),
+                     order_complex(Poset([{0}, {0, 1}, {0, 1, 2}]))],
+    }
+    for first, *others in routes.values():
+        for K in others:
+            assert K == first and hash(K) == hash(first)
+            assert K.faces == first.faces and repr(K) == repr(first)
+    edge, points, triangle = (Ks[0] for Ks in routes.values())
+    assert edge != points and points != edge and edge != triangle
+    assert len({K for Ks in routes.values() for K in Ks}) == 3
+    assert edge != edge.faces
+    assert edge.faces == frozenset({(), (0,), (1,), (0, 1)})
+    assert repr(points) == "SimplicialComplex[{0}, {1}]"
+    assert repr(triangle) == "SimplicialComplex[{0, 1, 2}]"
+
+
+def test_scarf_closure_check_compares_faces(monkeypatch):
+    I = parse_ideal("x^2; x*y; y^2")
+    assert scarf_complex(I).faces == {(), (0,), (1,), (2,), (0, 1), (1, 2)}
+    # a unique-lcm family that is not closed under subsets is refused
+    unit, m = Monomial([0, 0]), Monomial([1, 1])
+    monkeypatch.setattr(frames, "_subsets_by_lcm",
+                        lambda I: {unit: [()], m: [(0, 1)]})
+    with pytest.raises(AssertionError, match="subset-closed"):
+        scarf_complex(I)
 
 
 def test_hexagon_circle():
