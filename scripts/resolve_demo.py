@@ -43,7 +43,7 @@ def main():
     print(f"lcm-lattice: {len(L.elements)} elements; "
           f"Betti poset: {len(B.elements)}")
 
-    table = betti_numbers(I, F)
+    table = betti_numbers(L, F)
     oracle = taylor_betti(I, F)
     agree = "agree" if table == oracle else "DISAGREE"
     print(f"betti totals: {table.totals()}  (interval and subset routes {agree})")

@@ -10,9 +10,10 @@ quotient by the ideal.
 
 Rank-only queries take one of two routes, each with its own memo key.
 On an atomic lattice, the interval (0̂, q) has the homology of its
-coatom crosscut, the nerve of the maximal elements strictly below q,
-whose faces are the sets of them with a nonempty intersection
-(`crosscut_complex`, property-tested against the order-complex route).
+coatom crosscut, the nerve of its coatoms (the lower covers of q other
+than 0̂), whose faces are the sets of them with a nonempty intersection
+(`crosscut_complex`, which takes the coatoms its caller already holds,
+property-tested against the order-complex route).
 That nerve is fixed by the coatoms alone, so the ranks are keyed by
 ("crosscut", the coatom set, characteristic), and intervals of
 different lattices with the same coatoms share one complex.  On any
@@ -29,9 +30,8 @@ reads many intervals — across candidate lattices, Betti posets and
 ranked fragments alike — passes one plain dict `memo`.  With none,
 `betti_numbers`, `rigidity_report` and `betti_poset` keep one for the
 length of the call, and nothing outlives it.  Ranks come from the
-rank-only path `homology_ranks`.  Anything needing actual cycle
-representatives (the resolution builder) uses the order complex
-directly.
+rank-only path `homology_ranks`; the resolution builder, which needs
+cycle representatives, uses the order complex directly.
 """
 
 from __future__ import annotations
@@ -45,37 +45,31 @@ from .posets import (
     Poset,
     element_key,
     lcm_lattice,
-    maximal_members,
     order_complex,
 )
 
 
-def crosscut_complex(inside):
+def crosscut_complex(coatoms):
     """The coatom crosscut of an interval of an atomic lattice, given
-    its coatoms or, as well, all its elements strictly between 0̂ and
-    its top (`inside`): only the maximal members are read, and an
-    antichain of coatoms is its own set of maximal members.
+    its coatoms, an antichain that the caller already holds (the lower
+    covers of the top other than 0̂, or a `maximal_members` result).
 
-    Its vertices 0…k−1 are the maximal members of `inside` (the coatoms
-    of the interval) in canonical order, and its faces are the
-    increasing index tuples whose coatoms have a nonempty intersection.
-    Faces are enumerated level by level, each level in lexicographic
-    order: a face extends a face of the level below by a larger index,
-    so the family is closed and already in face order.
+    Its vertices 0…k−1 are the coatoms in canonical order, and its
+    faces are the increasing index tuples whose coatoms have a nonempty
+    intersection.  Faces are enumerated level by level, each level in
+    lexicographic order: a face extends a face of the level below by a
+    larger index, so the family is closed and already in face order.
 
     >>> from rigidres.monomials import parse_ideal
     >>> from rigidres.posets import lcm_lattice
     >>> L = lcm_lattice(parse_ideal("x; y; z"))
-    >>> crosscut_complex(frozenset(L.below(L.top)) - {L.bottom})
-    SimplicialComplex[{0, 1}, {0, 2}, {1, 2}]
     >>> crosscut_complex(frozenset(L.lower_covers(L.top)))
     SimplicialComplex[{0, 1}, {0, 2}, {1, 2}]
     >>> crosscut_complex(frozenset())
     SimplicialComplex[{}]
     """
     # atom sets as bit masks, in canonical order
-    masks = [sum(1 << a for a in c)
-             for c in sorted(maximal_members(inside), key=element_key)]
+    masks = [sum(1 << a for a in c) for c in sorted(coatoms, key=element_key)]
     k = len(masks)
     levels = [[()]]
     level = [((j,), m) for j, m in enumerate(masks)]

@@ -127,23 +127,23 @@ def _link_vertices(elements, p):
     return elements.index(p), {k: n for n, k in enumerate(below)}
 
 
-def _connecting_column(z, i, link, basis_q, basis_p, F):
+def _connecting_column(z, i, link, basis_q, basis_p):
     """One column of the connecting map along a cover p ⋖ q: the
     coordinates of (−1)^i · lk_p(z) in p's fixed homology basis, for an
     i-cycle z = (vector, d) of (0̂, q) and link = `_link_vertices` of p
-    (the bases are those of the order complexes)."""
+    (the bases are those of the order complexes, over one field)."""
     vec, d = z
     v, renumber = link
     faces = basis_q._reducers[i][0][1]
     rows = basis_p._reducers[i - 1][0][2]
-    c = F.characteristic
+    c = basis_p.field.characteristic
     sign = (c - 1 if c else -1) if i % 2 else 1
     lk = {}
     for k, x in vec.items():
         chain = faces[k]
         if chain[-1] == v:
             lk[rows[tuple(map(renumber.__getitem__, chain[:-1]))]] = sign * x
-    return reduce_cycle((lk, d), i - 1, basis_p, F)
+    return reduce_cycle((lk, d), i - 1, basis_p)
 
 
 def build_frame(B, F=FieldSpec(0)):
@@ -193,7 +193,7 @@ def build_frame(B, F=FieldSpec(0)):
                     if bases[p].rank(i - 1) == 0:
                         continue
                     coords = _connecting_column(z, i, links[p], bases[q],
-                                                bases[p], F)
+                                                bases[p])
                     for k, c in enumerate(coords):
                         if c:
                             col[(p, k)] = c
@@ -550,10 +550,10 @@ def verify_resolution(resolution):
 
     for level, cols in resolution.differentials.items():
         for colkey, col in cols.items():
-            dq = degree[(level, colkey)]
+            dq = degree.get((level, colkey))
             for rowkey, (c, mono) in col.items():
-                dp = degree[(level - 1, rowkey)]
-                if not c:
+                dp = degree.get((level - 1, rowkey))
+                if not c or dq is None or dp is None:  # zero, or no basis key
                     report.homogeneity_failures.append((level, colkey, rowkey))
                     continue
                 if (not all(map(le, dp, dq))

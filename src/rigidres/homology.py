@@ -33,7 +33,8 @@ All of it runs on one sparse elimination kernel (`Elimination`):
 A representative is the cycle f − (its unique expression over the
 earlier independent faces), scaled to coefficient 1 on its face f; the
 arithmetic is exact, so these do not depend on how pivots are reduced.
-It is handed back as the kernel holds it: integers on face ids, over d.
+It is handed back as the kernel holds it: integers on face ids, over d,
+in a `HomologyBasis` that carries the field `reduce_cycle` works in.
 `SpanBasis` is a separate, plain field elimination kept for the
 checkers (`frames.taylor_betti`, `verify_resolution`, the strand ranks
 of `verify_frame`), which therefore share no code with the kernel.  It
@@ -415,8 +416,8 @@ def _divide_content(col, combo):
 
 @dataclass
 class HomologyBasis:
-    """Ranks and fixed cycle representatives of H̃_i, plus the internal
-    eliminators needed to express further cycles in this basis."""
+    """Ranks and fixed cycle representatives of H̃_i over `field`, plus
+    the internal eliminators that express further cycles in this basis."""
 
     ranks: dict = field(default_factory=dict)  # i -> h_i ≠ 0, ascending
     # i -> [(vector, d)]: the cycle Σ vector[k]/d · (k-th i-face of K)
@@ -424,6 +425,7 @@ class HomologyBasis:
     # i -> (the level of `_integer_boundaries` in degree i, Elimination
     # over the boundaries B_i and the representatives, tagged by index)
     _reducers: dict = field(default_factory=dict, repr=False)
+    field: FieldSpec = FieldSpec(0)  # last: it shadows dataclasses.field
 
     def rank(self, i):
         return self.ranks.get(i, 0)
@@ -508,7 +510,7 @@ def reduced_homology(K, F=FieldSpec(0)):
     p = F.characteristic
     levels = _integer_boundaries(K, p)
     ranks, pivots = _cleared_pass(levels, p)
-    basis = HomologyBasis(ranks=ranks)
+    basis = HomologyBasis(ranks=ranks, field=F)
     for level in levels:
         i, faces, _, column = level
         reducer = Elimination(p, pivots.get(i + 1, {}))
@@ -529,14 +531,14 @@ def reduced_homology(K, F=FieldSpec(0)):
     return basis
 
 
-def reduce_cycle(z, i, basis, F=FieldSpec(0)):
+def reduce_cycle(z, i, basis):
     """Coordinates of the i-cycle z = (vector, d), given as the
     representatives are (d prime to the characteristic), over
-    basis.representatives[i].  z must be a cycle supported on K; the
-    result c satisfies z − Σ c_j · rep_j ∈ boundaries.  All-zero means
-    z bounds."""
+    basis.representatives[i], in the field of the basis.  z must be a
+    cycle supported on K; the result c satisfies z − Σ c_j · rep_j ∈
+    boundaries.  All-zero means z bounds."""
     vec, d = z
-    p = F.characteristic
+    p = basis.field.characteristic
     if not (d % p if p else d):
         raise ValueError(f"denominator {d} is zero in the field")
     # outside degrees −1 … dim K there are no i-faces

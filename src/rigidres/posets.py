@@ -271,7 +271,11 @@ class FiniteAtomicLattice(Poset):
         intersection-closed and its elements sort by size first, so the
         first superset of the union is the least one."""
         u = frozenset().union(*members)
-        return next(e for e in self.elements if u <= e)
+        for e in self.elements:
+            if u <= e:
+                return e
+        raise ValueError(f"atom {min(u - self.elements[-1])} is not one "
+                         f"of 0..{self.n_atoms - 1}")
 
     def degree(self, e):
         if self.degrees is None:

@@ -11,6 +11,7 @@ from rigidres.betti import (
     interval_ranks,
     rigidity_report,
 )
+from rigidres.deform import search_rigid_deformation
 from rigidres.homology import (FieldSpec, SimplicialComplex, homology_ranks,
                                reduced_homology)
 from rigidres.monomials import Monomial, MonomialIdeal, minimalize, parse_ideal
@@ -42,14 +43,33 @@ def random_lattices():
 
 # -- crosscut shortcut -------------------------------------------------------
 
-def interval_content(L, q):
-    """The elements strictly between 0̂ and q; `crosscut_complex` reads
-    only their maximal members, the coatoms `interval_ranks` keys by."""
-    return frozenset(p for p in L.elements if p and p < q)
-
-
 def coatom_crosscut(L, q):
-    return crosscut_complex(interval_content(L, q))
+    """The crosscut of the coatoms of (0̂, q), as `interval_ranks`
+    builds it: the lower covers of q other than 0̂."""
+    return crosscut_complex(frozenset(L.lower_covers(q)) - {L.bottom})
+
+
+def test_every_crosscut_is_built_on_an_antichain(monkeypatch, hexagon_ideal):
+    # crosscut_complex reads its argument as the coatoms themselves, so
+    # every caller must hand it an antichain
+    built = []
+    crosscut = betti.crosscut_complex
+
+    def recorded(coatoms):
+        built.append(coatoms)
+        return crosscut(coatoms)
+
+    monkeypatch.setattr(betti, "crosscut_complex", recorded)
+    L = lcm_lattice(cycle_edge_ideal(8))
+    for F in (Q, FieldSpec(2)):
+        for q in L.elements:
+            if q:
+                interval_ranks(L, q, F)
+    scanned = len(built)
+    search_rigid_deformation(hexagon_ideal, budget=1, F=Q)
+    assert scanned == 2 * 89 and len(built) > scanned
+    for coatoms in built:
+        assert not any(a < b for a in coatoms for b in coatoms)
 
 
 def atom_crosscut(L, q):

@@ -151,7 +151,7 @@ def test_connecting_column_refuses_a_link_that_is_no_cycle():
     with pytest.raises(ValueError, match="not a cycle"):
         frames._connecting_column(({k: 1}, 1), 1,
                                   frames._link_vertices(elements, p),
-                                  basis_q, basis_p, Q)
+                                  basis_q, basis_p)
 
 
 def split_boundary_column(z, i, p, elements, basis_q, basis_p, F):
@@ -175,7 +175,7 @@ def split_boundary_column(z, i, p, elements, basis_q, basis_p, F):
     for k, x in boundary.items():
         assert renumber.keys() >= set(below[k]), "∂a leaves (0̂, p)"
         col[rows[tuple(renumber[v] for v in below[k])]] = x
-    return reduce_cycle((col, d), i - 1, basis_p, F)
+    return reduce_cycle((col, d), i - 1, basis_p)
 
 
 @pytest.mark.parametrize("F", [Q, GF2, FieldSpec(3)],
@@ -199,7 +199,7 @@ def test_link_column_matches_the_split_boundary_route(F):
                         continue
                     for z in reps:
                         assert frames._connecting_column(
-                            z, i, link, basis_q, bases[p], F
+                            z, i, link, basis_q, bases[p]
                         ) == split_boundary_column(
                             z, i, p, elements, basis_q, bases[p], F)
                         compared += 1
@@ -230,7 +230,7 @@ def fresh_basis_frame(B, F):
                     elif bases[p].rank(i - 1):
                         coords = frames._connecting_column(
                             z, i, frames._link_vertices(elements, p),
-                            bases[q], bases[p], F)
+                            bases[q], bases[p])
                         col.update(((p, k), c)
                                    for k, c in enumerate(coords) if c)
                 maps[i + 2][(q, j)] = col
@@ -430,6 +430,22 @@ def test_tampered_resolution_flags_homogeneity_and_minimality():
     report = verify_resolution(res)
     assert not report.is_homogeneous
     assert not report.is_minimal
+
+
+def test_an_entry_outside_the_modules_is_reported_not_raised():
+    # a row key that names no basis element of position 1 is an
+    # inhomogeneous entry: it has no degree to compare
+    _, L, B, fr = pipeline("x*y; y*z; z*w")
+    res = homogenize(fr, {q: L.degree(q) for q in B.elements})
+    colkey, col = next(iter(res.differentials[2].items()))
+    stray = (frozenset({9}), 0)
+    col[stray] = (1, Monomial((1, 0, 0, 0)))
+    report = verify_resolution(res)
+    assert not report.ok
+    assert report.homogeneity_failures[0] == (2, colkey, stray)
+    assert colkey == (frozenset({0, 1}), 0)
+    assert report.summary() == ("1 inhomogeneous entries (first: position 2,"
+                                " column {1,2}#0, row {10}#0)")
 
 
 def test_missing_strand_rank_is_detected():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rigidres import frames, homology
-from rigidres.betti import crosscut_complex
+from rigidres.betti import betti_poset, crosscut_complex
 from rigidres.frames import scarf_complex
 from rigidres.homology import (
     FieldSpec,
@@ -20,7 +20,9 @@ from rigidres.homology import (
     reduced_homology,
 )
 from rigidres.monomials import Monomial, parse_ideal
-from rigidres.posets import Poset, order_complex
+from rigidres.posets import Poset, lcm_lattice, order_complex
+
+from test_frames import cycle_edge_ideal
 
 Q = FieldSpec(0)
 
@@ -300,17 +302,17 @@ def test_representatives_deterministic():
 def test_reduce_cycle_on_representative_is_unit_vector():
     basis = reduced_homology(HEXAGON, Q)
     (rep,) = basis.representatives[1]
-    assert reduce_cycle(rep, 1, basis, Q) == [1]
+    assert reduce_cycle(rep, 1, basis) == [1]
 
 
 def test_reduce_cycle_on_boundary_is_zero():
     z = boundary({(1, 2, 3): Fraction(1)}, Q)
     K = SimplicialComplex([{1, 2, 3}, {1, 3, 4}])
     basis = reduced_homology(K, Q)
-    assert reduce_cycle(as_vector(K, 1, z), 1, basis, Q) == []
+    assert reduce_cycle(as_vector(K, 1, z), 1, basis) == []
     K2 = SimplicialComplex([{1, 2, 3}, {1, 4}, {4, 5}, {1, 5}])
     basis2 = reduced_homology(K2, Q)
-    assert reduce_cycle(as_vector(K2, 1, z), 1, basis2, Q) == [0]
+    assert reduce_cycle(as_vector(K2, 1, z), 1, basis2) == [0]
 
 
 def test_reduce_cycle_around_hexagon():
@@ -324,7 +326,7 @@ def test_reduce_cycle_around_hexagon():
         (1, 6): Fraction(-1),
     }
     assert not boundary(walk, Q)
-    (c,) = reduce_cycle(as_vector(HEXAGON, 1, walk), 1, basis, Q)
+    (c,) = reduce_cycle(as_vector(HEXAGON, 1, walk), 1, basis)
     assert abs(c) == 1
 
 
@@ -332,18 +334,33 @@ def test_reduce_cycle_rejects_non_cycles():
     basis = reduced_homology(HEXAGON, Q)
     edge = as_vector(HEXAGON, 1, {(1, 2): Fraction(1)})
     with pytest.raises(ValueError, match="not a cycle"):
-        reduce_cycle(edge, 1, basis, Q)
+        reduce_cycle(edge, 1, basis)
     # {2, 5} is no edge of the hexagon, so it has no id among the six
     n_edges = len(HEXAGON.faces_of_dim(1))
     for k in (n_edges, -1):
         with pytest.raises(ValueError, match="not in the complex"):
-            reduce_cycle(({k: 1}, 1), 1, basis, Q)
+            reduce_cycle(({k: 1}, 1), 1, basis)
     with pytest.raises(ValueError, match="not in the complex"):
-        reduce_cycle(({0: 1}, 1), 2, basis, Q)
+        reduce_cycle(({0: 1}, 1), 2, basis)
     (rep,) = basis.representatives[1]
     for d, F in ((0, Q), (2, FieldSpec(2)), (6, FieldSpec(3))):
         with pytest.raises(ValueError, match="zero in the field"):
-            reduce_cycle((rep[0], d), 1, reduced_homology(HEXAGON, F), F)
+            reduce_cycle((rep[0], d), 1, reduced_homology(HEXAGON, F))
+
+
+def test_a_basis_reduces_its_own_representatives_in_its_field():
+    # in char 2 the hexagon's representative has every edge at +1, which
+    # is no cycle over Q; the field comes from the basis, not the caller
+    B = betti_poset(lcm_lattice(cycle_edge_ideal(7)), FieldSpec(3))
+    cases = [(HEXAGON, FieldSpec(2)),
+             (order_complex(B.open_interval(B.top)), FieldSpec(3))]
+    for K, F in cases:
+        basis = reduced_homology(K, F)
+        assert basis.field == F and basis.ranks
+        for i, reps in basis.representatives.items():
+            for j, rep in enumerate(reps):
+                assert reduce_cycle(rep, i, basis) == [
+                    int(k == j) for k in range(len(reps))]
 
 
 # --------------------------------------------------------------------------
@@ -398,7 +415,7 @@ def test_reduce_cycle_of_a_boundary_without_homology(K, i):
     assert basis.rank(i) == 0
     for f in K.faces_of_dim(i + 1):
         z = boundary({f: Fraction(3)}, Q)
-        assert reduce_cycle(as_vector(K, i, z), i, basis, Q) == []
+        assert reduce_cycle(as_vector(K, i, z), i, basis) == []
 
 
 # --------------------------------------------------------------------------
@@ -516,7 +533,7 @@ def check_reduce_cycle(K, F, scalar):
             axpy(z, c, as_chain(K, i, rep, F), F)
         w = {f: F.coerce(scalar()) for f in K.faces_of_dim(i + 1)}
         axpy(z, F.one, boundary({f: c for f, c in w.items() if c}, F), F)
-        assert reduce_cycle(as_vector(K, i, z), i, basis, F) == coords
+        assert reduce_cycle(as_vector(K, i, z), i, basis) == coords
 
 
 def field_scalar(F):

@@ -582,6 +582,14 @@ def test_join_and_meet():
     assert lat.join([{0, 1}]) == frozenset({0, 1})
 
 
+def test_join_refuses_an_atom_outside_the_lattice():
+    # no member holds atom 3, so no member is an upper bound: the
+    # constructor's wording, not a StopIteration out of the scan
+    lat = meet_closure([{0, 1}, {1, 2}], 3)
+    with pytest.raises(ValueError, match=r"^atom 3 is not one of 0\.\.2$"):
+        lat.join([frozenset({0}), frozenset({3})])
+
+
 # -- isomorphism and join-preserving comparisons ----------------------------
 
 def is_order_preserving(P, Q, mapping):
