@@ -28,8 +28,8 @@ characteristic): intervals of one lattice repeat a handful of
 complexes, and each distinct complex is eliminated once.  A caller that
 reads many intervals — across candidate lattices, Betti posets and
 ranked fragments alike — passes one plain dict `memo`.  With none,
-`betti_numbers`, `rigidity_report` and `betti_poset` keep one for the
-length of the call, and nothing outlives it.  Ranks come from the
+every reader keeps one for the length of the call, and nothing
+outlives it.  Ranks come from the
 rank-only path `homology_ranks`; the resolution builder, which needs
 cycle representatives, uses the order complex directly.
 """
@@ -39,7 +39,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .homology import FieldSpec, SimplicialComplex, homology_ranks
+from .homology import (FieldSpec, SimplicialComplex, generated_levels,
+                       homology_ranks)
 from .posets import (
     FiniteAtomicLattice,
     Poset,
@@ -56,9 +57,9 @@ def crosscut_complex(coatoms):
 
     Its vertices 0…k−1 are the coatoms in canonical order, and its
     faces are the increasing index tuples whose coatoms have a nonempty
-    intersection.  Faces are enumerated level by level, each level in
-    lexicographic order: a face extends a face of the level below by a
-    larger index, so the family is closed and already in face order.
+    intersection: the complex generated by the sets {j : atom a lies in
+    coatom j}, whose masks are the coatoms' atom sets
+    (`generated_levels`).
 
     >>> from rigidres.monomials import parse_ideal
     >>> from rigidres.posets import lcm_lattice
@@ -68,25 +69,17 @@ def crosscut_complex(coatoms):
     >>> crosscut_complex(frozenset())
     SimplicialComplex[{}]
     """
-    # atom sets as bit masks, in canonical order
-    masks = [sum(1 << a for a in c) for c in sorted(coatoms, key=element_key)]
-    k = len(masks)
-    levels = [[()]]
-    level = [((j,), m) for j, m in enumerate(masks)]
-    while level:
-        levels.append([t for t, _ in level])
-        level = [(t + (j,), m & masks[j]) for t, m in level
-                 for j in range(t[-1] + 1, k) if m & masks[j]]
-    return SimplicialComplex._closed(levels)
+    return SimplicialComplex._closed(generated_levels(
+        [sum(1 << a for a in c) for c in sorted(coatoms, key=element_key)]))
 
 
 def _memo_ranks(key, build, F, memo):
     """homology_ranks(build(), F), looked up in and stored into memo
-    (a dict, or None) under key.  On a miss the complex K = build() is
-    looked up under the second-level key ("complex", K,
-    characteristic), so each distinct complex is eliminated once."""
-    if memo is None:
-        return homology_ranks(build(), F)
+    (a dict; None keeps one for the length of the call) under key.  On
+    a miss the complex K = build() is looked up under the second-level
+    key ("complex", K, characteristic), so each distinct complex is
+    eliminated once."""
+    memo = {} if memo is None else memo
     ranks = memo.get(key)
     if ranks is None:
         K = build()
@@ -108,8 +101,8 @@ def interval_ranks(P, q, F=FieldSpec(0), memo=None):
     the order complex of the elements `inside` strictly between 0̂ and
     q, under the key ("order", inside, characteristic).  A miss looks
     up the complex itself under the second-level key ("complex", the
-    complex, characteristic) before eliminating it.  With memo None
-    nothing is kept: each call eliminates.
+    complex, characteristic) before eliminating it.  With memo None,
+    one is kept for the length of the call.
 
     The coatom key is sound.  Every lattice here is intersection-closed
     with bottom ∅, so `inside` is closed under nonempty intersections.

@@ -637,8 +637,7 @@ def build_parser():
                    help="max number of supports to adjoin (default 1); "
                         "the scan tries every choice of up to that many, "
                         "so on the hexagon budgets 1 / 2 / 3 scan 35 / "
-                        "630 / 7,175 augmentations in about 0.01 / 0.1 / "
-                        "1.1 s")
+                        "630 / 7,175 augmentations")
     p.set_defaults(run=cmd_deform_search)
 
     p = sub.add_parser("compare", parents=[common],

@@ -100,8 +100,7 @@ def certify_rigid_deformation(J, I, F=FieldSpec(0), memo=None):
     certifies many candidates builds L_I once and computes each interval
     once.
     """
-    if memo is None:
-        memo = {}
+    memo = {} if memo is None else memo
     LI = I if isinstance(I, FiniteAtomicLattice) else lcm_lattice(I)
     LJ = J if isinstance(J, FiniteAtomicLattice) else lcm_lattice(J)
     cert = Certificate()

@@ -39,8 +39,9 @@ cross-checks in the test suite meaningful.  (The length check of
 the kernel.)  The two verifiers number each position's keys once, in
 canonical order, and translate the scalar maps once (`_numbered`), so
 every strand is a list of columns on int rows with integral scalars
-as ints; `verify_resolution` decides strand membership and takes the
-lcm closure on exponent tuples computed once.
+as ints.  Both select strands in one routine (`_strand_failures`),
+from each point's down-set of distinct labels; `verify_resolution`
+takes the lcm closure on exponent tuples computed once.
 """
 
 from __future__ import annotations
@@ -270,6 +271,23 @@ def _strand_homology(F, strand):
     return {pos: x for pos, x in h.items() if x}
 
 
+def _strand_failures(F, columns, labels, points, down):
+    """(point, position) for each position at which the strand at a
+    point is inexact, the points taken in the given order.  columns and
+    labels give, per position, the column and the label of each basis
+    vector (as `_numbered` and its keys lay them out); the strand at m
+    keeps the vectors whose label lies in down(m), m's down-set of
+    distinct labels."""
+    failures = []
+    for m in points:
+        below = down(m)
+        strand = {level: [col for label, col in zip(labels[level], cols)
+                          if label in below]
+                  for level, cols in columns.items()}
+        failures.extend((m, level) for level in _strand_homology(F, strand))
+    return failures
+
+
 def _nonzero_compositions(maps, F):
     """(level, column key, row key) of every nonzero entry of the
     composite φ_{level−1} ∘ φ_level, for scalar maps given as
@@ -345,15 +363,12 @@ def verify_frame(frame, ambient):
     report = FrameReport(bad_compositions=compositions)
 
     bot = ambient.bottom
-    for m in ambient.elements:
-        if m == bot:
-            continue
-        strand = {level: [col for (q, _), col in zip(keys[level], cols)
-                          if q <= m]
-                  for level, cols in columns.items()}
-        report.strand_failures.extend(
-            (m, level) for level in _strand_homology(F, strand))
-        report.strands_checked += 1
+    labels = {level: [q for q, _ in ks] for level, ks in keys.items()}
+    elements = set(itertools.chain.from_iterable(labels.values()))
+    points = [m for m in ambient.elements if m != bot]
+    report.strand_failures = _strand_failures(
+        F, columns, labels, points, lambda m: {q for q in elements if q <= m})
+    report.strands_checked = len(points)
 
     B = frame.poset
     memo = {}  # each ranked fragment is a fresh Poset; intervals recur
@@ -494,6 +509,7 @@ class ResolutionReport:
     unit_entries: list = field(default_factory=list)  # minimality
     bad_compositions: list = field(default_factory=list)
     strand_failures: list = field(default_factory=list)  # (degree, position)
+    module_failures: list = field(default_factory=list)  # (position, what)
     strands_checked: int = 0
 
     @property
@@ -510,7 +526,8 @@ class ResolutionReport:
 
     @property
     def ok(self):
-        return self.is_homogeneous and self.is_minimal and self.is_exact
+        return (self.is_homogeneous and self.is_minimal and self.is_exact
+                and not self.module_failures)
 
     def summary(self):
         """One line; a failure count names its first witness."""
@@ -521,7 +538,9 @@ class ResolutionReport:
             (self.homogeneity_failures, "inhomogeneous entries", _entry_text),
             (self.unit_entries, "unit entries (not minimal)", _entry_text),
             (self.bad_compositions, "nonzero compositions", _entry_text),
-            (self.strand_failures, "inexact strand positions", _strand_text)))
+            (self.strand_failures, "inexact strand positions", _strand_text),
+            (self.module_failures, "malformed modules",
+             "position {} {}".format)))
 
 
 def _strand_text(degree, position):
@@ -532,10 +551,13 @@ def verify_resolution(resolution):
     """Independent check of a graded resolution.
 
     Homogeneity (entry monomial = ratio of endpoint degrees),
-    minimality (no unit-monomial entries), ∂∂ = 0 on scalars, and
-    exactness of the scalar strand at every multidegree in the lcm
-    closure of the position-1 degrees (the candidate generators) —
-    at all positions, including surjectivity onto position 0.
+    minimality (no unit-monomial entries), ∂∂ = 0 on scalars, a
+    position 0 of one generator in degree 0 over a nonempty position 1,
+    and exactness of the scalar strand at every multidegree in the lcm
+    closure of the degrees at positions ≥ 1 — at all positions,
+    including surjectivity onto position 0.  Every basis vector outside
+    position 0 lies in the strand at its own degree, so none goes
+    unchecked.
     """
     F = resolution.field
     report = ResolutionReport()
@@ -571,22 +593,22 @@ def verify_resolution(resolution):
 
     degs = {level: [degree[(level, key)] for key in ks]
             for level, ks in keys.items()}
-    gens = degs.get(1, [])
-    values = set(gens)
-    frontier = set(values)
-    while frontier:
-        new = {tuple(map(max, a, b)) for a in frontier for b in gens} - values
-        values |= new
-        frontier = new
+    top = degs.get(0, [])
+    if len(top) != 1 or any(top[0]):
+        report.module_failures.append((0, "is not one generator of degree 0"))
+    if not degs.get(1):
+        report.module_failures.append((1, "is empty"))
+    values = set()  # the lcm closure of the degrees seen so far
+    for level, ds in sorted(degs.items()):
+        for a in ds if level >= 1 else ():
+            if a not in values:
+                values |= {a, *(tuple(map(max, a, b)) for b in values)}
     degrees = set(degree.values())
-    for b in sorted(values):
-        below = {deg for deg in degrees if all(map(le, deg, b))}
-        strand = {level: [col for deg, col in zip(degs[level], cols)
-                          if deg in below]
-                  for level, cols in columns.items()}
-        report.strand_failures.extend(
-            (Monomial(b), level) for level in _strand_homology(F, strand))
-        report.strands_checked += 1
+    points = [Monomial(b) for b in sorted(values)]
+    report.strand_failures = _strand_failures(
+        F, columns, degs, points,
+        lambda b: {deg for deg in degrees if all(map(le, deg, b))})
+    report.strands_checked = len(points)
     return report
 
 

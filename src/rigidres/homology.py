@@ -147,13 +147,38 @@ def plain(x):
 # --------------------------------------------------------------------------
 # complexes
 
+def generated_levels(masks):
+    """The faces of the complex on vertices 0…k−1 generated by a family
+    of sets, given as one bit mask per vertex: bit b of masks[j] is set
+    when the b-th set holds vertex j, and every vertex lies in some
+    set.  A face is an increasing index tuple whose masks meet, a
+    subset of one of the sets.
+
+    Returns one list per dimension from −1 up, each in face order.  A
+    face extends a face of the level below by a larger index, carrying
+    the meet of its masks, so the family is closed and already in face
+    order.
+
+    >>> generated_levels([0b01, 0b11, 0b10])
+    [[()], [(0,), (1,), (2,)], [(0, 1), (1, 2)]]
+    """
+    levels = [[()]]
+    level = [((j,), m) for j, m in enumerate(masks)]
+    while level:
+        levels.append([t for t, _ in level])
+        level = [(t + (j,), m & masks[j]) for t, m in level
+                 for j in range(t[-1] + 1, len(masks)) if m & masks[j]]
+    return levels
+
+
 class SimplicialComplex:
     """An abstract simplicial complex on int vertices, stored
     downward-closed with ∅.
 
     A face is the increasing tuple of its vertices, and each dimension
     is kept in lexicographic order of these tuples (face order).  The
-    constructor closes the given faces under subsets, so
+    constructor builds the complex the given faces generate
+    (`generated_levels`, on the sorted vertices), so
     SimplicialComplex([{1,2},{2,3}]) is the path on three vertices.
     The void complex (no faces at all) is unrepresentable: ∅ is always
     a face.  dim({∅}) = −1.
@@ -165,24 +190,17 @@ class SimplicialComplex:
     """
 
     def __init__(self, faces=()):
-        stack = []
-        for f in map(set, faces):
-            bad = [v for v in f if not isinstance(v, int)]
-            if bad:  # ints are totally ordered, so face order is defined
-                raise ValueError(f"vertex {bad[0]!r} is not an int")
-            stack.append(tuple(sorted(f)))
-        closed = {()}
-        while stack:
-            f = stack.pop()
-            if f not in closed:
-                closed.add(f)
-                stack.extend(f[:j] + f[j + 1:] for j in range(len(f)))
-        levels = [[] for _ in range(max(map(len, closed)) + 1)]
-        for f in closed:
-            levels[len(f)].append(f)
-        for fs in levels:
-            fs.sort()
-        self._set_levels(levels)
+        masks = {}  # vertex -> bit mask of the given faces that hold it
+        for b, f in enumerate(faces):
+            for v in f:
+                # ints are totally ordered, so face order is defined
+                if not isinstance(v, int):
+                    raise ValueError(f"vertex {v!r} is not an int")
+                masks[v] = masks.get(v, 0) | 1 << b
+        vertices = sorted(masks)
+        levels = generated_levels([masks[v] for v in vertices])
+        self._set_levels([[tuple(vertices[j] for j in t) for t in fs]
+                          for fs in levels])
 
     @classmethod
     def _closed(cls, levels):

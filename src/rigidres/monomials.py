@@ -38,6 +38,8 @@ class Monomial(tuple):
     __slots__ = ()
 
     def __new__(cls, exponents):
+        if isinstance(exponents, Monomial):  # valid already, and immutable
+            return exponents
         exps = tuple(int(e) for e in exponents)
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps}")
@@ -98,14 +100,10 @@ def lcm_of(monomials):
     """Fold lcm over a non-empty iterable.  Plain exponent vectors are
     validated as Monomials; Monomials are used as they are."""
     it = iter(monomials)
-    out = _as_monomial(next(it))
+    out = Monomial(next(it))
     for m in it:
-        out = out.lcm(_as_monomial(m))
+        out = out.lcm(Monomial(m))
     return out
-
-
-def _as_monomial(m):
-    return m if isinstance(m, Monomial) else Monomial(m)
 
 
 def _check_dim(a, b):
@@ -186,14 +184,10 @@ def parse_ideal(text):
     >>> parse_ideal("x; x*y").to_text()
     'x'
     """
-    # strip comments line by line, remembering offsets for error messages
-    stripped = []
-    for line in text.split("\n"):
-        hash_at = line.find("#")
-        stripped.append(line if hash_at < 0 else line[:hash_at])
-    source = "\n".join(stripped)
+    # blank comments out with spaces, so offsets stay those of the text
+    source = re.sub(r"#[^\n]*", lambda m: " " * len(m.group()), text)
 
-    # first pass: tokenize each generator chunk into (name, exponent) factors
+    # first pass: tokenize each generator chunk into its exponent sums
     chunks = re.split(r"[;\n]", source)
     offsets = []
     pos = 0
@@ -206,7 +200,7 @@ def parse_ideal(text):
     for chunk, base in zip(chunks, offsets):
         if not chunk.strip():
             continue
-        factors = []
+        factors = {}  # name -> exponent summed over the factors so far
         pieces = chunk.split("*")
         starts = itertools.accumulate((len(p) + 1 for p in pieces), initial=base)
         for piece, at in zip(pieces, starts):
@@ -217,9 +211,10 @@ def parse_ideal(text):
             if m is None:
                 raise IdealSyntaxError(f"cannot read factor {piece!r}", at)
             name, exp = m.group(1), int(m.group(2)) if m.group(2) else 1
+            exp += factors.get(name, 0)
             if exp > MAX_EXPONENT:
-                raise IdealSyntaxError(f"exponent {exp} too large", at)
-            factors.append((name, exp))
+                raise IdealSyntaxError(f"exponent {exp} of {name} too large", at)
+            factors[name] = exp
             names.add(name)
         raw_gens.append((factors, base))
 
@@ -231,8 +226,8 @@ def parse_ideal(text):
     gens = []
     for factors, base in raw_gens:
         exps = [0] * len(variables)
-        for name, exp in factors:
-            exps[index[name]] += exp
+        for name, exp in factors.items():
+            exps[index[name]] = exp
         g = Monomial(exps)
         if g.is_unit:
             raise IdealSyntaxError("generator equal to 1", base)

@@ -15,10 +15,11 @@ from rigidres.deform import search_rigid_deformation
 from rigidres.homology import (FieldSpec, SimplicialComplex, homology_ranks,
                                reduced_homology)
 from rigidres.monomials import Monomial, MonomialIdeal, minimalize, parse_ideal
-from rigidres.posets import (FiniteAtomicLattice, Poset, lcm_lattice,
-                             meet_closure, order_complex)
+from rigidres.posets import (FiniteAtomicLattice, Poset, element_key,
+                             lcm_lattice, meet_closure, order_complex)
 
 from test_frames import cycle_edge_ideal, resolution_index
+from test_homology import assert_matches_stack_closure
 
 Q = FieldSpec(0)
 
@@ -175,12 +176,13 @@ def test_interval_ranks_build_the_coatom_crosscut(n, coatom, atom):
     assert sum(len(atom_crosscut(L, q).faces) for q in intervals) == atom
 
 
-def assert_closed_path_matches_constructor(K):
-    built = SimplicialComplex(K.faces)
-    assert K.faces == built.faces
-    assert K.vertices == built.vertices and K.dim == built.dim
-    for i in range(-1, K.dim + 2):
-        assert K.faces_of_dim(i) == built.faces_of_dim(i)
+def assert_crosscut_matches_stack_walk(L, q):
+    # the crosscut is generated by the sets {j : atom a lies in coatom
+    # j}, closed here by the stack-walk reference
+    coatoms = sorted(frozenset(L.lower_covers(q)) - {L.bottom},
+                     key=element_key)
+    generators = [{j for j, c in enumerate(coatoms) if a in c} for a in q]
+    assert_matches_stack_closure(coatom_crosscut(L, q), generators)
 
 
 def test_closed_path_matches_constructor_on_fixtures(squarefree17,
@@ -189,7 +191,7 @@ def test_closed_path_matches_constructor_on_fixtures(squarefree17,
         L = lcm_lattice(I)
         for q in L.elements:
             if q:
-                assert_closed_path_matches_constructor(coatom_crosscut(L, q))
+                assert_crosscut_matches_stack_walk(L, q)
 
 
 @given(random_lattices())
@@ -197,7 +199,7 @@ def test_closed_path_matches_constructor_on_fixtures(squarefree17,
 def test_closed_path_matches_constructor(lat):
     for q in lat.elements:
         if q:
-            assert_closed_path_matches_constructor(coatom_crosscut(lat, q))
+            assert_crosscut_matches_stack_walk(lat, q)
 
 
 # -- one memo across posets --------------------------------------------------

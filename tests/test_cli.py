@@ -583,6 +583,46 @@ def test_verify_reports_a_zero_scalar(tmp_path, capsys):
         "[0,1,1,0], position 0)\n")
 
 
+def xy_with(payload, kind):
+    """The resolution of x; y with one defect the checks must catch:
+    a vector outside the lcm closure of the position-1 degrees, a
+    position beyond it, no modules, or the position-0 generator alone."""
+    if kind == "stray-vector":
+        payload["modules"][2].append({"degree": [5, 0],
+                                      "source_element": [1]})
+    elif kind == "stray-position":
+        payload["modules"].append([{"degree": [7, 7],
+                                    "source_element": [1, 2]}])
+        payload["differentials"].append([])
+    elif kind == "no-modules":
+        payload = {"modules": [], "differentials": []}
+    else:
+        payload = {"modules": payload["modules"][:1], "differentials": []}
+    return payload
+
+
+XY_WITNESSES = {
+    "stray-vector":
+        "2 inexact strand positions (first: degree [5,0], position 2)",
+    "stray-position":
+        "1 inexact strand positions (first: degree [7,7], position 3)",
+    "no-modules": "2 malformed modules (first: position 0 is not one "
+                  "generator of degree 0)",
+    "generator-only": "1 malformed modules (first: position 1 is empty)",
+}
+
+
+@pytest.mark.parametrize("kind", XY_WITNESSES)
+def test_verify_checks_every_degree_its_modules_reach(tmp_path, capsys, kind):
+    ideal = ideal_file(tmp_path, "xy.ideal", "x; y")
+    out = tmp_path / "xy.res"
+    assert main(["resolve", ideal, "-o", str(out)]) == 0
+    out.write_text(json.dumps(xy_with(json.loads(out.read_text()), kind)))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 2
+    assert capsys.readouterr().out == XY_WITNESSES[kind] + "\n"
+
+
 def test_verify_rejects_malformed_resolution_files(tmp_path, capsys):
     bad = tmp_path / "bad.res"
     bad.write_text(json.dumps({"modules": [], "differentials": [[]]}))

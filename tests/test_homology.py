@@ -149,6 +149,39 @@ def test_closing_constructor_refuses_a_non_int_vertex(vertex):
         SimplicialComplex([{1, 3}, {1, vertex}])
 
 
+def stack_closure(faces):
+    """The reference for `SimplicialComplex`: the faces generated by
+    `faces`, closed by a stack walk that deletes one vertex at a time,
+    as one sorted list per dimension from −1 up."""
+    stack = [tuple(sorted(f)) for f in faces]
+    closed = {()}
+    while stack:
+        f = stack.pop()
+        if f not in closed:
+            closed.add(f)
+            stack.extend(f[:j] + f[j + 1:] for j in range(len(f)))
+    levels = [[] for _ in range(max(map(len, closed)) + 1)]
+    for f in closed:
+        levels[len(f)].append(f)
+    return [sorted(fs) for fs in levels]
+
+
+def assert_matches_stack_closure(K, faces):
+    levels = stack_closure(faces)
+    assert K.dim == len(levels) - 2
+    assert K.vertices == tuple(v for fs in levels[1:2] for (v,) in fs)
+    for i in range(-1, K.dim + 2):
+        assert K.faces_of_dim(i) == (levels[i + 1] if i <= K.dim else [])
+
+
+@given(st.lists(st.sets(st.sampled_from([-7, -2, -1, 0, 3, 4, 9, 100]),
+                        max_size=5), max_size=7).map(lambda fs: fs + fs[:2]))
+@settings(max_examples=100)
+def test_constructor_matches_the_stack_walk(faces):
+    # negative and non-contiguous vertices, empty and repeated generators
+    assert_matches_stack_closure(SimplicialComplex(faces), faces)
+
+
 def test_two_points():
     K = SimplicialComplex([{1}, {2}])
     assert reduced_homology(K).ranks == {0: 1}

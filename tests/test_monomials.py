@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rigidres.monomials import (
+    MAX_EXPONENT,
     IdealSyntaxError,
     Monomial,
     MonomialIdeal,
@@ -90,6 +91,21 @@ def test_empty_factor_reports_its_own_position(bad, position):
         parse_ideal(bad)
     assert err.value.position == position
     assert f"empty factor (at position {position})" in str(err.value)
+
+
+def test_a_comment_keeps_the_offsets_after_it():
+    with pytest.raises(IdealSyntaxError) as err:
+        parse_ideal("x # comment\n*y")
+    assert err.value.position == 12
+
+
+def test_the_exponent_bound_holds_for_the_sum_of_factors():
+    assert parse_ideal(f"x^{MAX_EXPONENT - 1}*x").generators == (
+        Monomial((MAX_EXPONENT,)),)
+    with pytest.raises(IdealSyntaxError) as err:
+        parse_ideal(f"y; x*x^{MAX_EXPONENT}")
+    assert err.value.position == 5
+    assert f"exponent {MAX_EXPONENT + 1} of x too large" in str(err.value)
 
 
 def test_round_trip():

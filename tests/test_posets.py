@@ -590,6 +590,16 @@ def test_join_refuses_an_atom_outside_the_lattice():
         lat.join([frozenset({0}), frozenset({3})])
 
 
+def test_degree_labels_keep_a_monomial_and_check_anything_else():
+    members = [frozenset(), frozenset({0})]
+    m = Monomial((1,))
+    lat = FiniteAtomicLattice(members, 1, {members[0]: Monomial((0,)),
+                                           members[1]: m})
+    assert lat.degree({0}) is m
+    with pytest.raises(ValueError, match="negative exponent"):
+        FiniteAtomicLattice(members, 1, {members[0]: (0,), members[1]: (-1,)})
+
+
 # -- isomorphism and join-preserving comparisons ----------------------------
 
 def is_order_preserving(P, Q, mapping):
