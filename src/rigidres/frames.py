@@ -225,11 +225,11 @@ def _numbered(F, keys, maps):
     (level → {column key → {row key → scalar}}), given the basis keys
     as level → keys.  Each level's keys are numbered once, in canonical
     order; a key the maps name that is not a basis key (a tampered
-    frame) is numbered in the same order.  Returns the nonzero entries
-    of the composites (as `_nonzero_compositions`, keys named back) and
-    level → the column of each basis key on numbered rows, with
-    integral scalars as ints and zero scalars dropped, so that none
-    becomes an elimination pivot."""
+    frame, whose verifier names the entry) is numbered in the same
+    order.  Returns the nonzero entries of the composites (as
+    `_nonzero_compositions`, keys named back) and level → the column of
+    each basis key on numbered rows, with integral scalars as ints and
+    zero scalars dropped, so that none becomes an elimination pivot."""
     found = {level: set(ks) for level, ks in keys.items()}
     for level, cols in maps.items():
         found.setdefault(level, set()).update(cols)
@@ -310,9 +310,10 @@ def _nonzero_compositions(maps, F):
 
 @dataclass
 class FrameReport:
-    """Outcome of the three frame checks; empty lists mean success."""
+    """Outcome of the frame checks; empty lists mean success."""
 
     bad_compositions: list = field(default_factory=list)  # (level, col, row)
+    foreign_entries: list = field(default_factory=list)  # (level, col, row)
     strand_failures: list = field(default_factory=list)  # (m, position)
     length_mismatches: list = field(default_factory=list)  # (q, strand, ranked)
     strands_checked: int = 0
@@ -323,8 +324,8 @@ class FrameReport:
 
     @property
     def ok(self):
-        return (self.is_complex and not self.strand_failures
-                and not self.length_mismatches)
+        return (self.is_complex and not self.foreign_entries
+                and not self.strand_failures and not self.length_mismatches)
 
     def summary(self):
         """One line; a failure count names its first witness."""
@@ -333,6 +334,8 @@ class FrameReport:
                     "lengths agree")
         return _failure_summary((
             (self.bad_compositions, "nonzero compositions", _entry_text),
+            (self.foreign_entries, "entries keyed outside the components",
+             _entry_text),
             (self.strand_failures, "inexact strand positions",
              _element_strand_text),
             (self.length_mismatches, "length mismatches", _length_text)))
@@ -348,8 +351,10 @@ def _length_text(q, in_strand, predicted):
 
 
 def verify_frame(frame, ambient):
-    """Check that the frame is a complex, that every strand is exact,
-    and that strand lengths match their ranked-fragment predictions.
+    """Check that the frame is a complex, that every nonzero entry is
+    keyed by basis keys of its two positions, that every strand is
+    exact, and that strand lengths match their ranked-fragment
+    predictions.
 
     The strand at m collects the components at elements ≤ m (always
     including position 0) with the restricted maps; it is checked for
@@ -360,7 +365,13 @@ def verify_frame(frame, ambient):
     F = frame.field
     keys = {level: frame.basis_keys(level) for level in frame.components}
     compositions, columns = _numbered(F, keys, frame.maps)
-    report = FrameReport(bad_compositions=compositions)
+    basis = {level: set(ks) for level, ks in keys.items()}
+    foreign = [(level, colkey, rowkey)
+               for level, cols in sorted(frame.maps.items())
+               for colkey, col in cols.items() for rowkey, c in col.items()
+               if c and (colkey not in basis.get(level, ())
+                         or rowkey not in basis.get(level - 1, ()))]
+    report = FrameReport(bad_compositions=compositions, foreign_entries=foreign)
 
     bot = ambient.bottom
     labels = {level: [q for q, _ in ks] for level, ks in keys.items()}
@@ -439,6 +450,9 @@ def _attach_degrees(F, components, maps, degrees):
         for colkey, col in cols.items():
             entry = {}
             for rowkey, c in col.items():
+                for q, _ in (colkey, rowkey):
+                    if q not in degs:
+                        raise ValueError(f"no degree for element {sorted(q)}")
                 mono = _check_strict_ratio(
                     degs[colkey[0]], degs[rowkey[0]], f"{colkey}->{rowkey}")
                 entry[rowkey] = (c, mono)

@@ -210,8 +210,11 @@ def parse_ideal(text):
             m = re.fullmatch(r"([A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*([0-9]+))?", piece)
             if m is None:
                 raise IdealSyntaxError(f"cannot read factor {piece!r}", at)
-            name, exp = m.group(1), int(m.group(2)) if m.group(2) else 1
-            exp += factors.get(name, 0)
+            name, digits = m.group(1), (m.group(2) or "1").lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)):  # too large unread
+                raise IdealSyntaxError(f"exponent of {name} too large "
+                                       f"({len(digits)} digits)", at)
+            exp = int(digits) + factors.get(name, 0)
             if exp > MAX_EXPONENT:
                 raise IdealSyntaxError(f"exponent {exp} of {name} too large", at)
             factors[name] = exp

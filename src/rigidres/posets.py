@@ -20,6 +20,13 @@ order sorts by size first, so the down-set of elements[i] is found
 among elements[:i].  Covers, minimal and maximal elements, bottom and
 top, open intervals, ranked fragments, order complexes and the memo
 keys of `betti.interval_ranks` all come from it.
+
+Order isomorphisms come from a VF2 search over the covers
+(`is_isomorphic`).  Which map it returns is part of what `relabel` and
+the deformation certificates write, and those outputs are frozen, so it
+returns the first map networkx's VF2 matcher finds on the same Hasse
+diagrams, keys in the same order.  networkx is the tests' oracle for
+that; the package needs nothing outside the standard library.
 """
 
 from __future__ import annotations
@@ -134,14 +141,6 @@ class Poset:
     def cover_pairs(self):
         """All (p, q) with p covered by q, in canonical order."""
         return [(p, q) for q in self.elements for p in self.lower_covers(q)]
-
-    def cover_digraph(self):
-        """The Hasse diagram, each node's "h" its level (loads networkx)."""
-        import networkx as nx
-        g = nx.DiGraph()
-        g.add_nodes_from((e, {"h": self.level(e)}) for e in self.elements)
-        g.add_edges_from(self.cover_pairs())
-        return g
 
     # -- fragments ----------------------------------------------------
 
@@ -374,16 +373,114 @@ def face_lattice(X):
 def is_isomorphic(P, Q):
     """An order-isomorphism P → Q as a dict of elements, or None.
 
-    Works on the cover digraphs; candidate assignments are pruned by
-    cover degrees and level, which is plenty at desk scale.
+    VF2 (Cordella, Foggia, Sansone and Vento, IEEE TPAMI 26(10), 2004)
+    on the Hasse diagrams: an element's predecessors are its lower
+    covers, its successors the elements covering it in canonical order,
+    and two elements match only at equal level.  A pair (p, q) is added
+    when it maps matched covers to matched covers both ways and the
+    look-ahead counts of `_Side.look` agree; the counts only prune.
+
+    Which isomorphism comes first is part of the output: `relabel`
+    writes the resolution it carries, and a deformation certificate
+    names it.  So candidates are tried in the order of networkx's
+    DiGraphMatcher, and the result is its first isomorphism of the same
+    diagrams, the same dict with keys in the order matched: P's free
+    elements iterate as `set(P.elements)` does, the terminal sets are
+    insertion-ordered and each step fills them from a set built as
+    networkx builds it, and Q's candidate is the least in canonical
+    order.  The search keeps its own stack, so a long match never meets
+    the recursion limit.
+
+    >>> chain = Poset([set(), {0}, {0, 1}])
+    >>> [sorted(q) for q in is_isomorphic(chain, Poset([set(), {1}, {0, 1}])).values()]
+    [[], [1], [0, 1]]
+    >>> is_isomorphic(chain, Poset([set(), {0}, {1}])) is None
+    True
     """
     if len(P) != len(Q):
         return None
-    import networkx as nx
-    matcher = nx.algorithms.isomorphism.DiGraphMatcher(
-        P.cover_digraph(), Q.cover_digraph(),
-        node_match=nx.algorithms.isomorphism.categorical_node_match("h", -1))
-    return next(matcher.isomorphisms_iter(), None)
+    one, two = _Side(P), _Side(Q)
+    free = set(P.elements)  # networkx's node set of P, in its order
+
+    def feasible(p, q):
+        if one.level[p] != two.level[q]:
+            return False
+        for x1, x2 in ((one.lower[p], two.lower[q]), (one.upper[p], two.upper[q])):
+            if ({one.core[v] for v in x1 if v in one.core} != {v for v in x2 if v in two.core}
+                    or one.look(x1) != two.look(x2)):
+                return False
+        return True
+
+    def candidates():
+        for d1, d2 in ((one.out, two.out), (one.inn, two.inn)):
+            t1 = [v for v in d1 if v not in one.core]
+            t2 = [v for v in d2 if v not in two.core]
+            if t1 and t2:
+                return iter(t1), min(t2, key=Q._index.__getitem__)
+        return ((v for v in free if v not in one.core),
+                next(v for v in Q.elements if v not in two.core))
+
+    stack = []  # per matched depth: the candidates left, and Q's element
+    while len(one.core) < len(P):
+        if len(stack) == len(one.core):
+            stack.append(candidates())
+        ps, q = stack[-1]
+        p = next((p for p in ps if feasible(p, q)), None)
+        if p is not None:
+            one.extend(p, q)
+            two.extend(q, p)
+            continue
+        stack.pop()
+        if not stack:
+            return None
+        one.retract()
+        two.retract()
+    return dict(one.core)
+
+
+class _Side:
+    """One side of the search in `is_isomorphic`: a poset's Hasse
+    diagram (lower covers, upper covers in canonical order, levels), the
+    matched map `core`, and the in- and out-terminal sets `inn` and
+    `out`, insertion-ordered dicts that keep the matched elements too."""
+
+    def __init__(self, P):
+        self.lower, self.level = P._lower_covers, P._levels
+        self.upper = {e: [] for e in P.elements}
+        for q, lower in self.lower.items():
+            for p in lower:
+                self.upper[p].append(q)
+        self.core, self.inn, self.out = {}, {}, {}
+        self._sizes = []  # the terminal sizes before each extend
+
+    def look(self, x):
+        """VF2's look-ahead over covers x: how many there are, how many
+        lie unmatched in the in- and in the out-terminal set, and how
+        many lie in neither."""
+        core, inn, out = self.core, self.inn, self.out
+        return (len(x), sum(v in inn and v not in core for v in x),
+                sum(v in out and v not in core for v in x),
+                sum(v not in inn and v not in out for v in x))
+
+    def extend(self, node, image):
+        """Match node to image, and add the unmatched covers of matched
+        elements to the terminal sets.  Each step rebuilds the set of
+        them, adding covers in the order networkx's DiGMState adds them,
+        because the order a set iterates in depends on that order."""
+        self._sizes.append((len(self.inn), len(self.out)))
+        core = self.core
+        core[node] = image
+        for terminal, covers in ((self.inn, self.lower), (self.out, self.upper)):
+            terminal.setdefault(node)
+            for u in {u for v in core for u in covers[v] if u not in core}:
+                terminal.setdefault(u)
+
+    def retract(self):
+        """Undo the last extend: what it added is last in each dict."""
+        for terminal, size in zip((self.inn, self.out), self._sizes.pop()):
+            while len(terminal) > size:
+                terminal.popitem()
+        self.core.popitem()
 
 
 def join_preserving_map(P, Q):

@@ -185,6 +185,40 @@ def test_importing_the_cli_does_not_load_jsonschema():
     assert not _loaded_by_importing_the_cli("jsonschema")
 
 
+WITHOUT_NETWORKX = """
+import json, sys
+sys.modules["networkx"] = None  # import networkx now raises ImportError
+from rigidres.cli import main
+print(json.dumps([main(args) for args in json.loads(sys.argv[1])]))
+"""
+
+
+def test_isomorphism_commands_run_without_networkx(tmp_path):
+    twin_a = ideal_file(tmp_path, "m.ideal", TWIN_A_TEXT)
+    twin_b = ideal_file(tmp_path, "n.ideal", TWIN_B_TEXT)
+    path = ideal_file(tmp_path, "path.ideal", "x*y; y*z; z*w")
+    hexagon = ideal_file(tmp_path, "hexagon.ideal", HEXAGON_TEXT)
+    out = str(tmp_path / "out")
+    commands = [
+        ["relabel", twin_a, twin_b, "-o", out + ".res"],
+        ["relabel", twin_a, path],
+        ["compare", twin_a, twin_b],
+        ["compare", path, path],
+        ["deform-search", path, "--budget", "1", "-o", out + ".lattice"],
+        ["deform-search", hexagon, "--budget", "1"],
+        ["deform-simplicial", path, "--facets", "1,2; 2,3"],
+        ["deform-simplicial", twin_a],
+    ]
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", WITHOUT_NETWORKX, json.dumps(commands)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, 2, 2, 0, 0, 2, 0, 1]
+    assert "Traceback" not in done.stderr
+
+
 def test_lattice_file_errors_are_input_errors(tmp_path, capsys):
     bad = tmp_path / "bad.lattice"
     bad.write_text(json.dumps({"n_atoms": 2, "supports": [[], [1], [2]]}))
@@ -394,6 +428,16 @@ def test_compare_twin_lattices_no_join_preserving_map(tmp_path, capsys):
     assert "none in either direction" in out
 
 
+def test_compare_join_preserving_across_atom_counts_finds_none(tmp_path,
+                                                              capsys):
+    two = ideal_file(tmp_path, "two.ideal", "x; y")
+    three = ideal_file(tmp_path, "three.ideal", "x; y; z")
+    assert main(["compare", "--join-preserving", two, three]) == 2
+    assert capsys.readouterr().out == (
+        "first -> second: none\nsecond -> first: none\n"
+        "none in either direction\n")
+
+
 def test_compare_join_preserving_needs_lattices(tmp_path, capsys):
     hexagon = ideal_file(tmp_path, "hexagon.ideal", HEXAGON_TEXT)
     b = str(tmp_path / "b.lattice")
@@ -533,6 +577,23 @@ def path_resolution(tmp_path):
     out = tmp_path / "path.res"
     assert main(["resolve", ideal, "-o", str(out)]) == 0
     return out, json.loads(out.read_text())
+
+
+def test_verify_refuses_a_row_index_out_of_range(tmp_path, capsys):
+    out, payload = path_resolution(tmp_path)
+    payload["differentials"][0][0]["row"] = 99
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: row/col index out of range in differential 1\n")
+
+
+def test_verify_needs_a_res_file(tmp_path, capsys):
+    path = ideal_file(tmp_path, "xy.ideal", "x; y")
+    assert main(["verify", path]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {path}: expected a .res file\n")
 
 
 def test_verify_rejects_an_entry_listed_twice(tmp_path, capsys):
@@ -785,6 +846,17 @@ def test_export_dot_marks_the_single_non_contributor(tmp_path, capsys):
     assert out.count("style=filled") == 13
     assert out.count("style=solid") == 1
     assert '"{2,3,4}" [label="a*b*c*d*e^2*f^2", style=solid];' in out
+
+
+def test_export_dot_names_the_variables_of_a_lattice_file(tmp_path, capsys):
+    # a .lattice file keeps degrees but not variable names: x1, x2, ...
+    ideal = ideal_file(tmp_path, "pair.ideal", "a*b; b*c")
+    lattice = str(tmp_path / "pair.lattice")
+    assert main(["lcm-lattice", ideal, "-o", lattice]) == 0
+    assert main(["export-dot", lattice]) == 0
+    out = capsys.readouterr().out
+    assert '"{1,2}" [label="x1*x2*x3", style=filled];' in out
+    assert '"{2}" [label="x2*x3", style=filled];' in out
 
 
 def test_export_dot_is_byte_identical_across_runs(tmp_path):

@@ -374,6 +374,39 @@ def test_frame_summary_names_the_first_strand_and_length_failures():
         "predicted 2)")
 
 
+def _path_frame_with_entry(colkey, rowkey):
+    """The frame of x*y; y*z; z*w with one more entry, 1, at position 2."""
+    _, L, B, fr = pipeline("x*y; y*z; z*w")
+    maps = {lv: {k: dict(col) for k, col in cols.items()}
+            for lv, cols in fr.maps.items()}
+    maps[2].setdefault(colkey, {})[rowkey] = Q.coerce(1)
+    return L, B, Frame(fr.poset, Q, fr.components, maps)
+
+
+@pytest.mark.parametrize("colkey, rowkey, witness", [
+    ((frozenset({0, 1}), 0), (frozenset({9}), 0),
+     "position 2, column {1,2}#0, row {10}#0"),
+    ((frozenset({0, 1, 2}), 0), (frozenset({0}), 0),
+     "position 2, column {1,2,3}#0, row {1}#0"),
+], ids=["row", "column"])
+def test_an_entry_keyed_outside_the_components_fails_the_frame(
+        colkey, rowkey, witness):
+    # the stray row composes to zero, so only this check sees it
+    L, _, broken = _path_frame_with_entry(colkey, rowkey)
+    report = verify_frame(broken, ambient=L)
+    assert not report.ok
+    assert report.foreign_entries == [(2, colkey, rowkey)]
+    assert (f"1 entries keyed outside the components (first: {witness})"
+            in report.summary())
+
+
+def test_homogenize_names_an_element_with_no_degree():
+    L, B, broken = _path_frame_with_entry((frozenset({0, 1}), 0),
+                                          (frozenset({9}), 0))
+    with pytest.raises(ValueError, match=r"no degree for element \[9\]"):
+        homogenize(broken, {q: L.degree(q) for q in B.elements})
+
+
 def test_frame_length_of_boolean_poset():
     _, L, B, _ = pipeline("x; y; z")
     assert len(betti_numbers(B, Q).totals()) - 1 == 3

@@ -108,6 +108,17 @@ def test_the_exponent_bound_holds_for_the_sum_of_factors():
     assert f"exponent {MAX_EXPONENT + 1} of x too large" in str(err.value)
 
 
+def test_an_exponent_past_the_int_digit_limit_is_a_syntax_error():
+    """Longer than MAX_EXPONENT is too large before it is read: it is
+    refused at its factor, without its digits, and well past the 4,300
+    digits Python's int() refuses with a ValueError of its own."""
+    with pytest.raises(IdealSyntaxError) as err:
+        parse_ideal("y; x^" + "9" * 5000)
+    assert str(err.value) == ("exponent of x too large (5000 digits) "
+                              "(at position 2)")
+    assert parse_ideal("x^" + "0" * 5000 + "3").generators == (Monomial((3,)),)
+
+
 def test_round_trip():
     text = "a*b^2; b*c^3; a^4*c"
     assert parse_ideal(parse_ideal(text).to_text()) == parse_ideal(text)

@@ -15,8 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import HASSE_17, HASSE_TWIN_A, HASSE_TWIN_B
 from test_frames import cycle_edge_ideal
+from test_golden import FIXTURES
 from rigidres import posets
-from rigidres.homology import SimplicialComplex, reduced_homology
+from rigidres.betti import betti_poset
+from rigidres.homology import FieldSpec, SimplicialComplex, reduced_homology
 from rigidres.monomials import Monomial, MonomialIdeal, minimalize, parse_ideal
 from rigidres.posets import (
     FiniteAtomicLattice,
@@ -38,11 +40,20 @@ def digraph(pairs):
     return g
 
 
+def cover_digraph(poset):
+    """The Hasse diagram as networkx reads it, each node's "h" its level:
+    the oracle that `is_isomorphic` is compared against."""
+    g = nx.DiGraph()
+    g.add_nodes_from((e, {"h": poset.level(e)}) for e in poset.elements)
+    g.add_edges_from(poset.cover_pairs())
+    return g
+
+
 def hasse_matches(poset, pairs):
     return nx.is_isomorphic(
-        poset.cover_digraph(), digraph(pairs),
+        cover_digraph(poset), digraph(pairs),
     ) and nx.algorithms.isomorphism.DiGraphMatcher(
-        poset.cover_digraph(), digraph(pairs)
+        cover_digraph(poset), digraph(pairs)
     ).is_isomorphic()
 
 
@@ -636,6 +647,90 @@ def test_is_isomorphic_across_relabelings():
     m = is_isomorphic(a, b)
     assert m is not None
     assert is_order_preserving(a, b, m)
+
+
+def networkx_first_map(P, Q):
+    """networkx's first isomorphism of the two Hasse diagrams with levels
+    matched: the map `is_isomorphic` must return, keys in order."""
+    if len(P) != len(Q):
+        return None
+    iso = nx.algorithms.isomorphism
+    return next(iso.DiGraphMatcher(
+        cover_digraph(P), cover_digraph(Q),
+        node_match=iso.categorical_node_match("h", -1)).isomorphisms_iter(),
+        None)
+
+
+def assert_first_map_is_networkx(P, Q):
+    ours, theirs = is_isomorphic(P, Q), networkx_first_map(P, Q)
+    assert ours == theirs
+    if ours is not None:  # key order too: it is the order of the match
+        assert list(ours.items()) == list(theirs.items())
+
+
+@given(st.data())
+@settings(max_examples=15, deadline=None)
+def test_is_isomorphic_returns_networkx_first_map(data):
+    n = data.draw(st.integers(2, 5))
+    families = st.lists(st.frozensets(st.integers(0, n - 1)),
+                        min_size=3, max_size=9)
+    family = data.draw(families)
+    sigma = data.draw(st.permutations(range(n)))
+    moved = [frozenset(sigma[i] for i in s) for s in family]
+    P, other = Poset(family), Poset(data.draw(families))
+    for Q in (P, Poset(moved), other):
+        assert_first_map_is_networkx(P, Q)
+        assert_first_map_is_networkx(Q, P)
+    L, M = meet_closure(family, n), meet_closure(moved, n)
+    assert_first_map_is_networkx(L, M)
+    F = FieldSpec(data.draw(st.sampled_from([0, 2])))
+    assert_first_map_is_networkx(betti_poset(L, F), betti_poset(M, F))
+
+
+@pytest.mark.parametrize("family, matched", [
+    # free elements are tried as set(P.elements) iterates, not canonically
+    ([{0}, {1}], [({1}, {0}), ({0}, {1})]),
+    # the out-terminal set (uncovered upper covers) is read before the in
+    ([{0}, {0, 2}, {0, 4}, {2}],
+     [({0}, {0}), ({0, 2}, {0, 2}), ({0, 4}, {0, 4}), ({2}, {2})]),
+])
+def test_is_isomorphic_tries_candidates_in_networkx_order(family, matched):
+    P = Poset(family)
+    assert_first_map_is_networkx(P, P)
+    assert list(is_isomorphic(P, P).items()) == [
+        (frozenset(p), frozenset(q)) for p, q in matched]
+
+
+@pytest.mark.parametrize("char", [0, 2])
+@pytest.mark.parametrize("fixture", sorted(FIXTURES))
+def test_is_isomorphic_returns_networkx_first_map_on_the_fixtures(fixture,
+                                                                  char):
+    source, target, _ = FIXTURES[fixture]
+    F = FieldSpec(char)
+    LS, LT = lcm_lattice(parse_ideal(source)), lcm_lattice(parse_ideal(target))
+    BS, BT = betti_poset(LS, F), betti_poset(LT, F)
+    for P, Q in ((BS, BT), (BT, BS), (LS, LT), (LT, LS)):
+        assert_first_map_is_networkx(P, Q)
+
+
+MATCH_UNDER_A_LOW_LIMIT = """
+import sys
+from rigidres.posets import Poset, is_isomorphic
+P = Poset([frozenset()] + [frozenset({i}) for i in range(300)])
+sys.setrecursionlimit(200)
+iso = is_isomorphic(P, P)
+print(len(iso), sys.getrecursionlimit())
+"""
+
+
+def test_a_match_leaves_the_recursion_limit_alone():
+    # networkx raised the limit to 1.5 |Q| (451 here) and never restored
+    # it; the search keeps its own stack, so 301 pairs match under 200
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", MATCH_UNDER_A_LOW_LIMIT],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "301 200\n"
 
 
 def test_exists_join_preserving_identity_reflexive():
