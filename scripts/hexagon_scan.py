@@ -12,6 +12,7 @@ import argparse
 import time
 
 from rigidres import FieldSpec, parse_ideal, search_rigid_deformation
+from rigidres.posets import support_text
 
 HEXAGON = "a*b; b*c; c*d; d*e; e*f; a*f"
 
@@ -37,13 +38,13 @@ def main():
         print(f"Betti-poset candidate: {entry.lattice_size} elements, "
               f"totals {entry.totals}, certified={entry.certified}")
     for entry in out.augmentation_log:
-        added = " ".join("{" + ",".join(str(i + 1) for i in sorted(e)) + "}"
-                         for e in entry.added)
+        added = " ".join(map(support_text, entry.added))
         delta = sum(entry.totals) - base
         print(f"  +{added}: {entry.lattice_size} elements, "
               f"totals {entry.totals} (delta {delta:+d})")
     if out:
-        print(f"found: added {out.result.added}, route {out.result.certificate.route}")
+        added = " ".join(map(support_text, out.result.added))
+        print(f"found: added {added}, route {out.result.certificate.route}")
     else:
         print("no rigid deformation within budget")
 

@@ -308,8 +308,9 @@ def _load_family(path):
     return lattice
 
 
-def _parse_facets(text):
-    """Facets like "1,2; 2,3" (1-based vertices) → SimplicialComplex."""
+def _parse_facets(text, n):
+    """Facets like "1,2; 2,3" (1-based vertices) → SimplicialComplex on
+    the generator indices 0..n−1, every one of them a vertex."""
     facets = []
     for part in text.replace(";", " ").split():
         try:
@@ -317,11 +318,14 @@ def _parse_facets(text):
         except ValueError:
             raise InputError(f"bad facet {part!r}: expected comma-separated "
                              f"vertex numbers") from None
-        if any(v < 0 for v in vertices):
-            raise InputError(f"bad facet {part!r}: vertices are 1-based")
         facets.append(vertices)
     if not facets:
         raise InputError("no facets given")
+    vertices = set().union(*facets)
+    if vertices != set(range(n)):
+        got = ",".join(str(v + 1) for v in sorted(vertices))
+        raise InputError(f"facets must use exactly the generator numbers "
+                         f"1..{n}, got {got}")
     return SimplicialComplex(facets)
 
 
@@ -455,7 +459,8 @@ def cmd_scarf(ns):
 
 def cmd_deform_simplicial(ns):
     I = _load_ideal(ns.input)
-    X = _parse_facets(ns.facets) if ns.facets else scarf_complex(I)
+    X = (_parse_facets(ns.facets, len(I.generators)) if ns.facets
+         else scarf_complex(I))
     result = simplicial_rigid_deformation(I, X, ns.field)
     cert = result.certificate
     added = " ".join(support_text(e) for e in result.added) or "none"

@@ -12,16 +12,18 @@ to a minimal resolution of I.  Two entry points:
     preserved by construction.
   - search_rigid_deformation: a bounded, deterministic scan over
     augmentations of L_I by missing support sets (meet-closed after
-    each addition), plus the Betti poset itself when it happens to be
-    a lattice, certifying only candidates whose total Betti numbers
+    each addition), certifying only candidates whose total Betti numbers
     match the source and which are rigid, since a certificate requires
-    both.  Each augmentation is read as a change to L_I, in one pass
-    over the candidate's elements: only the added sets are closed, an
-    interval whose coatoms they leave unchanged keeps its ranks, and a
-    lattice is built only for a candidate that reaches certification.
-    Used mostly as a negative control: for the hexagon edge ideal every
-    single-support augmentation strictly increases total Betti numbers,
-    so the scan comes back empty.
+    both.  The Betti poset, when it is a lattice other than L_I, is
+    logged with its totals but never certified: it is rigid exactly
+    when L_I is (see `search_rigid_deformation`).  Each augmentation is
+    read as a change to L_I, in one pass over the candidate's elements:
+    only the added sets are closed, an interval whose coatoms they leave
+    unchanged keeps its ranks, and a lattice is built only for a
+    candidate that reaches certification.  Used mostly as a negative
+    control: for the hexagon edge ideal every single-support
+    augmentation strictly increases total Betti numbers, so the scan
+    comes back empty.
 
 Certification never trusts the construction: it re-checks rigidity,
 Betti totals, and the full relabeled resolution independently.
@@ -40,12 +42,10 @@ from .posets import (
     _closure,
     coordinatize,
     element_key,
-    face_lattice,
     is_isomorphic,
     join_preserving_map,
     lcm_lattice,
     maximal_members,
-    meet_closure,
 )
 
 
@@ -147,7 +147,8 @@ def simplicial_rigid_deformation(I, X, F=FieldSpec(0)):
     b in the lcm-lattice, must be acyclic — checked).
 
     The target lattice is the meet closure of the lcm supports together
-    with X's face lattice; the target ideal is its coordinatization.
+    with X's faces (only the faces are closed against L_I, already
+    closed); the target ideal is its coordinatization.
     """
     n = len(I.generators)
     if set(X.vertices) != set(range(n)):
@@ -166,8 +167,9 @@ def simplicial_rigid_deformation(I, X, F=FieldSpec(0)):
                 f"(nonzero reduced homology {ranks}); the complex does not "
                 "support the minimal resolution")
 
-    T = meet_closure(set(L.elements) | set(face_lattice(X).elements), n)
-    added = tuple(sorted(set(T.elements) - set(L.elements), key=element_key))
+    T = FiniteAtomicLattice(
+        _closure(map(frozenset, X.faces), start=L.elements), n)
+    added = tuple(e for e in T.elements if e not in L)
     return _deformation(T, L, F, {}, added)
 
 
@@ -184,6 +186,9 @@ class ScanEntry:
 
 @dataclass
 class SearchOutcome:
+    """What a search scanned and found.  `betti_poset_candidate` is
+    logged, never certified: its `certified` stays False."""
+
     base_totals: tuple
     result: DeformationResult = None
     augmentation_log: list = field(default_factory=list)
@@ -272,22 +277,32 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
     """Bounded deterministic search for a rigid deformation of I.
 
     An already-rigid ideal certifies against its own lattice at once.
-    Otherwise the scan tries the Betti poset (when it is a lattice and
-    differs from L), then meet closures of L plus up to `budget` of the
-    missing support sets, certifying only candidates whose total Betti
-    numbers match the source and which are rigid, since a certificate
-    requires both: a relabeled *minimal* resolution cannot exist
-    otherwise, and the deformation must be rigid.  Absent result means
-    none within budget, not a proof that no deformation exists.
+    Otherwise the scan tries meet closures of L plus up to `budget` of
+    the missing support sets, certifying only candidates whose total
+    Betti numbers match the source and which are rigid, since a
+    certificate requires both: a relabeled *minimal* resolution cannot
+    exist otherwise, and the deformation must be rigid.  Absent result
+    means none within budget, not a proof that no deformation exists.
+
+    The Betti poset B, when it is an atomic lattice T_B other than L,
+    is logged with its size and its totals, never certified, because
+    it is rigid exactly when L is.  For q in B, (0̂, q) has the same
+    homology over F in T_B as in L (the open intervals of the Betti
+    poset have the homology of those of L), and the elements of L
+    outside B carry none.  So both lattices have the same contributors
+    in the same indices, in the same order, and `rigidity_report`,
+    walking the elements in canonical order, returns the same report on
+    T_B as on L, rule and witnesses included.  The scan reaches T_B
+    only after L has failed.
 
     A candidate's size and totals are read off L's table
     (`_augmentation_reader`): the added sets are closed against L's
     elements, and only the intervals whose coatoms change, or that are
     new, are looked up.  Candidates with the source's totals are then
-    built as lattices by `meet_closure`, whose constructor checks
-    closure, in order of size.  One interval-rank memo serves L, every
-    candidate and every certification, so the rigidity check only
-    reads it.
+    built as lattices from that closure, in order of size, by the
+    constructor, which checks it.  One interval-rank memo serves L,
+    every candidate and every certification, so the rigidity check
+    only reads it.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -311,18 +326,11 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
         entry = ScanEntry(added=(), lattice_size=len(TB.elements),
                           totals=betti_numbers(TB, F, memo).totals())
         outcome.betti_poset_candidate = entry
-        result = _certified_result(TB, L, F, memo, added=())
-        if result is not None:
-            entry.certified = True
-            outcome.result = result
-            return outcome
 
-    missing = sorted(
-        (frozenset(s)
-         for r in range(2, n)
-         for s in itertools.combinations(range(n), r)
-         if frozenset(s) not in family),
-        key=element_key)
+    # combinations by ascending size come out in `element_key` order
+    missing = [s for r in range(2, n)
+               for s in map(frozenset, itertools.combinations(range(n), r))
+               if s not in family]
     read = _augmentation_reader(L, F, memo)
     candidates = []
     for r in range(1, min(budget, len(missing)) + 1):
@@ -338,7 +346,7 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
         pair[0].lattice_size,
         tuple(element_key(s) for s in pair[0].added)))
     for entry, closed in candidates:
-        T = meet_closure(closed, n)
+        T = FiniteAtomicLattice(closed, n)
         result = _certified_result(T, L, F, memo, added=entry.added)
         if result is not None:
             entry.certified = True

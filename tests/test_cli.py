@@ -781,6 +781,12 @@ def test_deform_simplicial_rejects_bad_facets(tmp_path, capsys):
     assert main(["deform-simplicial", ideal, "--facets", "a,b"]) == 1
     assert main(["deform-simplicial", ideal, "--facets", " "]) == 1
     capsys.readouterr()
+    # the vertex set is checked in the 1-based numbers the option uses
+    path = ideal_file(tmp_path, "path.ideal", "x*y; y*z; z*w")
+    for facets in ("1,4", "1,2"):
+        assert main(["deform-simplicial", path, "--facets", facets]) == 1
+        assert ("facets must use exactly the generator numbers 1..3, "
+                f"got {facets}") in capsys.readouterr().err
 
 
 def test_deform_search_hexagon_reports_every_augmentation(tmp_path, capsys):
@@ -935,3 +941,6 @@ def test_missing_and_misnamed_files_exit_one(tmp_path, capsys):
     assert main(["betti-numbers", str(tmp_path / "nope.ideal"),
                  "--char", "4"]) == 1
     capsys.readouterr()
+    assert main(["betti-numbers", str(txt)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {txt}: expected an .ideal or .lattice file\n")

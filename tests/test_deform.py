@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidres import betti, deform
-from rigidres.betti import betti_numbers, interval_ranks, rigidity_report
+from rigidres.betti import (
+    betti_numbers,
+    betti_poset,
+    interval_ranks,
+    rigidity_report,
+)
 from rigidres.deform import (
     Certificate,
     certify_rigid_deformation,
@@ -26,7 +31,12 @@ from rigidres.posets import (
     meet_closure,
 )
 
-from conftest import random_generic_ideal
+from conftest import (
+    SQUAREFREE17_TEXT,
+    TWIN_A_TEXT,
+    TWIN_B_TEXT,
+    random_generic_ideal,
+)
 
 Q = FieldSpec(0)
 
@@ -292,6 +302,53 @@ def test_search_skips_non_rigid_candidates_of_twin(monkeypatch, twin_a):
     assert asked == []
 
 
+@pytest.mark.parametrize("F", [Q, FieldSpec(2)], ids=["char0", "char2"])
+@pytest.mark.parametrize("fixture", ["twin_a", "squarefree17"])
+def test_search_never_certifies_the_betti_poset_lattice(
+        monkeypatch, request, fixture, F):
+    # the Betti poset is a lattice other than L here, and it is rigid
+    # exactly when L is, so the failed L has already decided it
+    I = request.getfixturevalue(fixture)
+    betti_family = set(betti_poset(lcm_lattice(I), F).elements)
+    tried = []
+    certified = deform._certified_result
+
+    def recorded(T, L, F, memo, added):
+        tried.append(set(T.elements))
+        return certified(T, L, F, memo, added)
+
+    monkeypatch.setattr(deform, "_certified_result", recorded)
+    out = search_rigid_deformation(I, 1, F)
+    assert out.betti_poset_candidate is not None
+    assert not out.betti_poset_candidate.certified
+    assert betti_family not in tried
+
+
+# each is not rigid and has a Betti poset that is an atomic lattice
+# other than L: the four-generator ideal breaks the comparable-pair
+# rule, the others the interval rule
+BETTI_LATTICE_IDEALS = (TWIN_A_TEXT, TWIN_B_TEXT, SQUAREFREE17_TEXT,
+                        "a^2*d; c*d; a*b*d^2; a^2*b",
+                        "a*c^2*d; b*d^2; a^2*d^2; a*c*d^2; a^2*b*d")
+
+
+def test_betti_poset_lattice_has_the_rigidity_report_of_l():
+    # its open intervals have the homology of L's, and L's other
+    # elements carry none: the same report, rule and witnesses included
+    rules = set()
+    for text in BETTI_LATTICE_IDEALS:
+        L = lcm_lattice(parse_ideal(text))
+        for F in (Q, FieldSpec(2)):
+            TB = FiniteAtomicLattice(betti_poset(L, F).elements, L.n_atoms)
+            assert set(TB.elements) != set(L.elements)
+            report = rigidity_report(L, F)
+            assert rigidity_report(TB, F) == report
+            assert (betti_numbers(TB, F).totals()
+                    == betti_numbers(L, F).totals())
+            rules.add(report.rule)
+    assert rules == {"interval-multiplicity", "comparable-pair"}
+
+
 def test_search_certifies_a_rigid_input_once(monkeypatch):
     asked = record_certifications(monkeypatch)
     assert search_rigid_deformation(parse_ideal("x; y; z"), budget=1, F=Q)
@@ -329,6 +386,18 @@ def test_certification_refuses_a_merging_map_before_resolving(
                              "the resolution's elements")
     assert not report
     assert resolved == []
+
+
+def test_certifying_a_non_rigid_ideal_against_itself_names_the_failure():
+    # the Betti poset maps to itself, but the frame of a non-rigid
+    # lattice need not be a complex, so the relabeled resolution fails
+    I = parse_ideal("a*d^2; a*c*d; a*b*c; a*b^2*d")
+    report = certify_rigid_deformation(I, I, Q)
+    assert report.route == "betti-poset-isomorphism"
+    assert not report.relabel_verified
+    assert report.detail.startswith(
+        "2 nonzero compositions (first: position 2, column {2,3,4}#0, "
+        "row {}#0)")
 
 
 def test_certify_mismatched_generator_counts():
@@ -402,15 +471,18 @@ def test_search_log_is_deterministic(hexagon_ideal):
 ])
 def test_scan_builds_lattices_only_for_matching_totals(
         monkeypatch, request, fixture, lattices):
+    I = request.getfixturevalue(fixture)
+    betti_family = set(betti_poset(lcm_lattice(I), Q).elements)
     built = []
-    closure = deform.meet_closure
 
-    def counted(family, n_atoms):
-        built.append(family)
-        return closure(family, n_atoms)
+    class Counted(FiniteAtomicLattice):
+        def __init__(self, members, n_atoms, degrees=None):
+            if set(members) != betti_family:
+                built.append(members)
+            super().__init__(members, n_atoms, degrees)
 
-    monkeypatch.setattr(deform, "meet_closure", counted)
-    out = search_rigid_deformation(request.getfixturevalue(fixture), 1, Q)
+    monkeypatch.setattr(deform, "FiniteAtomicLattice", Counted)
+    out = search_rigid_deformation(I, 1, Q)
     matching = [e for e in out.augmentation_log if e.totals == out.base_totals]
     assert len(built) == len(matching) == lattices
 

@@ -24,6 +24,7 @@ from rigidres.betti import (
 )
 from rigidres.frames import (
     Frame,
+    GradedFreeResolution,
     build_frame,
     homogenize,
     relabel,
@@ -109,6 +110,18 @@ def test_frame_over_full_lattice_matches_betti_poset_frame():
     trimmed = build_frame(betti_poset(L, Q), Q)
     assert full.ranks() == trimmed.ranks() == (1, 3, 2)
     assert verify_frame(full, ambient=L).ok
+
+
+def test_frame_over_a_non_rigid_full_lattice_is_refused(hexagon_ideal):
+    # the hexagon's lcm-lattice has covers p ⋖ q with no homology below
+    # p one degree down; the frame skips them and is built, but over
+    # the whole lattice it is no complex
+    L = lcm_lattice(hexagon_ideal)
+    report = verify_frame(build_frame(L, Q), ambient=L)
+    assert not report.ok
+    assert report.summary().startswith(
+        "12 nonzero compositions (first: position 3, column {1,2,3,4}#0, "
+        "row {1}#0)")
 
 
 def test_components_listed_in_canonical_order():
@@ -287,6 +300,7 @@ def test_verify_checks_every_ambient_strand():
     report = verify_frame(fr, ambient=L)
     assert report.ok
     assert report.strands_checked == 3  # x, y, xy
+    assert report.summary() == "complex, 3 strands exact, lengths agree"
 
 
 def test_verify_twin_frame(twin_a):
@@ -479,6 +493,14 @@ def test_an_entry_outside_the_modules_is_reported_not_raised():
     assert colkey == (frozenset({0, 1}), 0)
     assert report.summary() == ("1 inhomogeneous entries (first: position 2,"
                                 " column {1,2}#0, row {10}#0)")
+
+
+def test_degrees_of_two_lengths_are_refused():
+    res = GradedFreeResolution(Q, {0: (((BOT, 0), Monomial((0, 0))),),
+                                   1: (((frozenset({0}), 0),
+                                        Monomial((1, 0, 0))),)}, {})
+    with pytest.raises(ValueError, match="^ambient dimension mismatch: 2 vs 3$"):
+        verify_resolution(res)
 
 
 def test_missing_strand_rank_is_detected():

@@ -134,6 +134,13 @@ def test_constructor_rejects_unit():
         MonomialIdeal(("x",), [Monomial((0,))])
 
 
+def test_constructor_rejects_no_generators_and_wrong_length():
+    with pytest.raises(ValueError, match="at least one generator"):
+        MonomialIdeal(("x",), [])
+    with pytest.raises(ValueError, match="does not match variable count"):
+        MonomialIdeal(("x", "y"), [Monomial((1,))])
+
+
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         lcm(Monomial((1, 2)), Monomial((1, 2, 3)))

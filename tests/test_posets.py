@@ -513,6 +513,13 @@ def test_lattice_validation():
     with pytest.raises(ValueError):
         FiniteAtomicLattice(
             [frozenset({0}), frozenset({1}), frozenset({0, 1})], 2)  # no bottom
+    with pytest.raises(ValueError, match="positive number of atoms"):
+        FiniteAtomicLattice([frozenset()], 0)
+    members = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
+    with pytest.raises(ValueError, match="cover exactly the elements"):
+        FiniteAtomicLattice(members, 2, {e: (len(e), 0) for e in members[:3]})
+    with pytest.raises(ValueError, match="no degree labels"):
+        FiniteAtomicLattice(members, 2).degree(frozenset({0}))
 
 
 def test_lattice_refuses_an_atom_outside_its_range():
@@ -750,6 +757,9 @@ def test_exists_join_preserving_collapse():
 def test_exists_join_preserving_counts_atoms():
     with pytest.raises(ValueError):
         join_preserving_map(boolean_lattice(2), boolean_lattice(3))
+    with pytest.raises(ValueError, match="needs atomic lattices"):
+        join_preserving_map(Poset(boolean_lattice(2).elements),
+                            boolean_lattice(2))
 
 
 @given(st.data())

@@ -16,6 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
     (["resolve_demo.py"], "agree"),
     (["hexagon_scan.py", "--budget", "1"], "no rigid deformation within budget"),
     (["random_rigid_survey.py", "--samples", "5"], "0 failures"),
+    (["hexagon_scan.py", "--ideal", "x0*x1*x3; x0*x2; x2*x3"],
+     "found: added {1,2}, route join-preserving"),
 ])
 def test_script_runs(argv, expected):
     assert expected in run_script(argv)
