@@ -138,14 +138,24 @@ def coatom_ranks(coatoms, F=FieldSpec(0), memo=None):
                        lambda: crosscut_complex(coatoms), F, memo)
 
 
+def _intervals(P, F, memo):
+    """(q, interval_ranks(P, q, F, memo)) for every q of P other than
+    0̂, in canonical order, read one at a time, so a reader that stops
+    early reads no further interval.  With memo None, one is kept for
+    the length of the walk."""
+    memo = {} if memo is None else memo
+    bot = P.bottom
+    for q in P.elements:
+        if q != bot:
+            yield q, interval_ranks(P, q, F, memo)
+
+
 def betti_poset(P, F=FieldSpec(0), memo=None):
     """The induced subposet on 0̂ and all contributing elements.  memo
     is passed to `interval_ranks`; with none, one is kept for the
     length of the call."""
-    memo = {} if memo is None else memo
-    bot = P.bottom
-    return Poset([bot] + [e for e in P.elements
-                          if e != bot and interval_ranks(P, e, F, memo)])
+    return Poset([P.bottom] + [q for q, ranks in _intervals(P, F, memo)
+                               if ranks])
 
 
 @dataclass
@@ -195,16 +205,13 @@ def betti_numbers(P, F=FieldSpec(0), memo=None):
     >>> table.entries[(2, frozenset({0, 1}))]
     1
     """
-    memo = {} if memo is None else memo
     P = P if isinstance(P, Poset) else lcm_lattice(P)
     labelled = isinstance(P, FiniteAtomicLattice) and P.degrees is not None
     key = P.degree if labelled else frozenset
-    bot = P.bottom
-    table = BettiTable({(0, key(bot)): 1})
-    for q in P.elements:
-        if q != bot:
-            for i, h in interval_ranks(P, q, F, memo).items():
-                table.entries[(i + 2, key(q))] = h
+    table = BettiTable({(0, key(P.bottom)): 1})
+    for q, ranks in _intervals(P, F, memo):
+        for i, h in ranks.items():
+            table.entries[(i + 2, key(q))] = h
     return table
 
 
@@ -237,14 +244,9 @@ def rigidity_report(L, F=FieldSpec(0), memo=None):
     element order is reported.  memo is passed to `interval_ranks`;
     with none, one is kept for the length of the call.
     """
-    memo = {} if memo is None else memo
     L = L if isinstance(L, Poset) else lcm_lattice(L)
-    bot = L.bottom
     contributing = {}
-    for e in L.elements:
-        if e == bot:
-            continue
-        ranks = interval_ranks(L, e, F, memo)
+    for e, ranks in _intervals(L, F, memo):
         if sum(ranks.values()) > 1:
             what = ", ".join(f"h_{i}={h}" for i, h in sorted(ranks.items()))
             return RigidityReport(

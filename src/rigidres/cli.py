@@ -362,7 +362,7 @@ def _emit_lattice(L, ns):
 def _write_target_lattice(result, ns):
     """With -o, save the lcm-lattice of a deformation's target ideal."""
     if ns.output:
-        _emit_lattice(lcm_lattice(result.target_ideal), ns)
+        _emit_lattice(result.target_lattice, ns)
 
 
 # --------------------------------------------------------------------------
@@ -515,11 +515,8 @@ def cmd_compare(ns):
             if not isinstance(P, FiniteAtomicLattice):
                 raise InputError(f"{which} input is not an atomic lattice; "
                                  f"join-preserving comparison needs lattices")
-        if first.n_atoms != second.n_atoms:
-            fwd = bwd = None
-        else:
-            fwd = join_preserving_map(first, second)
-            bwd = join_preserving_map(second, first)
+        fwd = join_preserving_map(first, second)
+        bwd = join_preserving_map(second, first)
         found = fwd is not None or bwd is not None
         _emit(f"first -> second: {'none' if fwd is None else 'found'}\n"
               f"second -> first: {'none' if bwd is None else 'found'}\n"

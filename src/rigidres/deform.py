@@ -3,7 +3,10 @@
 A deformation of a monomial ideal I replaces its lcm-lattice by a
 finer atomic lattice T (same atoms, join-preserving map T → L_I) whose
 coordinatized ideal J is rigid and whose minimal resolution relabels
-to a minimal resolution of I.  Two entry points:
+to a minimal resolution of I.  Every T built here contains L_I, so the
+identity on atoms gives that map, and the result carries L_J, the
+lcm-lattice of J, which has T's elements and J's degrees.  Two entry
+points:
 
   - simplicial_rigid_deformation: when a simplicial complex X on the
     generators supports the minimal resolution of I, the meet closure
@@ -20,8 +23,9 @@ to a minimal resolution of I.  Two entry points:
     read as a change to L_I, in one pass over the candidate's elements:
     only the added sets are closed, an interval whose coatoms they leave
     unchanged keeps its ranks, and a lattice is built only for a
-    candidate that reaches certification.  Used mostly as a negative
-    control: for the hexagon edge ideal every single-support
+    candidate that reaches certification.  L_I's own totals are read
+    the same way, as the change that adds nothing.  Used mostly as a
+    negative control: for the hexagon edge ideal every single-support
     augmentation strictly increases total Betti numbers, so the scan
     comes back empty.
 
@@ -74,7 +78,7 @@ class Certificate:
 
 @dataclass
 class DeformationResult:
-    target_lattice: FiniteAtomicLattice
+    target_lattice: FiniteAtomicLattice  # L_J, with J's degrees
     target_ideal: object  # MonomialIdeal
     certificate: Certificate
     comparable_to_source: bool = False
@@ -113,8 +117,7 @@ def certify_rigid_deformation(J, I, F=FieldSpec(0), memo=None):
     if assignment is not None:
         cert.route = "betti-poset-isomorphism"
     else:
-        assignment = (join_preserving_map(LJ, LI)
-                      if LJ.n_atoms == LI.n_atoms else None)
+        assignment = join_preserving_map(LJ, LI)
         if assignment is None:
             cert.detail = ("Betti posets not isomorphic and no "
                            "join-preserving map onto the source lattice")
@@ -146,9 +149,10 @@ def simplicial_rigid_deformation(I, X, F=FieldSpec(0)):
     resolution (vertices = generator indices; every restriction X_{≤b},
     b in the lcm-lattice, must be acyclic — checked).
 
-    The target lattice is the meet closure of the lcm supports together
-    with X's faces (only the faces are closed against L_I, already
-    closed); the target ideal is its coordinatization.
+    The target ideal J is the coordinatization of the meet closure T
+    of the lcm supports together with X's faces (only the faces are
+    closed against L_I, already closed), and the target lattice is
+    L_J, which has T's elements.
     """
     n = len(I.generators)
     if set(X.vertices) != set(range(n)):
@@ -199,17 +203,27 @@ class SearchOutcome:
 
 
 def _deformation(T, L, F, memo, added):
-    """The deformation of L's ideal to T: T coordinatized, certified
-    against L, and compared with L by a join-preserving map."""
+    """The deformation of L's ideal to T: T coordinatized as J, and
+    L_J checked to have T's elements, certified against L and kept as
+    the target lattice.
+
+    L_J is comparable to L, by a join-preserving map L_J → L that is
+    the identity on atoms, when it contains L's elements: the identity
+    then pulls every member of L back into L_J, which is all that
+    `join_preserving_map` asks of an atom bijection.  Every T built
+    here contains L (the scan and the simplicial construction close
+    from L's elements, and the rigid shortcut passes L itself), so
+    this never fails, and no other atom bijection is searched for."""
     J = coordinatize(T)
     LJ = lcm_lattice(J)
-    if set(LJ.elements) != set(T.elements):
+    family = set(LJ.elements)
+    if family != set(T.elements):
         raise ValueError("coordinatization changed the support family")
     return DeformationResult(
-        target_lattice=T,
+        target_lattice=LJ,
         target_ideal=J,
         certificate=certify_rigid_deformation(LJ, L, F, memo),
-        comparable_to_source=join_preserving_map(T, L) is not None,
+        comparable_to_source=family.issuperset(L.elements),
         added=added,
     )
 
@@ -240,9 +254,10 @@ def _augmentation_reader(L, F, memo):
     L, its coatoms in L are its lower covers other than 0̂; for a new q
     they are the maximal elements of L inside q, kept in the same dict
     from one call to the next.  An element of L whose coatoms do not
-    change keeps the ranks read when the reader was made.  Summed by
-    degree the ranks give the totals as `BettiTable.totals` does: 1 in
-    index 0, h_i in index i + 2, and 0 in a gap."""
+    change keeps the ranks read when the reader was made.  The totals
+    are 1 in index 0, then the sum of h_i over the intervals in index
+    i + 2, and 0 in a gap.  `read(())` reads L itself, and is where the
+    search takes L's elements and totals from."""
     bot = L.bottom
     family = frozenset(L.elements)
     coatoms = {q: frozenset(L.lower_covers(q)) - {bot}
@@ -295,12 +310,13 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
     T_B as on L, rule and witnesses included.  The scan reaches T_B
     only after L has failed.
 
-    A candidate's size and totals are read off L's table
-    (`_augmentation_reader`): the added sets are closed against L's
-    elements, and only the intervals whose coatoms change, or that are
-    new, are looked up.  Candidates with the source's totals are then
-    built as lattices from that closure, in order of size, by the
-    constructor, which checks it.  One interval-rank memo serves L,
+    L's elements and totals, and each candidate's size and totals, are
+    read by one reader (`_augmentation_reader`), L's as the augmentation
+    that adds nothing: the added sets are closed against L's elements,
+    and only the intervals whose coatoms change, or that are new, are
+    looked up.  Candidates with the source's totals are then built as
+    lattices from that closure, in order of size, by the constructor,
+    which checks it.  One interval-rank memo serves L,
     every candidate and every certification, so the rigidity check
     only reads it.
     """
@@ -308,9 +324,9 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
         raise ValueError("budget must be non-negative")
     L = lcm_lattice(I)
     n = len(I.generators)
-    family = set(L.elements)
     memo = {}
-    base = betti_numbers(L, F, memo).totals()
+    read = _augmentation_reader(L, F, memo)
+    family, base = read(())
     outcome = SearchOutcome(base_totals=base)
 
     if rigidity_report(L, F, memo).rigid:
@@ -331,7 +347,6 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
     missing = [s for r in range(2, n)
                for s in map(frozenset, itertools.combinations(range(n), r))
                if s not in family]
-    read = _augmentation_reader(L, F, memo)
     candidates = []
     for r in range(1, min(budget, len(missing)) + 1):
         for combo in itertools.combinations(missing, r):

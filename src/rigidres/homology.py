@@ -441,7 +441,8 @@ class HomologyBasis:
     # i -> [(vector, d)]: the cycle Σ vector[k]/d · (k-th i-face of K)
     representatives: dict = field(default_factory=dict)
     # i -> (the level of `_integer_boundaries` in degree i, Elimination
-    # over the boundaries B_i and the representatives, tagged by index)
+    # over the boundaries B_i and the representatives, tagged by index,
+    # or None where h_i = 0 and every cycle bounds)
     _reducers: dict = field(default_factory=dict, repr=False)
     field: FieldSpec = FieldSpec(0)  # last: it shadows dataclasses.field
 
@@ -498,9 +499,9 @@ def reduced_homology(K, F=FieldSpec(0)):
     """Reduced homology of K over F with deterministic representatives.
 
     One cleared pass (`_cleared_pass`) gives the ranks and, for every
-    i, pivots spanning im ∂_{i+1}: the reducer of H̃_i, kept for every
-    degree from −1 to dim K so that `reduce_cycle` works in all of
-    them.  Only where h_i ≠ 0 is ∂_i eliminated again, in a tagged pass
+    i, pivots spanning im ∂_{i+1}.  The level of every degree from −1
+    to dim K is kept, and only where h_i ≠ 0 do those pivots become
+    the reducer of H̃_i, and is ∂_i eliminated again, in a tagged pass
     over its columns in face order without clearing.  A column that
     reduces to zero gives the cycle z_f = f + (a combination of earlier
     independent faces); the cycles that stay independent of the reducer
@@ -531,8 +532,8 @@ def reduced_homology(K, F=FieldSpec(0)):
     basis = HomologyBasis(ranks=ranks, field=F)
     for level in levels:
         i, faces, _, column = level
-        reducer = Elimination(p, pivots.get(i + 1, {}))
         h = ranks.get(i, 0)
+        reducer = Elimination(p, pivots.get(i + 1, {})) if h else None
         if h:
             tagged = Elimination(p)
             reps = []
@@ -554,7 +555,8 @@ def reduce_cycle(z, i, basis):
     representatives are (d prime to the characteristic), over
     basis.representatives[i], in the field of the basis.  z must be a
     cycle supported on K; the result c satisfies z − Σ c_j · rep_j ∈
-    boundaries.  All-zero means z bounds."""
+    boundaries.  All-zero means z bounds, as every cycle does where
+    h_i = 0."""
     vec, d = z
     p = basis.field.characteristic
     if not (d % p if p else d):
@@ -574,6 +576,8 @@ def reduce_cycle(z, i, basis):
         _axpy(boundary, c, level[3](faces[k]), p)
     if boundary:
         raise ValueError("not a cycle")
+    if reducer is None:  # h_i = 0: every cycle bounds
+        return []
     combo = {-1: 1}  # tag −1 tracks the multiple of z that col holds
     if col and reducer.reduce(col, combo) is not None:
         raise ValueError("cycle not in the span of boundaries and representatives")

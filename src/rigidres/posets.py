@@ -119,20 +119,12 @@ class Poset:
 
     @cached_property
     def _lower_covers(self):
-        """Lower covers of every element.  Each down-set is scanned
-        largest first: p is covered by q unless it lies inside a cover
-        already kept, because anything strictly between p and q is
-        larger than p and so was scanned before it.  The covers are
-        kept in reverse canonical order, so reversing them sorts them."""
-        lower = {}
-        for q, down in self._down.items():
-            kept = []
-            for p in reversed(down):
-                if not any(map(p.__lt__, kept)):
-                    kept.append(p)
-            kept.reverse()
-            lower[q] = tuple(kept)
-        return lower
+        """Lower covers of every element: the maximal members of its
+        down-set (`_maximal`, scanning it in reverse canonical order,
+        largest first).  They are kept in that order, so reversing them
+        sorts them."""
+        return {q: tuple(reversed(_maximal(reversed(down))))
+                for q, down in self._down.items()}
 
     def lower_covers(self, q):
         self._check(q)
@@ -284,18 +276,25 @@ class FiniteAtomicLattice(Poset):
 
 def maximal_members(family):
     """The members of a family of sets that lie inside no other member,
-    as a frozenset: each is kept unless it lies inside one kept before,
-    the family being scanned largest first.
+    as a frozenset (`_maximal`, the family scanned largest first).
 
     >>> family = [frozenset(s) for s in ({0}, {0, 1}, {2}, {1})]
     >>> sorted(map(sorted, maximal_members(family)))
     [[0, 1], [2]]
     """
+    return frozenset(_maximal(sorted(family, key=len, reverse=True)))
+
+
+def _maximal(scan):
+    """The sets of `scan`, which comes largest first, that lie inside no
+    other, in scan order: each is kept unless it lies inside one kept
+    before, because any set that holds it is larger and so was scanned
+    before it."""
     kept = []
-    for p in sorted(family, key=len, reverse=True):
+    for p in scan:
         if not any(map(p.__lt__, kept)):
             kept.append(p)
-    return frozenset(kept)
+    return kept
 
 
 def _closure(sets, inside=None, start=()):
@@ -495,14 +494,15 @@ def join_preserving_map(P, Q):
     member of P containing a ∪ b, hence a ∨ b, so f(a ∨ b) = q.
     Conversely f preserves the join of the atoms s = σ⁻¹(q), so
     join_Q(σ(join_P(s))) = q, which puts join_P(s) inside s: s is in P.
-    σ⁻¹ sends distinct members of Q to distinct members of P, so no map
-    exists when Q has more elements than P, and none is tried.
+    In particular the identity is such a σ when P contains every member
+    of Q (on the same atoms).  σ⁻¹ sends distinct members of Q to
+    distinct members of P, so no map exists when Q has more elements
+    than P, and none is tried; nor when the atom counts differ, since
+    then no atom bijection exists.
     """
     if not isinstance(P, FiniteAtomicLattice) or not isinstance(Q, FiniteAtomicLattice):
         raise ValueError("join-preserving comparison needs atomic lattices")
-    if P.n_atoms != Q.n_atoms:
-        raise ValueError(f"atom counts differ: {P.n_atoms} vs {Q.n_atoms}")
-    if len(Q) > len(P):
+    if P.n_atoms != Q.n_atoms or len(Q) > len(P):
         return None
     sigma = _pullback_sigma(P, Q)
     if sigma is None:

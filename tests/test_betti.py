@@ -539,3 +539,20 @@ def test_twin_betti_poset_minus_bottom_is_acyclic(twin_a):
     b = betti_poset(lcm_lattice(twin_a))
     K = order_complex(Poset(e for e in b.elements if e != b.bottom))
     assert reduced_homology(K, Q).ranks == {}
+
+
+def test_rigidity_report_stops_at_its_first_witness(monkeypatch):
+    # the interval rule fails at the twelfth of fourteen intervals, and
+    # the walk reads no interval after it
+    read = []
+    ranks = betti.interval_ranks
+
+    def counted(P, q, F, memo=None):
+        read.append(q)
+        return ranks(P, q, F, memo)
+
+    monkeypatch.setattr(betti, "interval_ranks", counted)
+    L = lcm_lattice(parse_ideal("a*c^2*d; b*d^2; a^2*d^2; a*c*d^2; a^2*b*d"))
+    report = rigidity_report(L, FieldSpec(0))
+    assert report.rule == "interval-multiplicity"
+    assert len(L) - 1 == 14 and len(read) == 12

@@ -27,11 +27,13 @@ from rigidres.posets import (
     FiniteAtomicLattice,
     _closure,
     face_lattice,
+    join_preserving_map,
     lcm_lattice,
     meet_closure,
 )
 
 from conftest import (
+    HEXAGON_TEXT,
     SQUAREFREE17_TEXT,
     TWIN_A_TEXT,
     TWIN_B_TEXT,
@@ -50,6 +52,17 @@ def test_lattice_totals_match_ideal_route(squarefree17, hexagon_ideal):
         unlabelled = FiniteAtomicLattice(L.elements, L.n_atoms)
         assert (betti_numbers(unlabelled, Q).totals()
                 == betti_numbers(I, Q).totals())
+
+
+@pytest.mark.parametrize("F", [Q, FieldSpec(2)], ids=["char0", "char2"])
+@pytest.mark.parametrize("text", [TWIN_A_TEXT, TWIN_B_TEXT,
+                                  SQUAREFREE17_TEXT, HEXAGON_TEXT],
+                         ids=["twin_a", "twin_b", "squarefree17", "hexagon"])
+def test_reader_reads_l_as_the_augmentation_that_adds_nothing(text, F):
+    # the search takes L's elements and totals from here
+    L = lcm_lattice(parse_ideal(text))
+    read = deform._augmentation_reader(L, F, {})
+    assert read(()) == (set(L.elements), betti_numbers(L, F).totals())
 
 
 def test_face_lattice_totals_are_the_f_vector():
@@ -90,6 +103,34 @@ def test_scarf_deformation_of_plane_triple():
     assert r.comparable_to_source
     assert betti_numbers(r.target_lattice, Q).totals() == (1, 3, 2)
     assert r.certificate.route == "betti-poset-isomorphism"
+
+
+def deformations_found():
+    """Criterion 08's three simplicial deformations, and one found by
+    the search on the join-preserving route, each with its source."""
+    for text, X in (("x; y; z", SimplicialComplex([{0, 1, 2}])),
+                    ("x*y; y*z; z*w", SimplicialComplex([{0, 1}, {1, 2}])),
+                    ("x^2; x*y; y^2", None)):
+        I = parse_ideal(text)
+        X = scarf_complex(I) if X is None else X
+        yield I, simplicial_rigid_deformation(I, X, Q)
+    I = parse_ideal("x0*x1*x3; x0*x2; x2*x3")
+    result = search_rigid_deformation(I, budget=1, F=Q).result
+    assert result.certificate.route == "join-preserving"
+    yield I, result
+
+
+def test_deformation_keeps_the_lattice_it_certified():
+    # the target lattice is L_J with J's degrees, and it contains L,
+    # so the identity on atoms is the join-preserving map onto L
+    for I, r in deformations_found():
+        L = lcm_lattice(I)
+        LJ = lcm_lattice(r.target_ideal)
+        assert r.target_lattice == LJ
+        assert r.target_lattice.degrees == LJ.degrees
+        assert set(L.elements) <= set(r.target_lattice.elements)
+        assert r.comparable_to_source
+        assert join_preserving_map(r.target_lattice, L) is not None
 
 
 def test_oversized_complex_is_not_certified():

@@ -451,6 +451,16 @@ def test_reduce_cycle_of_a_boundary_without_homology(K, i):
         assert reduce_cycle(as_vector(K, i, z), i, basis) == []
 
 
+@pytest.mark.parametrize("K, i", [(HEXAGON, 0), (CONE, 1), (CONE, 0)])
+def test_reduce_cycle_refuses_a_non_cycle_without_homology(K, i):
+    # where h_i = 0 the basis keeps no reducer, and the cycle check
+    # still runs: one i-face alone has a nonzero boundary
+    basis = reduced_homology(K, Q)
+    assert basis.rank(i) == 0
+    with pytest.raises(ValueError, match="not a cycle"):
+        reduce_cycle(({0: 1}, 1), i, basis)
+
+
 # --------------------------------------------------------------------------
 # the elimination kernel against the reference SpanBasis elimination
 

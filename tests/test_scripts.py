@@ -1,6 +1,7 @@
 """The runnable experiments in scripts/ still run end to end."""
 
 import hashlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -60,3 +61,22 @@ def test_hexagon_budget_two_scan_is_frozen_in_char_zero():
     out = re.sub(r"; [0-9.]+s\n", "\n", out, count=1)
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "94f6bdec8ee75807427d85fcde74869571d944da41a2f2053d22c9cb0b7f834f")
+
+
+def test_code_lines_skips_docstrings_comments_and_blank_lines():
+    spec = importlib.util.spec_from_file_location(
+        "code_lines", ROOT / "scripts" / "code_lines.py")
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    source = '''"""A module docstring,
+on two lines."""
+
+# a comment
+import os
+
+
+def f():
+    """A function docstring."""
+    return os.sep  # a comment after code
+'''
+    assert code_lines.code_lines(source) == 3
