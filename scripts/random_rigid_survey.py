@@ -52,7 +52,7 @@ def main():
         B = betti_poset(L, F)
         frame = build_frame(B, F)
         lengths[frame.length] += 1
-        res = homogenize(frame, {e: L.degree(e) for e in B.elements})
+        res = homogenize(frame, L.degrees)
         ok = (rigidity_report(L, F).rigid
               and frame.ranks() == taylor_betti(I, F).totals()
               and verify_frame(frame, ambient=L).ok

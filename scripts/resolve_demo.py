@@ -56,11 +56,11 @@ def main():
     frame_report = verify_frame(frame, ambient=L)
     print(f"frame check: {frame_report.summary()}")
 
-    res = homogenize(frame, {e: L.degree(e) for e in B.elements})
+    res = homogenize(frame, L.degrees)
     report = verify_resolution(res)
     print(f"resolution check: {report.summary()}")
     for pos in sorted(res.modules):
-        degs = ", ".join(deg.format(I.variables) or "1"
+        degs = ", ".join(deg.format(I.variables)
                          for _, deg in res.modules[pos])
         print(f"  F_{pos} (rank {len(res.modules[pos])}): {degs}")
 

@@ -376,10 +376,7 @@ def cmd_lcm_lattice(ns):
 def cmd_betti_poset(ns):
     L, _ = _load_lattice(ns.input)
     B = betti_poset(L, ns.field)
-    degrees = None
-    if L.degrees is not None:
-        degrees = {e: L.degree(e) for e in B.elements}
-    _emit_json(family_to_json(B, L.n_atoms, degrees), ns)
+    _emit_json(family_to_json(B, L.n_atoms, L.degrees), ns)
     return 0
 
 
@@ -424,7 +421,7 @@ def cmd_relabel(ns):
         print("Betti posets are not isomorphic; nothing to relabel",
               file=sys.stderr)
         return 2
-    moved = relabel(res, iso, {e: LT.degree(e) for e in LT.elements})
+    moved = relabel(res, iso, LT.degrees)
     report = verify_resolution(moved)
     _emit_json(resolution_to_json(moved), ns)
     print(report.summary(), file=sys.stderr)

@@ -39,7 +39,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .betti import betti_numbers, betti_poset, coatom_ranks, rigidity_report
-from .frames import relabel, resolve, verify_resolution
+from .frames import _check_mapping, relabel, resolve, verify_resolution
 from .homology import FieldSpec, SimplicialComplex, homology_ranks
 from .posets import (
     FiniteAtomicLattice,
@@ -124,14 +124,15 @@ def certify_rigid_deformation(J, I, F=FieldSpec(0), memo=None):
             return cert
         cert.route = "join-preserving"
 
-    # the resolution's elements are BJ's, so relabel would refuse a map
-    # that merges two of them; decide that before resolving
-    if len({assignment[e] for e in BJ.elements}) < len(BJ):
-        cert.detail = ("relabel failed: mapping is not injective on the "
-                       "resolution's elements")
+    # the resolution's elements are BJ's: ask relabel's own rule about
+    # the assignment before resolving
+    try:
+        _check_mapping(assignment, BJ.elements)
+    except ValueError as err:
+        cert.detail = f"relabel failed: {err}"
         return cert
     _, _, res = resolve(LJ, F, memo)
-    moved = relabel(res, assignment, {q: LI.degree(q) for q in LI.elements})
+    moved = relabel(res, assignment, LI.degrees)
     verdict = verify_resolution(moved)
     cert.relabel_verified = verdict.ok and _resolves(moved, LI)
     if not verdict.ok:

@@ -27,8 +27,10 @@ of (0̂, p) and have the same coordinates.
 Homogenization turns a frame over a degree-labelled poset into a
 multigraded free resolution (scalar c on a cover p ⋖ q becomes
 c · degree(q)/degree(p)); relabeling transports a resolution across a
-poset isomorphism by keeping all scalars and recomputing the monomial
-parts from the new degrees.  Verification is independent of how the
+poset isomorphism by moving each basis key (q, j) to (σ(q), j), keeping
+its index j and all scalars, and recomputing the monomial parts from
+the new degrees.  Either degree map may be a lattice's whole
+`degrees`.  Verification is independent of how the
 object was produced.  The Taylor-complex Betti oracle at the bottom of
 this module shares nothing with the interval-homology path: interval
 homology runs on the elimination kernel of `homology`, while the
@@ -47,7 +49,6 @@ takes the lcm closure on exponent tuples computed once.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from operator import le, sub
 
@@ -431,44 +432,42 @@ def _check_strict_ratio(deg_q, deg_p, where):
     return deg_q.ratio(deg_p)
 
 
-def _attach_degrees(F, components, maps, degrees):
+def _attach_degrees(F, keys, maps, degrees):
     """The graded resolution of scalar maps laid out as in a `Frame`,
-    with degrees attached as `homogenize` describes and each module's
-    keys in canonical order; `relabel` uses it too."""
-    degs = {frozenset(e): Monomial(m) for e, m in degrees.items()}
-    modules = {}
-    for level, comps in sorted(components.items()):
-        mods = []
-        for q, mult in comps:
-            if q not in degs:
-                raise ValueError(f"no degree for element {sorted(q)}")
-            mods.extend(((q, j), degs[q]) for j in range(mult))
-        modules[level] = tuple(sorted(mods, key=lambda kv: _key_order(kv[0])))
-    differentials = {}
-    for level, cols in sorted(maps.items()):
-        out = {}
-        for colkey, col in cols.items():
-            entry = {}
-            for rowkey, c in col.items():
-                for q, _ in (colkey, rowkey):
-                    if q not in degs:
-                        raise ValueError(f"no degree for element {sorted(q)}")
-                mono = _check_strict_ratio(
-                    degs[colkey[0]], degs[rowkey[0]], f"{colkey}->{rowkey}")
-                entry[rowkey] = (c, mono)
-            out[colkey] = entry
-        differentials[level] = out
+    given each level's basis keys, with degrees attached as
+    `homogenize` describes and each module's keys in canonical order;
+    `relabel` uses it too."""
+    degs = {frozenset(e): Monomial(m) for e, m in (degrees or {}).items()}
+
+    def degree(key):
+        if key[0] not in degs:
+            raise ValueError(f"no degree for element {sorted(key[0])}")
+        return degs[key[0]]
+
+    modules = {level: tuple((key, degree(key))
+                            for key in sorted(ks, key=_key_order))
+               for level, ks in sorted(keys.items())}
+    differentials = {
+        level: {colkey: {rowkey: (c, _check_strict_ratio(
+                             degree(colkey), degree(rowkey),
+                             f"{colkey}->{rowkey}"))
+                         for rowkey, c in col.items()}
+                for colkey, col in cols.items()}
+        for level, cols in sorted(maps.items())}
     return GradedFreeResolution(F, modules, differentials)
 
 
 def homogenize(frame, degrees):
     """Attach monomial degrees to a frame, yielding a graded resolution.
 
-    degrees maps every component element to a Monomial; each scalar c
-    on a pair (q column, p row) becomes (c, degree(q)/degree(p)), which
-    must be a non-unit monomial.
+    degrees maps every component element to a Monomial, and may name
+    other elements too (a lattice's whole `degrees`); each basis key
+    (q, j) keeps its index j, and each scalar c on a pair (q column,
+    p row) becomes (c, degree(q)/degree(p)), which must be a non-unit
+    monomial.
     """
-    return _attach_degrees(frame.field, frame.components, frame.maps, degrees)
+    keys = {level: frame.basis_keys(level) for level in frame.components}
+    return _attach_degrees(frame.field, keys, frame.maps, degrees)
 
 
 def resolve(I, F=FieldSpec(0), memo=None):
@@ -482,18 +481,13 @@ def resolve(I, F=FieldSpec(0), memo=None):
     """
     L = I if isinstance(I, FiniteAtomicLattice) else lcm_lattice(I)
     B = betti_poset(L, F, memo)
-    res = homogenize(build_frame(B, F), {e: L.degree(e) for e in B.elements})
+    res = homogenize(build_frame(B, F), L.degrees)
     return L, B, res
 
 
-def relabel(resolution, mapping, new_degrees):
-    """Transport a resolution across a poset isomorphism.
-
-    mapping is a dict from source poset elements to target elements;
-    scalars are kept and every monomial entry is recomputed as the ratio
-    of the mapped endpoints' new degrees.
-    """
-    used = {key[0] for mods in resolution.modules.values() for key, _ in mods}
+def _check_mapping(mapping, used):
+    """Raise ValueError unless mapping covers every element of used and
+    is injective on them: a map `relabel` can transport along."""
     missing = [e for e in used if e not in mapping]
     if missing:
         raise ValueError(f"mapping does not cover element "
@@ -501,18 +495,30 @@ def relabel(resolution, mapping, new_degrees):
     if len({frozenset(mapping[e]) for e in used}) != len(used):
         raise ValueError("mapping is not injective on the resolution's elements")
 
+
+def relabel(resolution, mapping, new_degrees):
+    """Transport a resolution across a poset isomorphism.
+
+    mapping is a dict from source poset elements to target elements;
+    each basis key (q, j) becomes (mapping[q], j), keeping its index j.
+    Scalars are kept and every monomial entry is recomputed as the ratio
+    of the mapped endpoints' new degrees; new_degrees may name other
+    elements too (a lattice's whole `degrees`).
+    """
+    _check_mapping(mapping, {key[0] for mods in resolution.modules.values()
+                             for key, _ in mods})
+
     def move(key):
         q, j = key
         return (frozenset(mapping[frozenset(q)]), j)
 
-    components = {
-        level: tuple(Counter(move(key)[0] for key, _ in mods).items())
-        for level, mods in resolution.modules.items()}
+    keys = {level: [move(key) for key, _ in mods]
+            for level, mods in resolution.modules.items()}
     maps = {level: {move(colkey): {move(rowkey): c
                                    for rowkey, (c, _) in col.items()}
                     for colkey, col in cols.items()}
             for level, cols in resolution.differentials.items()}
-    return _attach_degrees(resolution.field, components, maps, new_degrees)
+    return _attach_degrees(resolution.field, keys, maps, new_degrees)
 
 
 @dataclass

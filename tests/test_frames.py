@@ -39,7 +39,8 @@ from rigidres.cli import resolution_from_json, resolution_to_json
 from rigidres.homology import (FieldSpec, axpy, homology_ranks,
                                reduce_cycle, reduced_homology)
 from rigidres.monomials import Monomial, MonomialIdeal, minimalize, parse_ideal
-from rigidres.posets import is_isomorphic, lcm_lattice, order_complex
+from rigidres.posets import (FiniteAtomicLattice, is_isomorphic, lcm_lattice,
+                             order_complex)
 
 from conftest import (HEXAGON_TEXT, SQUAREFREE17_TEXT, TWIN_A_TEXT,
                       TWIN_B_TEXT, random_generic_ideal)
@@ -533,6 +534,13 @@ def test_fractional_scalars_verify(hexagon_ideal):
     assert not verify_resolution(res).ok
 
 
+def test_resolve_refuses_a_lattice_without_degrees():
+    L = lcm_lattice(parse_ideal("x; y"))
+    bare = FiniteAtomicLattice(L.elements, L.n_atoms)
+    with pytest.raises(ValueError, match=r"^no degree for element \[\]$"):
+        resolve(bare, Q)
+
+
 def test_resolve_accepts_the_lcm_lattice(twin_a):
     for I in (twin_a, parse_ideal("x^2; x*y; y^2")):
         for F in (Q, GF2):
@@ -543,11 +551,28 @@ def test_resolve_accepts_the_lcm_lattice(twin_a):
 # --------------------------------------------------------------------------
 # relabeling across a poset isomorphism
 
-def test_relabel_along_identity_is_identity():
-    _, L, B, fr = pipeline("x; y; z")
-    degrees = {q: L.degree(q) for q in B.elements}
-    res = homogenize(fr, degrees)
-    same = relabel(res, {q: q for q in B.elements}, degrees)
+@pytest.mark.parametrize("text, shift", [("x; y; z", 0),
+                                         ("x*y; y*z; z*w", 1)],
+                         ids=["koszul3", "keys-from-1"])
+def test_relabel_along_identity_is_identity(text, shift):
+    # keys move as they are, so keys (q, j + shift) that do not start at
+    # j = 0 come back unchanged, and the lattice's whole degree map serves
+    _, L, B, fr = pipeline(text)
+    res = homogenize(fr, L.degrees)
+
+    def renamed(key):
+        return (key[0], key[1] + shift)
+
+    res = GradedFreeResolution(
+        Q, {level: tuple((renamed(key), deg) for key, deg in mods)
+            for level, mods in res.modules.items()},
+        {level: {renamed(colkey): {renamed(rowkey): entry
+                                   for rowkey, entry in col.items()}
+                 for colkey, col in cols.items()}
+         for level, cols in res.differentials.items()})
+    assert verify_resolution(res).ok
+    same = relabel(res, {q: q for q in B.elements}, L.degrees)
+    assert verify_resolution(same).ok
     assert same.modules == res.modules
     assert same.differentials == res.differentials
 
