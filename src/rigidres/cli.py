@@ -2,7 +2,8 @@
 
 Dispatch: each subparser in :func:`build_parser` names its handler with
 ``set_defaults(run=cmd_…)``.  :func:`main` parses the command line, sets
-``ns.field`` from ``--char`` once, and calls ``ns.run(ns)``; handlers
+``ns.field`` from ``--char`` (0 when it is not given, ``ns.char`` None)
+once, and calls ``ns.run(ns)``; handlers
 read their arguments (``ns.input``, ``ns.source``, ``ns.json``, …)
 straight from the namespace.
 
@@ -13,10 +14,13 @@ File formats
 ``.lattice``  JSON ``{n_atoms, supports, degrees?}``.  Supports are lists
               of 1-based atom indices (the library is 0-based internally);
               optional degrees are exponent vectors aligned with supports.
-``.res``      JSON ``{modules, differentials}``.  Module entries carry a
-              degree vector and a source element; differential entries are
-              (row, col, scalar, monomial) with row/col indexing into the
-              adjacent module arrays and scalars as decimal strings.
+``.res``      JSON ``{characteristic?, modules, differentials}``.  Module
+              entries carry a degree vector and a source element;
+              differential entries are (row, col, scalar, monomial) with
+              row/col indexing into the adjacent module arrays and scalars
+              as decimal strings.  A file written with ``-o`` records the
+              characteristic of its field, and ``verify`` reads it there; a
+              file without it is read in ``--char`` (default 0).
 ``.dot``      Graphviz text: the Hasse diagram, contributor nodes filled.
 
 All JSON read or written here is checked against the schema files
@@ -141,8 +145,12 @@ def family_from_json(payload):
     return supports, n, degrees
 
 
-def resolution_to_json(res):
-    """JSON payload for a graded resolution (round-trips with the loader)."""
+def resolution_to_json(res, record_field=True):
+    """JSON payload for a graded resolution (round-trips with the loader).
+    With record_field, it names the characteristic of the resolution's
+    field, so the loader reads it in the field it was computed in.  The
+    payload `resolve` and `relabel` print on stdout leaves the field
+    out, byte for byte as before it was recorded."""
     length = res.length
     modules, index = [], {}
     for pos in range(length + 1):
@@ -164,6 +172,8 @@ def resolution_to_json(res):
         entries.sort(key=lambda e: (e["col"], e["row"]))
         differentials.append(entries)
     payload = {"modules": modules, "differentials": differentials}
+    if record_field:
+        payload["characteristic"] = res.field.characteristic
     return validate_payload(payload, "resolution")
 
 
@@ -172,14 +182,23 @@ def resolution_to_json(res):
 _SCALAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def resolution_from_json(payload, F=FieldSpec(0)):
-    """Rebuild a GradedFreeResolution from its JSON payload.
+def resolution_from_json(payload, F=None):
+    """Rebuild a GradedFreeResolution from its JSON payload, over F, or
+    over the field the payload records when F is None (characteristic
+    0 when it records none).  An F other than the recorded field is an
+    input error.
 
     Basis keys are reconstructed positionally: repeated appearances of
     the same source element within one module get indices 0, 1, …
     in file order.
     """
     validate_payload(payload, "resolution")
+    recorded = payload.get("characteristic")
+    if F is None:
+        F = FieldSpec(recorded or 0)
+    elif recorded is not None and recorded != F.characteristic:
+        raise InputError(f"characteristic {F.characteristic} conflicts with "
+                         f"the recorded characteristic {recorded}")
     if len(payload["differentials"]) != max(len(payload["modules"]) - 1, 0):
         raise InputError("need exactly one differential per consecutive "
                          "pair of modules")
@@ -402,7 +421,7 @@ def cmd_resolve(ns):
     I = _load_ideal(ns.input)
     _, _, res = resolve(I, ns.field)
     report = verify_resolution(res)
-    _emit_json(resolution_to_json(res), ns)
+    _emit_json(resolution_to_json(res, record_field=bool(ns.output)), ns)
     ranks = ",".join(str(r) for r in res.ranks())
     print(f"ranks: {ranks}", file=sys.stderr)
     print(report.summary(), file=sys.stderr)
@@ -423,7 +442,7 @@ def cmd_relabel(ns):
         return 2
     moved = relabel(res, iso, LT.degrees)
     report = verify_resolution(moved)
-    _emit_json(resolution_to_json(moved), ns)
+    _emit_json(resolution_to_json(moved, record_field=bool(ns.output)), ns)
     print(report.summary(), file=sys.stderr)
     return 0 if report.ok else 2
 
@@ -432,7 +451,8 @@ def cmd_verify(ns):
     path = ns.input
     if not str(path).endswith(".res"):
         raise InputError(f"{path}: expected a .res file")
-    res = resolution_from_json(_read_json(path), ns.field)
+    field = None if ns.char is None else ns.field
+    res = resolution_from_json(_read_json(path), field)
     report = verify_resolution(res)
     _emit(report.summary() + "\n", ns)
     return 0 if report.ok else 2
@@ -550,9 +570,10 @@ def build_parser():
     """The argument parser, built once per process: parsing keeps its
     results in a fresh namespace per call, so calls share nothing."""
     common = _Parser(add_help=False)
-    common.add_argument("--char", type=int, default=0, metavar="P",
+    common.add_argument("--char", type=int, metavar="P",
                         help="coefficient field characteristic, 0 or a prime"
-                             " up to 2^31-1 (default 0)")
+                             " up to 2^31-1 (default 0; verify defaults to "
+                             "the one the file records)")
     common.add_argument("-o", "--output", metavar="PATH",
                         help="write the artifact to PATH instead of stdout")
 
@@ -661,7 +682,7 @@ def build_parser():
 def main(argv=None):
     try:
         ns = build_parser().parse_args(argv)
-        ns.field = FieldSpec(ns.char)
+        ns.field = FieldSpec(ns.char or 0)
         return ns.run(ns)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

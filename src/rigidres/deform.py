@@ -24,10 +24,14 @@ points:
     only the added sets are closed, an interval whose coatoms they leave
     unchanged keeps its ranks, and a lattice is built only for a
     candidate that reaches certification.  L_I's own totals are read
-    the same way, as the change that adds nothing.  Used mostly as a
-    negative control: for the hexagon edge ideal every single-support
-    augmentation strictly increases total Betti numbers, so the scan
-    comes back empty.
+    the same way, as the change that adds nothing.  Only one
+    augmentation per orbit of the automorphism group Aut(L_I) is read:
+    an atom permutation σ that carries L_I onto itself carries the
+    closure of L_I ∪ A onto the closure of L_I ∪ σ(A), an isomorphic
+    lattice with the same size and totals, so the rest of the orbit
+    copies those numbers.  Used mostly as a negative control: for the
+    hexagon edge ideal every single-support augmentation strictly
+    increases total Betti numbers, so the scan comes back empty.
 
 Certification never trusts the construction: it re-checks rigidity,
 Betti totals, and the full relabeled resolution independently.
@@ -44,12 +48,14 @@ from .homology import FieldSpec, SimplicialComplex, homology_ranks
 from .posets import (
     FiniteAtomicLattice,
     _closure,
+    automorphism_generators,
     coordinatize,
     element_key,
     is_isomorphic,
     join_preserving_map,
     lcm_lattice,
     maximal_members,
+    orbit_of,
 )
 
 
@@ -289,6 +295,48 @@ def _augmentation_reader(L, F, memo):
     return read
 
 
+def _augmentations(L, budget):
+    """Every augmentation of L by up to `budget` of the supports it
+    misses (the atom sets of 2 to n − 1 atoms outside L), in scan order:
+    by how many are added, then as `itertools.combinations` gives them.
+    Each comes as (added, orbit), the tuple of added sets and the index
+    of its Aut(L)-orbit, numbered in the order the scan first meets
+    them, so an augmentation with a new orbit index is the first of its
+    orbit, and the rest of the orbit comes after it.
+
+    The orbits are those of the group that `automorphism_generators`
+    returns, acting on the indices of the missing sets (an automorphism
+    carries L's complement onto itself, size by size): when an
+    augmentation starts a new orbit, the orbit is filled by following
+    the generators out from it, and its other members are remembered
+    until the scan reaches them."""
+    n = L.n_atoms
+    # combinations by ascending size come out in `element_key` order
+    missing = [s for r in range(2, n)
+               for s in map(frozenset, itertools.combinations(range(n), r))
+               if s not in L]
+    if budget < 1 or not missing:
+        return
+    index = {s: k for k, s in enumerate(missing)}
+    moves = [[index[frozenset(sigma[a] for a in s)] for s in missing]
+             for sigma in automorphism_generators(L)]
+
+    def images(combo):
+        return (tuple(sorted(move[k] for k in combo)) for move in moves)
+
+    later = {}  # orbit index of each member not yet reached
+    orbits = 0
+    for r in range(1, min(budget, len(missing)) + 1):
+        for combo in itertools.combinations(range(len(missing)), r):
+            orbit = later.pop(combo, None)
+            if orbit is None:
+                orbit, orbits = orbits, orbits + 1
+                members = orbit_of(combo, images)
+                members.discard(combo)
+                later.update(dict.fromkeys(members, orbit))
+            yield tuple(missing[k] for k in combo), orbit
+
+
 def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
     """Bounded deterministic search for a rigid deformation of I.
 
@@ -315,11 +363,21 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
     read by one reader (`_augmentation_reader`), L's as the augmentation
     that adds nothing: the added sets are closed against L's elements,
     and only the intervals whose coatoms change, or that are new, are
-    looked up.  Candidates with the source's totals are then built as
-    lattices from that closure, in order of size, by the constructor,
-    which checks it.  One interval-rank memo serves L,
-    every candidate and every certification, so the rigidity check
-    only reads it.
+    looked up.  The reader runs once per orbit of Aut(L), the first
+    member of each orbit in scan order (`_augmentations`), and every
+    other member copies its size and totals.  That is exact: an
+    automorphism σ of L is an atom permutation with σ(L) = L, so it maps
+    the intersection closure of L ∪ A onto that of L ∪ σ(A), inclusion
+    and intervals included.  The two lattices are isomorphic, and
+    lattice_size and the totals, which are sums of interval homology,
+    agree.  The log is still complete and in scan order.  Only the
+    numbers are copied: each candidate with the source's totals
+    closes its own added sets, and is then built as a lattice from
+    that closure, in order of size, by the constructor, which checks
+    it, and certified on its own, since the map a certificate finds is
+    not carried along.  One interval-rank memo serves L, every
+    candidate and every certification, so the rigidity check only
+    reads it.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -344,19 +402,20 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
                           totals=betti_numbers(TB, F, memo).totals())
         outcome.betti_poset_candidate = entry
 
-    # combinations by ascending size come out in `element_key` order
-    missing = [s for r in range(2, n)
-               for s in map(frozenset, itertools.combinations(range(n), r))
-               if s not in family]
     candidates = []
-    for r in range(1, min(budget, len(missing)) + 1):
-        for combo in itertools.combinations(missing, r):
+    numbers = []  # (lattice size, totals) of each orbit, by orbit index
+    for combo, orbit in _augmentations(L, budget):
+        closed = None
+        if orbit == len(numbers):
             closed, totals = read(combo)
-            entry = ScanEntry(added=combo, lattice_size=len(closed),
-                              totals=totals)
-            outcome.augmentation_log.append(entry)
-            if totals == base:
-                candidates.append((entry, closed))
+            numbers.append((len(closed), totals))
+        size, totals = numbers[orbit]
+        entry = ScanEntry(added=combo, lattice_size=size, totals=totals)
+        outcome.augmentation_log.append(entry)
+        if totals == base:
+            if closed is None:
+                closed = _closure(combo, start=family)
+            candidates.append((entry, closed))
 
     candidates.sort(key=lambda pair: (
         pair[0].lattice_size,

@@ -504,46 +504,129 @@ def join_preserving_map(P, Q):
         raise ValueError("join-preserving comparison needs atomic lattices")
     if P.n_atoms != Q.n_atoms or len(Q) > len(P):
         return None
-    sigma = _pullback_sigma(P, Q)
+    sigma = _pullback_sigma(P, Q)()
     if sigma is None:
         return None
     return {p: Q.join([{sigma[i] for i in p}]) for p in P.elements}
 
 
 def _pullback_sigma(P, Q):
-    """The lexicographically first atom bijection σ (σ[i] the atom of Q
-    that atom i of P goes to) with σ⁻¹(q) in P for every member q of Q,
-    or None.  σ is fixed one atom of P at a time, and a prefix is
-    rejected as soon as a member of Q made only of the atoms it has
-    assigned pulls back outside P: every extension of that prefix fails
-    on the same member, so the first σ that survives is the first of
-    all n! that passes.  Sets are bit masks."""
+    """The search for atom bijections σ (σ[i] the atom of Q that atom i
+    of P goes to) with σ⁻¹(q) in P for every member q of Q, as a
+    function `first(choices=None, nodes=None)`: the lexicographically
+    first such σ with σ[i] in choices[i] for every atom i, or None.
+    choices[i] is an ascending sequence of atoms of Q, every atom when
+    choices is None.
+
+    σ is fixed one atom of P at a time, and a prefix is rejected as soon
+    as a member of Q made only of the atoms it has assigned pulls back
+    outside P: every extension of that prefix fails on the same member,
+    so the first σ that survives is the first of all n! that passes.
+    With `nodes`, an iterator, each atom assignment tried takes one item
+    from it, and the search gives up with None once it runs dry.  Sets
+    are bit masks, built once for all the searches of P and Q."""
     n = P.n_atoms
     in_p = {sum(1 << a for a in p) for p in P.elements}
     # members of Q through each atom j, as (mask, atoms)
     through = [[(sum(1 << a for a in q), tuple(q)) for q in Q.elements if j in q]
                for j in range(n)]
-    back = [0] * n  # atom j of Q ↦ the bit of its preimage in P
-    sigma = []
 
-    def extend(used):
-        i = len(sigma)
-        if i == n:
-            return True
-        for j in range(n):
-            if used >> j & 1:
+    def first(choices=None, nodes=None):
+        choices = choices or [range(n)] * n
+        back = [0] * n  # atom j of Q ↦ the bit of its preimage in P
+        sigma = []
+
+        def extend(used):
+            i = len(sigma)
+            if i == n:
+                return True
+            for j in choices[i]:
+                if used >> j & 1:
+                    continue
+                if nodes is not None and next(nodes, None) is None:
+                    return False
+                back[j] = 1 << i
+                now = used | 1 << j
+                if all(sum(back[a] for a in atoms) in in_p
+                       for mask, atoms in through[j] if not mask & ~now):
+                    sigma.append(j)
+                    if extend(now):
+                        return True
+                    sigma.pop()
+            return False
+
+        return tuple(sigma) if extend(0) else None
+
+    return first
+
+
+# The automorphism search tries at most this many atom assignments in
+# all (`_pullback_sigma`'s nodes) and then keeps the generators it has:
+# they generate a subgroup of Aut(L), and a subgroup's orbits only split
+# Aut(L)'s, so an orbit-wise reader stays exact and reads more.  The
+# hexagon takes 95 assignments, the all-but-one-variable ideal in 9
+# variables 72, and C12's lcm-lattice 1,130.
+MAX_AUTOMORPHISM_NODES = 10_000
+
+
+def automorphism_generators(L):
+    """Atom permutations σ (σ[i] the image of atom i) that carry L onto
+    itself and generate its automorphism group Aut(L), or a subgroup of
+    it when the search runs past `MAX_AUTOMORPHISM_NODES`.
+
+    σ is an automorphism exactly when σ⁻¹ carries every member of L
+    into L (a bijection of a finite family into itself is onto), which
+    is the test of `_pullback_sigma` with P = Q = L.  An automorphism
+    also keeps each atom's colour, the sizes of the members through it,
+    so an atom is only sent to one of its colour.  Atoms i are taken
+    from the last to the first.  The permutations found at atoms above
+    i fix every atom up to i, so together they generate the stabilizer
+    G_{i+1} of atoms 0…i, and each atom j > i not yet in the orbit of i
+    under the permutations found so far gets the first automorphism
+    that fixes the atoms below i and sends i to j, if one exists.  Then
+    the orbit of i is its whole G_i-orbit, and G_{i+1} together with a
+    representative of each coset generates G_i; at i = 0 that is Aut(L).
+    The group itself is never listed: on the all-but-one-variable ideal
+    in 8 variables it has 8! elements and 7 generators here.
+
+    >>> automorphism_generators(face_lattice(SimplicialComplex([{0, 1, 2}])))
+    [(0, 2, 1), (1, 0, 2)]
+    """
+    n = L.n_atoms
+    colour = [sorted(len(q) for q in L.elements if a in q) for a in range(n)]
+    alike = [[j for j in range(n) if colour[j] == colour[i]]
+             for i in range(n)]
+    first = _pullback_sigma(L, L)
+    nodes = iter(range(MAX_AUTOMORPHISM_NODES))
+    generators = []
+    for i in reversed(range(n)):
+        orbit = {i}
+        fixed = [[k] for k in range(i)]
+        for j in alike[i]:
+            if j <= i or j in orbit:
                 continue
-            back[j] = 1 << i
-            now = used | 1 << j
-            if all(sum(back[a] for a in atoms) in in_p
-                   for mask, atoms in through[j] if not mask & ~now):
-                sigma.append(j)
-                if extend(now):
-                    return True
-                sigma.pop()
-        return False
+            sigma = first(fixed + [[j]] + alike[i + 1:], nodes)
+            if sigma is not None:
+                generators.append(sigma)
+                orbit = orbit_of(i, lambda x: (s[x] for s in generators))
+    return generators
 
-    return tuple(sigma) if extend(0) else None
+
+def orbit_of(start, images):
+    """Everything reached from start by following `images`, a function
+    giving the images of one member under each generator of a group, as
+    a set: the orbit of start under the group they generate.
+
+    >>> sorted(orbit_of(0, lambda x: [(x + 2) % 6]))
+    [0, 2, 4]
+    """
+    orbit, stack = {start}, [start]
+    while stack:
+        for y in images(stack.pop()):
+            if y not in orbit:
+                orbit.add(y)
+                stack.append(y)
+    return orbit
 
 
 def coordinatize(L):

@@ -3,6 +3,7 @@ and the DOT export."""
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import os
@@ -164,17 +165,25 @@ def test_huge_atom_count_is_refused_without_building_the_full_set(tmp_path):
     assert done.stderr == f"error: {path}: missing top (full atom set)\n"
 
 
-def _loaded_by_importing_the_cli(module):
-    """Whether a fresh interpreter holds module after importing the CLI."""
+@functools.cache
+def _modules_after_importing_the_cli():
+    """The names in sys.modules of a fresh interpreter that has imported
+    the CLI, from one launch shared by every check that reads them."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(
         [sys.executable, "-c",
-         f"import sys, rigidres.cli; print({module!r} in sys.modules)"],
+         "import json, sys, rigidres.cli; print(json.dumps(sorted(sys.modules)))"],
         env=env, capture_output=True, text=True, timeout=30)
     assert done.returncode == 0, done.stderr
-    assert done.stdout in ("True\n", "False\n"), done.stdout
-    return done.stdout == "True\n"
+    names = json.loads(done.stdout)
+    assert "rigidres.cli" in names, done.stdout
+    return frozenset(names)
+
+
+def _loaded_by_importing_the_cli(module):
+    """Whether a fresh interpreter holds module after importing the CLI."""
+    return module in _modules_after_importing_the_cli()
 
 
 def test_importing_the_cli_does_not_load_networkx():
@@ -716,6 +725,46 @@ def test_non_integer_scalar_rejected_in_prime_characteristic():
     assert resolution_from_json(payload, FieldSpec(0)) is not None
     with pytest.raises(InputError):
         resolution_from_json(payload, FieldSpec(5))
+
+
+@pytest.mark.parametrize("characteristic", [0, 2])
+def test_resolution_file_records_its_field(tmp_path, capsys, characteristic):
+    """resolve → .res → verify on the hexagon: the file names its field,
+    a bare verify reads it there, and a --char that conflicts is an
+    input error."""
+    ideal = ideal_file(tmp_path, "hexagon.ideal", HEXAGON_TEXT)
+    out = tmp_path / "hexagon.res"
+    char = str(characteristic)
+    assert main(["resolve", ideal, "--char", char, "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    jsonschema.validate(payload, load_schema("resolution"))
+    assert payload["characteristic"] == characteristic
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 0
+    assert main(["verify", str(out), "--char", char]) == 0
+    assert capsys.readouterr().out == (
+        "minimal multigraded resolution, 28 degree strands exact\n" * 2)
+    other = str(2 - characteristic)
+    assert main(["verify", str(out), "--char", other]) == 1
+    assert capsys.readouterr() == ("", (
+        f"error: characteristic {other} conflicts with the recorded "
+        f"characteristic {char}\n"))
+    # the payload printed on stdout records no field
+    assert main(["resolve", ideal, "--char", char]) == 0
+    assert "characteristic" not in json.loads(capsys.readouterr().out)
+
+
+def test_resolution_file_without_a_field_reads_in_char_zero(tmp_path, capsys):
+    ideal = ideal_file(tmp_path, "hexagon.ideal", HEXAGON_TEXT)
+    out = tmp_path / "hexagon.res"
+    assert main(["resolve", ideal, "--char", "2", "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    del payload["characteristic"]
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 2
+    assert capsys.readouterr().out.startswith("49 nonzero compositions")
+    assert main(["verify", str(out), "--char", "2"]) == 0
 
 
 def test_relabel_between_the_twins(tmp_path, capsys):

@@ -1,13 +1,14 @@
 """Rigid deformations: the simplicial meet-closure construction,
 independent certification, and the bounded search with its scan log."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidres import betti, deform
+from rigidres import betti, deform, posets
 from rigidres.betti import (
     betti_numbers,
     betti_poset,
@@ -26,10 +27,12 @@ from rigidres.monomials import parse_ideal
 from rigidres.posets import (
     FiniteAtomicLattice,
     _closure,
+    automorphism_generators,
     face_lattice,
     join_preserving_map,
     lcm_lattice,
     meet_closure,
+    orbit_of,
 )
 
 from conftest import (
@@ -283,11 +286,13 @@ def test_search_computes_each_source_interval_once(monkeypatch, twin_a):
 
 
 @pytest.mark.parametrize("budget,F,expected", [
-    # one elimination per distinct complex; 235 and 93 when keyed by
-    # the coatom set alone, 742 and 123 when keyed by the interval's
-    # elements, 21,404 and 1,121 when each lattice kept its own memo
-    (2, FieldSpec(2), 104),
-    (1, Q, 23),
+    # one elimination per distinct complex, reading one augmentation
+    # per Aut(L)-orbit; 104 and 23 when every augmentation was read,
+    # 235 and 93 when keyed by the coatom set alone, 742 and 123 when
+    # keyed by the interval's elements, 21,404 and 1,121 when each
+    # lattice kept its own memo
+    (2, FieldSpec(2), 40),
+    (1, Q, 11),
 ], ids=["budget2-char2", "budget1-char0"])
 def test_hexagon_scan_computes_each_coatom_set_once(
         monkeypatch, hexagon_ideal, budget, F, expected):
@@ -301,7 +306,66 @@ def test_hexagon_scan_computes_each_coatom_set_once(
     monkeypatch.setattr(betti, "homology_ranks", counted)
     out = search_rigid_deformation(hexagon_ideal, budget=budget, F=F)
     assert not out
+    assert len(calls) == len(set(calls))
     assert len(calls) == expected
+
+
+@pytest.mark.parametrize("F", [Q, FieldSpec(2)], ids=["char0", "char2"])
+def test_hexagon_scan_entries_equal_fresh_reads(hexagon_ideal, F):
+    # entries copied across an orbit carry the numbers of their own read
+    out = search_rigid_deformation(hexagon_ideal, budget=2, F=F)
+    read = deform._augmentation_reader(lcm_lattice(hexagon_ideal), F, {})
+    assert len(out.augmentation_log) == 630
+    for entry in out.augmentation_log:
+        closed, totals = read(entry.added)
+        assert (entry.lattice_size, entry.totals) == (len(closed), totals)
+
+
+def automorphism_count(L):
+    """|Aut(L)| by brute force over every atom permutation."""
+    family = set(L.elements)
+    return sum({frozenset(sigma[a] for a in q) for q in family} == family
+               for sigma in itertools.permutations(range(L.n_atoms)))
+
+
+@pytest.mark.parametrize("fixture,augmentations,orbits,order", [
+    ("hexagon_ideal", 630, 74, 12),  # the dihedral group of the 6-cycle
+    ("twin_a", 1275, 750, 2),
+])
+def test_scan_orbits_come_from_automorphism_generators(
+        request, fixture, augmentations, orbits, order):
+    L = lcm_lattice(request.getfixturevalue(fixture))
+    family = set(L.elements)
+    generators = automorphism_generators(L)
+    for sigma in generators:
+        assert {frozenset(sigma[a] for a in q) for q in family} == family
+    # the generated group is the whole of Aut(L)
+    group = orbit_of(tuple(range(L.n_atoms)), lambda g: (
+        tuple(sigma[a] for a in g) for sigma in generators))
+    assert len(group) == automorphism_count(L) == order
+    scan = list(deform._augmentations(L, 2))
+    assert len(scan) == augmentations
+    # orbits are numbered in the order the scan first meets them
+    assert list(dict.fromkeys(orbit for _, orbit in scan)) == \
+        list(range(orbits))
+
+
+def test_automorphism_node_budget_keeps_what_it_found(
+        monkeypatch, hexagon_ideal):
+    L = lcm_lattice(hexagon_ideal)
+    full = automorphism_generators(L)
+    log = search_rigid_deformation(hexagon_ideal, 2, FieldSpec(2))
+    for nodes in (0, 1, 10, 40, 80):
+        monkeypatch.setattr(posets, "MAX_AUTOMORPHISM_NODES", nodes)
+        found = automorphism_generators(L)
+        assert found == full[:len(found)]
+    assert 0 < len(found) < len(full)
+    # a subgroup's orbits split Aut(L)'s, and with no generators at all
+    # every augmentation is read: the log is the same
+    for nodes, kept in ((80, 1), (1, 0)):
+        monkeypatch.setattr(posets, "MAX_AUTOMORPHISM_NODES", nodes)
+        assert len(automorphism_generators(L)) == kept
+        assert search_rigid_deformation(hexagon_ideal, 2, FieldSpec(2)) == log
 
 
 def record_certifications(monkeypatch):
