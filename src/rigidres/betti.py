@@ -138,7 +138,7 @@ def coatom_ranks(coatoms, F=FieldSpec(0), memo=None):
                        lambda: crosscut_complex(coatoms), F, memo)
 
 
-def _intervals(P, F, memo):
+def _intervals(P, F, memo=None):
     """(q, interval_ranks(P, q, F, memo)) for every q of P other than
     0̂, in canonical order, read one at a time, so a reader that stops
     early reads no further interval.  With memo None, one is kept for
@@ -236,17 +236,34 @@ class RigidityReport:
 
 def rigidity_report(L, F=FieldSpec(0), memo=None):
     """Check rigidity of an atomic lattice, or of a monomial ideal's
-    lcm-lattice.
+    lcm-lattice: `rigidity_of_intervals` over its intervals, read
+    lazily, so the walk stops at an interval-multiplicity witness.
+    memo is passed to `interval_ranks`; with none, one is kept for the
+    length of the call.
+    """
+    L = L if isinstance(L, Poset) else lcm_lattice(L)
+    return rigidity_of_intervals(_intervals(L, F, memo))
+
+
+def rigidity_of_intervals(intervals):
+    """The two rigidity rules over (q, ranks) pairs, ranks being the
+    reduced homology {i: h_i} of the interval (0̂, q), with q in
+    canonical order (`element_key`).  A pair with no ranks may be left
+    out: neither rule reads it.
 
     Rigid means: every interval (0̂, q) has homology of total rank at
     most one, and elements contributing in the same homological index
     are pairwise incomparable.  The first violation in the canonical
-    element order is reported.  memo is passed to `interval_ranks`;
-    with none, one is kept for the length of the call.
+    order is reported, and the pairs are read one at a time, so an
+    interval-multiplicity witness ends the reading.  Rigidity is an
+    isomorphism invariant: both rules read only ranks and inclusions.
+
+    >>> rigidity_of_intervals([(frozenset({0}), {-1: 1}),
+    ...                        (frozenset({0, 1}), {-1: 1})]).rule
+    'comparable-pair'
     """
-    L = L if isinstance(L, Poset) else lcm_lattice(L)
     contributing = {}
-    for e, ranks in _intervals(L, F, memo):
+    for e, ranks in intervals:
         if sum(ranks.values()) > 1:
             what = ", ".join(f"h_{i}={h}" for i, h in sorted(ranks.items()))
             return RigidityReport(
@@ -255,11 +272,11 @@ def rigidity_report(L, F=FieldSpec(0), memo=None):
         if ranks:
             ((i, _),) = ranks.items()
             contributing[e] = i
-    for p, q in itertools.combinations(sorted(contributing, key=element_key), 2):
-        if contributing[p] == contributing[q] and (p < q or q < p):
-            lo, hi = (p, q) if p < q else (q, p)
+    # canonical order extends inclusion, so a later q never lies in p
+    for p, q in itertools.combinations(contributing, 2):
+        if contributing[p] == contributing[q] and p < q:
             return RigidityReport(
-                False, "comparable-pair", (lo, hi),
-                f"{sorted(lo)} < {sorted(hi)} both contribute in "
+                False, "comparable-pair", (p, q),
+                f"{sorted(p)} < {sorted(q)} both contribute in "
                 f"homology degree {contributing[p]}")
     return RigidityReport(True)

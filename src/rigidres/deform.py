@@ -18,20 +18,24 @@ points:
     each addition), certifying only candidates whose total Betti numbers
     match the source and which are rigid, since a certificate requires
     both.  The Betti poset, when it is a lattice other than L_I, is
-    logged with its totals but never certified: it is rigid exactly
-    when L_I is (see `search_rigid_deformation`).  Each augmentation is
-    read as a change to L_I, in one pass over the candidate's elements:
-    only the added sets are closed, an interval whose coatoms they leave
-    unchanged keeps its ranks, and a lattice is built only for a
-    candidate that reaches certification.  L_I's own totals are read
-    the same way, as the change that adds nothing.  Only one
-    augmentation per orbit of the automorphism group Aut(L_I) is read:
-    an atom permutation σ that carries L_I onto itself carries the
-    closure of L_I ∪ A onto the closure of L_I ∪ σ(A), an isomorphic
-    lattice with the same size and totals, so the rest of the orbit
-    copies those numbers.  Used mostly as a negative control: for the
-    hexagon edge ideal every single-support augmentation strictly
-    increases total Betti numbers, so the scan comes back empty.
+    logged with L_I's totals but never certified: it has the same
+    contributors, so the same totals, and is rigid exactly when L_I is
+    (see `search_rigid_deformation`).  Each augmentation is read as a
+    change to L_I, in one pass over the candidate's elements: only the
+    added sets are closed, an interval whose coatoms they leave
+    unchanged keeps its ranks, and the pass yields the totals and the
+    contributors, from which the two rigidity rules decide the
+    verdict.  A lattice is built only for a candidate that keeps the
+    totals and is rigid, the ones that reach certification.  L_I's own
+    totals and verdict are read the same way, as the change that adds
+    nothing.  Only one augmentation per orbit of the automorphism group
+    Aut(L_I) is read: an atom permutation σ that carries L_I onto
+    itself carries the closure of L_I ∪ A onto the closure of
+    L_I ∪ σ(A), an isomorphic lattice with the same size, totals and
+    verdict, so the rest of the orbit copies those.  Used mostly as a
+    negative control: for the hexagon edge ideal every single-support
+    augmentation strictly increases total Betti numbers, so the scan
+    comes back empty.
 
 Certification never trusts the construction: it re-checks rigidity,
 Betti totals, and the full relabeled resolution independently.
@@ -42,7 +46,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .betti import betti_numbers, betti_poset, coatom_ranks, rigidity_report
+from .betti import (betti_numbers, betti_poset, coatom_ranks,
+                    rigidity_of_intervals, rigidity_report)
 from .frames import _check_mapping, relabel, resolve, verify_resolution
 from .homology import FieldSpec, SimplicialComplex, homology_ranks
 from .posets import (
@@ -87,7 +92,6 @@ class DeformationResult:
     target_lattice: FiniteAtomicLattice  # L_J, with J's degrees
     target_ideal: object  # MonomialIdeal
     certificate: Certificate
-    comparable_to_source: bool = False
     added: tuple = ()
 
 
@@ -215,41 +219,46 @@ def _deformation(T, L, F, memo, added):
     the target lattice.
 
     L_J is comparable to L, by a join-preserving map L_J → L that is
-    the identity on atoms, when it contains L's elements: the identity
-    then pulls every member of L back into L_J, which is all that
-    `join_preserving_map` asks of an atom bijection.  Every T built
-    here contains L (the scan and the simplicial construction close
-    from L's elements, and the rigid shortcut passes L itself), so
-    this never fails, and no other atom bijection is searched for."""
+    the identity on atoms, because it contains L's elements: the
+    identity then pulls every member of L back into L_J, which is all
+    that `join_preserving_map` asks of an atom bijection.  Every T
+    built here contains L (the scan and the simplicial construction
+    close from L's elements, and the rigid shortcut passes L itself),
+    so a result records no comparability of its own."""
     J = coordinatize(T)
     LJ = lcm_lattice(J)
-    family = set(LJ.elements)
-    if family != set(T.elements):
+    if set(LJ.elements) != set(T.elements):
         raise ValueError("coordinatization changed the support family")
     return DeformationResult(
         target_lattice=LJ,
         target_ideal=J,
         certificate=certify_rigid_deformation(LJ, L, F, memo),
-        comparable_to_source=family.issuperset(L.elements),
         added=added,
     )
 
 
 def _certified_result(T, L, F, memo, added):
-    """The certified deformation to T, or None.  A certificate requires
-    L_J to be rigid, and L_J has the support family of T, so a
-    non-rigid T is skipped before coordinatizing: its interval ranks
-    are already in the memo under the keys L_J would use."""
-    if not rigidity_report(T, F, memo).rigid:
-        return None
+    """The certified deformation to T, or None.  The search passes only
+    a T it has read as rigid (`_rigid`), since a certificate requires
+    L_J, which has T's support family, to be rigid; certification
+    checks that again on L_J."""
     result = _deformation(T, L, F, memo, added)
     return result if result.certificate else None
 
 
+def _rigid(contributors):
+    """Whether a lattice is rigid, given its contributors as
+    `_augmentation_reader` returns them: `rigidity_of_intervals` over
+    them in canonical order."""
+    return rigidity_of_intervals(sorted(
+        contributors.items(), key=lambda item: element_key(item[0]))).rigid
+
+
 def _augmentation_reader(L, F, memo):
     """A function `read(added)` giving the closure T of L ∪ added, as a
-    set of frozensets, and T's total Betti numbers, without building T
-    as a lattice: T is read as a change to L.
+    set of frozensets, T's total Betti numbers, and T's contributors,
+    {q: ranks} for every q whose interval (0̂, q) has nonzero ranks,
+    without building T as a lattice: T is read as a change to L.
 
     Only the added sets are intersected (`_closure` from L's elements,
     already closed).  Then one pass reads each interval (0̂, q) of T,
@@ -264,7 +273,7 @@ def _augmentation_reader(L, F, memo):
     change keeps the ranks read when the reader was made.  The totals
     are 1 in index 0, then the sum of h_i over the intervals in index
     i + 2, and 0 in a gap.  `read(())` reads L itself, and is where the
-    search takes L's elements and totals from."""
+    search takes L's elements, totals and contributors from."""
     bot = L.bottom
     family = frozenset(L.elements)
     coatoms = {q: frozenset(L.lower_covers(q)) - {bot}
@@ -275,6 +284,7 @@ def _augmentation_reader(L, F, memo):
         closed = _closure(added, start=family)
         new = closed - family
         totals = {}
+        contributors = {}
         for q in itertools.chain(stored, new):
             if q not in coatoms:
                 # q holds two atoms of L, so ∅ is never maximal in it
@@ -286,11 +296,13 @@ def _augmentation_reader(L, F, memo):
                 ranks = stored[q]
             else:
                 ranks = coatom_ranks(tops, F, memo)
+            if ranks:
+                contributors[q] = ranks
             for i, h in ranks.items():
                 totals[i] = totals.get(i, 0) + h
         top = max(i for i, h in totals.items() if h)
         return closed, (1,) + tuple(totals.get(i, 0)
-                                    for i in range(-1, top + 1))
+                                    for i in range(-1, top + 1)), contributors
 
     return read
 
@@ -348,36 +360,38 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
     exist otherwise, and the deformation must be rigid.  Absent result
     means none within budget, not a proof that no deformation exists.
 
-    The Betti poset B, when it is an atomic lattice T_B other than L,
-    is logged with its size and its totals, never certified, because
-    it is rigid exactly when L is.  For q in B, (0̂, q) has the same
-    homology over F in T_B as in L (the open intervals of the Betti
-    poset have the homology of those of L), and the elements of L
-    outside B carry none.  So both lattices have the same contributors
-    in the same indices, in the same order, and `rigidity_report`,
-    walking the elements in canonical order, returns the same report on
-    T_B as on L, rule and witnesses included.  The scan reaches T_B
-    only after L has failed.
+    The Betti poset B, 0̂ and L's contributors, when it is an atomic
+    lattice T_B other than L, is logged with its size and L's totals,
+    never certified, because it is rigid exactly when L is.  For q in
+    B, (0̂, q) has the same homology over F in T_B as in L (the open
+    intervals of the Betti poset have the homology of those of L), and
+    the elements of L outside B carry none.  So both lattices have the
+    same contributors with the same ranks, in the same order: the same
+    totals, which are sums of those ranks, and the same report from
+    `rigidity_of_intervals`, rule and witnesses included.  The scan
+    reaches T_B only after L has failed.
 
-    L's elements and totals, and each candidate's size and totals, are
+    L's elements, totals and contributors, and each candidate's, are
     read by one reader (`_augmentation_reader`), L's as the augmentation
     that adds nothing: the added sets are closed against L's elements,
     and only the intervals whose coatoms change, or that are new, are
-    looked up.  The reader runs once per orbit of Aut(L), the first
-    member of each orbit in scan order (`_augmentations`), and every
-    other member copies its size and totals.  That is exact: an
-    automorphism σ of L is an atom permutation with σ(L) = L, so it maps
-    the intersection closure of L ∪ A onto that of L ∪ σ(A), inclusion
-    and intervals included.  The two lattices are isomorphic, and
-    lattice_size and the totals, which are sums of interval homology,
-    agree.  The log is still complete and in scan order.  Only the
-    numbers are copied: each candidate with the source's totals
-    closes its own added sets, and is then built as a lattice from
-    that closure, in order of size, by the constructor, which checks
-    it, and certified on its own, since the map a certificate finds is
-    not carried along.  One interval-rank memo serves L, every
-    candidate and every certification, so the rigidity check only
-    reads it.
+    looked up.  L's verdict, and a candidate's when its totals are the
+    source's, is `rigidity_of_intervals` over those contributors
+    (`_rigid`); no lattice is built to decide it.  The reader runs once
+    per orbit of Aut(L), the first member of each orbit in scan order
+    (`_augmentations`), and every other member copies its size, totals
+    and verdict.  That is exact: an automorphism σ of L is an atom
+    permutation with σ(L) = L, so it maps the intersection closure of
+    L ∪ A onto that of L ∪ σ(A), inclusion and intervals included.  The
+    two lattices are isomorphic, and lattice_size, the totals, which
+    are sums of interval homology, and rigidity, which reads only
+    ranks and inclusions, agree.  The log is still complete and in
+    scan order.  Only the numbers are copied: each candidate that keeps
+    the source's totals and is rigid closes its own added sets, and is
+    then built as a lattice from that closure, in order of size, by the
+    constructor, which checks it, and certified on its own, since the
+    map a certificate finds is not carried along.  One interval-rank
+    memo serves L, every candidate and every certification.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -385,34 +399,36 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
     n = len(I.generators)
     memo = {}
     read = _augmentation_reader(L, F, memo)
-    family, base = read(())
+    family, base, contributors = read(())
     outcome = SearchOutcome(base_totals=base)
 
-    if rigidity_report(L, F, memo).rigid:
+    if _rigid(contributors):
         outcome.result = _certified_result(L, L, F, memo, added=())
         return outcome
 
-    B = betti_poset(L, F, memo)
-    try:
-        TB = FiniteAtomicLattice(B.elements, n)
-    except ValueError:
-        TB = None
-    if TB is not None and set(TB.elements) != family:
-        entry = ScanEntry(added=(), lattice_size=len(TB.elements),
-                          totals=betti_numbers(TB, F, memo).totals())
-        outcome.betti_poset_candidate = entry
+    # B ⊆ L, so B is another lattice only when it is smaller
+    size = len(contributors) + 1
+    if size < len(family):
+        try:
+            FiniteAtomicLattice([L.bottom, *contributors], n)
+        except ValueError:  # B is not an atomic lattice
+            pass
+        else:
+            outcome.betti_poset_candidate = ScanEntry(
+                added=(), lattice_size=size, totals=base)
 
     candidates = []
-    numbers = []  # (lattice size, totals) of each orbit, by orbit index
+    numbers = []  # (lattice size, totals, rigid) of each orbit
     for combo, orbit in _augmentations(L, budget):
         closed = None
         if orbit == len(numbers):
-            closed, totals = read(combo)
-            numbers.append((len(closed), totals))
-        size, totals = numbers[orbit]
+            closed, totals, contributors = read(combo)
+            numbers.append((len(closed), totals,
+                            totals == base and _rigid(contributors)))
+        size, totals, rigid = numbers[orbit]
         entry = ScanEntry(added=combo, lattice_size=size, totals=totals)
         outcome.augmentation_log.append(entry)
-        if totals == base:
+        if rigid:
             if closed is None:
                 closed = _closure(combo, start=family)
             candidates.append((entry, closed))

@@ -62,10 +62,11 @@ def test_lattice_totals_match_ideal_route(squarefree17, hexagon_ideal):
                                   SQUAREFREE17_TEXT, HEXAGON_TEXT],
                          ids=["twin_a", "twin_b", "squarefree17", "hexagon"])
 def test_reader_reads_l_as_the_augmentation_that_adds_nothing(text, F):
-    # the search takes L's elements and totals from here
+    # the search takes L's elements, totals and contributors from here
     L = lcm_lattice(parse_ideal(text))
     read = deform._augmentation_reader(L, F, {})
-    assert read(()) == (set(L.elements), betti_numbers(L, F).totals())
+    assert read(()) == (set(L.elements), betti_numbers(L, F).totals(),
+                        {q: r for q, r in betti._intervals(L, F) if r})
 
 
 def test_face_lattice_totals_are_the_f_vector():
@@ -82,7 +83,7 @@ def test_koszul_deformation_along_full_simplex():
     r = simplicial_rigid_deformation(I, SimplicialComplex([{0, 1, 2}]), Q)
     assert r.certificate.all_true
     assert bool(r.certificate)
-    assert r.comparable_to_source
+    assert set(r.target_lattice.elements) >= set(lcm_lattice(I).elements)
     assert r.added == ()
     assert len(r.target_lattice.elements) == 8
     assert betti_numbers(r.target_lattice, Q).totals() == (1, 3, 3, 1)
@@ -93,7 +94,7 @@ def test_path_deformation_along_its_scarf_path():
     X = SimplicialComplex([{0, 1}, {1, 2}])
     r = simplicial_rigid_deformation(I, X, Q)
     assert r.certificate.all_true
-    assert r.comparable_to_source
+    assert set(r.target_lattice.elements) >= set(lcm_lattice(I).elements)
     # the meet closure adds nothing: the target is the lcm-lattice itself
     assert set(r.target_lattice.elements) == set(lcm_lattice(I).elements)
     assert betti_numbers(r.target_lattice, Q).totals() == (1, 3, 2)
@@ -103,7 +104,7 @@ def test_scarf_deformation_of_plane_triple():
     I = parse_ideal("x^2; x*y; y^2")
     r = simplicial_rigid_deformation(I, scarf_complex(I), Q)
     assert r.certificate.all_true
-    assert r.comparable_to_source
+    assert set(r.target_lattice.elements) >= set(lcm_lattice(I).elements)
     assert betti_numbers(r.target_lattice, Q).totals() == (1, 3, 2)
     assert r.certificate.route == "betti-poset-isomorphism"
 
@@ -132,7 +133,6 @@ def test_deformation_keeps_the_lattice_it_certified():
         assert r.target_lattice == LJ
         assert r.target_lattice.degrees == LJ.degrees
         assert set(L.elements) <= set(r.target_lattice.elements)
-        assert r.comparable_to_source
         assert join_preserving_map(r.target_lattice, L) is not None
 
 
@@ -197,7 +197,7 @@ def test_generic_ideals_deform_along_their_scarf_complex(seed):
     X = scarf_complex(I)
     r = simplicial_rigid_deformation(I, X, Q)
     assert r.certificate.all_true
-    assert r.comparable_to_source
+    assert set(r.target_lattice.elements) >= set(lcm_lattice(I).elements)
     T = r.target_lattice
     faces = set(face_lattice(X).elements)
     for e in T.elements:
@@ -312,13 +312,26 @@ def test_hexagon_scan_computes_each_coatom_set_once(
 
 @pytest.mark.parametrize("F", [Q, FieldSpec(2)], ids=["char0", "char2"])
 def test_hexagon_scan_entries_equal_fresh_reads(hexagon_ideal, F):
-    # entries copied across an orbit carry the numbers of their own read
+    # entries copied across an orbit carry the numbers of their own read;
+    # the contributors of the reads the search makes, one per orbit, are
+    # those of the candidate lattice
+    L = lcm_lattice(hexagon_ideal)
     out = search_rigid_deformation(hexagon_ideal, budget=2, F=F)
-    read = deform._augmentation_reader(lcm_lattice(hexagon_ideal), F, {})
+    read = deform._augmentation_reader(L, F, {})
+    memo = {}
+    orbits = set()
     assert len(out.augmentation_log) == 630
-    for entry in out.augmentation_log:
-        closed, totals = read(entry.added)
+    for entry, (added, orbit) in zip(out.augmentation_log,
+                                     deform._augmentations(L, 2)):
+        assert entry.added == added
+        closed, totals, contributors = read(entry.added)
         assert (entry.lattice_size, entry.totals) == (len(closed), totals)
+        if orbit not in orbits:
+            orbits.add(orbit)
+            T = FiniteAtomicLattice(closed, L.n_atoms)
+            assert contributors == {q: r for q, r
+                                    in betti._intervals(T, F, memo) if r}
+    assert len(orbits) == 74
 
 
 def automorphism_count(L):
@@ -383,6 +396,20 @@ def record_certifications(monkeypatch):
     return asked
 
 
+def record_certified_results(monkeypatch):
+    """Wrap `deform._certified_result` and return the list of (T, added)
+    the search passes it: the candidates it builds as lattices."""
+    tried = []
+    certified = deform._certified_result
+
+    def recorded(T, L, F, memo, added):
+        tried.append((T, added))
+        return certified(T, L, F, memo, added)
+
+    monkeypatch.setattr(deform, "_certified_result", recorded)
+    return tried
+
+
 @pytest.mark.parametrize("text,found", [
     # not rigid; adjoining the support {0, 1} deforms it
     ("x0*x1*x3; x0*x2; x2*x3", True),
@@ -415,18 +442,11 @@ def test_search_never_certifies_the_betti_poset_lattice(
     # exactly when L is, so the failed L has already decided it
     I = request.getfixturevalue(fixture)
     betti_family = set(betti_poset(lcm_lattice(I), F).elements)
-    tried = []
-    certified = deform._certified_result
-
-    def recorded(T, L, F, memo, added):
-        tried.append(set(T.elements))
-        return certified(T, L, F, memo, added)
-
-    monkeypatch.setattr(deform, "_certified_result", recorded)
+    tried = record_certified_results(monkeypatch)
     out = search_rigid_deformation(I, 1, F)
     assert out.betti_poset_candidate is not None
     assert not out.betti_poset_candidate.certified
-    assert betti_family not in tried
+    assert betti_family not in [set(T.elements) for T, _ in tried]
 
 
 # each is not rigid and has a Betti poset that is an atomic lattice
@@ -570,26 +590,91 @@ def test_search_log_is_deterministic(hexagon_ideal):
             for e in second.augmentation_log]
 
 
-@pytest.mark.parametrize("fixture,lattices", [
-    ("hexagon_ideal", 0),  # all 35 augmentations raise the totals
-    ("twin_a", 20),        # 20 of 50 keep them, none is rigid
-])
+# not rigid; at budget 1 it has rigid candidates with its totals, and
+# none certifies
+FOUR_GENERATORS_TEXT = "x0*x2*x3*x4; x0*x1*x4; x1*x3; x1*x2"
+
+
+@pytest.mark.parametrize("F", [Q, FieldSpec(2)], ids=["char0", "char2"])
+@pytest.mark.parametrize("text,matching,lattices", [
+    # all 35 augmentations raise the totals
+    (HEXAGON_TEXT, 0, 0),
+    # 20 of 50 keep them, none is rigid (20 were built while the
+    # rigidity check ran on a lattice)
+    (TWIN_A_TEXT, 20, 0),
+    # 7 keep them, and the 3 rigid ones fail certification (7 built)
+    (FOUR_GENERATORS_TEXT, 7, 3),
+], ids=["hexagon", "twin_a", "four_generators"])
 def test_scan_builds_lattices_only_for_matching_totals(
-        monkeypatch, request, fixture, lattices):
-    I = request.getfixturevalue(fixture)
-    betti_family = set(betti_poset(lcm_lattice(I), Q).elements)
+        monkeypatch, text, matching, lattices, F):
+    # a candidate is built as a lattice only to be certified, and only
+    # when it keeps the totals and its reader's verdict is rigid
+    built = record_certified_results(monkeypatch)
+    out = search_rigid_deformation(parse_ideal(text), 1, F)
+    assert not out
+    kept = [e for e in out.augmentation_log if e.totals == out.base_totals]
+    assert len(kept) == matching
+    assert len(built) == lattices
+    assert all(rigidity_report(T, F).rigid for T, _ in built)
+
+
+# the all-but-one-variable ideal in 8 variables: L is 0̂, the atoms and
+# the top, Aut(L) is S_8, and all 246 augmentations keep the totals
+ALL_BUT_ONE_8_TEXT = "; ".join("*".join(f"x{j}" for j in range(8) if j != i)
+                               for i in range(8))
+
+
+@pytest.mark.parametrize("F", [Q, FieldSpec(2)], ids=["char0", "char2"])
+@pytest.mark.parametrize("text", [TWIN_A_TEXT, TWIN_B_TEXT, SQUAREFREE17_TEXT,
+                                  HEXAGON_TEXT, ALL_BUT_ONE_8_TEXT,
+                                  FOUR_GENERATORS_TEXT],
+                         ids=["twin_a", "twin_b", "squarefree17", "hexagon",
+                              "all_but_one_8", "four_generators"])
+def test_scan_verdict_of_an_orbit_holds_for_each_member(monkeypatch, text, F):
+    # rigidity is read once per Aut(L)-orbit, off the reader's
+    # contributors; every member's closure, built fresh, has that verdict
+    I = parse_ideal(text)
+    L = lcm_lattice(I)
+    read = deform._augmentation_reader(L, F, {})
+    memo = {}  # the fresh lattices' own
+    verdicts = []
+    rigid = set()
+    for added, orbit in deform._augmentations(L, 1):
+        if orbit == len(verdicts):
+            verdicts.append(deform._rigid(read(added)[2]))
+        T = meet_closure(set(L.elements) | set(added), L.n_atoms)
+        assert verdicts[orbit] == rigidity_report(T, F, memo).rigid
+        if verdicts[orbit]:
+            rigid.add(added)
+    # the search certifies exactly the rigid ones that keep the totals
+    # (three, of the four-generator ideal)
+    recorded = record_certified_results(monkeypatch)
+    out = search_rigid_deformation(I, 1, F)
+    assert not out
+    tried = [added for _, added in recorded]
+    assert len(tried) == len(set(tried))
+    assert set(tried) == {e.added for e in out.augmentation_log
+                          if e.totals == out.base_totals and e.added in rigid}
+
+
+@pytest.mark.parametrize("F", [Q, FieldSpec(2)], ids=["char0", "char2"])
+def test_all_but_one_variable_scan_builds_no_lattice(monkeypatch, F):
+    # no candidate is rigid, and the Betti poset is L itself, so no
+    # lattice is built past L (nothing reaches certification, whose
+    # isinstance checks the counting subclass would break)
     built = []
 
     class Counted(FiniteAtomicLattice):
         def __init__(self, members, n_atoms, degrees=None):
-            if set(members) != betti_family:
-                built.append(members)
+            built.append(members)
             super().__init__(members, n_atoms, degrees)
 
     monkeypatch.setattr(deform, "FiniteAtomicLattice", Counted)
-    out = search_rigid_deformation(I, 1, Q)
-    matching = [e for e in out.augmentation_log if e.totals == out.base_totals]
-    assert len(built) == len(matching) == lattices
+    out = search_rigid_deformation(parse_ideal(ALL_BUT_ONE_8_TEXT), 1, F)
+    assert len(out.augmentation_log) == 246
+    assert all(e.totals == out.base_totals for e in out.augmentation_log)
+    assert out.betti_poset_candidate is None
+    assert built == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -606,9 +691,10 @@ def test_scan_reads_an_augmentation_as_its_meet_closure(data):
     T = meet_closure(set(L.elements) | set(added), n)
     for F in (Q, FieldSpec(2)):
         read = deform._augmentation_reader(L, F, {})
-        family, totals = read(added)
+        family, totals, contributors = read(added)
         assert family == closed
         assert (len(family), totals) == (len(T), betti_numbers(T, F).totals())
+        assert contributors == {q: r for q, r in betti._intervals(T, F) if r}
 
 
 @pytest.mark.parametrize("F", [Q, FieldSpec(2)], ids=["char0", "char2"])
@@ -621,21 +707,23 @@ def test_reader_drops_an_added_set_inside_another(hexagon_ideal, F):
     small, big = frozenset({0, 2}), frozenset({0, 2, 3})
     assert frozenset({0, 1, 2, 3}) in L and small not in L and big not in L
     memo = {}
-    closed, totals = deform._augmentation_reader(L, F, memo)([small, big])
+    closed, totals, contributors = deform._augmentation_reader(L, F, memo)(
+        [small, big])
     T = meet_closure(set(L.elements) | {small, big}, L.n_atoms)
     assert closed == set(T.elements)
     keys = set(memo)
     assert totals == betti_numbers(T, F, memo).totals()
     assert set(memo) == keys
     assert totals == betti_numbers(T, F).totals()
+    assert contributors == {q: r for q, r in betti._intervals(T, F) if r}
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_scan_keys_intervals_as_interval_ranks_does(data):
     # after read(added), every interval of the candidate lattice is a
-    # memo hit: the rigidity check that gates certification computes
-    # nothing, because the reader and `interval_ranks` make equal keys
+    # memo hit: a rigidity check on the built lattice computes nothing,
+    # because the reader and `interval_ranks` make equal keys
     n = data.draw(st.integers(min_value=2, max_value=5))
     atoms = st.integers(0, n - 1)
     L = meet_closure(data.draw(st.lists(st.sets(atoms, min_size=2),
@@ -651,12 +739,15 @@ def test_scan_keys_intervals_as_interval_ranks_does(data):
 
     for F in (Q, FieldSpec(2)):
         memo = {}
-        closed, totals = deform._augmentation_reader(L, F, memo)(added)
+        closed, totals, contributors = deform._augmentation_reader(
+            L, F, memo)(added)
         T = meet_closure(closed, n)
         betti.homology_ranks = counted
         try:
             rigidity_report(T, F, memo)
             assert betti_numbers(T, F, memo).totals() == totals
+            assert contributors == {q: r for q, r
+                                    in betti._intervals(T, F, memo) if r}
         finally:
             betti.homology_ranks = ranks
         assert calls == []
