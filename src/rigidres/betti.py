@@ -4,7 +4,8 @@ An element q of a poset with minimum 0̂ "contributes" when the order
 complex of the open interval (0̂, q) has some nonzero reduced homology.
 The Betti poset keeps 0̂ and the contributors.  `betti_numbers` reads
 the Betti table off any such poset: one generator at 0̂, and
-β_{i, q} = h_{i−2} of the interval below q.  On an lcm-lattice, with q
+β_{i, q} = h_{i−2} of the interval below q, by `betti_table`, the one
+rule from interval ranks to Betti numbers.  On an lcm-lattice, with q
 keyed by its degree, these are the multigraded Betti numbers of the
 quotient by the ideal.
 
@@ -170,8 +171,12 @@ class BettiTable:
         return sum(b for (j, _), b in self.entries.items() if j == i)
 
     def totals(self):
-        top = max((i for i, _ in self.entries), default=-1)
-        return tuple(self.total(i) for i in range(top + 1))
+        """(Σ_key β_{0, key}, Σ_key β_{1, key}, …) up to the highest
+        index held, summed in one pass over the entries."""
+        sums = {}
+        for (i, _), b in self.entries.items():
+            sums[i] = sums.get(i, 0) + b
+        return tuple(sums.get(i, 0) for i in range(max(sums, default=-1) + 1))
 
     def graded(self):
         """Sorted list of (i, degree, beta) triples."""
@@ -207,9 +212,24 @@ def betti_numbers(P, F=FieldSpec(0), memo=None):
     """
     P = P if isinstance(P, Poset) else lcm_lattice(P)
     labelled = isinstance(P, FiniteAtomicLattice) and P.degrees is not None
-    key = P.degree if labelled else frozenset
-    table = BettiTable({(0, key(P.bottom)): 1})
-    for q, ranks in _intervals(P, F, memo):
+    return betti_table(P.bottom, _intervals(P, F, memo),
+                       P.degree if labelled else frozenset)
+
+
+def betti_table(bottom, intervals, key=frozenset):
+    """The Betti table read off (q, ranks) pairs, ranks being the
+    reduced homology {i: h_i} of the open interval (0̂, q): one
+    generator at key(bottom) in index 0, and β_{i + 2, key(q)} = h_i.
+    A pair with no ranks adds nothing, so the contributors alone give
+    the same table.  This is the one rule that turns interval ranks
+    into Betti numbers: `betti_numbers` reads it over every interval of
+    a poset, and the deformation scan over a candidate's contributors.
+
+    >>> betti_table(frozenset(), [(frozenset({0, 1}), {0: 2})]).totals()
+    (1, 0, 2)
+    """
+    table = BettiTable({(0, key(bottom)): 1})
+    for q, ranks in intervals:
         for i, h in ranks.items():
             table.entries[(i + 2, key(q))] = h
     return table

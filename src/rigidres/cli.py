@@ -505,9 +505,12 @@ def cmd_deform_search(ns):
     print(f"budget: {ns.budget}")
     candidate = outcome.betti_poset_candidate
     if candidate is not None:
+        # never certified (see `search_rigid_deformation`); the constant
+        # stays until its frozen digests are recomputed on purpose
+        # (ROADMAP item 14)
         totals = ",".join(str(b) for b in candidate.totals)
         print(f"betti-poset candidate: {candidate.lattice_size} elements, "
-              f"totals {totals}, certified={_yesno(candidate.certified)}")
+              f"totals {totals}, certified=no")
     if outcome.augmentation_log:
         print(f"scanned {len(outcome.augmentation_log)} augmentations:")
         for entry in outcome.augmentation_log:

@@ -23,19 +23,22 @@ points:
     (see `search_rigid_deformation`).  Each augmentation is read as a
     change to L_I, in one pass over the candidate's elements: only the
     added sets are closed, an interval whose coatoms they leave
-    unchanged keeps its ranks, and the pass yields the totals and the
-    contributors, from which the two rigidity rules decide the
-    verdict.  A lattice is built only for a candidate that keeps the
-    totals and is rigid, the ones that reach certification.  L_I's own
-    totals and verdict are read the same way, as the change that adds
-    nothing.  Only one augmentation per orbit of the automorphism group
-    Aut(L_I) is read: an atom permutation σ that carries L_I onto
-    itself carries the closure of L_I ∪ A onto the closure of
+    unchanged keeps its ranks, and the pass yields the contributors,
+    whose Betti table (`betti.betti_table`) gives the totals and from
+    which the two rigidity rules decide the verdict.  A lattice is
+    built only for a candidate that keeps the totals and is rigid, the
+    ones that reach certification, each from its own closure.  L_I's
+    own totals and verdict are read the same way, as the change that
+    adds nothing.  Only one augmentation per orbit of the automorphism
+    group Aut(L_I) is read: an atom permutation σ that carries L_I
+    onto itself carries the closure of L_I ∪ A onto the closure of
     L_I ∪ σ(A), an isomorphic lattice with the same size, totals and
-    verdict, so the rest of the orbit copies those.  Used mostly as a
-    negative control: for the hexagon edge ideal every single-support
-    augmentation strictly increases total Betti numbers, so the scan
-    comes back empty.
+    verdict, so the rest of the orbit copies those.  The log records
+    what was read, never a verdict of certification: the candidate
+    that certifies is the result.  Used mostly as a negative control:
+    for the hexagon edge ideal every single-support augmentation
+    strictly increases total Betti numbers, so the scan comes back
+    empty.
 
 Certification never trusts the construction: it re-checks rigidity,
 Betti totals, and the full relabeled resolution independently.
@@ -46,7 +49,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .betti import (betti_numbers, betti_poset, coatom_ranks,
+from .betti import (betti_numbers, betti_poset, betti_table, coatom_ranks,
                     rigidity_of_intervals, rigidity_report)
 from .frames import _check_mapping, relabel, resolve, verify_resolution
 from .homology import FieldSpec, SimplicialComplex, homology_ranks
@@ -95,13 +98,6 @@ class DeformationResult:
     added: tuple = ()
 
 
-def _resolves(res, L):
-    """Whether the resolution's first module matches the atom degrees of
-    L, i.e. the generators of the ideal whose lcm-lattice L is."""
-    degrees = sorted(deg for _, deg in res.modules.get(1, ()))
-    return degrees == sorted(L.degree({i}) for i in range(L.n_atoms))
-
-
 def certify_rigid_deformation(J, I, F=FieldSpec(0), memo=None):
     """Check independently that J is a rigid deformation of I: J rigid,
     Betti posets isomorphic (or a join-preserving comparability map
@@ -113,6 +109,17 @@ def certify_rigid_deformation(J, I, F=FieldSpec(0), memo=None):
     `betti.interval_ranks`), made here when none is given: a caller that
     certifies many candidates builds L_I once and computes each interval
     once.
+
+    A verified relabeled resolution is one of I, generators included:
+    its first module holds one basis element in the degree of each
+    generator of I.  Position 1 of J's resolution holds one key ({i}, 0)
+    per atom of L_J, since an atom's open interval is empty, so every
+    atom contributes to B_J and nothing else has an empty interval below
+    it.  Once `_check_mapping` passes, the assignment sends those atoms
+    one-to-one onto L_I's atoms on either route: `is_isomorphic` matches
+    levels, so B_J's atoms go to B_I's, which are L_I's, and a
+    join-preserving map is an atom bijection σ that sends {i} to
+    {σ(i)}.  `relabel` then gives each key L_I's degree.
     """
     memo = {} if memo is None else memo
     LI = I if isinstance(I, FiniteAtomicLattice) else lcm_lattice(I)
@@ -144,11 +151,9 @@ def certify_rigid_deformation(J, I, F=FieldSpec(0), memo=None):
     _, _, res = resolve(LJ, F, memo)
     moved = relabel(res, assignment, LI.degrees)
     verdict = verify_resolution(moved)
-    cert.relabel_verified = verdict.ok and _resolves(moved, LI)
+    cert.relabel_verified = verdict.ok
     if not verdict.ok:
         cert.detail = verdict.summary()
-    elif not cert.relabel_verified:
-        cert.detail = "relabeled first module misses the source generators"
     return cert
 
 
@@ -193,16 +198,22 @@ def simplicial_rigid_deformation(I, X, F=FieldSpec(0)):
 
 @dataclass
 class ScanEntry:
+    """What the scan read of one lattice: the added sets, its size and
+    its total Betti numbers.  It holds no verdict of certification: a
+    certified candidate becomes the search's result."""
+
     added: tuple
     lattice_size: int
     totals: tuple
-    certified: bool = False
 
 
 @dataclass
 class SearchOutcome:
-    """What a search scanned and found.  `betti_poset_candidate` is
-    logged, never certified: its `certified` stays False."""
+    """What a search scanned and found: L's totals, the certified
+    result or None, every augmentation read, in scan order, and the
+    Betti poset when it is an atomic lattice other than L, or None.
+    The Betti-poset candidate is logged and never certified (see
+    `search_rigid_deformation`)."""
 
     base_totals: tuple
     result: DeformationResult = None
@@ -271,9 +282,9 @@ def _augmentation_reader(L, F, memo):
     they are the maximal elements of L inside q, kept in the same dict
     from one call to the next.  An element of L whose coatoms do not
     change keeps the ranks read when the reader was made.  The totals
-    are 1 in index 0, then the sum of h_i over the intervals in index
-    i + 2, and 0 in a gap.  `read(())` reads L itself, and is where the
-    search takes L's elements, totals and contributors from."""
+    are those of the contributors' Betti table (`betti_table`).
+    `read(())` reads L itself, and is where the search takes L's
+    elements, totals and contributors from."""
     bot = L.bottom
     family = frozenset(L.elements)
     coatoms = {q: frozenset(L.lower_covers(q)) - {bot}
@@ -283,7 +294,6 @@ def _augmentation_reader(L, F, memo):
     def read(added):
         closed = _closure(added, start=family)
         new = closed - family
-        totals = {}
         contributors = {}
         for q in itertools.chain(stored, new):
             if q not in coatoms:
@@ -298,11 +308,8 @@ def _augmentation_reader(L, F, memo):
                 ranks = coatom_ranks(tops, F, memo)
             if ranks:
                 contributors[q] = ranks
-            for i, h in ranks.items():
-                totals[i] = totals.get(i, 0) + h
-        top = max(i for i, h in totals.items() if h)
-        return closed, (1,) + tuple(totals.get(i, 0)
-                                    for i in range(-1, top + 1)), contributors
+        totals = betti_table(bot, contributors.items()).totals()
+        return closed, totals, contributors
 
     return read
 
@@ -390,8 +397,16 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
     the source's totals and is rigid closes its own added sets, and is
     then built as a lattice from that closure, in order of size, by the
     constructor, which checks it, and certified on its own, since the
-    map a certificate finds is not carried along.  One interval-rank
-    memo serves L, every candidate and every certification.
+    map a certificate finds is not carried along.  The first that
+    certifies is the result.  One interval-rank memo serves L, every
+    candidate and every certification.
+
+    >>> from rigidres.monomials import parse_ideal
+    >>> out = search_rigid_deformation(parse_ideal("x0*x1*x3; x0*x2; x2*x3"))
+    >>> out.result.added
+    (frozenset({0, 1}),)
+    >>> len(out.result.target_lattice.elements), out.result.certificate.route
+    (7, 'join-preserving')
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -420,7 +435,6 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
     candidates = []
     numbers = []  # (lattice size, totals, rigid) of each orbit
     for combo, orbit in _augmentations(L, budget):
-        closed = None
         if orbit == len(numbers):
             closed, totals, contributors = read(combo)
             numbers.append((len(closed), totals,
@@ -429,18 +443,13 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
         entry = ScanEntry(added=combo, lattice_size=size, totals=totals)
         outcome.augmentation_log.append(entry)
         if rigid:
-            if closed is None:
-                closed = _closure(combo, start=family)
-            candidates.append((entry, closed))
+            candidates.append(entry)
 
-    candidates.sort(key=lambda pair: (
-        pair[0].lattice_size,
-        tuple(element_key(s) for s in pair[0].added)))
-    for entry, closed in candidates:
-        T = FiniteAtomicLattice(closed, n)
-        result = _certified_result(T, L, F, memo, added=entry.added)
-        if result is not None:
-            entry.certified = True
-            outcome.result = result
-            return outcome
+    candidates.sort(key=lambda entry: (
+        entry.lattice_size, tuple(element_key(s) for s in entry.added)))
+    for entry in candidates:
+        T = FiniteAtomicLattice(_closure(entry.added, start=family), n)
+        outcome.result = _certified_result(T, L, F, memo, added=entry.added)
+        if outcome.result is not None:
+            break
     return outcome

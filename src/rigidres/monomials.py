@@ -40,9 +40,13 @@ class Monomial(tuple):
     def __new__(cls, exponents):
         if isinstance(exponents, Monomial):  # valid already, and immutable
             return exponents
-        exps = tuple(int(e) for e in exponents)
-        if any(e < 0 for e in exps):
-            raise ValueError(f"negative exponent in {exps}")
+        exps = tuple(exponents)
+        for e in exps:
+            # bools are ints to Python, but no exponent
+            if not isinstance(e, int) or isinstance(e, bool):
+                raise ValueError(f"exponent {e!r} in {exps} is not an int")
+            if e < 0:
+                raise ValueError(f"negative exponent in {exps}")
         return tuple.__new__(cls, exps)
 
     def __repr__(self):

@@ -859,6 +859,31 @@ def test_twin_a_budget_two_scan_is_frozen(tmp_path, capsys):
         "ec197853c21e134bf9938b3b9a9d3dfe12595d4ac1ed3b575123d029dfc85656")
 
 
+POSITIVE_CONTROL_A = "a*d^2; a*c*d; a*b*c; a*b^2*d"
+POSITIVE_CONTROL_B = "x0*x1*x3; x0*x2; x2*x3"
+
+
+@pytest.mark.parametrize("char", ["0", "2"])
+@pytest.mark.parametrize("text, digest", [
+    (POSITIVE_CONTROL_A,
+     "70626b634e5b86d466ab72e74ef0b0f3f08382054f57f973c46c9203aabe609a"),
+    (POSITIVE_CONTROL_B,
+     "5a1643b2cb813495b01b6140a10b046527c1628048c80273cfff65856ae45ddd"),
+], ids=["a", "b"])
+def test_positive_control_scan_is_frozen(tmp_path, capsys, text, char,
+                                         digest):
+    # non-rigid ideals whose budget-1 scan certifies: the certificate,
+    # the Betti-poset line and the written target lattice
+    ideal = ideal_file(tmp_path, "m.ideal", text)
+    lattice = tmp_path / "t.lattice"
+    code = main(["deform-search", ideal, "--budget", "1", "--char", char,
+                 "-o", str(lattice)])
+    out = capsys.readouterr().out
+    assert "rigid deformation found:" in out
+    run = f"{code}\n{out}".encode() + lattice.read_bytes()
+    assert hashlib.sha256(run).hexdigest() == digest
+
+
 def test_deform_search_budget_beyond_the_missing_supports(tmp_path, capsys):
     ideal = ideal_file(tmp_path, "triangle.ideal", "x*y; y*z; x*z")
     assert main(["deform-search", ideal, "--budget", "3"]) == 2

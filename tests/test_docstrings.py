@@ -4,11 +4,11 @@ import doctest
 
 import pytest
 
-from rigidres import betti, frames, homology, monomials, posets
+from rigidres import betti, deform, frames, homology, monomials, posets
 
 
-@pytest.mark.parametrize("module", [betti, frames, homology, monomials,
-                                    posets],
+@pytest.mark.parametrize("module", [betti, deform, frames, homology,
+                                    monomials, posets],
                          ids=lambda m: m.__name__)
 def test_docstring_examples(module):
     result = doctest.testmod(module)

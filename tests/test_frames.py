@@ -541,11 +541,21 @@ def test_resolve_refuses_a_lattice_without_degrees():
         resolve(bare, Q)
 
 
+def assert_first_module_is_the_atoms(res, L):
+    """Position 1 of a resolution of L holds exactly one key ({i}, 0)
+    per atom i of L, in the atom's degree: the generators."""
+    first = res.modules[1]
+    assert len(first) == L.n_atoms
+    assert dict(first) == {(frozenset({i}), 0): L.degree({i})
+                           for i in range(L.n_atoms)}
+
+
 def test_resolve_accepts_the_lcm_lattice(twin_a):
     for I in (twin_a, parse_ideal("x^2; x*y; y^2")):
         for F in (Q, GF2):
             L, B, res = resolve(lcm_lattice(I), F)
             assert resolve(I, F) == (L, B, res)
+            assert_first_module_is_the_atoms(res, L)
 
 
 # --------------------------------------------------------------------------
@@ -680,7 +690,8 @@ def test_c9_resolution_survives_its_file_and_verifies(F):
     """resolve → .res JSON → load → verify on the 9-cycle, against the
     Taylor totals (Taylor 1966; Bayer–Peeva–Sturmfels 1998)."""
     I = cycle_edge_ideal(9)
-    _, _, res = resolve(I, F)
+    L, _, res = resolve(I, F)
+    assert_first_module_is_the_atoms(res, L)
     text = json.dumps(resolution_to_json(res))
     back = resolution_from_json(json.loads(text), F)
     assert verify_resolution(back).ok

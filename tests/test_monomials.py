@@ -155,6 +155,16 @@ def test_format_unit():
     assert Monomial((0, 0)).format(("x", "y")) == "1"
 
 
+@pytest.mark.parametrize("bad", [1.7, 2.0, "3", True, None],
+                         ids=["fraction", "integral-float", "string", "bool",
+                              "none"])
+def test_constructor_rejects_an_exponent_that_is_not_an_int(bad):
+    # no exponent is truncated or parsed: (1.7, 2) is not (1, 2)
+    with pytest.raises(ValueError) as err:
+        Monomial((bad, 2))
+    assert str(err.value) == f"exponent {bad!r} in {(bad, 2)} is not an int"
+
+
 @given(pairs)
 def test_lcm_commutative(ab):
     a, b = ab
