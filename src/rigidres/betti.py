@@ -167,9 +167,6 @@ class BettiTable:
 
     entries: dict = field(default_factory=dict)
 
-    def total(self, i):
-        return sum(b for (j, _), b in self.entries.items() if j == i)
-
     def totals(self):
         """(Σ_key β_{0, key}, Σ_key β_{1, key}, …) up to the highest
         index held, summed in one pass over the entries."""

@@ -280,9 +280,11 @@ def _read_text(path):
 
 
 def _read_json(path):
+    # the decoder recurses once per nesting level: a file nested past
+    # the recursion limit raises RecursionError, reported like bad syntax
     try:
         return json.loads(_read_text(path))
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise InputError(f"{path}: not valid JSON ({err})") from None
 
 
@@ -495,7 +497,7 @@ def cmd_deform_simplicial(ns):
     ]
     print("\n".join(lines))
     _write_target_lattice(result, ns)
-    return 0 if cert.all_true else 2
+    return 0 if cert else 2
 
 
 def cmd_deform_search(ns):

@@ -82,12 +82,9 @@ class Certificate:
     route: str = ""  # "betti-poset-isomorphism" | "join-preserving" | ""
     detail: str = ""
 
-    @property
-    def all_true(self):
-        return self.rigid and self.betti_preserved and self.relabel_verified
-
     def __bool__(self):
-        return self.all_true
+        """The verdict: J is a rigid deformation of I."""
+        return self.rigid and self.betti_preserved and self.relabel_verified
 
 
 @dataclass

@@ -88,18 +88,6 @@ class Monomial(tuple):
         return "*".join(parts) if parts else "1"
 
 
-def lcm(a, b):
-    return Monomial(a).lcm(Monomial(b))
-
-
-def divides(a, b):
-    return Monomial(a).divides(b)
-
-
-def ratio(a, b):
-    return Monomial(a).ratio(b)
-
-
 def lcm_of(monomials):
     """Fold lcm over a non-empty iterable.  Plain exponent vectors are
     validated as Monomials; Monomials are used as they are."""

@@ -379,7 +379,7 @@ def test_betti_table_graded_entries():
     assert table.entries[(1, Monomial((1, 0)))] == 1
     assert table.entries[(1, Monomial((0, 1)))] == 1
     assert table.entries[(2, Monomial((1, 1)))] == 1
-    assert table.total(2) == 1
+    assert table.totals()[2] == 1
     d = table.to_json_dict()
     assert d["totals"] == [1, 2, 1]
     assert {"i": 2, "degree": [1, 1], "beta": 1} in d["graded"]

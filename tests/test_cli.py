@@ -240,6 +240,20 @@ def test_lattice_file_errors_are_input_errors(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {bad}: not valid JSON")
 
 
+@pytest.mark.parametrize("command, name", [("verify", "deep.res"),
+                                           ("betti-numbers", "deep.lattice")])
+def test_json_nested_past_the_recursion_limit_is_an_input_error(
+        tmp_path, capsys, command, name):
+    path = tmp_path / name
+    path.write_text("[" * 100_000)
+    capsys.readouterr()
+    assert main([command, str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}: not valid JSON")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_family_json_helpers_reject_bad_payloads():
     with pytest.raises(InputError):
         family_from_json({"n_atoms": 2, "supports": [[], [1], [1], [1, 2]]})
@@ -765,6 +779,28 @@ def test_resolution_file_without_a_field_reads_in_char_zero(tmp_path, capsys):
     assert main(["verify", str(out)]) == 2
     assert capsys.readouterr().out.startswith("49 nonzero compositions")
     assert main(["verify", str(out), "--char", "2"]) == 0
+
+
+@pytest.mark.parametrize("recorded, message", [
+    (4, "characteristic must be 0 or a prime, got 4"),
+    (2**61 - 1, "characteristic must be at most 2147483647, "
+                "got 2305843009213693951"),
+], ids=["composite", "huge"])
+def test_resolution_file_recording_a_refused_field(tmp_path, capsys,
+                                                    recorded, message):
+    """A characteristic recorded in the .res file is refused as --char
+    would refuse it, and a huge one at once."""
+    ideal = ideal_file(tmp_path, "xy.ideal", "x; y")
+    out = tmp_path / "xy.res"
+    assert main(["resolve", ideal, "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    payload["characteristic"] = recorded
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["verify", str(out)]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_relabel_between_the_twins(tmp_path, capsys):
