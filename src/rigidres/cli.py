@@ -18,15 +18,19 @@ File formats
               entries carry a degree vector and a source element;
               differential entries are (row, col, scalar, monomial) with
               row/col indexing into the adjacent module arrays and scalars
-              as decimal strings.  A file written with ``-o`` records the
-              characteristic of its field, and ``verify`` reads it there; a
-              file without it is read in ``--char`` (default 0).
+              as strings, each exactly ``-?digits(/digits)?`` (the
+              schema's pattern is the one statement of that rule).  A
+              file written with ``-o`` records the characteristic of its
+              field, and ``verify`` reads it there; a file without it is
+              read in ``--char`` (default 0).
 ``.dot``      Graphviz text: the Hasse diagram, contributor nodes filled.
 
 All JSON read or written here is checked against the schema files
 shipped in ``rigidres/schemas/`` by :func:`validate_payload`, which
 reads exactly the keywords those files use ("integer" is an ``int``,
-not a ``bool`` and not ``2.0``); a violation is an input error.
+not a ``bool`` and not ``2.0``); a violation is an input error, and
+its message shows the offending value (or the list of unexpected
+keys) cut to 80 characters.
 
 Exit codes: 0 success, 1 input error (bad arguments, malformed or
 unreadable files), 2 computed-but-negative (a verification failed, the
@@ -69,14 +73,21 @@ def load_schema(name):
 _TYPES = {"object": dict, "array": list, "string": str, "integer": int}
 
 
+def _cut(text):
+    """text, cut to 80 characters ending in "..." if longer."""
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def _violation(value, schema):
     """The first way value breaks schema, worded as the JSON Schema
-    reference validator words it, or None.  Items are checked before
+    reference validator words it, or None.  The repr of an offending
+    value, and the list of unexpected keys, are cut by `_cut`, so a
+    long one does not fill the message.  Items are checked before
     uniqueItems, so only valid (hashable) members reach the set."""
     kind = schema["type"]
     if not isinstance(value, _TYPES[kind]) or (
             kind == "integer" and isinstance(value, bool)):
-        return f"{value!r} is not of type {kind!r}"
+        return f"{_cut(repr(value))} is not of type {kind!r}"
     members = ()
     if kind == "object":
         for key in schema.get("required", ()):
@@ -87,7 +98,7 @@ def _violation(value, schema):
         if extras and schema.get("additionalProperties") is False:
             verb = "was" if len(extras) == 1 else "were"
             return (f"Additional properties are not allowed "
-                    f"({', '.join(map(repr, extras))} {verb} unexpected)")
+                    f"({_cut(', '.join(map(repr, extras)))} {verb} unexpected)")
         members = [(value[key], sub) for key, sub in properties.items()
                    if key in value]
     elif "items" in schema:
@@ -97,17 +108,28 @@ def _violation(value, schema):
         if error:
             return error
     if schema.get("uniqueItems") and len(set(value)) != len(value):
-        return f"{value!r} has non-unique elements"
+        return f"{_cut(repr(value))} has non-unique elements"
     if "minimum" in schema and value < schema["minimum"]:
-        return f"{value!r} is less than the minimum of {schema['minimum']!r}"
+        return (f"{_cut(repr(value))} is less than the minimum of "
+                f"{schema['minimum']!r}")
     if "pattern" in schema and not re.search(schema["pattern"], value):
-        return f"{value!r} does not match {schema['pattern']!r}"
+        return f"{_cut(repr(value))} does not match {schema['pattern']!r}"
     return None
 
 
 def validate_payload(payload, schema_name):
     """Return the payload, or raise InputError naming its first schema
-    violation."""
+    violation.  The message shows an offending value's repr cut to 80
+    characters:
+
+    >>> try:  # doctest: +NORMALIZE_WHITESPACE
+    ...     validate_payload({"n_atoms": list(range(50)), "supports": []},
+    ...                      "lattice")
+    ... except InputError as err:
+    ...     print(err)
+    invalid JSON payload: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
+    14, 15, 16, 17, 18, 19, 20, 21... is not of type 'integer'
+    """
     error = _violation(payload, load_schema(schema_name))
     if error:
         raise InputError(f"invalid JSON payload: {error}")
@@ -177,11 +199,6 @@ def resolution_to_json(res, record_field=True):
     return validate_payload(payload, "resolution")
 
 
-# The whole scalar must match: the schema's `pattern` is searched, and
-# its `$` also matches before a final newline.
-_SCALAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
 def resolution_from_json(payload, F=None):
     """Rebuild a GradedFreeResolution from its JSON payload, over F, or
     over the field the payload records when F is None (characteristic
@@ -223,15 +240,15 @@ def resolution_from_json(payload, F=None):
             except IndexError:
                 raise InputError(f"row/col index out of range in "
                                  f"differential {pos}") from None
-            if not _SCALAR.fullmatch(ent["scalar"]):
-                raise InputError(f"malformed scalar {ent['scalar']!r}")
             try:
                 scalar = Fraction(ent["scalar"])
             except ZeroDivisionError:
                 raise InputError(f"zero denominator in scalar "
-                                 f"{ent['scalar']}") from None
+                                 f"{_cut(ent['scalar'])}") from None
+            except ValueError as err:  # past the int-conversion digit limit
+                raise InputError(f"differential {pos}: {err}") from None
             if F.characteristic and scalar.denominator != 1:
-                raise InputError(f"non-integer scalar {ent['scalar']} in "
+                raise InputError(f"non-integer scalar {_cut(ent['scalar'])} in "
                                  f"characteristic {F.characteristic}")
             col = cols.setdefault(colkey, {})
             if rowkey in col:
@@ -280,11 +297,13 @@ def _read_text(path):
 
 
 def _read_json(path):
-    # the decoder recurses once per nesting level: a file nested past
-    # the recursion limit raises RecursionError, reported like bad syntax
+    # reported like bad syntax: a file nested past the recursion limit
+    # (the decoder recurses once per level) and a number past the
+    # int-conversion digit limit, which json raises as a plain ValueError
+    text = _read_text(path)
     try:
-        return json.loads(_read_text(path))
-    except (json.JSONDecodeError, RecursionError) as err:
+        return json.loads(text)
+    except (ValueError, RecursionError) as err:
         raise InputError(f"{path}: not valid JSON ({err})") from None
 
 

@@ -207,12 +207,23 @@ def build_frame(B, F=FieldSpec(0)):
 # checker helpers, shared by verify_frame, verify_resolution and the
 # Taylor oracle
 
-def _failure_summary(kinds):
-    """One line: for each nonempty failure list in `kinds` (triples of
-    failures, description, witness formatter), its count and its first
-    witness."""
-    return "; ".join(f"{len(failures)} {what} (first: {witness(*failures[0])})"
-                     for failures, what, witness in kinds if failures)
+class _Report:
+    """A checker's outcome, read from its table of failure kinds:
+    `failure_kinds()` gives (failure list, description, witness
+    formatter) for each kind, and `SUCCESS` words the outcome with no
+    failure, given the number of strands checked."""
+
+    @property
+    def ok(self):
+        """No list in the table holds a failure."""
+        return not any(failures for failures, _, _ in self.failure_kinds())
+
+    def summary(self):
+        """One line: for each nonempty failure list its count and its
+        first witness, or the success line when there is none."""
+        return "; ".join(f"{len(fails)} {what} (first: {text(*fails[0])})"
+                         for fails, what, text in self.failure_kinds()
+                         if fails) or self.SUCCESS.format(self.strands_checked)
 
 
 def _entry_text(position, colkey, rowkey):
@@ -310,8 +321,11 @@ def _nonzero_compositions(maps, F):
 # frame verification
 
 @dataclass
-class FrameReport:
-    """Outcome of the frame checks; empty lists mean success."""
+class FrameReport(_Report):
+    """Outcome of the frame checks.  Its table lists four failure
+    kinds: nonzero compositions (the frame is not a complex), entries
+    keyed outside the components, inexact strand positions and strand
+    length mismatches; it is ok when all four lists are empty."""
 
     bad_compositions: list = field(default_factory=list)  # (level, col, row)
     foreign_entries: list = field(default_factory=list)  # (level, col, row)
@@ -319,27 +333,15 @@ class FrameReport:
     length_mismatches: list = field(default_factory=list)  # (q, strand, ranked)
     strands_checked: int = 0
 
-    @property
-    def is_complex(self):
-        return not self.bad_compositions
+    SUCCESS = "complex, {} strands exact, lengths agree"
 
-    @property
-    def ok(self):
-        return (self.is_complex and not self.foreign_entries
-                and not self.strand_failures and not self.length_mismatches)
-
-    def summary(self):
-        """One line; a failure count names its first witness."""
-        if self.ok:
-            return (f"complex, {self.strands_checked} strands exact, "
-                    "lengths agree")
-        return _failure_summary((
-            (self.bad_compositions, "nonzero compositions", _entry_text),
-            (self.foreign_entries, "entries keyed outside the components",
-             _entry_text),
-            (self.strand_failures, "inexact strand positions",
-             _element_strand_text),
-            (self.length_mismatches, "length mismatches", _length_text)))
+    def failure_kinds(self):
+        return ((self.bad_compositions, "nonzero compositions", _entry_text),
+                (self.foreign_entries, "entries keyed outside the components",
+                 _entry_text),
+                (self.strand_failures, "inexact strand positions",
+                 _element_strand_text),
+                (self.length_mismatches, "length mismatches", _length_text))
 
 
 def _element_strand_text(m, position):
@@ -522,8 +524,12 @@ def relabel(resolution, mapping, new_degrees):
 
 
 @dataclass
-class ResolutionReport:
-    """Outcome of graded-resolution verification."""
+class ResolutionReport(_Report):
+    """Outcome of graded-resolution verification.  Its table lists five
+    failure kinds: inhomogeneous entries, unit entries (the resolution
+    is not minimal), nonzero compositions and inexact strand positions
+    (it is not exact), and malformed modules at positions 0 and 1; it
+    is ok when all five lists are empty."""
 
     homogeneity_failures: list = field(default_factory=list)
     unit_entries: list = field(default_factory=list)  # minimality
@@ -532,35 +538,16 @@ class ResolutionReport:
     module_failures: list = field(default_factory=list)  # (position, what)
     strands_checked: int = 0
 
-    @property
-    def is_homogeneous(self):
-        return not self.homogeneity_failures
+    SUCCESS = "minimal multigraded resolution, {} degree strands exact"
 
-    @property
-    def is_minimal(self):
-        return not self.unit_entries
-
-    @property
-    def is_exact(self):
-        return not self.strand_failures and not self.bad_compositions
-
-    @property
-    def ok(self):
-        return (self.is_homogeneous and self.is_minimal and self.is_exact
-                and not self.module_failures)
-
-    def summary(self):
-        """One line; a failure count names its first witness."""
-        if self.ok:
-            return (f"minimal multigraded resolution, "
-                    f"{self.strands_checked} degree strands exact")
-        return _failure_summary((
+    def failure_kinds(self):
+        return (
             (self.homogeneity_failures, "inhomogeneous entries", _entry_text),
             (self.unit_entries, "unit entries (not minimal)", _entry_text),
             (self.bad_compositions, "nonzero compositions", _entry_text),
             (self.strand_failures, "inexact strand positions", _strand_text),
             (self.module_failures, "malformed modules",
-             "position {} {}".format)))
+             "position {} {}".format))
 
 
 def _strand_text(degree, position):

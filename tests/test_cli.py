@@ -254,6 +254,66 @@ def test_json_nested_past_the_recursion_limit_is_an_input_error(
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def _nested(depth):
+    value = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("command, change, message", [
+    ("betti-numbers", {"supports": "a" * 100_000},
+     "'" + "a" * 76 + "... is not of type 'array'"),
+    ("verify", {"modules": _nested(900)},
+     "[" * 77 + "... is not of type 'object'"),
+    ("betti-numbers", {f"k{i}": 0 for i in range(10_000)},
+     "Additional properties are not allowed ('k0', 'k1', 'k10', 'k100', "
+     "'k1000', 'k1001', 'k1002', 'k1003', 'k1004', 'k100... were "
+     "unexpected)"),
+], ids=["long-string", "deep-list", "many-keys"])
+def test_schema_violation_cuts_the_offending_value(
+        tmp_path, capsys, command, change, message):
+    """A violation shows the value's repr, or the list of unexpected
+    keys, cut to 80 characters."""
+    if command == "verify":
+        path, payload = path_resolution(tmp_path)
+    else:
+        path, payload = tmp_path / "bad.lattice", {"n_atoms": 2,
+                                                   "supports": []}
+    payload.update(change)
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main([command, str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: invalid JSON payload: {message}\n"
+    assert len(err) < 200
+
+
+def test_json_number_past_the_digit_limit_is_an_input_error(tmp_path, capsys):
+    """json.loads raises a plain ValueError, not a JSONDecodeError."""
+    path = tmp_path / "big.lattice"
+    path.write_text('{"n_atoms": ' + "1" * 5001 + ', "supports": [[]]}')
+    capsys.readouterr()
+    assert main(["betti-numbers", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}: not valid JSON (")
+    assert "5001 digits" in err and err.count("\n") == 1
+
+
+def test_scalar_past_the_digit_limit_names_its_differential(tmp_path, capsys):
+    path, payload = path_resolution(tmp_path)
+    payload["differentials"][1][0]["scalar"] = "1" * 5001
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: differential 2: ")
+    assert "5001 digits" in err and err.count("\n") == 1
+
+
 def test_family_json_helpers_reject_bad_payloads():
     with pytest.raises(InputError):
         family_from_json({"n_atoms": 2, "supports": [[], [1], [1], [1, 2]]})
@@ -639,6 +699,23 @@ def test_verify_rejects_a_zero_denominator(tmp_path, capsys):
     assert main(["verify", str(out)]) == 1
     assert capsys.readouterr() == (
         "", "error: zero denominator in scalar 1/0\n")
+
+
+@pytest.mark.parametrize("scalar, args, message", [
+    ("1" * 4000 + "/0", [], "zero denominator in scalar {}"),
+    ("1/" + "3" * 4000, ["--char", "2"], "non-integer scalar {} in "
+                                         "characteristic 2"),
+], ids=["zero-denominator", "non-integer"])
+def test_a_long_refused_scalar_is_cut(tmp_path, capsys, scalar, args,
+                                      message):
+    out, payload = path_resolution(tmp_path)
+    del payload["characteristic"]
+    payload["differentials"][1][0]["scalar"] = scalar
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(out), *args]) == 1
+    shown = scalar[:77] + "..."
+    assert capsys.readouterr() == ("", f"error: {message.format(shown)}\n")
 
 
 @pytest.mark.parametrize("scalar", ["1\n", "-1/2\n", " 1", "1 "])

@@ -7,12 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from rigidres import betti, deform, frames, homology, monomials, posets
+from rigidres import betti, cli, deform, frames, homology, monomials, posets
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-@pytest.mark.parametrize("module", [betti, deform, frames, homology,
+@pytest.mark.parametrize("module", [betti, cli, deform, frames, homology,
                                     monomials, posets],
                          ids=lambda m: m.__name__)
 def test_docstring_examples(module):

@@ -6,6 +6,7 @@ computations for two and three variables, the Taylor-complex oracle
 characteristic-2 jump of the projective-plane ideal.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -24,7 +25,9 @@ from rigidres.betti import (
 )
 from rigidres.frames import (
     Frame,
+    FrameReport,
     GradedFreeResolution,
+    ResolutionReport,
     build_frame,
     homogenize,
     relabel,
@@ -464,7 +467,8 @@ def test_resolution_report_on_koszul2():
     _, L, B, fr = pipeline("x; y")
     res = homogenize(fr, {q: L.degree(q) for q in B.elements})
     report = verify_resolution(res)
-    assert report.ok and report.is_minimal and report.is_homogeneous
+    assert (report.ok and not report.unit_entries
+            and not report.homogeneity_failures)
     assert report.strands_checked == 3
 
 
@@ -476,8 +480,8 @@ def test_tampered_resolution_flags_homogeneity_and_minimality():
     scalar, _ = col[(BOT, 0)]
     col[(BOT, 0)] = (scalar, Monomial((0, 0)))
     report = verify_resolution(res)
-    assert not report.is_homogeneous
-    assert not report.is_minimal
+    assert report.homogeneity_failures
+    assert report.unit_entries
 
 
 def test_an_entry_outside_the_modules_is_reported_not_raised():
@@ -502,6 +506,58 @@ def test_degrees_of_two_lengths_are_refused():
                                         Monomial((1, 0, 0))),)}, {})
     with pytest.raises(ValueError, match="^ambient dimension mismatch: 2 vs 3$"):
         verify_resolution(res)
+
+
+# one witness per failure list of each report, with the summary it gives
+XY = (frozenset({0, 1}), 0)
+ENTRY = (2, XY, (BOT, 0))
+ENTRY_TEXT = "position 2, column {1,2}#0, row {}#0"
+REPORT_FAILURES = [
+    (FrameReport, "bad_compositions", ENTRY,
+     f"1 nonzero compositions (first: {ENTRY_TEXT})"),
+    (FrameReport, "foreign_entries", ENTRY,
+     f"1 entries keyed outside the components (first: {ENTRY_TEXT})"),
+    (FrameReport, "strand_failures", (frozenset({0}), 1),
+     "1 inexact strand positions (first: strand {1}, position 1)"),
+    (FrameReport, "length_mismatches", (XY[0], 2, 1),
+     "1 length mismatches (first: strand {1,2} has length 2, predicted 1)"),
+    (ResolutionReport, "homogeneity_failures", ENTRY,
+     f"1 inhomogeneous entries (first: {ENTRY_TEXT})"),
+    (ResolutionReport, "unit_entries", ENTRY,
+     f"1 unit entries (not minimal) (first: {ENTRY_TEXT})"),
+    (ResolutionReport, "bad_compositions", ENTRY,
+     f"1 nonzero compositions (first: {ENTRY_TEXT})"),
+    (ResolutionReport, "strand_failures", (Monomial((1, 0, 1)), 2),
+     "1 inexact strand positions (first: degree [1,0,1], position 2)"),
+    (ResolutionReport, "module_failures", (1, "is empty"),
+     "1 malformed modules (first: position 1 is empty)"),
+]
+
+
+@pytest.mark.parametrize("cls, name, witness, summary", REPORT_FAILURES,
+                         ids=[f"{c.__name__}.{name}"
+                              for c, name, _, _ in REPORT_FAILURES])
+def test_one_failure_fails_the_report_and_names_its_witness(
+        cls, name, witness, summary):
+    report = cls(**{name: [witness]}, strands_checked=5)
+    assert not report.ok
+    assert report.summary() == summary
+
+
+@pytest.mark.parametrize("cls, success", [
+    (FrameReport, "complex, 5 strands exact, lengths agree"),
+    (ResolutionReport, "minimal multigraded resolution, 5 degree strands "
+                       "exact")], ids=["FrameReport", "ResolutionReport"])
+def test_each_failure_list_is_in_its_report_table(cls, success):
+    report = cls(strands_checked=5)
+    assert report.ok and report.summary() == success
+    lists = [f.name for f in dataclasses.fields(cls)
+             if f.default_factory is list]
+    table = [failures for failures, _, _ in report.failure_kinds()]
+    assert len(table) == len(lists)
+    assert all(failures is getattr(report, name)
+               for failures, name in zip(table, lists))
+    assert lists == [name for c, name, _, _ in REPORT_FAILURES if c is cls]
 
 
 def test_missing_strand_rank_is_detected():
@@ -1020,5 +1076,5 @@ def test_random_generic_ideals_resolve_minimally(seed):
     assert verify_frame(fr, ambient=L).ok
     res = homogenize(fr, {q: L.degree(q) for q in B.elements})
     report = verify_resolution(res)
-    assert report.ok and report.is_minimal
+    assert report.ok and not report.unit_entries
     assert_rigid_frame_laws(L, B, fr)
