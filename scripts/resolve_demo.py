@@ -19,7 +19,6 @@ from rigidres import (
     parse_ideal,
     rigidity_report,
     taylor_betti,
-    verify_frame,
     verify_resolution,
 )
 
@@ -53,8 +52,6 @@ def main():
 
     frame = build_frame(B, F)
     print(f"frame ranks: {frame.ranks()}")
-    frame_report = verify_frame(frame, ambient=L)
-    print(f"frame check: {frame_report.summary()}")
 
     res = homogenize(frame, L.degrees)
     report = verify_resolution(res)

@@ -42,7 +42,6 @@ from .betti import (  # noqa: F401
 )
 from .frames import (  # noqa: F401
     Frame,
-    FrameReport,
     GradedFreeResolution,
     ResolutionReport,
     build_frame,

@@ -18,7 +18,7 @@ property-tested against the order-complex route).
 That nerve is fixed by the coatoms alone, so the ranks are keyed by
 ("crosscut", the coatom set, characteristic), and intervals of
 different lattices with the same coatoms share one complex.  On any
-other poset (Betti posets, the ranked fragments of `verify_frame`) the
+other poset (Betti posets, `max_ranked` fragments) the
 ranks come from the order complex of the interval and are keyed by
 ("order", the elements strictly inside, characteristic).  The tags keep
 the two apart: one set of sets can be both an antichain of coatoms and

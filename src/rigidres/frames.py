@@ -31,19 +31,18 @@ poset isomorphism by moving each basis key (q, j) to (σ(q), j), keeping
 its index j and all scalars, and recomputing the monomial parts from
 the new degrees.  Either degree map may be a lattice's whole
 `degrees`.  Verification is independent of how the
-object was produced.  The Taylor-complex Betti oracle at the bottom of
-this module shares nothing with the interval-homology path: interval
-homology runs on the elimination kernel of `homology`, while the
-oracle, `verify_resolution` and the strand ranks of `verify_frame`
-eliminate with the separate `SpanBasis`.  That is what makes the
-cross-checks in the test suite meaningful.  (The length check of
-`verify_frame` predicts lengths by interval homology, so it does use
-the kernel.)  The two verifiers number each position's keys once, in
-canonical order, and translate the scalar maps once (`_numbered`), so
-every strand is a list of columns on int rows with integral scalars
-as ints.  Both select strands in one routine (`_strand_failures`),
-from each point's down-set of distinct labels; `verify_resolution`
-takes the lcm closure on exponent tuples computed once.
+object was produced, and there is one verifier: `verify_frame` is
+`verify_resolution` of the frame homogenized by the ambient lattice's
+degrees.  The Taylor-complex Betti oracle at the bottom of this module
+shares nothing with the interval-homology path: interval homology runs
+on the elimination kernel of `homology`, while the oracle and
+`verify_resolution` eliminate with the separate `SpanBasis`.  That is
+what makes the cross-checks in the test suite meaningful.  The verifier
+numbers each position's keys once, in canonical order, and translates
+the scalar maps once (`_numbered`), so every strand is a list of
+columns on int rows with integral scalars as ints; each strand is taken
+from a point's down-set of distinct degrees, over the lcm closure
+computed once on exponent tuples.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ import itertools
 from dataclasses import dataclass, field
 from operator import le, sub
 
-from .betti import BettiTable, betti_numbers, betti_poset
+from .betti import BettiTable, betti_poset
 from .homology import (
     FieldSpec,
     SimplicialComplex,
@@ -153,7 +152,8 @@ def build_frame(B, F=FieldSpec(0)):
 
     Intended for Betti posets of rigid ideals, where the result carries
     a minimal free resolution; any poset with a minimum is accepted and
-    verify_frame decides whether the outcome is exact.
+    verify_frame decides whether the homogenized outcome is a minimal
+    resolution.
 
     Intervals with equal order complexes share one homology basis: a
     basis is a function of the face lists and the field, and the
@@ -204,27 +204,7 @@ def build_frame(B, F=FieldSpec(0)):
 
 
 # --------------------------------------------------------------------------
-# checker helpers, shared by verify_frame, verify_resolution and the
-# Taylor oracle
-
-class _Report:
-    """A checker's outcome, read from its table of failure kinds:
-    `failure_kinds()` gives (failure list, description, witness
-    formatter) for each kind, and `SUCCESS` words the outcome with no
-    failure, given the number of strands checked."""
-
-    @property
-    def ok(self):
-        """No list in the table holds a failure."""
-        return not any(failures for failures, _, _ in self.failure_kinds())
-
-    def summary(self):
-        """One line: for each nonempty failure list its count and its
-        first witness, or the success line when there is none."""
-        return "; ".join(f"{len(fails)} {what} (first: {text(*fails[0])})"
-                         for fails, what, text in self.failure_kinds()
-                         if fails) or self.SUCCESS.format(self.strands_checked)
-
+# checker helpers, shared by verify_resolution and the Taylor oracle
 
 def _entry_text(position, colkey, rowkey):
     (q, j), (p, k) = colkey, rowkey
@@ -233,11 +213,11 @@ def _entry_text(position, colkey, rowkey):
 
 
 def _numbered(F, keys, maps):
-    """The checkers' copy of scalar maps laid out as in a `Frame`
+    """The verifier's copy of scalar maps laid out as in a `Frame`
     (level → {column key → {row key → scalar}}), given the basis keys
     as level → keys.  Each level's keys are numbered once, in canonical
     order; a key the maps name that is not a basis key (a tampered
-    frame, whose verifier names the entry) is numbered in the same
+    resolution, whose verifier names the entry) is numbered in the same
     order.  Returns the nonzero entries of the composites (as
     `_nonzero_compositions`, keys named back) and level → the column of
     each basis key on numbered rows, with integral scalars as ints and
@@ -269,7 +249,7 @@ def _numbered(F, keys, maps):
 def _strand_homology(F, strand):
     """{position: h ≠ 0} of a strand given as position → the columns of
     its basis vectors (sparse over the basis one position down, rows
-    compared in their natural order: numbers in the verifiers, subset
+    compared in their natural order: numbers in `verify_resolution`, subset
     tuples in the Taylor oracle): h = #vectors − rank out − rank in."""
     ranks = {}
     for pos, cols in strand.items():
@@ -281,23 +261,6 @@ def _strand_homology(F, strand):
     h = {pos: len(strand.get(pos, ())) - ranks.get(pos, 0)
          - ranks.get(pos + 1, 0) for pos in range(top + 1)}
     return {pos: x for pos, x in h.items() if x}
-
-
-def _strand_failures(F, columns, labels, points, down):
-    """(point, position) for each position at which the strand at a
-    point is inexact, the points taken in the given order.  columns and
-    labels give, per position, the column and the label of each basis
-    vector (as `_numbered` and its keys lay them out); the strand at m
-    keeps the vectors whose label lies in down(m), m's down-set of
-    distinct labels."""
-    failures = []
-    for m in points:
-        below = down(m)
-        strand = {level: [col for label, col in zip(labels[level], cols)
-                          if label in below]
-                  for level, cols in columns.items()}
-        failures.extend((m, level) for level in _strand_homology(F, strand))
-    return failures
 
 
 def _nonzero_compositions(maps, F):
@@ -315,91 +278,6 @@ def _nonzero_compositions(maps, F):
                 axpy(acc, c, below.get(rowkey, {}), F)
             found.extend((level, colkey, rowkey) for rowkey in sorted(acc))
     return found
-
-
-# --------------------------------------------------------------------------
-# frame verification
-
-@dataclass
-class FrameReport(_Report):
-    """Outcome of the frame checks.  Its table lists four failure
-    kinds: nonzero compositions (the frame is not a complex), entries
-    keyed outside the components, inexact strand positions and strand
-    length mismatches; it is ok when all four lists are empty."""
-
-    bad_compositions: list = field(default_factory=list)  # (level, col, row)
-    foreign_entries: list = field(default_factory=list)  # (level, col, row)
-    strand_failures: list = field(default_factory=list)  # (m, position)
-    length_mismatches: list = field(default_factory=list)  # (q, strand, ranked)
-    strands_checked: int = 0
-
-    SUCCESS = "complex, {} strands exact, lengths agree"
-
-    def failure_kinds(self):
-        return ((self.bad_compositions, "nonzero compositions", _entry_text),
-                (self.foreign_entries, "entries keyed outside the components",
-                 _entry_text),
-                (self.strand_failures, "inexact strand positions",
-                 _element_strand_text),
-                (self.length_mismatches, "length mismatches", _length_text))
-
-
-def _element_strand_text(m, position):
-    return f"strand {support_text(m)}, position {position}"
-
-
-def _length_text(q, in_strand, predicted):
-    return (f"strand {support_text(q)} has length {in_strand}, "
-            f"predicted {predicted}")
-
-
-def verify_frame(frame, ambient):
-    """Check that the frame is a complex, that every nonzero entry is
-    keyed by basis keys of its two positions, that every strand is
-    exact, and that strand lengths match their ranked-fragment
-    predictions.
-
-    The strand at m collects the components at elements ≤ m (always
-    including position 0) with the restricted maps; it is checked for
-    exactness at every position.  m ranges over the ambient poset minus
-    its bottom — the bottom strand is the lone position-0 generator,
-    whose nonvanishing is exactly what the frame resolves.
-    """
-    F = frame.field
-    keys = {level: frame.basis_keys(level) for level in frame.components}
-    compositions, columns = _numbered(F, keys, frame.maps)
-    basis = {level: set(ks) for level, ks in keys.items()}
-    foreign = [(level, colkey, rowkey)
-               for level, cols in sorted(frame.maps.items())
-               for colkey, col in cols.items() for rowkey, c in col.items()
-               if c and (colkey not in basis.get(level, ())
-                         or rowkey not in basis.get(level - 1, ()))]
-    report = FrameReport(bad_compositions=compositions, foreign_entries=foreign)
-
-    bot = ambient.bottom
-    labels = {level: [q for q, _ in ks] for level, ks in keys.items()}
-    elements = set(itertools.chain.from_iterable(labels.values()))
-    points = [m for m in ambient.elements if m != bot]
-    report.strand_failures = _strand_failures(
-        F, columns, labels, points, lambda m: {q for q in elements if q <= m})
-    report.strands_checked = len(points)
-
-    B = frame.poset
-    memo = {}  # each ranked fragment is a fresh Poset; intervals recur
-    for q in B.elements:
-        if q == bot:
-            continue
-        in_strand = max(
-            (level for level, comps in frame.components.items()
-             if any(e <= q for e, _ in comps)),
-            default=0)
-        ranked = B.max_ranked(q)
-        ranked_with_bottom = Poset(list(ranked.elements) + [bot])
-        predicted = len(
-            betti_numbers(ranked_with_bottom, F, memo).totals()) - 1
-        if in_strand != predicted:
-            report.length_mismatches.append((q, in_strand, predicted))
-    return report
 
 
 # --------------------------------------------------------------------------
@@ -524,21 +402,37 @@ def relabel(resolution, mapping, new_degrees):
 
 
 @dataclass
-class ResolutionReport(_Report):
-    """Outcome of graded-resolution verification.  Its table lists five
-    failure kinds: inhomogeneous entries, unit entries (the resolution
-    is not minimal), nonzero compositions and inexact strand positions
-    (it is not exact), and malformed modules at positions 0 and 1; it
-    is ok when all five lists are empty."""
+class ResolutionReport:
+    """Outcome of graded-resolution verification, read from its table
+    of failure kinds (`failure_kinds()`: failure list, description,
+    witness formatter).  The table lists six kinds: inhomogeneous
+    entries, unit entries (the resolution is not minimal), nonzero
+    compositions and inexact strand positions (it is not exact),
+    malformed modules at positions 0 and 1, and the refusal of a frame
+    that `verify_frame` cannot homogenize; it is ok when all six lists
+    are empty."""
 
     homogeneity_failures: list = field(default_factory=list)
     unit_entries: list = field(default_factory=list)  # minimality
     bad_compositions: list = field(default_factory=list)
     strand_failures: list = field(default_factory=list)  # (degree, position)
     module_failures: list = field(default_factory=list)  # (position, what)
+    homogenize_errors: list = field(default_factory=list)  # (message,)
     strands_checked: int = 0
 
-    SUCCESS = "minimal multigraded resolution, {} degree strands exact"
+    @property
+    def ok(self):
+        """No list in the table holds a failure."""
+        return not any(failures for failures, _, _ in self.failure_kinds())
+
+    def summary(self):
+        """One line: for each nonempty failure list its count and its
+        first witness, or the success line when there is none."""
+        return "; ".join(
+            f"{len(fails)} {what} (first: {text(*fails[0])})"
+            for fails, what, text in self.failure_kinds() if fails) or (
+            f"minimal multigraded resolution, {self.strands_checked} "
+            f"degree strands exact")
 
     def failure_kinds(self):
         return (
@@ -547,7 +441,8 @@ class ResolutionReport(_Report):
             (self.bad_compositions, "nonzero compositions", _entry_text),
             (self.strand_failures, "inexact strand positions", _strand_text),
             (self.module_failures, "malformed modules",
-             "position {} {}".format))
+             "position {} {}".format),
+            (self.homogenize_errors, "homogenize errors", str))
 
 
 def _strand_text(degree, position):
@@ -611,12 +506,34 @@ def verify_resolution(resolution):
             if a not in values:
                 values |= {a, *(tuple(map(max, a, b)) for b in values)}
     degrees = set(degree.values())
-    points = [Monomial(b) for b in sorted(values)]
-    report.strand_failures = _strand_failures(
-        F, columns, degs, points,
-        lambda b: {deg for deg in degrees if all(map(le, deg, b))})
-    report.strands_checked = len(points)
+    for b in sorted(values):
+        # the strand at b keeps the basis vectors of degree ≤ b
+        below = {deg for deg in degrees if all(map(le, deg, b))}
+        strand = {level: [col for deg, col in zip(degs[level], cols)
+                          if deg in below]
+                  for level, cols in columns.items()}
+        report.strand_failures.extend(
+            (Monomial(b), level) for level in _strand_homology(F, strand))
+    report.strands_checked = len(values)
     return report
+
+
+def verify_frame(frame, ambient):
+    """`verify_resolution` of the frame homogenized by the degrees of
+    the ambient lattice.  The frame's strand at an element m collects
+    the components ≤ m; it is the degree strand at the join of those
+    components, which lies in the lcm closure `verify_resolution` walks,
+    so every such strand is checked (the strand criterion for labelled
+    complexes, Bayer–Sturmfels 1998).  A frame that `homogenize`
+    refuses (an element with no degree, or an entry whose ratio is not
+    a non-unit monomial) gives a failed report with its message, which
+    names the element or the entry; nothing is raised.
+    """
+    try:
+        res = homogenize(frame, ambient.degrees)
+    except ValueError as exc:
+        return ResolutionReport(homogenize_errors=[(str(exc),)])
+    return verify_resolution(res)
 
 
 # --------------------------------------------------------------------------

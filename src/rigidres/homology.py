@@ -36,8 +36,8 @@ arithmetic is exact, so these do not depend on how pivots are reduced.
 It is handed back as the kernel holds it: integers on face ids, over d,
 in a `HomologyBasis` that carries the field `reduce_cycle` works in.
 `SpanBasis` is a separate, plain field elimination kept for the
-checkers (`frames.taylor_betti`, `verify_resolution`, the strand ranks
-of `verify_frame`), which therefore share no code with the kernel.  It
+checkers (`frames.taylor_betti` and `verify_resolution`, which
+`verify_frame` runs), which therefore share no code with the kernel.  It
 compares rows in their natural order (the checkers number their rows),
 stores each pivot column scaled to pivot entry one, and takes integral
 scalars as ints (`plain`), so over Q a `Fraction` is made only where an

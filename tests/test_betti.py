@@ -205,8 +205,8 @@ def test_closed_path_matches_constructor(lat):
 # -- one memo across posets --------------------------------------------------
 
 def ranked_fragments(P):
-    """Every max_ranked fragment of P with P's bottom put back, as the
-    length check of verify_frame reads them."""
+    """Every max_ranked fragment of P with P's bottom put back: posets
+    that are neither lattices nor Betti posets, read by content key."""
     bot = P.bottom
     return [Poset(list(P.max_ranked(q).elements) + [bot])
             for q in P.elements if q != bot]

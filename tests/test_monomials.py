@@ -18,10 +18,21 @@ def vectors(dim):
     return st.tuples(*[exponents] * dim).map(Monomial)
 
 
-dims = st.shared(st.integers(min_value=1, max_value=5), key="dim")
-monomials = dims.flatmap(vectors)
-pairs = dims.flatmap(lambda d: st.tuples(vectors(d), vectors(d)))
-triples = dims.flatmap(lambda d: st.tuples(vectors(d), vectors(d), vectors(d)))
+MAX_DIM = 5
+dims = st.shared(st.integers(min_value=1, max_value=MAX_DIM), key="dim")
+
+
+def per_dim(make):
+    """dims.flatmap(make) with make(d) built once for each d, not on
+    every draw: a strategy is an immutable description, so the one
+    built up front draws what a fresh one would."""
+    built = {d: make(d) for d in range(1, MAX_DIM + 1)}
+    return dims.flatmap(built.__getitem__)
+
+
+monomials = per_dim(vectors)
+pairs = per_dim(lambda d: st.tuples(vectors(d), vectors(d)))
+triples = per_dim(lambda d: st.tuples(vectors(d), vectors(d), vectors(d)))
 
 
 def test_parse_two_generators():
@@ -208,7 +219,7 @@ def test_ratio_inverts_multiplication(ab):
     assert Monomial(x + y for x, y in zip(q, a)) == j
 
 
-@given(dims.flatmap(lambda d: st.lists(vectors(d), min_size=1, max_size=8)))
+@given(per_dim(lambda d: st.lists(vectors(d), min_size=1, max_size=8)))
 def test_minimalize_idempotent_and_order_stable(ms):
     once = minimalize(ms)
     assert minimalize(once) == once
@@ -218,7 +229,7 @@ def test_minimalize_idempotent_and_order_stable(ms):
         assert any(k.divides(m) for k in once)
 
 
-@given(dims.flatmap(lambda d: st.lists(vectors(d), min_size=1, max_size=6)))
+@given(per_dim(lambda d: st.lists(vectors(d), min_size=1, max_size=6)))
 def test_lcm_of_matches_fold(ms):
     expected = ms[0]
     for m in ms[1:]:
