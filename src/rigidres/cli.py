@@ -219,24 +219,22 @@ def resolution_from_json(payload, F=None):
     if len(payload["differentials"]) != max(len(payload["modules"]) - 1, 0):
         raise InputError("need exactly one differential per consecutive "
                          "pair of modules")
-    modules, keys = {}, []
+    modules = {}
     for pos, rows in enumerate(payload["modules"]):
-        seen, mods, pos_keys = {}, [], []
+        seen, mods = {}, []
         for row in rows:
             e = frozenset(i - 1 for i in row["source_element"])
             j = seen.get(e, 0)
             seen[e] = j + 1
             mods.append(((e, j), Monomial(row["degree"])))
-            pos_keys.append((e, j))
         modules[pos] = tuple(mods)
-        keys.append(pos_keys)
     differentials = {}
     for pos, entries in enumerate(payload["differentials"], start=1):
         cols = {}
         for ent in entries:
             try:
-                rowkey = keys[pos - 1][ent["row"]]
-                colkey = keys[pos][ent["col"]]
+                rowkey = modules[pos - 1][ent["row"]][0]
+                colkey = modules[pos][ent["col"]][0]
             except IndexError:
                 raise InputError(f"row/col index out of range in "
                                  f"differential {pos}") from None

@@ -38,11 +38,12 @@ shares nothing with the interval-homology path: interval homology runs
 on the elimination kernel of `homology`, while the oracle and
 `verify_resolution` eliminate with the separate `SpanBasis`.  That is
 what makes the cross-checks in the test suite meaningful.  The verifier
-numbers each position's keys once, in canonical order, and translates
-the scalar maps once (`_numbered`), so every strand is a list of
-columns on int rows with integral scalars as ints; each strand is taken
-from a point's down-set of distinct degrees, over the lcm closure
-computed once on exponent tuples.
+numbers each position's basis keys once, in canonical order, and reads
+every entry once: an entry between two basis keys joins its column on
+numbered rows, with integral scalars as ints, and any other entry is
+only reported.  The ∂∂ = 0 check and every strand read that one
+numbered map; each strand is taken from a point's down-set of distinct
+degrees, over the lcm closure computed once on exponent tuples.
 """
 
 from __future__ import annotations
@@ -204,46 +205,13 @@ def build_frame(B, F=FieldSpec(0)):
 
 
 # --------------------------------------------------------------------------
-# checker helpers, shared by verify_resolution and the Taylor oracle
+# checker helpers: witness text, and the strand ranks shared by
+# verify_resolution and the Taylor oracle
 
 def _entry_text(position, colkey, rowkey):
     (q, j), (p, k) = colkey, rowkey
     return (f"position {position}, column {support_text(q)}#{j}, "
             f"row {support_text(p)}#{k}")
-
-
-def _numbered(F, keys, maps):
-    """The verifier's copy of scalar maps laid out as in a `Frame`
-    (level → {column key → {row key → scalar}}), given the basis keys
-    as level → keys.  Each level's keys are numbered once, in canonical
-    order; a key the maps name that is not a basis key (a tampered
-    resolution, whose verifier names the entry) is numbered in the same
-    order.  Returns the nonzero entries of the composites (as
-    `_nonzero_compositions`, keys named back) and level → the column of
-    each basis key on numbered rows, with integral scalars as ints and
-    zero scalars dropped, so that none becomes an elimination pivot."""
-    found = {level: set(ks) for level, ks in keys.items()}
-    for level, cols in maps.items():
-        found.setdefault(level, set()).update(cols)
-        below = found.setdefault(level - 1, set())
-        for col in cols.values():
-            below.update(col)
-    names = {level: sorted(ks, key=_key_order) for level, ks in found.items()}
-    number = {level: {k: n for n, k in enumerate(ks)}
-              for level, ks in names.items()}
-    numbered = {}
-    for level, cols in maps.items():
-        out, rows = number[level], number[level - 1]
-        numbered[level] = {
-            out[colkey]: {rows[r]: plain(c) for r, c in col.items() if c}
-            for colkey, col in cols.items()}
-    # a composite's rows are two levels down
-    compositions = [(level, names[level][c], names[level - 2][r])
-                    for level, c, r in _nonzero_compositions(numbered, F)]
-    columns = {level: [numbered.get(level, {}).get(number[level][key], {})
-                       for key in ks]
-               for level, ks in keys.items()}
-    return compositions, columns
 
 
 def _strand_homology(F, strand):
@@ -261,23 +229,6 @@ def _strand_homology(F, strand):
     h = {pos: len(strand.get(pos, ())) - ranks.get(pos, 0)
          - ranks.get(pos + 1, 0) for pos in range(top + 1)}
     return {pos: x for pos, x in h.items() if x}
-
-
-def _nonzero_compositions(maps, F):
-    """(level, column key, row key) of every nonzero entry of the
-    composite φ_{level−1} ∘ φ_level, for scalar maps given as
-    level → {column key → {row key → scalar}}, rows in natural order."""
-    found = []
-    for level in sorted(maps):
-        below = maps.get(level - 1)
-        if below is None:
-            continue
-        for colkey, col in maps[level].items():
-            acc = {}
-            for rowkey, c in col.items():
-                axpy(acc, c, below.get(rowkey, {}), F)
-            found.extend((level, colkey, rowkey) for rowkey in sorted(acc))
-    return found
 
 
 # --------------------------------------------------------------------------
@@ -305,9 +256,10 @@ class GradedFreeResolution:
         return max((i for i, mods in self.modules.items() if mods), default=0)
 
 
-def _check_strict_ratio(deg_q, deg_p, where):
+def _check_strict_ratio(deg_q, deg_p, *entry):
     if not deg_p.divides(deg_q) or deg_p == deg_q:
-        raise ValueError(f"degrees not strictly compatible at {where}: "
+        raise ValueError(f"degrees not strictly compatible at "
+                         f"{_entry_text(*entry)}: "
                          f"{tuple(deg_p)} vs {tuple(deg_q)}")
     return deg_q.ratio(deg_p)
 
@@ -321,7 +273,7 @@ def _attach_degrees(F, keys, maps, degrees):
 
     def degree(key):
         if key[0] not in degs:
-            raise ValueError(f"no degree for element {sorted(key[0])}")
+            raise ValueError(f"no degree for element {support_text(key[0])}")
         return degs[key[0]]
 
     modules = {level: tuple((key, degree(key))
@@ -330,7 +282,7 @@ def _attach_degrees(F, keys, maps, degrees):
     differentials = {
         level: {colkey: {rowkey: (c, _check_strict_ratio(
                              degree(colkey), degree(rowkey),
-                             f"{colkey}->{rowkey}"))
+                             level, colkey, rowkey))
                          for rowkey, c in col.items()}
                 for colkey, col in cols.items()}
         for level, cols in sorted(maps.items())}
@@ -371,7 +323,7 @@ def _check_mapping(mapping, used):
     missing = [e for e in used if e not in mapping]
     if missing:
         raise ValueError(f"mapping does not cover element "
-                         f"{sorted(min(missing, key=element_key))}")
+                         f"{support_text(min(missing, key=element_key))}")
     if len({frozenset(mapping[e]) for e in used}) != len(used):
         raise ValueError("mapping is not injective on the resolution's elements")
 
@@ -463,38 +415,52 @@ def verify_resolution(resolution):
     """
     F = resolution.field
     report = ResolutionReport()
-    # each degree as an exponent tuple, computed once
-    degree = {(level, key): tuple(deg)
-              for level, mods in resolution.modules.items()
-              for key, deg in mods}
-    dims = sorted({len(deg) for deg in degree.values()})
+    # each position's basis keys in canonical order, numbered once, with
+    # their degrees as exponent tuples
+    keys, degs = {}, {}
+    for level, mods in resolution.modules.items():
+        mods = sorted(mods, key=lambda kd: _key_order(kd[0]))
+        keys[level] = [key for key, _ in mods]
+        degs[level] = [tuple(deg) for _, deg in mods]
+    number = {level: {key: n for n, key in enumerate(ks)}
+              for level, ks in keys.items()}
+    dims = sorted({len(d) for ds in degs.values() for d in ds})
     if len(dims) > 1:
         raise ValueError(f"ambient dimension mismatch: {dims[0]} vs "
                          f"{dims[-1]}")
 
+    # level → the column of each basis key on numbered rows, with
+    # integral scalars as ints; an entry that is zero or names no basis
+    # key is only reported, so it is never an elimination pivot
+    columns = {level: [{} for _ in ks] for level, ks in keys.items()}
     for level, cols in resolution.differentials.items():
+        out, rows = number.get(level, {}), number.get(level - 1, {})
         for colkey, col in cols.items():
-            dq = degree.get((level, colkey))
+            n = out.get(colkey)
             for rowkey, (c, mono) in col.items():
-                dp = degree.get((level - 1, rowkey))
-                if not c or dq is None or dp is None:  # zero, or no basis key
+                r = rows.get(rowkey)
+                if not c or n is None or r is None:
                     report.homogeneity_failures.append((level, colkey, rowkey))
                     continue
+                dq, dp = degs[level][n], degs[level - 1][r]
                 if (not all(map(le, dp, dq))
                         or tuple(map(sub, dq, dp)) != mono):
                     report.homogeneity_failures.append((level, colkey, rowkey))
                 if mono.is_unit:
                     report.unit_entries.append((level, colkey, rowkey))
+                columns[level][n][r] = plain(c)
 
-    scalars = {level: {colkey: {r: c for r, (c, _) in col.items()}
-                       for colkey, col in cols.items()}
-               for level, cols in resolution.differentials.items()}
-    keys = {level: [key for key, _ in mods]
-            for level, mods in resolution.modules.items()}
-    report.bad_compositions, columns = _numbered(F, keys, scalars)
+    # ∂∂ = 0 on that map: a composite's rows are two positions down
+    for level in sorted(columns):
+        lower = columns.get(level - 1)
+        for n, col in enumerate(columns[level] if lower else ()):
+            acc = {}
+            for r, c in col.items():
+                axpy(acc, c, lower[r], F)
+            report.bad_compositions.extend(
+                (level, keys[level][n], keys[level - 2][r])
+                for r in sorted(acc))
 
-    degs = {level: [degree[(level, key)] for key in ks]
-            for level, ks in keys.items()}
     top = degs.get(0, [])
     if len(top) != 1 or any(top[0]):
         report.module_failures.append((0, "is not one generator of degree 0"))
@@ -505,7 +471,7 @@ def verify_resolution(resolution):
         for a in ds if level >= 1 else ():
             if a not in values:
                 values |= {a, *(tuple(map(max, a, b)) for b in values)}
-    degrees = set(degree.values())
+    degrees = {d for ds in degs.values() for d in ds}
     for b in sorted(values):
         # the strand at b keeps the basis vectors of degree ≤ b
         below = {deg for deg in degrees if all(map(le, deg, b))}

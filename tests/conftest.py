@@ -10,8 +10,10 @@ HEXAGON is the edge ideal of the 6-cycle.
 """
 
 import pytest
+from hypothesis import strategies as st
 
 from rigidres.monomials import Monomial, MonomialIdeal, minimalize, parse_ideal
+from rigidres.posets import meet_closure
 
 TWIN_A_TEXT = (
     "b^2*c*e^2*f^2; c*d*e^2*f^2; a*d*e^2*f^2; a*b*e*f; a*b^2*c*d*f; a*b^2*c*d*e"
@@ -67,6 +69,24 @@ def random_generic_ideal(rng, max_generators=6, max_variables=6):
             gens = minimalize(gens[:max_generators])
         if len(gens) >= 2:
             return MonomialIdeal(tuple(f"x{j + 1}" for j in range(d)), gens)
+
+
+# for each atom count k, up to four random supports of at least two
+# atoms, paired with k; built once
+_FAMILIES = {
+    k: st.lists(st.sets(st.integers(min_value=0, max_value=k - 1),
+                        min_size=2, max_size=k),
+                min_size=0, max_size=4).map(lambda fam, k=k: (fam, k))
+    for k in range(2, 5)}
+
+
+def random_lattices():
+    """Small atomic lattices via meet closure of random support
+    families; every lattice drawn in one example has the same atom
+    count, 2 to 4."""
+    n = st.shared(st.integers(min_value=2, max_value=4), key="atoms")
+    return n.flatmap(_FAMILIES.__getitem__).map(
+        lambda t: meet_closure(t[0], t[1]))
 
 
 @pytest.fixture(scope="session")

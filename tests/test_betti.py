@@ -18,6 +18,7 @@ from rigidres.monomials import Monomial, MonomialIdeal, minimalize, parse_ideal
 from rigidres.posets import (FiniteAtomicLattice, Poset, element_key,
                              lcm_lattice, meet_closure, order_complex)
 
+from conftest import random_lattices
 from test_frames import cycle_edge_ideal, resolution_index
 from test_homology import assert_matches_stack_closure
 
@@ -29,17 +30,6 @@ TWIN_BETTI_SUPPORTS = [
     [0, 1], [0, 3], [1, 2], [2, 3],
     [3, 4, 5], [0, 1, 2, 3, 4, 5],
 ]
-
-
-def random_lattices():
-    n = st.shared(st.integers(min_value=2, max_value=4), key="atoms")
-    fams = n.flatmap(
-        lambda k: st.lists(
-            st.sets(st.integers(min_value=0, max_value=k - 1), min_size=2, max_size=k),
-            min_size=0, max_size=4,
-        ).map(lambda fam: (fam, k))
-    )
-    return fams.map(lambda t: meet_closure(t[0], t[1]))
 
 
 # -- crosscut shortcut -------------------------------------------------------

@@ -430,18 +430,26 @@ def _mutate(kind, data, holder):
         container[key] = data.draw(REPLACEMENTS[kind])
 
 
+def _checked(schema):
+    return (valid_payloads(schema),
+            jsonschema.validators.validator_for(schema)(schema))
+
+
+# each schema's payload strategy and jsonschema validator, built once
+CHECKED = {name: _checked(load_schema(name)) for name in SCHEMAS}
+
+
 @pytest.mark.parametrize("kind", sorted(REPLACEMENTS) + [
     "deleted key", "extra key", "duplicate member"])
 @given(data=st.data())
 @settings(max_examples=15, deadline=None)
 def test_checker_agrees_with_jsonschema_on_mutated_payloads(kind, data):
     for name in SCHEMAS:
-        schema = load_schema(name)
-        holder = [data.draw(valid_payloads(schema))]
+        payloads, validator = CHECKED[name]
+        holder = [data.draw(payloads)]
         _mutate(kind, data, holder)
         payload = holder[0]
-        errors = list(jsonschema.validators.validator_for(schema)(schema)
-                      .iter_errors(payload))
+        errors = list(validator.iter_errors(payload))
         try:
             validate_payload(payload, name)
         except InputError as err:
@@ -742,6 +750,41 @@ def test_verify_reports_a_zero_scalar(tmp_path, capsys):
         "row {}#0); 1 nonzero compositions (first: position 2, column "
         "{1,2}#0, row {}#0); 2 inexact strand positions (first: degree "
         "[0,1,1,0], position 0)\n")
+
+
+def _reversed_rows(payload):
+    """The payload with every module's rows in reverse order, and the
+    row and col indices of every entry remapped to follow them."""
+    sizes = [len(rows) for rows in payload["modules"]]
+    moved = copy.deepcopy(payload)
+    moved["modules"] = [rows[::-1] for rows in moved["modules"]]
+    for pos, entries in enumerate(moved["differentials"], start=1):
+        for e in entries:
+            e["row"] = sizes[pos - 1] - 1 - e["row"]
+            e["col"] = sizes[pos] - 1 - e["col"]
+    return moved
+
+
+@pytest.mark.parametrize("char", ["0", "2"])
+def test_verify_reads_module_rows_in_any_order(tmp_path, capsys, char):
+    """verify numbers each module's keys in canonical order, not file
+    order: reversing the rows prints the same line with the same exit
+    code, on the hexagon's resolution and on one with a bad scalar."""
+    ideal = ideal_file(tmp_path, "hexagon.ideal", HEXAGON_TEXT)
+    out = tmp_path / "hexagon.res"
+    assert main(["resolve", ideal, "--char", char, "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    corrupted = copy.deepcopy(payload)
+    corrupted["differentials"][1][0]["scalar"] = "2"
+    for original, code in ((payload, 0), (corrupted, 2)):
+        lines = []
+        for p in (original, _reversed_rows(original)):
+            out.write_text(json.dumps(p))
+            capsys.readouterr()
+            assert main(["verify", str(out)]) == code
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1]
+        assert lines[0].startswith("minimal ") == (code == 0)
 
 
 def xy_with(payload, kind):

@@ -674,15 +674,24 @@ def test_all_but_one_variable_scan_builds_no_lattice(monkeypatch, F):
     assert built == []
 
 
+def _scan_draws(n):
+    """The support family of L and the added sets, over n atoms."""
+    atoms = st.integers(0, n - 1)
+    return (st.lists(st.sets(atoms, min_size=2), max_size=4),
+            st.lists(st.sets(atoms), min_size=1, max_size=2))
+
+
+# the scan tests' strategies for each atom count, built once
+SCAN_DRAWS = {n: _scan_draws(n) for n in range(2, 6)}
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_scan_reads_an_augmentation_as_its_meet_closure(data):
     n = data.draw(st.integers(min_value=2, max_value=5))
-    atoms = st.integers(0, n - 1)
-    L = meet_closure(data.draw(st.lists(st.sets(atoms, min_size=2),
-                                        max_size=4)), n)
-    added = [frozenset(s) for s in data.draw(st.lists(st.sets(atoms),
-                                                      min_size=1, max_size=2))]
+    family, sets = SCAN_DRAWS[n]
+    L = meet_closure(data.draw(family), n)
+    added = [frozenset(s) for s in data.draw(sets)]
     closed = _closure(added, start=L.elements)
     assert closed == _closure(set(L.elements) | set(added))
     T = meet_closure(set(L.elements) | set(added), n)
@@ -722,11 +731,9 @@ def test_scan_keys_intervals_as_interval_ranks_does(data):
     # memo hit: a rigidity check on the built lattice computes nothing,
     # because the reader and `interval_ranks` make equal keys
     n = data.draw(st.integers(min_value=2, max_value=5))
-    atoms = st.integers(0, n - 1)
-    L = meet_closure(data.draw(st.lists(st.sets(atoms, min_size=2),
-                                        max_size=4)), n)
-    added = [frozenset(s) for s in data.draw(st.lists(st.sets(atoms),
-                                                      min_size=1, max_size=2))]
+    family, sets = SCAN_DRAWS[n]
+    L = meet_closure(data.draw(family), n)
+    added = [frozenset(s) for s in data.draw(sets)]
     calls = []
     ranks = betti.homology_ranks
 

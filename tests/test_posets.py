@@ -13,7 +13,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import HASSE_17, HASSE_TWIN_A, HASSE_TWIN_B
+from conftest import HASSE_17, HASSE_TWIN_A, HASSE_TWIN_B, random_lattices
 from test_frames import cycle_edge_ideal
 from test_golden import FIXTURES
 from rigidres import posets
@@ -63,19 +63,21 @@ def boolean_lattice(n):
     return FiniteAtomicLattice(members, n)
 
 
-def random_lattices():
-    """Small atomic lattices via meet closure of random support families."""
-    n = st.shared(st.integers(min_value=2, max_value=4), key="atoms")
-    extra = n.flatmap(
-        lambda k: st.lists(
-            st.sets(st.integers(min_value=0, max_value=k - 1), min_size=2, max_size=k),
-            min_size=0, max_size=4,
-        ).map(lambda fam: (fam, k))
-    )
-    return extra.map(lambda t: meet_closure(t[0], t[1]))
-
-
 # -- basic poset mechanics --------------------------------------------------
+
+def test_value_objects_compare_hash_and_print():
+    # the dunder methods no other test reaches, and inverting zero
+    I = parse_ideal("x*y; y^2")
+    assert I.__eq__("x*y; y^2") is NotImplemented and I != "x*y; y^2"
+    assert hash(I) == hash(parse_ideal("y^2; x*y"))
+    assert repr(I) == "MonomialIdeal('x*y; y^2')"
+    P = Poset([frozenset(), frozenset({0}), frozenset({1})])
+    assert hash(P) == hash(Poset([{1}, {0}, set()]))
+    assert repr(P) == "Poset(3 elements)"
+    for F in (FieldSpec(0), FieldSpec(2)):
+        with pytest.raises(ZeroDivisionError, match="^inverting zero$"):
+            F.inv(0)
+
 
 def test_linear_extension_and_bottom():
     p = Poset([frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})])
