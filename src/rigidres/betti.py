@@ -23,16 +23,18 @@ ranks come from the order complex of the interval and are keyed by
 ("order", the elements strictly inside, characteristic).  The tags keep
 the two apart: one set of sets can be both an antichain of coatoms and
 a fragment's content, with different homology.  These keys are the
-first level.  On a miss the complex is built, and its ranks are looked
-up under the second-level key ("complex", the complex,
-characteristic): intervals of one lattice repeat a handful of
-complexes, and each distinct complex is eliminated once.  A caller that
-reads many intervals — across candidate lattices, Betti posets and
-ranked fragments alike — passes one plain dict `memo`.  With none,
-every reader keeps one for the length of the call, and nothing
-outlives it.  Ranks come from the
-rank-only path `homology_ranks`; the resolution builder, which needs
-cycle representatives, uses the order complex directly.
+first level.  A miss looks the ranks up under a second-level key that
+names the complex: on the crosscut route ("facets", its facets,
+characteristic), read off the coatoms without building it, and on the
+order route ("complex", the complex, characteristic).  Intervals of
+one lattice repeat a handful of complexes: each distinct complex is
+eliminated once, and a crosscut is built only for a new facet family.
+A caller that reads many intervals — across candidate lattices, Betti
+posets and ranked fragments alike — passes one plain dict `memo`.
+With none, every reader keeps one for the length of the call, and
+nothing outlives it.  Ranks come from the rank-only path
+`homology_ranks`; the resolution builder, which needs cycle
+representatives, uses the order complex directly.
 """
 
 from __future__ import annotations
@@ -74,20 +76,41 @@ def crosscut_complex(coatoms):
         [sum(1 << a for a in c) for c in sorted(coatoms, key=element_key)]))
 
 
-def _memo_ranks(key, build, F, memo):
-    """homology_ranks(build(), F), looked up in and stored into memo
-    (a dict; None keeps one for the length of the call) under key.  On
-    a miss the complex K = build() is looked up under the second-level
-    key ("complex", K, characteristic), so each distinct complex is
+def crosscut_facets(coatoms):
+    """The facets of `crosscut_complex(coatoms)`, which determine it:
+    the maximal sets S_a = {j : atom a lies in coatom j}, each a bit
+    mask over the coatoms in canonical order, as a frozenset.
+
+    >>> sorted(crosscut_facets(frozenset(map(frozenset, [{0, 1}, {1, 2}]))))
+    [3]
+    """
+    held = {}
+    for j, c in enumerate(sorted(coatoms, key=element_key)):
+        for a in c:
+            held[a] = held.get(a, 0) | 1 << j
+    facets = []
+    for S in sorted(set(held.values()), key=int.bit_count, reverse=True):
+        for f in facets:
+            if not S & ~f:  # S lies in a larger set
+                break
+        else:
+            facets.append(S)
+    return frozenset(facets)
+
+
+def _memo_ranks(key, second, F, memo):
+    """The ranks of a complex, looked up in and stored into memo (a
+    dict; None keeps one for the length of the call) under key.  On a
+    miss, second() gives a second-level key that names the complex and
+    a function that builds it, so each distinct complex is built and
     eliminated once."""
     memo = {} if memo is None else memo
     ranks = memo.get(key)
     if ranks is None:
-        K = build()
-        by_complex = ("complex", K, F.characteristic)
-        ranks = memo.get(by_complex)
+        named, build = second()
+        ranks = memo.get(named)
         if ranks is None:
-            ranks = memo[by_complex] = homology_ranks(K, F)
+            ranks = memo[named] = homology_ranks(build(), F)
         memo[key] = ranks
     return dict(ranks)
 
@@ -124,8 +147,13 @@ def interval_ranks(P, q, F=FieldSpec(0), memo=None):
     if isinstance(P, FiniteAtomicLattice):
         return coatom_ranks(frozenset(P.lower_covers(q)) - {bot}, F, memo)
     inside = frozenset(P.below(q)) - {bot}
-    return _memo_ranks(("order", inside, F.characteristic),
-                       lambda: order_complex(Poset(inside)), F, memo)
+
+    def by_complex():
+        K = order_complex(Poset(inside))
+        return ("complex", K, F.characteristic), lambda: K
+
+    return _memo_ranks(("order", inside, F.characteristic), by_complex, F,
+                       memo)
 
 
 def coatom_ranks(coatoms, F=FieldSpec(0), memo=None):
@@ -134,9 +162,14 @@ def coatom_ranks(coatoms, F=FieldSpec(0), memo=None):
     the lattice, under the memo key ("crosscut", coatoms,
     characteristic).  A caller that knows an interval's coatoms without
     building its lattice, such as the deformation scan, reads it here
-    under the key `interval_ranks` would use."""
-    return _memo_ranks(("crosscut", coatoms, F.characteristic),
-                       lambda: crosscut_complex(coatoms), F, memo)
+    under the key `interval_ranks` would use.  A miss looks the ranks
+    up under ("facets", `crosscut_facets(coatoms)`, characteristic),
+    and builds the crosscut only for a facet family not seen before."""
+    c = F.characteristic
+    return _memo_ranks(
+        ("crosscut", coatoms, c),
+        lambda: (("facets", crosscut_facets(coatoms), c),
+                 lambda: crosscut_complex(coatoms)), F, memo)
 
 
 def _intervals(P, F, memo=None):

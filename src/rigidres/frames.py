@@ -42,8 +42,10 @@ numbers each position's basis keys once, in canonical order, and reads
 every entry once: an entry between two basis keys joins its column on
 numbered rows, with integral scalars as ints, and any other entry is
 only reported.  The ∂∂ = 0 check and every strand read that one
-numbered map; each strand is taken from a point's down-set of distinct
-degrees, over the lcm closure computed once on exponent tuples.
+numbered map.  The strands lie at the lcm closure of the degrees; each
+strand's members are one AND of bit masks per variable, and it grows
+copies of the span bases of the largest strand one exponent below it:
+a rank does not depend on the order of its columns.
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ from .homology import (
     reduced_homology,
 )
 from .monomials import Monomial
-from .posets import (FiniteAtomicLattice, Poset, element_key, lcm_lattice,
-                     order_complex, support_text)
+from .posets import (FiniteAtomicLattice, Poset, bit_indices, element_key,
+                     lcm_lattice, order_complex, support_text)
 
 
 def _key_order(key):
@@ -225,9 +227,16 @@ def _strand_homology(F, strand):
         for col in cols:
             basis.insert(col)
         ranks[pos] = basis.rank
-    top = max((pos for pos, cols in strand.items() if cols), default=0)
-    h = {pos: len(strand.get(pos, ())) - ranks.get(pos, 0)
-         - ranks.get(pos + 1, 0) for pos in range(top + 1)}
+    return _homology_of_ranks(
+        {pos: len(cols) for pos, cols in strand.items()}, ranks)
+
+
+def _homology_of_ranks(sizes, ranks):
+    """{position: h ≠ 0} of a strand given its vector counts and column
+    ranks per position."""
+    top = max((pos for pos, n in sizes.items() if n), default=0)
+    h = {pos: sizes.get(pos, 0) - ranks.get(pos, 0) - ranks.get(pos + 1, 0)
+         for pos in range(top + 1)}
     return {pos: x for pos, x in h.items() if x}
 
 
@@ -471,15 +480,38 @@ def verify_resolution(resolution):
         for a in ds if level >= 1 else ():
             if a not in values:
                 values |= {a, *(tuple(map(max, a, b)) for b in values)}
-    degrees = {d for ds in degs.values() for d in ds}
-    for b in sorted(values):
-        # the strand at b keeps the basis vectors of degree ≤ b
-        below = {deg for deg in degrees if all(map(le, deg, b))}
-        strand = {level: [col for deg, col in zip(degs[level], cols)
-                          if deg in below]
-                  for level, cols in columns.items()}
+    # the strand at b keeps the vectors of degree ≤ b, numbered across
+    # positions: the AND over variables k of those with exponent ≤ b[k]
+    vectors, spans = [], {}  # level → the bits of its vectors
+    for level, cols in sorted(columns.items()):
+        spans[level] = ((1 << len(cols)) - 1) << len(vectors)
+        vectors += zip(degs[level], [level] * len(cols), cols)
+    steps = [sorted(set(es)) for es in zip(*values)]
+    lower = [dict(zip(es[1:], es)) for es in steps]
+    cuts = [{e: sum(1 << n for n, (d, _, _) in enumerate(vectors) if d[k] <= e)
+             for e in es} for k, es in enumerate(steps)]
+    bases = {}  # the members of each checked strand → its span bases
+    for b in sorted(values):  # lexicographic order extends divisibility
+        members = (1 << len(vectors)) - 1
+        for cut, e in zip(cuts, b):
+            members &= cut[e]
+        # lowering one exponent of b gives the members of a strand
+        # checked before b (at their lcm); the largest one's bases grow
+        downs = (members & cuts[k][lower[k][e]]
+                 for k, e in enumerate(b) if e in lower[k])
+        start = max((m for m in downs if m in bases), key=int.bit_count,
+                    default=0)
+        grown = {level: bases[start][level].copy() if start
+                 else SpanBasis(F) for level in spans}
+        for i in bit_indices(members & ~start):
+            _, level, col = vectors[i]
+            grown[level].insert(col)
+        bases[members] = grown
         report.strand_failures.extend(
-            (Monomial(b), level) for level in _strand_homology(F, strand))
+            (Monomial(b), level) for level in _homology_of_ranks(
+                {level: (members & span).bit_count()
+                 for level, span in spans.items()},
+                {level: basis.rank for level, basis in grown.items()}))
     report.strands_checked = len(values)
     return report
 

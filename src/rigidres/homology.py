@@ -295,6 +295,14 @@ class SpanBasis:
                 axpy(combo, c, bcombo, F)
         return col, combo, None
 
+    def copy(self):
+        """A basis of the same span that grows apart from this one; a
+        stored pivot is never changed, so the two share them."""
+        other = SpanBasis(self.F)
+        other._pivots = dict(self._pivots)
+        other.rank = self.rank
+        return other
+
     def insert(self, col, tag=None):
         """Add a column; returns True if it enlarged the span."""
         F = self.F

@@ -15,11 +15,11 @@ lcm-lattice (from coordinate cuts) and meet closures, and the same walk
 checks closure in the constructor, stopping at the first missing meet.
 
 Every order query reads one index, built on first use: the strict
-down-set `below(q)` of each element, in canonical order.  Canonical
-order sorts by size first, so the down-set of elements[i] is found
-among elements[:i].  Covers, minimal and maximal elements, bottom and
-top, open intervals, ranked fragments, order complexes and the memo
-keys of `betti.interval_ranks` all come from it.
+down-set of each element q as a bit mask over canonical indices, the
+elements before q (canonical order sorts by size first) that hold no
+atom outside q.  Covers, `below`, minimal and maximal elements, bottom
+and top, open intervals, ranked fragments, order complexes and the
+memo keys of `betti.interval_ranks` all come from it.
 
 Order isomorphisms come from a VF2 search over the covers
 (`is_isomorphic`).  Which map it returns is part of what `relabel` and
@@ -78,12 +78,25 @@ class Poset:
 
     @cached_property
     def _down(self):
+        """The strict down-set of each element, in canonical order, as
+        a bit mask over canonical indices."""
         els = self.elements
-        return {e: tuple(filter(e.__gt__, els[:i])) for i, e in enumerate(els)}
+        holders = {}  # atom → the elements that hold it
+        for i, e in enumerate(els):
+            for a in e:
+                holders[a] = holders.get(a, 0) | 1 << i
+        down = []
+        for i, e in enumerate(els):
+            outside = 0
+            for a, held in holders.items():
+                if a not in e:
+                    outside |= held
+            down.append(((1 << i) - 1) & ~outside)
+        return down
 
     def below(self, q):
         """The strict down-set of q: every element p < q, in canonical
-        order.  The first call builds it for every element.
+        order.
 
         >>> B3 = face_lattice(SimplicialComplex([{0, 1, 2}]))
         >>> [sorted(p) for p in B3.below({0, 1})]
@@ -92,14 +105,17 @@ class Poset:
         ()
         """
         self._check(q)
-        return self._down[frozenset(q)]
+        return tuple(map(self.elements.__getitem__,
+                         bit_indices(self._down[self._index[frozenset(q)]])))
 
     def minimal_elements(self):
-        return [e for e, below in self._down.items() if not below]
+        return [e for e, down in zip(self.elements, self._down) if not down]
 
     def maximal_elements(self):
-        under = set().union(*self._down.values())
-        return [e for e in self.elements if e not in under]
+        under = 0
+        for down in self._down:
+            under |= down
+        return [e for i, e in enumerate(self.elements) if not under >> i & 1]
 
     @cached_property
     def bottom(self):
@@ -119,12 +135,19 @@ class Poset:
 
     @cached_property
     def _lower_covers(self):
-        """Lower covers of every element: the maximal members of its
-        down-set (`_maximal`, scanning it in reverse canonical order,
-        largest first).  They are kept in that order, so reversing them
-        sorts them."""
-        return {q: tuple(reversed(_maximal(reversed(down))))
-                for q, down in self._down.items()}
+        """Lower covers of every element, in canonical order: peeling
+        its down-set mask, the highest index left is maximal, since an
+        element above it comes later and took it away with its own."""
+        els, down = self.elements, self._down
+        covers = {}
+        for q, left in zip(els, down):
+            peeled = []
+            while left:
+                k = left.bit_length() - 1
+                peeled.append(els[k])
+                left &= ~(down[k] | 1 << k)
+            covers[q] = tuple(reversed(peeled))
+        return covers
 
     def lower_covers(self, q):
         self._check(q)
@@ -205,9 +228,9 @@ def order_complex(fragment):
     SimplicialComplex[{}]
     """
     above = [[] for _ in fragment.elements]
-    for j, down in enumerate(fragment._down.values()):
-        for p in down:
-            above[fragment._index[p]].append(j)
+    for j, down in enumerate(fragment._down):
+        for p in bit_indices(down):
+            above[p].append(j)
     levels = [[()]]
     level = [(j,) for j in range(len(above))]
     while level:
@@ -276,25 +299,33 @@ class FiniteAtomicLattice(Poset):
 
 def maximal_members(family):
     """The members of a family of sets that lie inside no other member,
-    as a frozenset (`_maximal`, the family scanned largest first).
+    as a frozenset.  Scanned largest first, a set is kept unless it
+    lies inside one kept before, because any set that holds it is
+    larger and so was scanned before it.
 
     >>> family = [frozenset(s) for s in ({0}, {0, 1}, {2}, {1})]
     >>> sorted(map(sorted, maximal_members(family)))
     [[0, 1], [2]]
     """
-    return frozenset(_maximal(sorted(family, key=len, reverse=True)))
-
-
-def _maximal(scan):
-    """The sets of `scan`, which comes largest first, that lie inside no
-    other, in scan order: each is kept unless it lies inside one kept
-    before, because any set that holds it is larger and so was scanned
-    before it."""
     kept = []
-    for p in scan:
+    for p in sorted(family, key=len, reverse=True):
         if not any(map(p.__lt__, kept)):
             kept.append(p)
-    return kept
+    return frozenset(kept)
+
+
+def bit_indices(mask):
+    """The indices of the set bits of mask, increasing.
+
+    >>> bit_indices(0b10110)
+    [1, 2, 4]
+    """
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _closure(sets, inside=None, start=()):

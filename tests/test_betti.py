@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rigidres import betti
+from rigidres import betti, deform
 from rigidres.betti import (
     betti_numbers,
     betti_poset,
@@ -61,6 +61,46 @@ def test_every_crosscut_is_built_on_an_antichain(monkeypatch, hexagon_ideal):
     assert scanned == 2 * 89 and len(built) > scanned
     for coatoms in built:
         assert not any(a < b for a in coatoms for b in coatoms)
+
+
+def test_equal_facet_families_give_equal_crosscuts(monkeypatch, twin_a):
+    # a crosscut is generated by the sets of coatoms that share an atom,
+    # so its facets determine it, and one memo builds each family once
+    # per characteristic, on a lattice and across a scan
+    crosscut, ranks = betti.crosscut_complex, betti.coatom_ranks
+    asked, built = [], []
+
+    def recorded_ranks(coatoms, F=Q, memo=None):
+        asked.append(coatoms)
+        return ranks(coatoms, F, memo)
+
+    def recorded_crosscut(coatoms):
+        built.append(coatoms)
+        return crosscut(coatoms)
+
+    monkeypatch.setattr(betti, "coatom_ranks", recorded_ranks)
+    monkeypatch.setattr(deform, "coatom_ranks", recorded_ranks)
+    monkeypatch.setattr(betti, "crosscut_complex", recorded_crosscut)
+    memo = {}
+    C8 = lcm_lattice(cycle_edge_ideal(8))
+    runs = [(lambda: [betti_numbers(C8, F, memo) for F in (Q, FieldSpec(2))],
+             2, 82, 10),
+            (lambda: search_rigid_deformation(twin_a, budget=1, F=Q),
+             1, 78, 25)]
+    for run, chars, coatom_sets, families in runs:
+        asked.clear()
+        built.clear()
+        run()
+        complexes = {}
+        for coatoms in set(asked):
+            complexes.setdefault(betti.crosscut_facets(coatoms),
+                                 set()).add(crosscut(coatoms))
+        assert (len(set(asked)), len(complexes)) == (coatom_sets, families)
+        assert all(len(Ks) == 1 for Ks in complexes.values())
+        assert len(set().union(*complexes.values())) == families
+        built_families = [betti.crosscut_facets(c) for c in built]
+        assert sorted(map(built_families.count, complexes)) == (
+            [chars] * families)
 
 
 def atom_crosscut(L, q):
@@ -240,12 +280,13 @@ def test_coatom_and_content_keys_never_collide(lattice_first):
     for P, fresh in queries if lattice_first else queries[::-1]:
         assert homology_ranks(order_complex(P.open_interval(top)), Q) == fresh
         assert interval_ranks(P, top, Q, memo) == fresh
-    # two first-level keys, and under them the two complexes
-    edge = SimplicialComplex([{0, 1}])
+    # two first-level keys, and under them the crosscut's facet family
+    # (one facet, {0, 1}: the edge) and the fragment's complex
     points = SimplicialComplex([{0}, {1}])
     assert set(memo) == {("crosscut", frozenset(X), 0),
                          ("order", frozenset(X), 0),
-                         ("complex", edge, 0), ("complex", points, 0)}
+                         ("facets", frozenset({0b11}), 0),
+                         ("complex", points, 0)}
 
 
 def record_eliminations(monkeypatch):

@@ -262,26 +262,58 @@ def coatom_set(L, q):
             frozenset(p for p in inside if not any(p < r for r in inside)))
 
 
+def record_memo_work(monkeypatch):
+    """Patch what `betti._memo_ranks` reaches and return (the complexes
+    asked for, as `record_interval_complexes` records them, the
+    complexes eliminated, the memos handed to it by id)."""
+    computed = record_interval_complexes(monkeypatch)
+    eliminated, memos = [], {}
+    ranks, memo_ranks = betti.homology_ranks, betti._memo_ranks
+
+    def counted(K, F):
+        eliminated.append(K)
+        return ranks(K, F)
+
+    def recorded(key, second, F, memo):
+        memos[id(memo)] = memo
+        return memo_ranks(key, second, F, memo)
+
+    monkeypatch.setattr(betti, "homology_ranks", counted)
+    monkeypatch.setattr(betti, "_memo_ranks", recorded)
+    return computed, eliminated, memos
+
+
+def assert_each_family_built_once(L, work):
+    """One memo holds the first-level key of every coatom set of L, and
+    each facet family is built and eliminated exactly once, every
+    family of L among them."""
+    computed, eliminated, memos = work
+    (memo,) = memos.values()
+    coatoms = {coatom_set(L, q)[1] for q in L.elements if q}
+    assert {("crosscut", c, 0) for c in coatoms} <= set(memo)
+    families = [betti.crosscut_facets(c)
+                for tag, c in computed if tag == "crosscut"]
+    assert len(families) == len(set(families))
+    assert {betti.crosscut_facets(c) for c in coatoms} <= set(families)
+    assert len(computed) == len(set(computed)) == len(eliminated)
+
+
 def test_certification_computes_each_target_interval_once(monkeypatch):
-    # lattice intervals are keyed by their coatoms, so all atoms share
-    # one key: no coatom set is built twice, and every coatom set of L_J
-    # is built
+    # lattice intervals are keyed by their coatoms and, on a miss, by
+    # the crosscut's facets: no facet family is built twice, and every
+    # coatom set of L_J has its key
     I = parse_ideal(SILENT_EXAMPLE)
     J = simplicial_rigid_deformation(I, scarf_complex(I), Q).target_ideal
-    computed = record_interval_complexes(monkeypatch)
-    assert certify_rigid_deformation(J, I, Q)
-    LJ = lcm_lattice(J)
-    assert len(computed) == len(set(computed))
-    assert {coatom_set(LJ, q) for q in LJ.elements if q} <= set(computed)
+    work = record_memo_work(monkeypatch)
+    assert certify_rigid_deformation(J, I, Q, {})
+    assert_each_family_built_once(lcm_lattice(J), work)
 
 
 def test_search_computes_each_source_interval_once(monkeypatch, twin_a):
     # one memo serves L_I, every candidate and every certification
-    LI = lcm_lattice(twin_a)
-    computed = record_interval_complexes(monkeypatch)
+    work = record_memo_work(monkeypatch)
     search_rigid_deformation(twin_a, budget=1, F=Q)
-    assert len(computed) == len(set(computed))
-    assert {coatom_set(LI, q) for q in LI.elements if q} <= set(computed)
+    assert_each_family_built_once(lcm_lattice(twin_a), work)
 
 
 @pytest.mark.parametrize("budget,F,expected", [

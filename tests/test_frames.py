@@ -594,6 +594,78 @@ def test_missing_strand_rank_is_detected():
     assert report.strand_failures
 
 
+def fresh_strands(res):
+    """The reference strands: for each b in the lcm closure of the
+    degrees at positions ≥ 1, in order, the vectors of degree ≤ b as
+    position → their columns on numbered rows."""
+    keys, degs, columns = {}, {}, {}
+    for level, mods in res.modules.items():
+        mods = sorted(mods, key=lambda kd: frames._key_order(kd[0]))
+        keys[level] = {key: n for n, (key, _) in enumerate(mods)}
+        degs[level] = [tuple(d) for _, d in mods]
+    for level, ks in keys.items():
+        rows, maps = keys.get(level - 1, {}), res.differentials.get(level, {})
+        columns[level] = [{rows[r]: c for r, (c, _) in maps.get(key, {}).items()
+                           if c and r in rows} for key in ks]
+    values = set()
+    for level, ds in degs.items():
+        for a in ds if level >= 1 else ():
+            values |= {a, *(tuple(map(max, a, b)) for b in values)}
+    for b in sorted(values):
+        yield b, {level: [col for d, col in zip(degs[level], cols)
+                          if all(map(int.__le__, d, b))]
+                  for level, cols in columns.items()}
+
+
+def fresh_strand_check(res):
+    """(strand failures, strands checked), each strand eliminated from
+    scratch."""
+    failures, count = [], 0
+    for b, strand in fresh_strands(res):
+        failures += [(Monomial(b), level)
+                     for level in frames._strand_homology(res.field, strand)]
+        count += 1
+    return failures, count
+
+
+def tampered(res):
+    """Copies of a resolution with one scalar changed (by one, so a
+    characteristic-2 scalar becomes zero), one entry dropped and one
+    basis vector dropped, each at the first column of its top position
+    in canonical order."""
+    top = res.length
+    colkey = min(res.differentials[top], key=frames._key_order)
+    rowkey = min(res.differentials[top][colkey], key=frames._key_order)
+    copies = []
+    for change in ("scalar", "entry", "vector"):
+        modules = dict(res.modules)
+        maps = {level: {key: dict(col) for key, col in cols.items()}
+                for level, cols in res.differentials.items()}
+        col = maps[top][colkey]
+        if change == "scalar":
+            c, mono = col[rowkey]
+            col[rowkey] = (res.field.coerce(c + 1), mono)
+        elif change == "entry":
+            del col[rowkey]
+        else:
+            modules[top] = tuple(kd for kd in modules[top] if kd[0] != colkey)
+        copies.append(GradedFreeResolution(res.field, modules, maps))
+    return copies
+
+
+@pytest.mark.parametrize("F", [Q, GF2], ids=["char0", "char2"])
+def test_strand_check_matches_fresh_elimination(F):
+    # growing each strand's bases from a smaller strand's gives the
+    # ranks, so the reports, of eliminating every strand from scratch
+    for text in (HEXAGON_TEXT, TWIN_A_TEXT, TWIN_B_TEXT, SQUAREFREE17_TEXT):
+        _, _, res = resolve(parse_ideal(text), F)
+        for n, case in enumerate([res] + tampered(res)):
+            report = verify_resolution(case)
+            assert report.ok == (n == 0)
+            assert (report.strand_failures, report.strands_checked
+                    ) == fresh_strand_check(case)
+
+
 def test_fractional_scalars_verify(hexagon_ideal):
     """Rescaling one basis vector at position 2 by 1/2 (its φ_2 column
     times 1/2, its φ_3 row entries times 2) keeps a resolution, now
@@ -768,15 +840,29 @@ def test_interval_route_matches_taylor_on_ladder(F):
 
 
 @pytest.mark.parametrize("F", [Q, GF2], ids=["char0", "char2"])
-def test_c9_resolution_survives_its_file_and_verifies(F):
+def test_c9_resolution_survives_its_file_and_verifies(monkeypatch, F):
     """resolve → .res JSON → load → verify on the 9-cycle, against the
-    Taylor totals (Taylor 1966; Bayer–Peeva–Sturmfels 1998)."""
+    Taylor totals (Taylor 1966; Bayer–Peeva–Sturmfels 1998).  The check
+    grows each strand's bases from a smaller strand's, so it inserts
+    fewer columns than its strands hold (958 against 2,262)."""
     I = cycle_edge_ideal(9)
     L, _, res = resolve(I, F)
     assert_first_module_is_the_atoms(res, L)
     text = json.dumps(resolution_to_json(res))
     back = resolution_from_json(json.loads(text), F)
-    assert verify_resolution(back).ok
+    sizes = [sum(map(len, strand.values()))
+             for _, strand in fresh_strands(back)]
+    inserts = []
+    insert = homology.SpanBasis.insert
+
+    def counted(basis, col, tag=None):
+        inserts.append(col)
+        return insert(basis, col, tag)
+
+    monkeypatch.setattr(homology.SpanBasis, "insert", counted)
+    report = verify_resolution(back)
+    assert report.ok and report.strands_checked == len(sizes)
+    assert len(inserts) < sum(sizes)
     assert back.ranks() == taylor_betti(I, F).totals()
 
 

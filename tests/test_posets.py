@@ -342,6 +342,7 @@ def assert_order_queries_match_brute_force(P):
         assert P.lower_covers(q) == lower[q]
     mins = [e for e in els if not any(f < e for f in els)]
     maxs = [e for e in els if not any(e < f for f in els)]
+    assert (P.minimal_elements(), P.maximal_elements()) == (mins, maxs)
     for name, extremes in (("bottom", mins), ("top", maxs)):
         if len(extremes) == 1:
             assert getattr(P, name) == extremes[0]
@@ -384,6 +385,7 @@ def test_order_queries_match_brute_force(data):
         P = Poset(data.draw(st.lists(st.sampled_from(lat.elements),
                                      unique=True)))
     assert_order_queries_match_brute_force(P)
+    assert_order_queries_match_brute_force(betti_poset(lat))
 
 
 def assert_order_complex_matches_closing_constructor(P):
@@ -419,6 +421,20 @@ def test_order_queries_match_brute_force_on_fixtures(
         squarefree17, twin_a, twin_b):
     for ideal in (squarefree17, twin_a, twin_b):
         assert_order_queries_match_brute_force(lcm_lattice(ideal))
+        assert_order_queries_match_brute_force(betti_poset(lcm_lattice(ideal)))
+
+
+@pytest.mark.parametrize("family", [
+    [],
+    [{0}],
+    [set()],
+    [{0}, {1}, {0, 1, 2}, {0, 1, 3}],  # two minima under two maxima
+    [{0}, {0, 1}, {2}, {2, 3}, {0, 1, 2, 3, 4}],  # two chains under a top
+    [set(), {0, 1}, {1, 2}, {0, 2}],  # a bottom under an antichain
+], ids=["empty", "one-element", "bottom-only", "bowtie", "two-chains",
+        "claw"])
+def test_order_queries_match_brute_force_on_fragments(family):
+    assert_order_queries_match_brute_force(Poset(family))
 
 
 # -- meet closure and face lattices -----------------------------------------
