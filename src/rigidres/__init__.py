@@ -9,7 +9,6 @@ from .monomials import (  # noqa: F401
     IdealSyntaxError,
     parse_ideal,
     minimalize,
-    lcm_of,
 )
 from .homology import (  # noqa: F401
     FieldSpec,

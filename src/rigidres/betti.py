@@ -297,16 +297,17 @@ def rigidity_report(L, F=FieldSpec(0), memo=None):
 
 def rigidity_of_intervals(intervals):
     """The two rigidity rules over (q, ranks) pairs, ranks being the
-    reduced homology {i: h_i} of the interval (0̂, q), with q in
-    canonical order (`element_key`).  A pair with no ranks may be left
-    out: neither rule reads it.
+    reduced homology {i: h_i} of the interval (0̂, q), in any order.  A
+    pair with no ranks may be left out: neither rule reads it.
 
     Rigid means: every interval (0̂, q) has homology of total rank at
     most one, and elements contributing in the same homological index
-    are pairwise incomparable.  The first violation in the canonical
-    order is reported, and the pairs are read one at a time, so an
-    interval-multiplicity witness ends the reading.  Rigidity is an
-    isomorphism invariant: both rules read only ranks and inclusions.
+    are pairwise incomparable.  The pairs are read one at a time, so
+    the first interval-multiplicity witness in the order given ends
+    the reading.  The contributors are then sorted into canonical order
+    (`element_key`), and the first comparable pair in that order is
+    reported, whatever order they came in.  Rigidity is an isomorphism
+    invariant: both rules read only ranks and inclusions.
 
     >>> rigidity_of_intervals([(frozenset({0}), {-1: 1}),
     ...                        (frozenset({0, 1}), {-1: 1})]).rule
@@ -323,7 +324,8 @@ def rigidity_of_intervals(intervals):
             ((i, _),) = ranks.items()
             contributing[e] = i
     # canonical order extends inclusion, so a later q never lies in p
-    for p, q in itertools.combinations(contributing, 2):
+    ordered = sorted(contributing, key=element_key)
+    for p, q in itertools.combinations(ordered, 2):
         if contributing[p] == contributing[q] and p < q:
             return RigidityReport(
                 False, "comparable-pair", (p, q),

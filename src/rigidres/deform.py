@@ -247,19 +247,11 @@ def _deformation(T, L, F, memo, added):
 
 def _certified_result(T, L, F, memo, added):
     """The certified deformation to T, or None.  The search passes only
-    a T it has read as rigid (`_rigid`), since a certificate requires
-    L_J, which has T's support family, to be rigid; certification
-    checks that again on L_J."""
+    a T it has read as rigid, since a certificate requires L_J, which
+    has T's support family, to be rigid; certification checks that
+    again on L_J."""
     result = _deformation(T, L, F, memo, added)
     return result if result.certificate else None
-
-
-def _rigid(contributors):
-    """Whether a lattice is rigid, given its contributors as
-    `_augmentation_reader` returns them: `rigidity_of_intervals` over
-    them in canonical order."""
-    return rigidity_of_intervals(sorted(
-        contributors.items(), key=lambda item: element_key(item[0]))).rigid
 
 
 def _augmentation_reader(L, F, memo):
@@ -380,8 +372,8 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
     that adds nothing: the added sets are closed against L's elements,
     and only the intervals whose coatoms change, or that are new, are
     looked up.  L's verdict, and a candidate's when its totals are the
-    source's, is `rigidity_of_intervals` over those contributors
-    (`_rigid`); no lattice is built to decide it.  The reader runs once
+    source's, is `rigidity_of_intervals` over those contributors, in
+    any order; no lattice is built to decide it.  The reader runs once
     per orbit of Aut(L), the first member of each orbit in scan order
     (`_augmentations`), and every other member copies its size, totals
     and verdict.  That is exact: an automorphism σ of L is an atom
@@ -414,7 +406,7 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
     family, base, contributors = read(())
     outcome = SearchOutcome(base_totals=base)
 
-    if _rigid(contributors):
+    if rigidity_of_intervals(contributors.items()).rigid:
         outcome.result = _certified_result(L, L, F, memo, added=())
         return outcome
 
@@ -434,8 +426,9 @@ def search_rigid_deformation(I, budget=1, F=FieldSpec(0)):
     for combo, orbit in _augmentations(L, budget):
         if orbit == len(numbers):
             closed, totals, contributors = read(combo)
-            numbers.append((len(closed), totals,
-                            totals == base and _rigid(contributors)))
+            rigid = (totals == base
+                     and rigidity_of_intervals(contributors.items()).rigid)
+            numbers.append((len(closed), totals, rigid))
         size, totals, rigid = numbers[orbit]
         entry = ScanEntry(added=combo, lattice_size=size, totals=totals)
         outcome.augmentation_log.append(entry)

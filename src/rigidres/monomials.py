@@ -56,11 +56,20 @@ class Monomial(tuple):
     def is_unit(self):
         return not any(self)
 
-    def lcm(self, other):
-        """The componentwise max with another Monomial.  The max of two
-        valid exponent vectors is valid, so it is not checked again."""
-        _check_dim(self, other)
-        return tuple.__new__(Monomial, map(max, self, other))
+    def lcm(self, *others):
+        """The componentwise max of self and any number of Monomials,
+        taken in one pass: self itself when there are none.  Each one's
+        dimension is checked; the max of valid exponent vectors is
+        valid, so no exponent is checked again.
+
+        >>> Monomial((0, 0, 0)).lcm(Monomial((1, 0, 2)), Monomial((0, 3, 1)))
+        Monomial((1, 3, 2))
+        """
+        if not others:
+            return self
+        for other in others:
+            _check_dim(self, other)
+        return tuple.__new__(Monomial, map(max, self, *others))
 
     def divides(self, other):
         _check_dim(self, other)
@@ -86,16 +95,6 @@ class Monomial(tuple):
             elif e > 1:
                 parts.append(f"{name}^{e}")
         return "*".join(parts) if parts else "1"
-
-
-def lcm_of(monomials):
-    """Fold lcm over a non-empty iterable.  Plain exponent vectors are
-    validated as Monomials; Monomials are used as they are."""
-    it = iter(monomials)
-    out = Monomial(next(it))
-    for m in it:
-        out = out.lcm(Monomial(m))
-    return out
 
 
 def _check_dim(a, b):

@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .homology import SimplicialComplex
-from .monomials import Monomial, MonomialIdeal, lcm_of
+from .monomials import Monomial, MonomialIdeal
 
 
 def element_key(e):
@@ -359,7 +359,8 @@ def lcm_lattice(ideal):
     """The lattice of all least common multiples of subsets of the
     minimal generators, ordered by divisibility, with 1 at the bottom.
     Element ids are the supports {i : generator i divides the lcm};
-    degree labels carry the monomials themselves.
+    degree labels carry the monomials themselves, each the `Monomial.lcm`
+    of its support's generators in one pass (1 for ∅).
 
     It is the intersection closure of the coordinate cuts {i : deg_k(m_i)
     ≤ e}, one per variable x_k and e in {0} ∪ {exponents of x_k}: the
@@ -373,7 +374,7 @@ def lcm_lattice(ideal):
     members = _closure(cuts | {frozenset(), frozenset(range(n))})
     unit = Monomial([0] * ideal.ambient_dim)
     return FiniteAtomicLattice(members, n, degrees={
-        T: lcm_of(gens[i] for i in T) if T else unit for T in members})
+        T: unit.lcm(*(gens[i] for i in T)) for T in members})
 
 
 def meet_closure(family, n_atoms):

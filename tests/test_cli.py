@@ -369,6 +369,42 @@ def test_shipped_schemas_use_only_the_checked_keywords():
             assert sub.get("uniqueItems", True) is True
 
 
+# each JSON writer: its command line, which writes the JSON to {out}
+# with -o and to stdout without, and the schema it is held to; it runs
+# on the path ideal, whose deformation succeeds and writes its target
+# lattice
+WRITERS = {
+    "lcm-lattice -o": (["lcm-lattice", "{ideal}", "-o", "{out}"], "lattice"),
+    "betti-poset": (["betti-poset", "{ideal}"], "lattice"),
+    "betti-numbers --json": (["betti-numbers", "{ideal}", "--json"], "betti"),
+    "taylor --json": (["taylor", "{ideal}", "--json"], "betti"),
+    "scarf --json": (["scarf", "{ideal}", "--json"], "lattice"),
+    "resolve -o": (["resolve", "{ideal}", "-o", "{out}"], "resolution"),
+    "resolve": (["resolve", "{ideal}"], "resolution"),
+    "relabel -o": (["relabel", "{ideal}", "{ideal}", "-o", "{out}"],
+                   "resolution"),
+    "deform-simplicial -o": (["deform-simplicial", "{ideal}", "--facets",
+                              "1,2; 2,3", "-o", "{out}"], "lattice"),
+    "deform-search -o": (["deform-search", "{ideal}", "-o", "{out}"],
+                         "lattice"),
+}
+
+
+@pytest.mark.parametrize("char", ["0", "2"])
+@pytest.mark.parametrize("writer", list(WRITERS))
+def test_every_json_writer_is_held_to_its_schema(tmp_path, capsys, writer,
+                                                 char):
+    # the CLI checks JSON where it reads it; what it writes is held to
+    # the shipped schemas here
+    args, name = WRITERS[writer]
+    paths = {"ideal": ideal_file(tmp_path, "path.ideal", "x*y; y*z; z*w"),
+             "out": str(tmp_path / "out.json")}
+    assert main([a.format(**paths) for a in args] + ["--char", char]) == 0
+    stdout = capsys.readouterr().out
+    text = (tmp_path / "out.json").read_text() if "-o" in args else stdout
+    jsonschema.validate(json.loads(text), load_schema(name))
+
+
 def valid_payloads(schema):
     """Payloads the schema accepts: small, integers only, no floats.
     Arrays are never empty, so every keyword has members to mutate; the

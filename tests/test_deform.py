@@ -13,6 +13,7 @@ from rigidres.betti import (
     betti_numbers,
     betti_poset,
     interval_ranks,
+    rigidity_of_intervals,
     rigidity_report,
 )
 from rigidres.deform import (
@@ -498,6 +499,15 @@ def test_betti_poset_lattice_has_the_rigidity_report_of_l():
             assert set(TB.elements) != set(L.elements)
             report = rigidity_report(L, F)
             assert rigidity_report(TB, F) == report
+            # the pairs in any order: the same verdict, and the same
+            # comparable pair, since the rule sorts the contributors
+            pairs = list(betti._intervals(L, F))
+            shuffled = random.Random(len(text)).sample(pairs, len(pairs))
+            for order in (pairs[::-1], shuffled):
+                got = rigidity_of_intervals(order)
+                assert got.rigid == report.rigid
+                if report.rule == "comparable-pair":
+                    assert got == report
             assert (betti_numbers(TB, F).totals()
                     == betti_numbers(L, F).totals())
             rules.add(report.rule)
@@ -670,7 +680,8 @@ def test_scan_verdict_of_an_orbit_holds_for_each_member(monkeypatch, text, F):
     rigid = set()
     for added, orbit in deform._augmentations(L, 1):
         if orbit == len(verdicts):
-            verdicts.append(deform._rigid(read(added)[2]))
+            contributors = read(added)[2]
+            verdicts.append(rigidity_of_intervals(contributors.items()).rigid)
         T = meet_closure(set(L.elements) | set(added), L.n_atoms)
         assert verdicts[orbit] == rigidity_report(T, F, memo).rigid
         if verdicts[orbit]:

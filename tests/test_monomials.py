@@ -6,7 +6,6 @@ from rigidres.monomials import (
     IdealSyntaxError,
     Monomial,
     MonomialIdeal,
-    lcm_of,
     minimalize,
     parse_ideal,
 )
@@ -229,21 +228,14 @@ def test_minimalize_idempotent_and_order_stable(ms):
         assert any(k.divides(m) for k in once)
 
 
-@given(per_dim(lambda d: st.lists(vectors(d), min_size=1, max_size=6)))
-def test_lcm_of_matches_fold(ms):
-    expected = ms[0]
-    for m in ms[1:]:
-        expected = expected.lcm(m)
-    assert lcm_of(ms) == expected
-
-
-def test_lcm_of_validates_plain_vectors_only():
-    a, b = Monomial((2, 0)), Monomial((0, 3))
-    assert lcm_of([a, b]) == Monomial((2, 3))
-    assert type(lcm_of([a, (1, 1)])) is Monomial
-    with pytest.raises(ValueError, match="negative"):
-        lcm_of([a, (1, -1)])
-    with pytest.raises(ValueError, match="negative"):
-        lcm_of([(-1, 0), b])
-    with pytest.raises(ValueError, match="dimension"):
-        lcm_of([a, (1, 1, 1)])
+def test_lcm_takes_any_number_of_monomials():
+    a, b, c = Monomial((2, 0, 1)), Monomial((0, 3, 0)), Monomial((1, 1, 4))
+    assert a.lcm() is a
+    assert a.lcm(b) == Monomial((2, 3, 1))
+    assert a.lcm(b, c) == a.lcm(b).lcm(c) == Monomial((2, 3, 4))
+    assert type(Monomial((0, 0, 0)).lcm(a, b, c)) is Monomial
+    # a mismatch in any argument raises, wherever it stands
+    short = Monomial((1, 1))
+    for args in ((short,), (short, b), (b, short), (b, c, short)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            a.lcm(*args)

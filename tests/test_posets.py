@@ -2,6 +2,7 @@ import ast
 import functools
 import itertools
 import os
+import random
 import re
 import resource
 import subprocess
@@ -13,7 +14,8 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import HASSE_17, HASSE_TWIN_A, HASSE_TWIN_B, random_lattices
+from conftest import (HASSE_17, HASSE_TWIN_A, HASSE_TWIN_B,
+                      random_generic_ideal, random_lattices)
 from test_frames import cycle_edge_ideal
 from test_golden import FIXTURES
 from rigidres import posets
@@ -182,15 +184,19 @@ def reference_lcm_lattice(ideal):
     return supports
 
 
+# the exponent lists of small_ideals for each variable count, built once
+_EXPONENT_LISTS = {d: st.lists(st.tuples(*[st.integers(0, 3)] * d),
+                               min_size=1, max_size=7)
+                   for d in range(1, 6)}
+
+
 def small_ideals():
     """Ideals in 1–5 variables with exponents 0–3."""
     def ideal(exps):
         gens = minimalize(m for m in map(Monomial, exps) if any(m))
         return MonomialIdeal([f"x{j + 1}" for j in range(len(exps[0]))], gens)
-    return st.integers(1, 5).flatmap(
-        lambda d: st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=1,
-                           max_size=7)
-    ).filter(lambda exps: any(map(any, exps))).map(ideal)
+    return st.integers(1, 5).flatmap(_EXPONENT_LISTS.__getitem__).filter(
+        lambda exps: any(map(any, exps))).map(ideal)
 
 
 @given(small_ideals())
@@ -200,6 +206,25 @@ def test_lcm_lattice_matches_lcm_frontier_reference(ideal):
     supports = reference_lcm_lattice(ideal)
     assert set(lat.elements) == set(supports)
     assert lat.degrees == supports
+
+
+def test_lcm_lattice_labels_are_pairwise_lcm_folds():
+    # each label is the lcm of its support's generators, folded here
+    # one generator at a time; 1 labels ∅
+    ideals = [parse_ideal(text) for source, target, _ in FIXTURES.values()
+              for text in dict.fromkeys((source, target))]
+    ideals += [cycle_edge_ideal(n) for n in range(6, 11)]
+    rng = random.Random(39)
+    ideals += [random_generic_ideal(rng) for _ in range(5)]
+    for ideal in ideals:
+        lat = lcm_lattice(ideal)
+        folds = {}
+        for T in lat.elements:
+            label = Monomial([0] * ideal.ambient_dim)
+            for i in sorted(T):
+                label = label.lcm(ideal.generators[i])
+            folds[T] = label
+        assert lat.degrees == folds
 
 
 # -- intervals, order complexes, levels -------------------------------------
@@ -470,15 +495,28 @@ def all_pairs_meet_closure(family, n_atoms):
         members |= new
 
 
+def _closure_draws(n, max_holes):
+    """A family of atom sets over n atoms, and the holes of up to
+    max_holes sets that miss one or two atoms."""
+    atoms = st.integers(0, n - 1)
+    return (st.lists(st.sets(atoms), max_size=4),
+            st.lists(st.sets(atoms, min_size=1, max_size=2),
+                     max_size=max_holes))
+
+
+# the two closure tests' strategies for each atom count, built once
+MEET_CLOSURE_DRAWS = {n: _closure_draws(n, 6) for n in range(1, 8)}
+CLOSURE_CHECK_DRAWS = {n: _closure_draws(n, 4) for n in range(1, 7)}
+
+
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_meet_closure_matches_all_pairs_reference(data):
     n = data.draw(st.integers(min_value=1, max_value=7))
-    atoms = st.integers(0, n - 1)
-    family = data.draw(st.lists(st.sets(atoms), max_size=4))
+    families, hole_lists = MEET_CLOSURE_DRAWS[n]
+    family = data.draw(families)
     # sets missing one or two atoms take several rounds to close
-    holes = data.draw(st.lists(st.sets(atoms, min_size=1, max_size=2),
-                               max_size=6))
+    holes = data.draw(hole_lists)
     family += [set(range(n)) - h for h in holes]
     assert set(meet_closure(family, n).elements) == \
         all_pairs_meet_closure(family, n)
@@ -555,10 +593,10 @@ NAMED_PAIR = re.compile(r"not intersection-closed: (\{.*\}) ∩ (\{.*\}) missing
 @settings(max_examples=150, deadline=None)
 def test_closure_check_matches_pairwise_brute_force(data):
     n = data.draw(st.integers(min_value=1, max_value=6))
-    atoms = st.integers(0, n - 1)
-    family = {frozenset(s) for s in data.draw(st.lists(st.sets(atoms), max_size=4))}
+    families, hole_lists = CLOSURE_CHECK_DRAWS[n]
+    family = {frozenset(s) for s in data.draw(families)}
     # sets missing an atom or two rarely meet inside the family
-    holes = data.draw(st.lists(st.sets(atoms, min_size=1, max_size=2), max_size=4))
+    holes = data.draw(hole_lists)
     family |= {frozenset(range(n)) - h for h in holes}
     family |= {frozenset(), frozenset(range(n))}
     family |= {frozenset({i}) for i in range(n)}
