@@ -9,26 +9,22 @@ rule from interval ranks to Betti numbers.  On an lcm-lattice, with q
 keyed by its degree, these are the multigraded Betti numbers of the
 quotient by the ideal.
 
-Rank-only queries take one of two routes, each with its own memo key.
-On an atomic lattice, the interval (0̂, q) has the homology of its
-coatom crosscut, the nerve of its coatoms (the lower covers of q other
-than 0̂), whose faces are the sets of them with a nonempty intersection
-(`crosscut_complex`, which takes the coatoms its caller already holds,
-property-tested against the order-complex route).
-That nerve is fixed by the coatoms alone, so the ranks are keyed by
-("crosscut", the coatom set, characteristic), and intervals of
-different lattices with the same coatoms share one complex.  On any
-other poset (Betti posets, `max_ranked` fragments) the
-ranks come from the order complex of the interval and are keyed by
-("order", the elements strictly inside, characteristic).  The tags keep
-the two apart: one set of sets can be both an antichain of coatoms and
-a fragment's content, with different homology.  These keys are the
-first level.  A miss looks the ranks up under a second-level key that
-names the complex: on the crosscut route ("facets", its facets,
-characteristic), read off the coatoms without building it, and on the
-order route ("complex", the complex, characteristic).  Intervals of
-one lattice repeat a handful of complexes: each distinct complex is
-eliminated once, and a crosscut is built only for a new facet family.
+Rank-only queries take one of two routes.  On an atomic lattice, the
+interval (0̂, q) has the homology of its coatom crosscut, the nerve of
+its coatoms (the lower covers of q other than 0̂), whose faces are the
+sets of them with a nonempty intersection (`crosscut_complex`, which
+takes the coatoms its caller already holds, property-tested against
+the order-complex route).  That nerve is fixed by the coatoms alone,
+so the ranks are keyed by ("crosscut", the coatom set,
+characteristic), and intervals of different lattices with the same
+coatoms share one complex.  A miss looks the ranks up under
+("facets", the crosscut's facets, characteristic), read off the
+coatoms without building it, so a crosscut is built and eliminated
+only for a new facet family.  On any other poset (Betti posets, ranked
+fragments) the ranks come from the order complex of the interval,
+keyed by ("complex", the complex, characteristic).  The tags keep the
+key kinds apart.  Intervals of one poset repeat a handful of
+complexes: each distinct complex is eliminated once.
 A caller that reads many intervals — across candidate lattices, Betti
 posets and ranked fragments alike — passes one plain dict `memo`.
 With none, every reader keeps one for the length of the call, and
@@ -98,20 +94,14 @@ def crosscut_facets(coatoms):
     return frozenset(facets)
 
 
-def _memo_ranks(key, second, F, memo):
-    """The ranks of a complex, looked up in and stored into memo (a
-    dict; None keeps one for the length of the call) under key.  On a
-    miss, second() gives a second-level key that names the complex and
-    a function that builds it, so each distinct complex is built and
-    eliminated once."""
+def _memo_ranks(key, build, F, memo):
+    """The ranks of the complex build() under key in memo (a dict;
+    None keeps one for the length of the call), eliminated on a miss
+    and stored, so each distinct complex is eliminated once."""
     memo = {} if memo is None else memo
     ranks = memo.get(key)
     if ranks is None:
-        named, build = second()
-        ranks = memo.get(named)
-        if ranks is None:
-            ranks = memo[named] = homology_ranks(build(), F)
-        memo[key] = ranks
+        ranks = memo[key] = homology_ranks(build(), F)
     return dict(ranks)
 
 
@@ -119,26 +109,24 @@ def interval_ranks(P, q, F=FieldSpec(0), memo=None):
     """Reduced homology ranks {i: h_i} of the open interval (0̂, q).
 
     The ranks are looked up in, and stored into, `memo` (a dict owned
-    by the caller, or None) under one key per route.  On an atomic
-    lattice they are `coatom_ranks` of the coatoms of (0̂, q), the
-    lower covers of q other than 0̂.  On any other poset they come from
-    the order complex of the elements `inside` strictly between 0̂ and
-    q, under the key ("order", inside, characteristic).  A miss looks
-    up the complex itself under the second-level key ("complex", the
-    complex, characteristic) before eliminating it.  With memo None,
-    one is kept for the length of the call.
+    by the caller, or None, which keeps one for the length of the
+    call).  On an atomic lattice they are `coatom_ranks` of the
+    coatoms of (0̂, q), the lower covers of q other than 0̂.  On any
+    other poset they are the ranks of the order complex K of
+    `P.open_interval(q)`, under the key ("complex", K, characteristic).
 
     The coatom key is sound.  Every lattice here is intersection-closed
-    with bottom ∅, so `inside` is closed under nonempty intersections.
-    Every chain of `inside` then lies below its top element, and so
-    below some coatom c.  The chains below c form a cone with apex c.
-    The chains below c_1, …, c_r are those below c_1 ∩ … ∩ c_r when
-    that intersection is nonempty, a cone again, and there are none
-    otherwise.  By the nerve lemma, the order complex has the homology
-    of the nerve of these cones, which is the coatom crosscut
-    (Björner's crosscut theorem for the coatoms).  Whether a set of
-    coatoms meets is a fact about the sets alone, so two intervals with
-    the same coatoms, in one lattice or in two, have the same ranks.
+    with bottom ∅, so the elements strictly between 0̂ and q are closed
+    under nonempty intersections.  Every chain of them then lies below
+    its top element, and so below some coatom c.  The chains below c
+    form a cone with apex c.  The chains below c_1, …, c_r are those
+    below c_1 ∩ … ∩ c_r when that intersection is nonempty, a cone
+    again, and there are none otherwise.  By the nerve lemma, the order
+    complex has the homology of the nerve of these cones, which is the
+    coatom crosscut (Björner's crosscut theorem for the coatoms).
+    Whether a set of coatoms meets is a fact about the sets alone, so
+    two intervals with the same coatoms, in one lattice or in two, have
+    the same ranks.
     """
     q = frozenset(q)
     bot = P.bottom
@@ -146,30 +134,27 @@ def interval_ranks(P, q, F=FieldSpec(0), memo=None):
         raise ValueError("the interval below the bottom element is undefined")
     if isinstance(P, FiniteAtomicLattice):
         return coatom_ranks(frozenset(P.lower_covers(q)) - {bot}, F, memo)
-    inside = frozenset(P.below(q)) - {bot}
-
-    def by_complex():
-        K = order_complex(Poset(inside))
-        return ("complex", K, F.characteristic), lambda: K
-
-    return _memo_ranks(("order", inside, F.characteristic), by_complex, F,
-                       memo)
+    K = order_complex(P.open_interval(q))
+    return _memo_ranks(("complex", K, F.characteristic), lambda: K, F, memo)
 
 
 def coatom_ranks(coatoms, F=FieldSpec(0), memo=None):
     """The ranks of `interval_ranks` for an interval of an atomic
     lattice, given its coatoms (a frozenset of frozensets) instead of
-    the lattice, under the memo key ("crosscut", coatoms,
-    characteristic).  A caller that knows an interval's coatoms without
+    the lattice.  A caller that knows an interval's coatoms without
     building its lattice, such as the deformation scan, reads it here
-    under the key `interval_ranks` would use.  A miss looks the ranks
-    up under ("facets", `crosscut_facets(coatoms)`, characteristic),
-    and builds the crosscut only for a facet family not seen before."""
-    c = F.characteristic
-    return _memo_ranks(
-        ("crosscut", coatoms, c),
-        lambda: (("facets", crosscut_facets(coatoms), c),
-                 lambda: crosscut_complex(coatoms)), F, memo)
+    under the key `interval_ranks` would use.  Two levels of memo
+    key: ("crosscut", coatoms, characteristic) first, then on a miss
+    ("facets", `crosscut_facets(coatoms)`, characteristic), and the
+    crosscut is built only for a facet family not seen before."""
+    memo = {} if memo is None else memo
+    key = ("crosscut", coatoms, F.characteristic)
+    ranks = memo.get(key)
+    if ranks is None:
+        ranks = memo[key] = _memo_ranks(
+            ("facets", crosscut_facets(coatoms), F.characteristic),
+            lambda: crosscut_complex(coatoms), F, memo)
+    return dict(ranks)
 
 
 def _intervals(P, F, memo=None):

@@ -499,8 +499,8 @@ def cmd_scarf(ns):
 
 def cmd_deform_simplicial(ns):
     I = _load_ideal(ns.input)
-    X = (_parse_facets(ns.facets, len(I.generators)) if ns.facets
-         else scarf_complex(I))
+    X = (scarf_complex(I) if ns.facets is None
+         else _parse_facets(ns.facets, len(I.generators)))
     result = simplicial_rigid_deformation(I, X, ns.field)
     cert = result.certificate
     added = " ".join(support_text(e) for e in result.added) or "none"

@@ -65,7 +65,7 @@ from .homology import (
     reduced_homology,
 )
 from .monomials import Monomial
-from .posets import (FiniteAtomicLattice, Poset, bit_indices, element_key,
+from .posets import (FiniteAtomicLattice, bit_indices, element_key,
                      lcm_lattice, order_complex, support_text)
 
 
@@ -79,7 +79,8 @@ def _key_order(key):
 
 @dataclass
 class Frame:
-    """Homology components and connecting-map blocks over a poset.
+    """Homology components and connecting-map blocks over a poset,
+    which the frame does not keep: its elements are the keys.
 
     components: ℓ → tuple of (element, multiplicity), canonical order.
     maps: ℓ → {column key → {row key → scalar}} with key = (element, j);
@@ -87,7 +88,6 @@ class Frame:
     block back out.
     """
 
-    poset: Poset
     field: FieldSpec
     components: dict
     maps: dict
@@ -203,7 +203,7 @@ def build_frame(B, F=FieldSpec(0)):
                         if c:
                             col[(p, k)] = c
                 maps[i + 2][(q, j)] = col
-    return Frame(B, F, components, maps)
+    return Frame(F, components, maps)
 
 
 # --------------------------------------------------------------------------

@@ -236,7 +236,7 @@ def test_closed_path_matches_constructor(lat):
 
 def ranked_fragments(P):
     """Every max_ranked fragment of P with P's bottom put back: posets
-    that are neither lattices nor Betti posets, read by content key."""
+    that are neither lattices nor Betti posets, read by order complex."""
     bot = P.bottom
     return [Poset(list(P.max_ranked(q).elements) + [bot])
             for q in P.elements if q != bot]
@@ -246,7 +246,7 @@ def ranked_fragments(P):
 @settings(max_examples=40, deadline=None)
 def test_one_memo_serves_lattices_betti_posets_and_fragments(lattices):
     # one memo holds the coatom keys of lattices (crosscut route) and
-    # the content keys of Betti posets and fragments (order-complex route)
+    # the complex keys of Betti posets and fragments (order-complex route)
     memo = {}
     for F in (Q, FieldSpec(2)):
         posets = []
@@ -280,11 +280,10 @@ def test_coatom_and_content_keys_never_collide(lattice_first):
     for P, fresh in queries if lattice_first else queries[::-1]:
         assert homology_ranks(order_complex(P.open_interval(top)), Q) == fresh
         assert interval_ranks(P, top, Q, memo) == fresh
-    # two first-level keys, and under them the crosscut's facet family
-    # (one facet, {0, 1}: the edge) and the fragment's complex
+    # the lattice's coatom key with, under it, the crosscut's facet
+    # family (one facet, {0, 1}: the edge), and the fragment's complex
     points = SimplicialComplex([{0}, {1}])
     assert set(memo) == {("crosscut", frozenset(X), 0),
-                         ("order", frozenset(X), 0),
                          ("facets", frozenset({0b11}), 0),
                          ("complex", points, 0)}
 
@@ -330,6 +329,27 @@ def test_a_call_with_no_memo_eliminates_each_complex_once(monkeypatch, F):
     for _ in range(2):
         assert interval_ranks(L, L.top, F) == fresh[L.top]
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("F", [Q, FieldSpec(2)], ids=["char0", "char2"])
+def test_a_betti_poset_memo_keys_each_order_complex_once(monkeypatch, F):
+    # off a lattice, the ranks are keyed by the interval's order complex
+    # alone: one key per distinct complex, each eliminated once
+    B = betti_poset(lcm_lattice(cycle_edge_ideal(8)), F)
+    assert not isinstance(B, FiniteAtomicLattice)
+    intervals = [q for q in B.elements if q != B.bottom]
+    complexes = {order_complex(B.open_interval(q)) for q in intervals}
+    assert len(intervals) == 65 and len(complexes) == 11
+    memo = {}
+    calls = record_eliminations(monkeypatch)
+    table = betti_numbers(B, F, memo)
+    assert len(calls) == len(set(calls)) and set(calls) == complexes
+    assert set(memo) == {("complex", K, F.characteristic) for K in complexes}
+    # a second walk reads every interval from the memo
+    keys = set(memo)
+    calls.clear()
+    assert betti_numbers(B, F, memo) == table
+    assert set(memo) == keys and calls == []
 
 
 # -- contribution ------------------------------------------------------------

@@ -1021,7 +1021,8 @@ def test_deform_simplicial_rejects_bad_facets(tmp_path, capsys):
     assert main(["deform-simplicial", ideal, "--facets", "0,1"]) == 1
     assert main(["deform-simplicial", ideal, "--facets", "a,b"]) == 1
     assert main(["deform-simplicial", ideal, "--facets", " "]) == 1
-    capsys.readouterr()
+    assert main(["deform-simplicial", ideal, "--facets", ""]) == 1
+    assert capsys.readouterr().err.count("error: no facets given") == 2
     # the vertex set is checked in the 1-based numbers the option uses
     path = ideal_file(tmp_path, "path.ideal", "x*y; y*z; z*w")
     for facets in ("1,4", "1,2"):

@@ -339,7 +339,7 @@ def test_tampered_scalar_is_detected():
                    for lv, cols in fr.maps.items()}
     rowkey, value = next(iter(broken_maps[level][key].items()))
     broken_maps[level][key][rowkey] = -value
-    broken = Frame(fr.poset, Q, fr.components, broken_maps)
+    broken = Frame(Q, fr.components, broken_maps)
     assert not verify_frame(broken, ambient=L).ok
 
 
@@ -349,7 +349,7 @@ def test_dropped_entry_is_detected():
                    for lv, cols in fr.maps.items()}
     top = frozenset({0, 1})
     del broken_maps[2][(top, 0)][(frozenset({0}), 0)]
-    broken = Frame(fr.poset, Q, fr.components, broken_maps)
+    broken = Frame(Q, fr.components, broken_maps)
     report = verify_frame(broken, ambient=L)
     assert not report.ok
     assert report.bad_compositions or report.strand_failures
@@ -363,7 +363,7 @@ def test_zero_scalar_in_a_frame_is_no_pivot():
     broken_maps = {lv: {k: dict(col) for k, col in cols.items()}
                    for lv, cols in fr.maps.items()}
     broken_maps[1][(frozenset({0}), 0)][(BOT, 0)] = Q.coerce(0)
-    broken = Frame(fr.poset, Q, fr.components, broken_maps)
+    broken = Frame(Q, fr.components, broken_maps)
     assert verify_frame(broken, ambient=L).summary() == (
         "1 inhomogeneous entries (first: position 1, column {1}#0, "
         "row {}#0); 1 nonzero compositions (first: position 2, "
@@ -377,7 +377,7 @@ def test_frame_summary_names_the_first_bad_composition():
                    for lv, cols in fr.maps.items()}
     top = frozenset({0, 1, 2})
     broken_maps[3][(top, 0)][(frozenset({0, 1}), 0)] *= 2
-    broken = Frame(fr.poset, Q, fr.components, broken_maps)
+    broken = Frame(Q, fr.components, broken_maps)
     assert verify_frame(broken, ambient=L).summary() == (
         "2 nonzero compositions (first: position 3, column {1,2,3}#0, "
         "row {1}#0)")
@@ -387,7 +387,7 @@ def test_frame_summary_names_the_first_strand_and_length_failures():
     _, L, B, fr = pipeline("x; y")
     components = {lv: c for lv, c in fr.components.items() if lv != 2}
     maps = {lv: m for lv, m in fr.maps.items() if lv != 2}
-    truncated = Frame(fr.poset, Q, components, maps)
+    truncated = Frame(Q, components, maps)
     # the strand at xy stops at position 1, one short of its length 2,
     # so it is inexact there
     assert verify_frame(truncated, ambient=L).summary() == (
@@ -400,7 +400,7 @@ def _path_frame_with_entry(colkey, rowkey):
     maps = {lv: {k: dict(col) for k, col in cols.items()}
             for lv, cols in fr.maps.items()}
     maps[2].setdefault(colkey, {})[rowkey] = Q.coerce(1)
-    return L, B, Frame(fr.poset, Q, fr.components, maps)
+    return L, B, Frame(Q, fr.components, maps)
 
 
 @pytest.mark.parametrize("colkey, rowkey, kind, witness, text", [
